@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Design
 from .equivalence import occupancies
 from .numerics import regression_slope, stable_softmax
 
@@ -23,14 +22,15 @@ DEFAULT_MU = 1.0
 class ClassStats:
     """Per observed class: occupancy, best member, and its values.
 
-    `best_values[i]` is max over class members of f_hat + lambda * critic;
-    `best_critic[i]` is the critic value at that argmax (needed by the dual
+    `best_rows[i]` is the batch row of the class's best member, the max over
+    class members of f_hat + lambda * critic; `best_values[i]` is that max and
+    `best_critic[i]` the critic value at that row (needed by the dual
     gradient). Occupancies over observed classes sum to 1.
     """
 
     class_ids: tuple[int, ...]
     q_hat: np.ndarray
-    best_designs: tuple[Design, ...]
+    best_rows: np.ndarray
     best_values: np.ndarray
     best_critic: np.ndarray
 
@@ -51,30 +51,32 @@ class CertaintyState:
             raise ValueError("step must be >= 1")
 
 
-def class_optima(batch, assignments, lam: float, n_classes: int) -> ClassStats:
+def class_optima(f_vals, c_vals, assignments, lam: float, n_classes: int) -> ClassStats:
     """Reduce a scored batch to per-class optima.
 
-    `batch` is a sequence of (design, f_hat_value, critic_value); the raw
-    value is f_hat + lam * critic. Ties keep the first occurrence.
+    Row j of the batch has surrogate value `f_vals[j]`, critic value
+    `c_vals[j]` and class `assignments[j]`; its raw value is
+    f_hat + lam * critic. Ties keep the first occurrence.
     """
-    if len(batch) == 0:
+    f_vals = np.asarray(f_vals, dtype=float)
+    c_vals = np.asarray(c_vals, dtype=float)
+    assignments = np.asarray(assignments, dtype=int)
+    if len(f_vals) == 0:
         raise ValueError("empty batch")
-    if len(batch) != len(assignments):
+    if not len(f_vals) == len(c_vals) == len(assignments):
         raise ValueError("batch and assignments misaligned")
     q = occupancies(assignments, n_classes)
-    best: dict[int, tuple[float, Design, float]] = {}
-    for (design, f_val, c_val), cid in zip(batch, assignments):
-        raw = float(f_val) + lam * float(c_val)
-        cid = int(cid)
-        if cid not in best or raw > best[cid][0]:
-            best[cid] = (raw, design, float(c_val))
-    ids = sorted(best)
+    raw = f_vals + lam * c_vals
+    order = np.lexsort((-raw, assignments))  # by class, then best first; stable on ties
+    cls = assignments[order]
+    rows = order[np.r_[True, cls[1:] != cls[:-1]]]
+    ids = assignments[rows]
     return ClassStats(
-        class_ids=tuple(ids),
-        q_hat=np.array([q[i] for i in ids]),
-        best_designs=tuple(best[i][1] for i in ids),
-        best_values=np.array([best[i][0] for i in ids]),
-        best_critic=np.array([best[i][2] for i in ids]),
+        class_ids=tuple(int(i) for i in ids),
+        q_hat=q[ids],
+        best_rows=rows,
+        best_values=raw[rows],
+        best_critic=c_vals[rows],
     )
 
 
@@ -133,7 +135,7 @@ def score_designs(raw_values, mu_hat: float) -> np.ndarray:
     return mu_hat * np.asarray(raw_values, dtype=float)
 
 
-def log_partition(values, mu: float, lam_times_critic=None) -> float:
+def log_partition(values, mu: float) -> float:
     """log Z = logsumexp(mu * s) over per-class values, for dual-value
     diagnostics and verification."""
     s = np.asarray(values, dtype=float)

@@ -21,7 +21,7 @@ import click
 
 from .core import Hyperparams
 from .equivalence import PartitionConfig
-from .optimizer import BASELINES, RunConfig, evaluate_cohort
+from .optimizer import BASELINES, ENGINES, RunConfig, evaluate_cohort
 from .tasks import TASKS, make_task
 from .verify import run_all_checks
 
@@ -35,7 +35,7 @@ _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams"
 _METHOD_KEYS = {"name", "engine", "engine_params", "partition", "select_by_raw",
                 "critic_hidden", "source_pool_size", "memory_view", "knowledge_budget"}
 _HP_KEYS = {"lambda0", "w0", "eta_lambda", "eta_critic", "temperature",
-            "batch_size", "budget", "mu_max", "rng_seed"}
+            "batch_size", "budget", "mu_max"}
 _SURROGATE_KEYS = {"variant", "beta", "radius", "mixture_w"}
 
 
@@ -55,6 +55,14 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _coerce(kind, value, where: str):
+    """`kind(value)`, with a failed coercion reported as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}") from exc
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -83,6 +91,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     sur_spec = obj.get("surrogate", {})
     _reject_unknown(sur_spec, _SURROGATE_KEYS, "surrogate")
+    beta = _coerce(float, sur_spec.get("beta", 0.5), "surrogate.beta")
+    radius = _coerce(float, sur_spec.get("radius", 1.0), "surrogate.radius")
+    mixture_w = sur_spec.get("mixture_w")
+    if mixture_w is not None:
+        mixture_w = _coerce(float, mixture_w, "surrogate.mixture_w")
+        if not 0.0 <= mixture_w <= 1.0:
+            raise ConfigError("surrogate.mixture_w must lie in [0, 1]")
 
     methods = []
     for i, m in enumerate(methods_spec):
@@ -93,33 +108,36 @@ def parse_config(obj: dict) -> ExperimentConfig:
         partition = m.get("partition", "kmeans")
         if partition not in ("kmeans", "random", "score"):
             raise ConfigError(f"methods[{i}].partition must be kmeans|random|score")
+        engine = m.get("engine", "boltzmann-memory")
+        if engine not in ENGINES:
+            raise ConfigError(f"methods[{i}].engine must be one of {ENGINES}")
         methods.append(RunConfig(
             method=name,
-            engine=m.get("engine", "boltzmann-memory"),
+            engine=engine,
             engine_params=m.get("engine_params", {}),
             partition=PartitionConfig(variant=partition),
             surrogate_variant=sur_spec.get("variant", "analytic-shift"),
-            beta=float(sur_spec.get("beta", 0.5)),
-            radius=float(sur_spec.get("radius", 1.0)),
-            mixture_w=sur_spec.get("mixture_w"),
+            beta=beta,
+            radius=radius,
+            mixture_w=mixture_w,
             hp=hp,
-            critic_hidden=tuple(m.get("critic_hidden", (64, 64))),
-            source_pool_size=int(m.get("source_pool_size", 128)),
-            memory_view=int(m.get("memory_view", 64)),
-            knowledge_budget=int(m.get("knowledge_budget", 5)),
+            critic_hidden=_coerce(tuple, m.get("critic_hidden", (64, 64)), f"methods[{i}]"),
+            source_pool_size=_coerce(int, m.get("source_pool_size", 128), f"methods[{i}]"),
+            memory_view=_coerce(int, m.get("memory_view", 64), f"methods[{i}]"),
+            knowledge_budget=_coerce(int, m.get("knowledge_budget", 5), f"methods[{i}]"),
             select_by_raw=bool(m.get("select_by_raw", False)),
         ))
 
     weights = obj.get("weights")
     if weights is not None:
-        weights = [float(w) for w in weights]
+        weights = [_coerce(float, w, "weights") for w in _coerce(list, weights, "weights")]
         if any(not 0.0 <= w <= 1.0 for w in weights):
             raise ConfigError("weights must lie in [0, 1]")
     return ExperimentConfig(
         task=task, methods=methods, n_patients=n_patients, seed=seed,
-        task_seed=int(obj.get("task_seed", seed)),
+        task_seed=_coerce(int, obj.get("task_seed", seed), "task_seed"),
         output_dir=Path(obj.get("output_dir", ".")),
-        weights=weights, jobs=int(obj.get("jobs", 1)),
+        weights=weights, jobs=_coerce(int, obj.get("jobs", 1), "jobs"),
     )
 
 

@@ -8,7 +8,7 @@ and surrogate networks see bounded inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,7 +171,6 @@ class Hyperparams:
     batch_size: int = 32
     budget: int = 2048
     mu_max: float = 100.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.lambda0 < 0:
@@ -392,6 +391,4 @@ __all__ = [
     "render_text",
     "design_cell",
     "memory_to_json_str",
-    "replace",
-    "field",
 ]

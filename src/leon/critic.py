@@ -5,6 +5,11 @@ difference between its values on source designs and on generated designs.
 That mean difference is a lower-bound estimate of the 1-Wasserstein
 distance between the two empirical distributions (up to the critic's
 Lipschitz constant).
+
+Contract: `critic_values`, `w1_estimate` and `critic_train` take designs
+already encoded as `(n, d)` arrays (`core.encode_batch`, or
+`SourcePool.encoded` for the source side), so a caller encodes each batch
+once and reuses it for evaluation, training and the W1 estimate.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Design, DesignSpace, NumericError, encode_batch, encode_design
-from .numerics import DenseNet, init_net, net_forward, net_forward_batch, net_gradient, sgd_step
+from .core import Design, DesignSpace, NumericError, encode_batch
+from .numerics import DenseNet, init_net, net_forward_batch, net_gradient, sgd_step
 
 DEFAULT_CLIP = 0.01
 
@@ -53,58 +58,46 @@ def init_critic(space: DesignSpace, hidden=(64, 64), seed: int = 0,
     return CriticModel(net=init_net(sizes, seed=seed, scale=clip), clip=clip)
 
 
-def critic_value(critic: CriticModel, space: DesignSpace, design: Design) -> float:
-    return net_forward(critic.net, encode_design(space, design))
+def critic_values(critic: CriticModel, X: np.ndarray) -> np.ndarray:
+    """Critic value of each row of an encoded `(n, d)` batch."""
+    return net_forward_batch(critic.net, X)
 
 
-def critic_values(critic: CriticModel, space: DesignSpace, designs) -> np.ndarray:
-    if len(designs) == 0:
-        return np.zeros(0)
-    return np.atleast_1d(net_forward_batch(critic.net, encode_batch(space, designs)))
-
-
-def w1_estimate(critic: CriticModel, space: DesignSpace, src_batch, gen_batch) -> float:
-    """Mean critic value over the source batch minus mean over the generated
-    batch. Antisymmetric under swapping the batches."""
-    if len(src_batch) == 0 or len(gen_batch) == 0:
+def w1_estimate(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray) -> float:
+    """Mean critic value over the encoded source batch minus mean over the
+    encoded generated batch. Antisymmetric under swapping the batches."""
+    if len(src_enc) == 0 or len(gen_enc) == 0:
         raise ValueError("empty batch")
-    return float(critic_values(critic, space, src_batch).mean()
-                 - critic_values(critic, space, gen_batch).mean())
+    return float(critic_values(critic, src_enc).mean() - critic_values(critic, gen_enc).mean())
 
 
-def _w1_encoded(net: DenseNet, src_enc: np.ndarray, gen_enc: np.ndarray) -> float:
-    return float(net_forward_batch(net, src_enc).mean() - net_forward_batch(net, gen_enc).mean())
-
-
-def critic_train(critic: CriticModel, src: SourcePool, gen_batch, lr: float,
+def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, lr: float,
                  tol: float = 1e-4, max_iters: int = 500, seed: int = 0,
                  src_subsample: int = 512) -> CriticModel:
-    """Gradient-ascend the dual estimate, clamping all parameters to
-    [-clip, clip] after every step.
+    """Gradient-ascend the dual estimate on encoded source and generated
+    batches, clamping all parameters to [-clip, clip] after every step.
 
     Stops when the absolute change of the estimate stays below `tol` for 5
-    consecutive iterations, or after `max_iters`. The source side uses the
-    full pool when it has at most `src_subsample` designs, otherwise a
-    seeded uniform subsample per iteration.
+    consecutive iterations, or after `max_iters`. The source side uses all
+    rows when it has at most `src_subsample`, otherwise a seeded uniform
+    subsample per iteration.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    if len(gen_batch) == 0:
+    if len(gen_enc) == 0:
         raise ValueError("empty generated batch")
-    gen_enc = encode_batch(src.space, gen_batch)
     rng = np.random.default_rng(seed)
     net = critic.net.copy()
     prev = None
     calm = 0
     for _ in range(max_iters):
-        if len(src) <= src_subsample:
-            src_enc = src.encoded
+        if len(src_enc) <= src_subsample:
+            src_rows = src_enc
         else:
-            idx = rng.choice(len(src), size=src_subsample, replace=False)
-            src_enc = src.encoded[idx]
-        grads = net_gradient(net, src_enc, gen_enc)
+            src_rows = src_enc[rng.choice(len(src_enc), size=src_subsample, replace=False)]
+        grads = net_gradient(net, src_rows, gen_enc)
         net = sgd_step(net, grads, lr=lr, clip=critic.clip)
-        est = _w1_encoded(net, src_enc, gen_enc)
+        est = w1_estimate(CriticModel(net=net, clip=critic.clip), src_rows, gen_enc)
         if not np.isfinite(est):
             raise NumericError("critic training produced a non-finite estimate")
         if prev is not None and abs(est - prev) < tol:
@@ -146,7 +139,6 @@ __all__ = [
     "CriticModel",
     "SourcePool",
     "init_critic",
-    "critic_value",
     "critic_values",
     "w1_estimate",
     "critic_train",

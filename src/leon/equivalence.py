@@ -5,6 +5,12 @@ embeddings of rendered designs, a seeded random assignment into 10 classes,
 and score-binned classes cut at standard-deviation thresholds around the
 source mean. Fractional occupancies over classes feed the coarse-grained
 entropy and the certainty-parameter estimates.
+
+Contract: assignment is per batch. Every partition has
+`assign(ctx, designs, raw_values) -> class ids`, taking a step's designs
+with their raw values (`(n,)` array) and returning an `(n,)` integer array;
+the k-means variant embeds the batch and makes one nearest-centroid matrix
+operation, the score variant one `searchsorted`.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Context, Design, DesignSpace, render_text
+from .core import Context, DesignSpace, render_text
 from .critic import SourcePool
-from .numerics import KMeansModel, elbow_select_k, kmeans_assign, kmeans_fit, shannon_entropy
+from .numerics import KMeansModel, elbow_select_k, kmeans_assign, kmeans_fit
 
 
 class TransportError(RuntimeError):
@@ -104,10 +110,6 @@ class ApiEmbedder:
         raise TransportError(f"embedding request failed after {self.max_retries} attempts: {last}")
 
 
-def embed(provider, text: str) -> np.ndarray:
-    return provider.embed(text)
-
-
 # ---------------------------------------------------------------------------
 # Partitions
 # ---------------------------------------------------------------------------
@@ -121,14 +123,15 @@ def reference_context(ctx_dim: int) -> Context:
     return Context(features=(0.0,) * ctx_dim, id=REFERENCE_CONTEXT_ID)
 
 
+EMBED_DIM = 256
+KMIN, KMAX = 2, 20  # range of k searched by the elbow rule
+N_RANDOM_CLASSES = 10
+
+
 @dataclass(frozen=True)
 class PartitionConfig:
     variant: str = "kmeans"  # "kmeans" | "random" | "score"
-    embed_dim: int = 256
-    kmin: int = 2
-    kmax: int = 20
-    n_random_classes: int = 10
-    provider: object | None = None  # defaults to HashingEmbedder(embed_dim)
+    provider: object | None = None  # defaults to HashingEmbedder(EMBED_DIM)
 
 
 @dataclass
@@ -142,21 +145,21 @@ class KMeansPartition:
     def n_classes(self) -> int:
         return self.model.k
 
-    def assign(self, ctx: Context, design: Design, raw_value: float) -> int:
-        vec = embed(self.provider, render_text(self.task_name, self.space, ctx, design))
-        return kmeans_assign(self.model, vec)
+    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
+        texts = [render_text(self.task_name, self.space, ctx, d) for d in designs]
+        return kmeans_assign(self.model, np.stack([self.provider.embed(t) for t in texts]))
 
 
 @dataclass
 class RandomPartition:
-    n_classes: int = 10
+    n_classes: int = N_RANDOM_CLASSES
     seed: int = 0
 
-    def assign(self, ctx: Context, design: Design, raw_value: float) -> int:
-        payload = repr(design.values).encode()
+    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
         key = str(self.seed).encode()
-        h = hashlib.blake2b(payload, digest_size=8, key=key).digest()
-        return int.from_bytes(h, "little") % self.n_classes
+        digests = [hashlib.blake2b(repr(d.values).encode(), digest_size=8, key=key).digest()
+                   for d in designs]
+        return np.array([int.from_bytes(h, "little") % self.n_classes for h in digests])
 
 
 @dataclass
@@ -178,55 +181,51 @@ class ScoreBinnedPartition:
     def n_classes(self) -> int:
         return len(self.edges) - 1  # 10 bins from 11 thresholds
 
-    def assign(self, ctx: Context, design: Design, raw_value: float) -> int:
-        idx = int(np.searchsorted(self.edges, raw_value, side="right")) - 1
-        return min(max(idx, 0), self.n_classes - 1)
+    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
+        idx = np.searchsorted(self.edges, np.asarray(raw_values, dtype=float), side="right") - 1
+        return np.clip(idx, 0, self.n_classes - 1)
 
 
 Partition = KMeansPartition | RandomPartition | ScoreBinnedPartition
 
 
 def fit_partition(cfg: PartitionConfig, src: SourcePool, task, seed: int,
-                  raw_value_fn=None) -> Partition:
+                  src_raw=None) -> Partition:
     """Fit an equivalence relation on the source designs.
 
     The k-means variant renders each source design with a fixed reference
     context, embeds it, picks k by the elbow rule, and fits cosine k-means.
-    The score variant needs `raw_value_fn` (design -> surrogate-plus-critic
-    value) to compute source mean and spread.
+    The score variant needs `src_raw`, the surrogate-plus-critic value of
+    each source design, to compute source mean and spread.
     """
     if cfg.variant == "random":
-        return RandomPartition(n_classes=cfg.n_random_classes, seed=seed)
+        return RandomPartition(seed=seed)
 
     if cfg.variant == "score":
-        if raw_value_fn is None:
-            raise ValueError("score partition needs raw_value_fn")
-        vals = np.array([raw_value_fn(d) for d in src.designs], dtype=float)
+        if src_raw is None:
+            raise ValueError("score partition needs src_raw")
+        vals = np.asarray(src_raw, dtype=float)
         return ScoreBinnedPartition(mu_src=float(vals.mean()), sigma_src=float(vals.std()))
 
     if cfg.variant != "kmeans":
         raise ValueError(f"unknown partition variant {cfg.variant!r}")
 
-    provider = cfg.provider or HashingEmbedder(dim=cfg.embed_dim, seed=0)
+    provider = cfg.provider or HashingEmbedder(dim=EMBED_DIM, seed=0)
     ref = reference_context(task.ctx_dim)
     texts = [render_text(task.name, src.space, ref, d) for d in src.designs]
-    vectors = np.stack([embed(provider, t) for t in texts])
+    vectors = np.stack([provider.embed(t) for t in texts])
 
-    kmax = cfg.kmax
+    kmax = KMAX
     if len(src) < kmax:
         warnings.warn(
             f"source pool has {len(src)} designs < kmax={kmax}; shrinking kmax",
             stacklevel=2,
         )
         kmax = len(src)
-    kmin = min(cfg.kmin, kmax)
+    kmin = min(KMIN, kmax)
     k = elbow_select_k(vectors, kmin=kmin, kmax=kmax, metric="cosine", seed=seed)
     model = kmeans_fit(vectors, k, metric="cosine", seed=seed)
     return KMeansPartition(model=model, provider=provider, task_name=task.name, space=src.space)
-
-
-def assign(partition: Partition, ctx: Context, design: Design, raw_value: float) -> int:
-    return partition.assign(ctx, design, raw_value)
 
 
 def occupancies(assignments, n_classes: int) -> np.ndarray:
@@ -240,15 +239,10 @@ def occupancies(assignments, n_classes: int) -> np.ndarray:
     return counts / counts.sum()
 
 
-def coarse_entropy(qbar) -> float:
-    return shannon_entropy(qbar)
-
-
 __all__ = [
     "TransportError",
     "HashingEmbedder",
     "ApiEmbedder",
-    "embed",
     "reference_context",
     "REFERENCE_CONTEXT_ID",
     "PartitionConfig",
@@ -257,7 +251,5 @@ __all__ = [
     "ScoreBinnedPartition",
     "Partition",
     "fit_partition",
-    "assign",
     "occupancies",
-    "coarse_entropy",
 ]

@@ -285,20 +285,17 @@ def kmeans_fit(points, k: int, metric: str = "euclidean", seed: int = 0,
                        inertia=inertia, inertia_history=history)
 
 
-def kmeans_assign(model: KMeansModel, p) -> int:
-    """Index of the nearest centroid; lowest index wins ties. A zero vector
-    under the cosine metric falls back to raw dot products (all zero, so the
-    tie-break picks index 0)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (model.centroids.shape[1],):
+def kmeans_assign(model: KMeansModel, points) -> np.ndarray:
+    """Index of the nearest centroid for each row of an `(n, d)` array;
+    lowest index wins ties. Under the cosine metric rows are unit-normalized
+    first, and an all-zero row, which has no direction, is assigned 0."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != model.centroids.shape[1]:
         raise ValueError("dimension mismatch")
+    ids = _sq_dists(_prepare(points, model.metric), model.centroids).argmin(axis=1)
     if model.metric == "cosine":
-        norm = np.linalg.norm(p)
-        if norm == 0.0:
-            return int(np.argmax(model.centroids @ p))
-        p = p / norm
-    d2 = _sq_dists(p[None, :], model.centroids)[0]
-    return int(np.argmin(d2))
+        ids[~points.any(axis=1)] = 0
+    return ids
 
 
 def chord_distances(ks, values) -> np.ndarray:

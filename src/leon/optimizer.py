@@ -21,7 +21,7 @@ from .certainty import (
     score_designs,
     update_lambda,
 )
-from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace
+from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace, encode_batch
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
 from .equivalence import PartitionConfig, fit_partition
 from .proposal import (
@@ -208,12 +208,12 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     memory = TrajectoryMemory(budget=hp.budget)
     warnings: list[str] = []
 
-    def raw_value_fn(design):  # for the score-binned partition variant
-        return metered.inner.value(design, ctx) + hp.lambda0 * critic_values(
-            critic, space, [design])[0]
-
+    src_raw = None
+    if cfg.partition.variant == "score":  # bins are cut around the source raw values
+        src_raw = (np.array([metered.inner.value(d, ctx) for d in source_pool.designs])
+                   + hp.lambda0 * critic_values(critic, source_pool.encoded))
     partition = fit_partition(cfg.partition, source_pool, task,
-                              seed=derive_seed(seed, 6), raw_value_fn=raw_value_fn)
+                              seed=derive_seed(seed, 6), src_raw=src_raw)
 
     prompt_state = PromptState(
         knowledge="", reflection="", memory_view=[], context=ctx,
@@ -231,26 +231,25 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         prompt_state.reflection = reflection
         prompt_state.memory_view = memory.entries[-cfg.memory_view:]
         designs = propose(engine, prompt_state, space, b)
+        batch_enc = encode_batch(space, designs)
 
         f_vals = metered.values(designs, ctx)
-        c_vals = critic_values(critic, space, designs)
+        c_vals = critic_values(critic, batch_enc)
         raw = f_vals + state.lam * c_vals
-        assignments = [partition.assign(ctx, d, r) for d, r in zip(designs, raw)]
+        assignments = partition.assign(ctx, designs, raw)
 
-        stats = class_optima(list(zip(designs, f_vals, c_vals)), assignments,
-                             state.lam, partition.n_classes)
+        stats = class_optima(f_vals, c_vals, assignments, state.lam, partition.n_classes)
         mu_hat = estimate_mu(stats, state.mu_hat, hp.mu_max)
         state = replace(state, mu_hat=mu_hat)
 
-        critic = critic_train(critic, source_pool, designs, lr=hp.eta_critic,
+        critic = critic_train(critic, source_pool.encoded, batch_enc, lr=hp.eta_critic,
                               seed=derive_seed(seed, 7, t))
 
-        src_mean_c = float(critic_values(critic, space, source_pool.designs).mean())
-        stats_now = replace(stats, best_critic=critic_values(critic, space,
-                                                             list(stats.best_designs)))
+        src_mean_c = float(critic_values(critic, source_pool.encoded).mean())
+        stats_now = replace(stats, best_critic=critic_values(critic, batch_enc)[stats.best_rows])
         qbar = boltzmann_weights(stats_now, mu_hat)
         grad = dual_gradient(hp.w0, src_mean_c, stats_now, qbar)
-        w1_now = w1_estimate(critic, space, source_pool.designs, designs)
+        w1_now = w1_estimate(critic, source_pool.encoded, batch_enc)
 
         lambda_trace.append(state.lam)  # the value that scored this batch
         mu_trace.append(mu_hat)

@@ -533,10 +533,6 @@ class FileCorpusSource:
 KnowledgeSource = StaticFactsSource | ScriptedSource | FileCorpusSource
 
 
-def knowledge_query(source: KnowledgeSource, query: str) -> str:
-    return source.query(query)
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
@@ -574,7 +570,7 @@ def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:
                 break
             source = sources[idx]
             try:
-                response = knowledge_query(source, query)
+                response = source.query(query)
             except Exception as exc:  # noqa: BLE001 - skip the round
                 getattr(engine, "warnings", []).append(f"knowledge source failed: {exc}")
                 continue
@@ -604,7 +600,6 @@ __all__ = [
     "ScriptedSource",
     "FileCorpusSource",
     "KnowledgeSource",
-    "knowledge_query",
     "propose",
     "reflect",
     "generate_knowledge",

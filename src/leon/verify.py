@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certainty import ClassStats, boltzmann_weights, dual_gradient, estimate_mu, log_partition
-from .core import ContinuousDim, Design, DesignSpace
-from .critic import SourcePool, critic_train, init_critic, w1_estimate
+from .core import ContinuousDim, Design, DesignSpace, encode_batch
+from .critic import critic_train, init_critic, w1_estimate
 from .numerics import (
     flatten_params,
     init_net,
@@ -137,7 +137,7 @@ def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float 
             s = rng.normal(0.0, 1.0, size=3)
         mu = float(rng.uniform(0.5, 2.5))
         stats = ClassStats(class_ids=(0, 1, 2), q_hat=np.ones(3) / 3,
-                           best_designs=(None, None, None), best_values=s,
+                           best_rows=np.arange(3), best_values=s,
                            best_critic=np.zeros(3))
         closed = weights_fn(stats, mu)
 
@@ -178,7 +178,7 @@ def check_dual_gradient(seed: int = 0, instances: int = 100) -> CheckResult:
                     + log_partition(f + l * c, mu) / mu)
 
         stats = ClassStats(class_ids=tuple(range(n)), q_hat=np.ones(n) / n,
-                           best_designs=(None,) * n, best_values=f + lam * c,
+                           best_rows=np.arange(n), best_values=f + lam * c,
                            best_critic=c)
         qbar = boltzmann_weights(stats, mu)
         analytic = dual_gradient(w0, src_mean, stats, qbar)
@@ -207,7 +207,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
     for mu_true, scale in _MU_SCALES.items():
         s = np.arange(4) * scale
         q = stable_softmax(mu_true * s)
-        stats = ClassStats(class_ids=(0, 1, 2, 3), q_hat=q, best_designs=(None,) * 4,
+        stats = ClassStats(class_ids=(0, 1, 2, 3), q_hat=q, best_rows=np.arange(4),
                            best_values=s, best_critic=np.zeros(4))
         mu_exact = estimate_mu(stats, prev_mu=1.0, mu_max=100.0)
         worst_exact = max(worst_exact, abs(mu_exact - mu_true))
@@ -216,7 +216,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
         q_hat = np.bincount(draws, minlength=4) / n_samples
         keep = q_hat > 0
         noisy = ClassStats(class_ids=tuple(np.where(keep)[0]), q_hat=q_hat[keep],
-                           best_designs=(None,) * int(keep.sum()),
+                           best_rows=np.flatnonzero(keep),
                            best_values=s[keep], best_critic=np.zeros(int(keep.sum())))
         mu_noisy = estimate_mu(noisy, prev_mu=1.0, mu_max=100.0)
         worst_noisy = max(worst_noisy, abs(mu_noisy - mu_true) / mu_true)
@@ -236,19 +236,19 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
     space = DesignSpace((ContinuousDim("x", 0.0, 1.0),))
     rng = np.random.default_rng(seed)
 
-    same = [Design((float(v),)) for v in rng.uniform(0.2, 0.8, size=32)]
-    pool_same = SourcePool(space, same)
+    same = encode_batch(space, [Design((float(v),)) for v in rng.uniform(0.2, 0.8, size=32)])
     critic = init_critic(space, hidden=(64, 64), seed=seed)
-    trained_same = critic_train(critic, pool_same, same, lr=0.001, seed=seed)
-    est_same = w1_estimate(trained_same, space, same, same)
+    trained_same = critic_train(critic, same, same, lr=0.001, seed=seed)
+    est_same = w1_estimate(trained_same, same, same)
 
-    src = [Design((float(v),)) for v in np.linspace(0.0, 0.2, 24)]
-    gen = [Design((float(v),)) for v in np.linspace(0.8, 1.0, 24)]
-    pool = SourcePool(space, src)
+    src = np.linspace(0.0, 0.2, 24)
+    gen = np.linspace(0.8, 1.0, 24)
+    src_enc = encode_batch(space, [Design((float(v),)) for v in src])
+    gen_enc = encode_batch(space, [Design((float(v),)) for v in gen])
     critic2 = init_critic(space, hidden=(64, 64), seed=seed + 1)
-    trained = critic_train(critic2, pool, gen, lr=0.001, max_iters=500, seed=seed)
-    est = w1_estimate(trained, space, src, gen)
-    true_w1 = exact_w1_1d([d.values[0] for d in src], [d.values[0] for d in gen])
+    trained = critic_train(critic2, src_enc, gen_enc, lr=0.001, max_iters=500, seed=seed)
+    est = w1_estimate(trained, src_enc, gen_enc)
+    true_w1 = exact_w1_1d(src, gen)
 
     max_param = max(float(np.abs(flatten_params(m.net)).max())
                     for m in (trained_same, trained))

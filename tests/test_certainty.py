@@ -16,7 +16,6 @@ from leon.certainty import (
     score_designs,
     update_lambda,
 )
-from leon.core import Design
 from leon.numerics import stable_softmax
 
 
@@ -25,7 +24,7 @@ def _stats(values, critic=None, q=None):
     return ClassStats(
         class_ids=tuple(range(n)),
         q_hat=np.array(q) if q is not None else np.ones(n) / n,
-        best_designs=tuple(Design((float(i),)) for i in range(n)),
+        best_rows=np.arange(n),
         best_values=np.array(values, dtype=float),
         best_critic=np.array(critic, dtype=float) if critic is not None else np.zeros(n),
     )
@@ -36,45 +35,67 @@ def _stats(values, critic=None, q=None):
 # ---------------------------------------------------------------------------
 
 
-def _batch(f_vals, c_vals):
-    return [(Design((float(i),)), f, c) for i, (f, c) in enumerate(zip(f_vals, c_vals))]
-
-
 def test_class_optima_single_class():
-    stats = class_optima(_batch([1.0, 3.0], [0.0, 0.0]), [0, 0], lam=0.0, n_classes=1)
+    stats = class_optima([1.0, 3.0], [0.0, 0.0], [0, 0], lam=0.0, n_classes=1)
     assert stats.best_values.tolist() == [3.0]
     assert stats.q_hat.tolist() == [1.0]
-    assert stats.best_designs[0].values == (1.0,)
+    assert stats.best_rows.tolist() == [1]
 
 
 def test_class_optima_lambda_zero_is_argmax_f():
-    batch = _batch([2.0, 5.0, 1.0], [9.0, -9.0, 9.0])
-    stats = class_optima(batch, [0, 0, 0], lam=0.0, n_classes=1)
-    assert stats.best_designs[0].values == (1.0,)  # index of f-max, critic ignored
+    stats = class_optima([2.0, 5.0, 1.0], [9.0, -9.0, 9.0], [0, 0, 0], lam=0.0, n_classes=1)
+    assert stats.best_rows.tolist() == [1]  # index of f-max, critic ignored
 
 
 def test_class_optima_lambda_weighting():
     # lam=2: second design wins because 0 + 2*1 > 1 + 2*0
-    batch = _batch([1.0, 0.0], [0.0, 1.0])
-    stats = class_optima(batch, [0, 0], lam=2.0, n_classes=1)
+    stats = class_optima([1.0, 0.0], [0.0, 1.0], [0, 0], lam=2.0, n_classes=1)
     assert stats.best_values.tolist() == [2.0]
-    assert stats.best_designs[0].values == (1.0,)
+    assert stats.best_rows.tolist() == [1]
+    assert stats.best_critic.tolist() == [1.0]
 
 
 def test_class_optima_first_occurrence_on_tie():
-    batch = _batch([1.0, 1.0], [0.0, 0.0])
-    stats = class_optima(batch, [0, 0], lam=0.0, n_classes=1)
-    assert stats.best_designs[0].values == (0.0,)
+    stats = class_optima([1.0, 1.0], [0.0, 0.0], [0, 0], lam=0.0, n_classes=1)
+    assert stats.best_rows.tolist() == [0]
 
 
 def test_class_optima_misaligned():
     with pytest.raises(ValueError):
-        class_optima(_batch([1.0], [0.0]), [0, 1], lam=0.0, n_classes=2)
+        class_optima([1.0], [0.0], [0, 1], lam=0.0, n_classes=2)
+    with pytest.raises(ValueError):
+        class_optima([], [], [], lam=0.0, n_classes=2)
+
+
+def _class_optima_loop(f_vals, c_vals, assignments, lam):
+    """Per-row reference: strict improvement, so the first of ties stays."""
+    best = {}
+    for row, (f, c, cid) in enumerate(zip(f_vals, c_vals, assignments)):
+        raw = float(f) + lam * float(c)
+        if cid not in best or raw > best[cid][0]:
+            best[cid] = (raw, row, float(c))
+    ids = sorted(best)
+    return ids, [best[i][1] for i in ids], [best[i][0] for i in ids], [best[i][2] for i in ids]
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 4)),
+                min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.5, 2.0]))
+def test_class_optima_matches_loop_reference(rows, lam):
+    # small integer values make ties between rows frequent
+    f_vals, c_vals, assignments = (np.array(col, dtype=float) for col in zip(*rows))
+    assignments = assignments.astype(int)
+    stats = class_optima(f_vals, c_vals, assignments, lam=lam, n_classes=5)
+    ids, best_rows, best_values, best_critic = _class_optima_loop(f_vals, c_vals,
+                                                                  assignments, lam)
+    assert list(stats.class_ids) == ids
+    assert stats.best_rows.tolist() == best_rows
+    assert stats.best_values.tolist() == best_values
+    assert stats.best_critic.tolist() == best_critic
 
 
 def test_class_optima_occupancies_sum_to_one():
-    batch = _batch([1.0, 2.0, 3.0, 4.0], [0.0] * 4)
-    stats = class_optima(batch, [0, 0, 2, 2], lam=0.0, n_classes=4)
+    stats = class_optima([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0, 0, 2, 2], lam=0.0, n_classes=4)
     assert stats.class_ids == (0, 2)
     assert stats.q_hat.sum() == pytest.approx(1.0)
 

@@ -66,6 +66,17 @@ def test_config_error_exit_code(tmp_path):
     missing = runner.invoke(main, ["run", "-c", str(tmp_path / "nope.json")])
     assert missing.exit_code == 2
 
+    # values that fail coercion or lie outside their range are config errors
+    # too, caught before any run starts
+    for bad in (_config(jobs="abc"),
+                _config(methods=[{"name": "leon", "source_pool_size": "x"}]),
+                _config(surrogate={"variant": "analytic-shift", "mixture_w": 2}),
+                _config(methods=[{"name": "leon", "engine": "bogus"}]),
+                _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0})):
+        result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
+        assert result.exit_code == 2, (bad, result.output)
+        assert "config error" in result.output
+
 
 # ---------------------------------------------------------------------------
 # run

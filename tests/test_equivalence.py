@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,16 +19,15 @@ from leon.core import (
 from leon.critic import SourcePool
 from leon.equivalence import (
     HashingEmbedder,
+    KMeansPartition,
     PartitionConfig,
     RandomPartition,
     ScoreBinnedPartition,
-    coarse_entropy,
-    embed,
     fit_partition,
     occupancies,
     reference_context,
 )
-from leon.numerics import kmeans_assign
+from leon.numerics import kmeans_assign, shannon_entropy
 from leon.tasks import make_dose_task
 
 
@@ -93,7 +94,7 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
     part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
     assert part.n_classes == 3
     ref = reference_context(2)
-    assigned = [part.assign(ref, d, 0.0) for d in designs]
+    assigned = part.assign(ref, designs, np.zeros(len(designs))).tolist()
     by_blob = [set(a for a, l in zip(assigned, labels) if l == blob) for blob in range(3)]
     assert all(len(s) == 1 for s in by_blob)
     assert len(set.union(*by_blob)) == 3
@@ -111,8 +112,9 @@ def test_fit_score_partition_bins():
     task = make_dose_task(0)
     src = SourcePool(task.space, [Design((float(v),)) for v in np.linspace(10, 90, 24)])
     part = fit_partition(PartitionConfig(variant="score"), src, task, seed=0,
-                         raw_value_fn=lambda d: d.values[0])
+                         src_raw=np.linspace(10, 90, 24))
     assert isinstance(part, ScoreBinnedPartition)
+    assert part.mu_src == pytest.approx(50.0)
     assert len(part.edges) == 11
     assert part.n_classes == 10
 
@@ -131,7 +133,8 @@ def test_partition_stability_same_seed(rng):
     ref = reference_context(2)
     a = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
     b = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
-    assert [a.assign(ref, d, 0.0) for d in designs] == [b.assign(ref, d, 0.0) for d in designs]
+    raw = np.zeros(len(designs))
+    assert np.array_equal(a.assign(ref, designs, raw), b.assign(ref, designs, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +146,18 @@ def test_random_assignment_deterministic():
     part = RandomPartition(n_classes=10, seed=4)
     ctx = Context((0.0,), id="x")
     d = Design((3.5,))
-    assert part.assign(ctx, d, 1.0) == part.assign(ctx, d, -1.0)
-    assert 0 <= part.assign(ctx, d, 0.0) < 10
+    assert part.assign(ctx, [d], [1.0]) == part.assign(ctx, [d], [-1.0])
+    assert 0 <= part.assign(ctx, [d], [0.0])[0] < 10
 
 
 def test_score_assignment_left_closed():
     part = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
     ctx = Context((0.0,), id="x")
-    d = Design((0.0,))
+    raw = [10.0, 10.0 - 1e-12, 7.0, -1e9, 1e9]
     # the bin [mu, mu+sigma) is index 5 of 10: thresholds are
-    # [-inf, mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s, +inf]
-    assert part.assign(ctx, d, 10.0) == 5
-    assert part.assign(ctx, d, 10.0 - 1e-12) == 4
-    assert part.assign(ctx, d, 7.0) == 3       # mu - 1.5 sigma
-    assert part.assign(ctx, d, -1e9) == 0
-    assert part.assign(ctx, d, 1e9) == 9
+    # [-inf, mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s, +inf];
+    # 7.0 is mu - 1.5 sigma
+    assert part.assign(ctx, [Design((0.0,))] * len(raw), raw).tolist() == [5, 4, 3, 0, 9]
 
 
 def test_kmeans_assignment_matches_kernel(rng):
@@ -165,20 +165,84 @@ def test_kmeans_assignment_matches_kernel(rng):
     src = SourcePool(BLOB_SPACE, designs)
     part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
     ctx = Context((0.3, -0.7), id="live")
-    for d in designs[:10]:
-        vec = embed(part.provider, render_text("blobs", BLOB_SPACE, ctx, d))
-        assert part.assign(ctx, d, 0.0) == kmeans_assign(part.model, vec)
+    vecs = np.stack([part.provider.embed(render_text("blobs", BLOB_SPACE, ctx, d))
+                     for d in designs[:10]])
+    assert np.array_equal(part.assign(ctx, designs[:10], np.zeros(10)),
+                          kmeans_assign(part.model, vecs))
+
+
+# Per-design references for batch assignment: one design at a time, as the
+# partitions assigned before they took whole batches.
+
+def _kmeans_one(part, ctx, design):
+    vec = part.provider.embed(render_text(part.task_name, part.space, ctx, design))
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        return int(np.argmax(part.model.centroids @ vec))  # all zero: lowest index
+    d2 = ((part.model.centroids - vec / norm) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
+
+
+def _random_one(part, design):
+    h = hashlib.blake2b(repr(design.values).encode(), digest_size=8,
+                        key=str(part.seed).encode()).digest()
+    return int.from_bytes(h, "little") % part.n_classes
+
+
+def _score_one(part, raw):
+    idx = int(np.searchsorted(part.edges, raw, side="right")) - 1
+    return min(max(idx, 0), part.n_classes - 1)
+
+
+@dataclass(frozen=True)
+class _ZeroForLowDose:
+    """Hashing embeddings, but an all-zero vector for doses below 1."""
+
+    inner: HashingEmbedder = HashingEmbedder()
+
+    def embed(self, text):
+        dose = float(text.rsplit("Dose: ", 1)[1])
+        return np.zeros(self.inner.dim) if dose < 1.0 else self.inner.embed(text)
+
+
+def test_batch_assign_matches_per_design_reference(rng):
+    designs, _ = _blob_designs(rng)
+    designs += [Design((0, 1, 2, 0.0)), Design((2, 2, 2, 0.5))]  # zero embeddings
+    src = SourcePool(BLOB_SPACE, designs)
+    fitted = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
+    kmeans = KMeansPartition(model=fitted.model, provider=_ZeroForLowDose(),
+                             task_name="blobs", space=BLOB_SPACE)
+    score = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
+    ctx = Context((0.3, -0.7), id="live")
+    # every bin edge exactly, both infinities, and values between the edges
+    raw = np.concatenate([score.edges, rng.normal(10.0, 6.0, size=len(designs) - 11)])
+    assert len(raw) == len(designs)
+
+    got = kmeans.assign(ctx, designs, raw)
+    assert got.tolist() == [_kmeans_one(kmeans, ctx, d) for d in designs]
+    assert got[-2:].tolist() == [0, 0]  # all-zero rows are class 0 under cosine
+    assert kmeans.model.metric == "cosine" and len(set(got.tolist())) > 1
+
+    random = RandomPartition(n_classes=10, seed=4)
+    assert random.assign(ctx, designs, raw).tolist() == [_random_one(random, d) for d in designs]
+
+    got = score.assign(ctx, designs, raw)
+    assert got.tolist() == [_score_one(score, r) for r in raw]
+    # left-closed bins: each finite edge opens the bin above it; -inf is in
+    # the lowest bin and +inf in the highest
+    assert got[:11].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]
 
 
 @given(st.integers(0, 2 ** 20))
 def test_assignment_total(design_seed):
     rng = np.random.default_rng(design_seed)
-    d = Design((bool(rng.integers(2)), bool(rng.integers(2))))
+    designs = [Design((bool(rng.integers(2)), bool(rng.integers(2)))) for _ in range(8)]
     ctx = Context((0.0,), id="t")
     for part in (RandomPartition(n_classes=10, seed=0),
                  ScoreBinnedPartition(mu_src=0.0, sigma_src=1.0)):
-        cid = part.assign(ctx, d, float(rng.normal()))
-        assert 0 <= cid < part.n_classes
+        cids = part.assign(ctx, designs, rng.normal(size=8))
+        assert cids.shape == (8,)
+        assert np.all((0 <= cids) & (cids < part.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +273,9 @@ def test_occupancy_properties(assignments):
 
 
 def test_coarse_entropy_values():
-    assert coarse_entropy([1.0, 0.0]) == 0.0
-    assert coarse_entropy([0.2] * 5) == pytest.approx(math.log(5))
-    assert coarse_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.039721, abs=1e-6)
+    assert shannon_entropy([1.0, 0.0]) == 0.0
+    assert shannon_entropy([0.2] * 5) == pytest.approx(math.log(5))
+    assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.039721, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

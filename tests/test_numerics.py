@@ -177,7 +177,7 @@ def test_kmeans_k1_is_mean(rng):
 def test_kmeans_separated_blobs(rng):
     pts, labels = _blobs(rng, [(0, 0, 5), (5, 0, 0), (0, 5, 0)])
     model = kmeans_fit(pts, 3, metric="euclidean", seed=1)
-    assigned = np.array([kmeans_assign(model, p) for p in pts])
+    assigned = kmeans_assign(model, pts)
     # each true blob maps to exactly one distinct cluster
     blob_clusters = [set(assigned[labels == i]) for i in range(3)]
     assert all(len(s) == 1 for s in blob_clusters)
@@ -205,29 +205,33 @@ def test_kmeans_inertia_non_increasing(rng):
 
 def test_assign_exact_centroid_match():
     model = kmeans_fit(np.array([[0.0, 0], [10, 0], [0, 10]]), 3, seed=0)
-    for j in range(3):
-        assert kmeans_assign(model, model.centroids[j]) == j
+    assert kmeans_assign(model, model.centroids).tolist() == [0, 1, 2]
 
 
 def test_assign_tie_breaks_low_index():
     model = kmeans_fit(np.array([[-1.0], [1.0]]), 2, seed=0)
     # centroids at -1 and 1 in some order; 0 is equidistant
-    assert kmeans_assign(model, np.array([0.0])) == 0
+    assert kmeans_assign(model, np.array([[0.0]])).tolist() == [0]
 
 
 def test_assign_matches_linear_scan(rng):
     pts = rng.normal(0, 1, size=(30, 3))
     model = kmeans_fit(pts, 4, seed=2)
-    for _ in range(20):
-        p = rng.normal(0, 1, size=3)
-        expect = int(np.argmin(((model.centroids - p) ** 2).sum(axis=1)))
-        assert kmeans_assign(model, p) == expect
+    P = rng.normal(0, 1, size=(20, 3))
+    expect = [int(np.argmin(((model.centroids - p) ** 2).sum(axis=1))) for p in P]
+    assert kmeans_assign(model, P).tolist() == expect
+    with pytest.raises(ValueError):
+        kmeans_assign(model, P[0])  # one design is a (1, d) batch, not a vector
 
 
 def test_cosine_assign_zero_vector_falls_back():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     model = kmeans_fit(pts, 2, metric="cosine", seed=0)
-    assert kmeans_assign(model, np.zeros(2)) == 0  # raw dot products all 0, low index
+    # a zero row has no direction: class 0, whatever the other rows are
+    P = np.array([[0.0, 0.0], [1.0, 0.1], [0.0, 0.0]])
+    ids = kmeans_assign(model, P).tolist()
+    assert ids[1] == int(np.argmax(model.centroids @ P[1])) != 0
+    assert ids[0] == ids[2] == 0
 
 
 # ---------------------------------------------------------------------------

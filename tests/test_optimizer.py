@@ -139,6 +139,22 @@ def test_budget_not_divisible_truncates_last_batch(dose_task):
     assert steps.count(3) == 16  # final partial batch
 
 
+def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
+    """Each step encodes its batch once and reuses it for the critic; the
+    source pool is encoded once per run. Only the engine's parent-spread
+    estimate encodes more, so the total stays under two rows per budget unit."""
+    import leon.core
+
+    calls = []
+    encode = leon.core.encode_design
+    monkeypatch.setattr(leon.core, "encode_design",
+                        lambda space, d: calls.append(1) or encode(space, d))
+    hp = Hyperparams()
+    result = run_leon(dose_task, RunConfig(method="leon", hp=hp), seed=0)
+    assert len(result.memory) == hp.budget
+    assert len(calls) <= 2 * hp.budget
+
+
 def test_partition_variants_run(dose_task):
     for variant in ("kmeans", "random", "score"):
         cfg = RunConfig(method="leon", hp=HP_SMALL,

@@ -31,7 +31,6 @@ from leon.proposal import (
     StaticFactsSource,
     build_prompt,
     generate_knowledge,
-    knowledge_query,
     memory_table,
     parse_designs,
     propose,
@@ -242,13 +241,13 @@ def test_reflection_empty_batch_raises():
 
 def test_static_source_verbatim():
     src = StaticFactsSource("facts", "response rises with dose up to a threshold")
-    assert knowledge_query(src, "anything") == "response rises with dose up to a threshold"
+    assert src.query("anything") == "response rises with dose up to a threshold"
 
 
 def test_scripted_source_lookup():
     src = ScriptedSource("scripted", {"q1": "a1"})
-    assert knowledge_query(src, "q1") == "a1"
-    assert knowledge_query(src, "unknown") == ""
+    assert src.query("q1") == "a1"
+    assert src.query("unknown") == ""
 
 
 def test_file_corpus_ranking(tmp_path):
@@ -258,20 +257,20 @@ def test_file_corpus_ranking(tmp_path):
     doc_b.write_text("alpha beta gamma delta syntax", encoding="utf-8")
     src = FileCorpusSource("corpus", (str(doc_a), str(doc_b)), top_k=1)
     # query shares 4 tokens with doc B's passage, at most 3 with doc A's
-    assert knowledge_query(src, "alpha beta gamma delta").startswith("alpha beta gamma delta")
-    assert knowledge_query(src, "") == ""
+    assert src.query("alpha beta gamma delta").startswith("alpha beta gamma delta")
+    assert src.query("") == ""
 
 
 def test_file_corpus_three_token_overlap(tmp_path):
     (tmp_path / "x.txt").write_text("quark lepton boson\n\nspin charge parity", encoding="utf-8")
     src = FileCorpusSource("corpus", (str(tmp_path / "x.txt"),), top_k=1)
-    assert knowledge_query(src, "quark lepton boson please") == "quark lepton boson"
+    assert src.query("quark lepton boson please") == "quark lepton boson"
 
 
 def test_file_corpus_unreadable_file(tmp_path):
     src = FileCorpusSource("corpus", (str(tmp_path / "missing.txt"),), top_k=1)
     assert src.warnings
-    assert knowledge_query(src, "anything") == ""
+    assert src.query("anything") == ""
 
 
 # ---------------------------------------------------------------------------
