@@ -65,6 +65,21 @@ def _coerce(kind, value, where: str):
         raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}") from exc
 
 
+def _int_at_least(value, lo: int, where: str) -> int:
+    n = _coerce(int, value, where)
+    if n < lo:
+        raise ConfigError(f"{where} must be >= {lo}, got {value!r}")
+    return n
+
+
+def _hidden_sizes(value, where: str) -> tuple:
+    """A non-empty list of positive layer widths."""
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in value)):
+        raise ConfigError(f"{where} must be a non-empty list of positive integers, got {value!r}")
+    return tuple(value)
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -111,6 +126,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         engine = m.get("engine", "boltzmann-memory")
         if engine not in ENGINES:
             raise ConfigError(f"methods[{i}].engine must be one of {ENGINES}")
+        select_by_raw = m.get("select_by_raw", False)
+        if not isinstance(select_by_raw, bool):
+            raise ConfigError(f"methods[{i}].select_by_raw must be true or false")
         methods.append(RunConfig(
             method=name,
             engine=engine,
@@ -121,11 +139,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
             radius=radius,
             mixture_w=mixture_w,
             hp=hp,
-            critic_hidden=_coerce(tuple, m.get("critic_hidden", (64, 64)), f"methods[{i}]"),
-            source_pool_size=_coerce(int, m.get("source_pool_size", 128), f"methods[{i}]"),
-            memory_view=_coerce(int, m.get("memory_view", 64), f"methods[{i}]"),
-            knowledge_budget=_coerce(int, m.get("knowledge_budget", 5), f"methods[{i}]"),
-            select_by_raw=bool(m.get("select_by_raw", False)),
+            critic_hidden=_hidden_sizes(m.get("critic_hidden", [64, 64]),
+                                        f"methods[{i}].critic_hidden"),
+            source_pool_size=_int_at_least(m.get("source_pool_size", 128), 1,
+                                           f"methods[{i}].source_pool_size"),
+            memory_view=_int_at_least(m.get("memory_view", 64), 1, f"methods[{i}].memory_view"),
+            knowledge_budget=_int_at_least(m.get("knowledge_budget", 5), 0,
+                                           f"methods[{i}].knowledge_budget"),
+            select_by_raw=select_by_raw,
         ))
 
     weights = obj.get("weights")

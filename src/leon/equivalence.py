@@ -1,23 +1,28 @@
 """Equivalence relations over the design space.
 
-Three interchangeable partition variants: k-means over hashed (or API) text
-embeddings of rendered designs, a seeded random assignment into 10 classes,
-and score-binned classes cut at standard-deviation thresholds around the
-source mean. Fractional occupancies over classes feed the coarse-grained
-entropy and the certainty-parameter estimates.
+Three interchangeable partition variants: k-means over design encodings, a
+seeded random assignment into 10 classes, and score-binned classes cut at
+standard-deviation thresholds around the source mean. Fractional
+occupancies over classes feed the coarse-grained entropy and the
+certainty-parameter estimates.
+
+The k-means variant clusters the encoded source pool (euclidean, k by the
+elbow rule), so nearby designs share a class. Only a caller-supplied text
+embedding provider (such as `ApiEmbedder`, whose embeddings carry meaning)
+switches it to cosine k-means over rendered text; fitting and assignment
+then render every design under the same reference context.
 
 Contract: assignment is per batch. Every partition has
-`assign(ctx, designs, raw_values) -> class ids`, taking a step's designs
-with their raw values (`(n,)` array) and returning an `(n,)` integer array;
-the k-means variant embeds the batch and makes one nearest-centroid matrix
-operation, the score variant one `searchsorted`.
+`assign(designs, X, raw_values) -> class ids`, taking a step's designs with
+their `(n, d)` encodings (`core.encode_batch`) and raw values (`(n,)`
+array) and returning an `(n,)` integer array; the k-means variant makes one
+nearest-centroid matrix operation, the score variant one `searchsorted`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import re
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -36,35 +41,6 @@ class TransportError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Embedding providers
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = _TOKEN_RE.findall(text.lower())
-    return tokens if tokens else [text]
-
-
-@dataclass(frozen=True)
-class HashingEmbedder:
-    """Deterministic signed feature hashing into a fixed number of buckets."""
-
-    dim: int = 256
-    seed: int = 0
-
-    def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise ValueError("cannot embed empty text")
-        v = np.zeros(self.dim)
-        key = str(self.seed).encode()
-        for tok in _tokenize(text):
-            h = hashlib.blake2b(tok.encode(), digest_size=8, key=key).digest()
-            idx = int.from_bytes(h[:4], "little") % self.dim
-            sign = 1.0 if h[4] & 1 else -1.0
-            v[idx] += sign
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v
-
 
 @dataclass
 class ApiEmbedder:
@@ -118,12 +94,12 @@ REFERENCE_CONTEXT_ID = "_reference"
 
 
 def reference_context(ctx_dim: int) -> Context:
-    """Fixed all-zeros context used when fitting a partition, so the fitted
-    relation over the design space does not depend on any one subject."""
+    """Fixed all-zeros context under which a text partition renders every
+    design, so the relation over the design space does not depend on any
+    one subject."""
     return Context(features=(0.0,) * ctx_dim, id=REFERENCE_CONTEXT_ID)
 
 
-EMBED_DIM = 256
 KMIN, KMAX = 2, 20  # range of k searched by the elbow rule
 N_RANDOM_CLASSES = 10
 
@@ -131,23 +107,39 @@ N_RANDOM_CLASSES = 10
 @dataclass(frozen=True)
 class PartitionConfig:
     variant: str = "kmeans"  # "kmeans" | "random" | "score"
-    provider: object | None = None  # defaults to HashingEmbedder(EMBED_DIM)
+    provider: object | None = None  # text embedder; None clusters design encodings
+
+
+@dataclass(frozen=True)
+class TextEmbedding:
+    """Embeds designs through their rendered text. Every design is rendered
+    under the one context `ctx`, so the fitted centroids and the points they
+    classify come from the same text distribution."""
+
+    provider: object
+    task_name: str
+    space: DesignSpace
+    ctx: Context
+
+    def __call__(self, designs) -> np.ndarray:
+        return np.stack([self.provider.embed(render_text(self.task_name, self.space, self.ctx, d))
+                         for d in designs])
 
 
 @dataclass
 class KMeansPartition:
+    """Nearest-centroid classes over the design encodings, or over text
+    embeddings when `text` is set."""
+
     model: KMeansModel
-    provider: object
-    task_name: str
-    space: DesignSpace
+    text: TextEmbedding | None = None
 
     @property
     def n_classes(self) -> int:
         return self.model.k
 
-    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
-        texts = [render_text(self.task_name, self.space, ctx, d) for d in designs]
-        return kmeans_assign(self.model, np.stack([self.provider.embed(t) for t in texts]))
+    def assign(self, designs, X, raw_values) -> np.ndarray:
+        return kmeans_assign(self.model, X if self.text is None else self.text(designs))
 
 
 @dataclass
@@ -155,7 +147,7 @@ class RandomPartition:
     n_classes: int = N_RANDOM_CLASSES
     seed: int = 0
 
-    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
+    def assign(self, designs, X, raw_values) -> np.ndarray:
         key = str(self.seed).encode()
         digests = [hashlib.blake2b(repr(d.values).encode(), digest_size=8, key=key).digest()
                    for d in designs]
@@ -181,7 +173,7 @@ class ScoreBinnedPartition:
     def n_classes(self) -> int:
         return len(self.edges) - 1  # 10 bins from 11 thresholds
 
-    def assign(self, ctx: Context, designs, raw_values) -> np.ndarray:
+    def assign(self, designs, X, raw_values) -> np.ndarray:
         idx = np.searchsorted(self.edges, np.asarray(raw_values, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.n_classes - 1)
 
@@ -193,10 +185,11 @@ def fit_partition(cfg: PartitionConfig, src: SourcePool, task, seed: int,
                   src_raw=None) -> Partition:
     """Fit an equivalence relation on the source designs.
 
-    The k-means variant renders each source design with a fixed reference
-    context, embeds it, picks k by the elbow rule, and fits cosine k-means.
-    The score variant needs `src_raw`, the surrogate-plus-critic value of
-    each source design, to compute source mean and spread.
+    The k-means variant picks k by the elbow rule and fits euclidean k-means
+    on the encoded source pool; with a text provider it instead embeds each
+    source design rendered under the reference context and fits cosine
+    k-means. The score variant needs `src_raw`, the surrogate-plus-critic
+    value of each source design, to compute source mean and spread.
     """
     if cfg.variant == "random":
         return RandomPartition(seed=seed)
@@ -210,10 +203,11 @@ def fit_partition(cfg: PartitionConfig, src: SourcePool, task, seed: int,
     if cfg.variant != "kmeans":
         raise ValueError(f"unknown partition variant {cfg.variant!r}")
 
-    provider = cfg.provider or HashingEmbedder(dim=EMBED_DIM, seed=0)
-    ref = reference_context(task.ctx_dim)
-    texts = [render_text(task.name, src.space, ref, d) for d in src.designs]
-    vectors = np.stack([provider.embed(t) for t in texts])
+    if cfg.provider is None:
+        text, points, metric = None, src.encoded, "euclidean"
+    else:
+        text = TextEmbedding(cfg.provider, task.name, src.space, reference_context(task.ctx_dim))
+        points, metric = text(src.designs), "cosine"
 
     kmax = KMAX
     if len(src) < kmax:
@@ -223,9 +217,8 @@ def fit_partition(cfg: PartitionConfig, src: SourcePool, task, seed: int,
         )
         kmax = len(src)
     kmin = min(KMIN, kmax)
-    k = elbow_select_k(vectors, kmin=kmin, kmax=kmax, metric="cosine", seed=seed)
-    model = kmeans_fit(vectors, k, metric="cosine", seed=seed)
-    return KMeansPartition(model=model, provider=provider, task_name=task.name, space=src.space)
+    k = elbow_select_k(points, kmin=kmin, kmax=kmax, metric=metric, seed=seed)
+    return KMeansPartition(model=kmeans_fit(points, k, metric=metric, seed=seed), text=text)
 
 
 def occupancies(assignments, n_classes: int) -> np.ndarray:
@@ -241,11 +234,11 @@ def occupancies(assignments, n_classes: int) -> np.ndarray:
 
 __all__ = [
     "TransportError",
-    "HashingEmbedder",
     "ApiEmbedder",
     "reference_context",
     "REFERENCE_CONTEXT_ID",
     "PartitionConfig",
+    "TextEmbedding",
     "KMeansPartition",
     "RandomPartition",
     "ScoreBinnedPartition",

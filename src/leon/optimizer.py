@@ -236,7 +236,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         f_vals = metered.values(designs, ctx)
         c_vals = critic_values(critic, batch_enc)
         raw = f_vals + state.lam * c_vals
-        assignments = partition.assign(ctx, designs, raw)
+        assignments = partition.assign(designs, batch_enc, raw)
 
         stats = class_optima(f_vals, c_vals, assignments, state.lam, partition.n_classes)
         mu_hat = estimate_mu(stats, state.mu_hat, hp.mu_max)
@@ -285,14 +285,6 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
 def _log_entry(memory, step, design, value):
     memory.append_batch(step, [design], [value], [value], [0])
-
-
-def _best_entry(memory):
-    best = None
-    for e in memory.entries:
-        if best is None or e.raw_value > best.raw_value:
-            best = e
-    return best.design
 
 
 def _random_search(task, metered, ctx, rng, memory):
@@ -452,7 +444,7 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     else:
         _surrogate_greedy(task, metered, ctx, rng, memory)
 
-    final = _best_entry(memory)
+    final = select_final(memory, by_raw=True)
     score = oracle_eval(task, final, ctx)
     return RunResult(
         task=task.name, method=variant, seed=seed, patient_id=ctx.id,

@@ -36,7 +36,7 @@ from .core import (
     encode_batch,
     render_context,
 )
-from .equivalence import TransportError, _tokenize
+from .equivalence import TransportError
 from .numerics import shannon_entropy, stable_softmax
 
 
@@ -494,6 +494,14 @@ class ScriptedSource:
 
     def query(self, q: str) -> str:
         return self.mapping.get(q, "")
+
+
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(text.lower())
+    return tokens if tokens else [text]
 
 
 @dataclass

@@ -3,10 +3,12 @@ pass/fail line with its observed margin and runtime. All criteria run
 offline on synthetic tasks with fixed seeds."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,11 +195,15 @@ def test_criterion_11_cli_determinism(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    # the subprocess imports leon from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     digests = []
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "leon.cli", "run", "-c", str(cfg_path)],
-            capture_output=True, text=True, timeout=240,
+            capture_output=True, text=True, timeout=240, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         digests.append((tmp_path / "out" / "results.json").read_bytes())

@@ -72,7 +72,16 @@ def test_config_error_exit_code(tmp_path):
                 _config(methods=[{"name": "leon", "source_pool_size": "x"}]),
                 _config(surrogate={"variant": "analytic-shift", "mixture_w": 2}),
                 _config(methods=[{"name": "leon", "engine": "bogus"}]),
-                _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0})):
+                _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0}),
+                _config(methods=[{"name": "leon", "critic_hidden": "ab"}]),
+                _config(methods=[{"name": "leon", "critic_hidden": [0]}]),
+                _config(methods=[{"name": "leon", "critic_hidden": [-3, 4]}]),
+                _config(methods=[{"name": "leon", "critic_hidden": []}]),
+                _config(methods=[{"name": "leon", "memory_view": 0}]),
+                _config(methods=[{"name": "leon", "memory_view": -1}]),
+                _config(methods=[{"name": "leon", "source_pool_size": 0}]),
+                _config(methods=[{"name": "leon", "knowledge_budget": -1}]),
+                _config(methods=[{"name": "leon", "select_by_raw": "no"}])):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output

@@ -7,58 +7,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import leon.equivalence
 from leon.core import (
     BooleanDim,
     CategoricalDim,
-    Context,
     ContinuousDim,
     Design,
     DesignSpace,
+    encode_batch,
     render_text,
 )
 from leon.critic import SourcePool
 from leon.equivalence import (
-    HashingEmbedder,
     KMeansPartition,
     PartitionConfig,
     RandomPartition,
     ScoreBinnedPartition,
+    TextEmbedding,
     fit_partition,
     occupancies,
     reference_context,
 )
 from leon.numerics import kmeans_assign, shannon_entropy
+from leon.optimizer import derive_seed
 from leon.tasks import make_dose_task
 
 
-# ---------------------------------------------------------------------------
-# hashing embedder
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _LetterCounts:
+    """Offline text embedder: unit-normalized counts of each letter."""
 
-
-def test_embed_deterministic():
-    e = HashingEmbedder(dim=128, seed=0)
-    assert np.array_equal(e.embed("alpha beta gamma"), e.embed("alpha beta gamma"))
-
-
-def test_embed_unit_norm():
-    e = HashingEmbedder(dim=64, seed=1)
-    assert np.linalg.norm(e.embed("some words here")) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_embed_disjoint_tokens_orthogonal():
-    e = HashingEmbedder(dim=4096, seed=0)
-    a = e.embed("aardvark basilisk chimera")
-    b = e.embed("dryad echidna fennec")
-    # verify the chosen tokens truly hash to disjoint buckets, then cosine is 0
-    if set(np.nonzero(a)[0]) & set(np.nonzero(b)[0]):
-        pytest.skip("bucket collision for this dim/seed")
-    assert abs(float(a @ b)) < 1e-12
-
-
-def test_embed_rejects_empty():
-    with pytest.raises(ValueError):
-        HashingEmbedder().embed("")
+    def embed(self, text):
+        v = np.array([text.lower().count(c) for c in "abcdefghijklmnopqrstuvwxyz"], dtype=float)
+        return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +73,8 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
     designs, labels = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
     part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    assert part.n_classes == 3
-    ref = reference_context(2)
-    assigned = part.assign(ref, designs, np.zeros(len(designs))).tolist()
+    assert part.n_classes == 3 and part.model.metric == "euclidean"
+    assigned = part.assign(designs, src.encoded, np.zeros(len(designs))).tolist()
     by_blob = [set(a for a, l in zip(assigned, labels) if l == blob) for blob in range(3)]
     assert all(len(s) == 1 for s in by_blob)
     assert len(set.union(*by_blob)) == 3
@@ -130,11 +110,24 @@ def test_fit_shrinks_kmax_with_warning(rng):
 def test_partition_stability_same_seed(rng):
     designs, _ = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
-    ref = reference_context(2)
     a = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
     b = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
     raw = np.zeros(len(designs))
-    assert np.array_equal(a.assign(ref, designs, raw), b.assign(ref, designs, raw))
+    assert np.array_equal(a.assign(designs, src.encoded, raw), b.assign(designs, src.encoded, raw))
+
+
+def test_default_kmeans_classes_are_dose_intervals():
+    """Default k-means classes have locality: on the dose task, as the dose
+    rises in unit steps, each class is entered once (class changes = distinct
+    classes - 1). The source pool and fit seed are those of `run_leon`."""
+    task = make_dose_task(0)
+    src = SourcePool(task.space, task.source_designs(np.random.default_rng([0, 2]), 128))
+    part = fit_partition(PartitionConfig(), src, task, seed=derive_seed(0, 6))
+    designs = [Design((float(v),)) for v in range(30, 71)]
+    ids = part.assign(designs, encode_batch(task.space, designs), np.zeros(len(designs)))
+    changes = int(np.count_nonzero(np.diff(ids)))
+    assert len(set(ids.tolist())) > 1
+    assert changes == len(set(ids.tolist())) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,42 +137,62 @@ def test_partition_stability_same_seed(rng):
 
 def test_random_assignment_deterministic():
     part = RandomPartition(n_classes=10, seed=4)
-    ctx = Context((0.0,), id="x")
-    d = Design((3.5,))
-    assert part.assign(ctx, [d], [1.0]) == part.assign(ctx, [d], [-1.0])
-    assert 0 <= part.assign(ctx, [d], [0.0])[0] < 10
+    d, X = Design((3.5,)), np.array([[0.035]])
+    assert part.assign([d], X, [1.0]) == part.assign([d], X, [-1.0])
+    assert 0 <= part.assign([d], X, [0.0])[0] < 10
 
 
 def test_score_assignment_left_closed():
     part = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
-    ctx = Context((0.0,), id="x")
     raw = [10.0, 10.0 - 1e-12, 7.0, -1e9, 1e9]
     # the bin [mu, mu+sigma) is index 5 of 10: thresholds are
     # [-inf, mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s, +inf];
     # 7.0 is mu - 1.5 sigma
-    assert part.assign(ctx, [Design((0.0,))] * len(raw), raw).tolist() == [5, 4, 3, 0, 9]
+    got = part.assign([Design((0.0,))] * len(raw), np.zeros((len(raw), 1)), raw)
+    assert got.tolist() == [5, 4, 3, 0, 9]
 
 
-def test_kmeans_assignment_matches_kernel(rng):
+def test_kmeans_assignment_matches_kernel(rng, monkeypatch):
     designs, _ = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
+    X = encode_batch(BLOB_SPACE, designs[:10])
     part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    ctx = Context((0.3, -0.7), id="live")
-    vecs = np.stack([part.provider.embed(render_text("blobs", BLOB_SPACE, ctx, d))
+    assert part.text is None
+    assert np.array_equal(part.assign(designs[:10], X, np.zeros(10)),
+                          kmeans_assign(part.model, X))
+
+    # with a text provider, fitting and assignment both render under the
+    # reference context
+    rendered = []
+    monkeypatch.setattr(leon.equivalence, "render_text",
+                        lambda name, space, ctx, d: rendered.append(ctx) or
+                        render_text(name, space, ctx, d))
+    part = fit_partition(PartitionConfig(variant="kmeans", provider=_LetterCounts()), src,
+                         BlobTask(), seed=0)
+    assert part.model.metric == "cosine"
+    got = part.assign(designs[:10], X, np.zeros(10))
+    ref = reference_context(2)
+    vecs = np.stack([_LetterCounts().embed(render_text("blobs", BLOB_SPACE, ref, d))
                      for d in designs[:10]])
-    assert np.array_equal(part.assign(ctx, designs[:10], np.zeros(10)),
-                          kmeans_assign(part.model, vecs))
+    assert np.array_equal(got, kmeans_assign(part.model, vecs))
+    assert rendered == [ref] * (len(designs) + 10)
 
 
 # Per-design references for batch assignment: one design at a time, as the
 # partitions assigned before they took whole batches.
 
-def _kmeans_one(part, ctx, design):
-    vec = part.provider.embed(render_text(part.task_name, part.space, ctx, design))
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return int(np.argmax(part.model.centroids @ vec))  # all zero: lowest index
-    d2 = ((part.model.centroids - vec / norm) ** 2).sum(axis=1)
+def _kmeans_one(part, design):
+    if part.text is None:
+        vec = encode_batch(BLOB_SPACE, [design])[0]
+    else:
+        vec = part.text.provider.embed(
+            render_text(part.text.task_name, part.text.space, part.text.ctx, design))
+    if part.model.metric == "cosine":
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            return int(np.argmax(part.model.centroids @ vec))  # all zero: lowest index
+        vec = vec / norm
+    d2 = ((part.model.centroids - vec) ** 2).sum(axis=1)
     return int(np.argmin(d2))
 
 
@@ -196,37 +209,41 @@ def _score_one(part, raw):
 
 @dataclass(frozen=True)
 class _ZeroForLowDose:
-    """Hashing embeddings, but an all-zero vector for doses below 1."""
-
-    inner: HashingEmbedder = HashingEmbedder()
+    """Letter-count embeddings, but an all-zero vector for doses below 1."""
 
     def embed(self, text):
         dose = float(text.rsplit("Dose: ", 1)[1])
-        return np.zeros(self.inner.dim) if dose < 1.0 else self.inner.embed(text)
+        return np.zeros(26) if dose < 1.0 else _LetterCounts().embed(text)
 
 
 def test_batch_assign_matches_per_design_reference(rng):
     designs, _ = _blob_designs(rng)
     designs += [Design((0, 1, 2, 0.0)), Design((2, 2, 2, 0.5))]  # zero embeddings
     src = SourcePool(BLOB_SPACE, designs)
-    fitted = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    kmeans = KMeansPartition(model=fitted.model, provider=_ZeroForLowDose(),
-                             task_name="blobs", space=BLOB_SPACE)
+    X = src.encoded
+    encoded = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
+    fitted = fit_partition(PartitionConfig(variant="kmeans", provider=_LetterCounts()), src,
+                           BlobTask(), seed=0)
+    text = TextEmbedding(_ZeroForLowDose(), "blobs", BLOB_SPACE, reference_context(2))
+    kmeans = KMeansPartition(model=fitted.model, text=text)
     score = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
-    ctx = Context((0.3, -0.7), id="live")
     # every bin edge exactly, both infinities, and values between the edges
     raw = np.concatenate([score.edges, rng.normal(10.0, 6.0, size=len(designs) - 11)])
     assert len(raw) == len(designs)
 
-    got = kmeans.assign(ctx, designs, raw)
-    assert got.tolist() == [_kmeans_one(kmeans, ctx, d) for d in designs]
+    got = encoded.assign(designs, X, raw)
+    assert got.tolist() == [_kmeans_one(encoded, d) for d in designs]
+    assert encoded.model.metric == "euclidean" and len(set(got.tolist())) > 1
+
+    got = kmeans.assign(designs, X, raw)
+    assert got.tolist() == [_kmeans_one(kmeans, d) for d in designs]
     assert got[-2:].tolist() == [0, 0]  # all-zero rows are class 0 under cosine
     assert kmeans.model.metric == "cosine" and len(set(got.tolist())) > 1
 
     random = RandomPartition(n_classes=10, seed=4)
-    assert random.assign(ctx, designs, raw).tolist() == [_random_one(random, d) for d in designs]
+    assert random.assign(designs, X, raw).tolist() == [_random_one(random, d) for d in designs]
 
-    got = score.assign(ctx, designs, raw)
+    got = score.assign(designs, X, raw)
     assert got.tolist() == [_score_one(score, r) for r in raw]
     # left-closed bins: each finite edge opens the bin above it; -inf is in
     # the lowest bin and +inf in the highest
@@ -237,10 +254,10 @@ def test_batch_assign_matches_per_design_reference(rng):
 def test_assignment_total(design_seed):
     rng = np.random.default_rng(design_seed)
     designs = [Design((bool(rng.integers(2)), bool(rng.integers(2)))) for _ in range(8)]
-    ctx = Context((0.0,), id="t")
+    X = np.array([[float(v) for v in d.values] for d in designs])
     for part in (RandomPartition(n_classes=10, seed=0),
                  ScoreBinnedPartition(mu_src=0.0, sigma_src=1.0)):
-        cids = part.assign(ctx, designs, rng.normal(size=8))
+        cids = part.assign(designs, X, rng.normal(size=8))
         assert cids.shape == (8,)
         assert np.all((0 <= cids) & (cids < part.n_classes))
 

@@ -155,6 +155,18 @@ def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
     assert len(calls) <= 2 * hp.budget
 
 
+def test_default_run_renders_no_text(dose_task, monkeypatch):
+    """The default k-means partition clusters design encodings: a run
+    renders no design text, so it embeds none."""
+    import leon.equivalence
+
+    calls = []
+    monkeypatch.setattr(leon.equivalence, "render_text", lambda *a: calls.append(a))
+    result = run_leon(dose_task, RunConfig(method="leon", hp=HP_SMALL), seed=0)
+    assert len(result.memory) == HP_SMALL.budget
+    assert calls == []
+
+
 def test_partition_variants_run(dose_task):
     for variant in ("kmeans", "random", "score"):
         cfg = RunConfig(method="leon", hp=HP_SMALL,
