@@ -20,9 +20,8 @@ from pathlib import Path
 import click
 
 from .core import Hyperparams
-from .equivalence import PartitionConfig
 from .optimizer import BASELINES, ENGINES, RunConfig, evaluate_cohort
-from .tasks import TASKS, make_task
+from .tasks import SURROGATES, TASKS, make_task
 from .verify import run_all_checks
 
 
@@ -52,6 +51,8 @@ class ExperimentConfig:
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -66,18 +67,19 @@ def _coerce(kind, value, where: str):
 
 
 def _int_at_least(value, lo: int, where: str) -> int:
-    n = _coerce(int, value, where)
-    if n < lo:
+    """A JSON integer (not a bool, float or string) no less than `lo`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value!r}")
-    return n
+    return value
 
 
 def _hidden_sizes(value, where: str) -> tuple:
     """A non-empty list of positive layer widths."""
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in value)):
+    if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list of positive integers, got {value!r}")
-    return tuple(value)
+    return tuple(_int_at_least(h, 1, f"{where}[{j}]") for j, h in enumerate(value))
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -90,15 +92,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
     methods_spec = obj.get("methods")
     if not isinstance(methods_spec, list) or not methods_spec:
         raise ConfigError("methods must be a non-empty list")
-    n_patients = obj.get("n_patients", 1)
-    if not isinstance(n_patients, int) or n_patients < 1:
-        raise ConfigError("n_patients must be a positive integer")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    n_patients = _int_at_least(obj.get("n_patients", 1), 1, "n_patients")
+    seed = _int_at_least(obj.get("seed", 0), 0, "seed")
+    output_dir = obj.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
     hp_spec = obj.get("hyperparams", {})
     _reject_unknown(hp_spec, _HP_KEYS, "hyperparams")
+    hp_spec = dict(hp_spec)
+    for key in ("budget", "batch_size"):
+        if key in hp_spec:
+            hp_spec[key] = _int_at_least(hp_spec[key], 1, f"hyperparams.{key}")
     try:
         hp = Hyperparams(**hp_spec)
     except (TypeError, ValueError) as exc:
@@ -108,6 +113,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _reject_unknown(sur_spec, _SURROGATE_KEYS, "surrogate")
     beta = _coerce(float, sur_spec.get("beta", 0.5), "surrogate.beta")
     radius = _coerce(float, sur_spec.get("radius", 1.0), "surrogate.radius")
+    surrogate_variant = sur_spec.get("variant", "analytic-shift")
+    if surrogate_variant not in SURROGATES:
+        raise ConfigError(f"surrogate.variant must be one of {SURROGATES}")
     mixture_w = sur_spec.get("mixture_w")
     if mixture_w is not None:
         mixture_w = _coerce(float, mixture_w, "surrogate.mixture_w")
@@ -133,8 +141,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
             method=name,
             engine=engine,
             engine_params=m.get("engine_params", {}),
-            partition=PartitionConfig(variant=partition),
-            surrogate_variant=sur_spec.get("variant", "analytic-shift"),
+            partition=partition,
+            surrogate_variant=surrogate_variant,
             beta=beta,
             radius=radius,
             mixture_w=mixture_w,
@@ -156,9 +164,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ConfigError("weights must lie in [0, 1]")
     return ExperimentConfig(
         task=task, methods=methods, n_patients=n_patients, seed=seed,
-        task_seed=_coerce(int, obj.get("task_seed", seed), "task_seed"),
-        output_dir=Path(obj.get("output_dir", ".")),
-        weights=weights, jobs=_coerce(int, obj.get("jobs", 1), "jobs"),
+        task_seed=_int_at_least(obj.get("task_seed", seed), 0, "task_seed"),
+        output_dir=Path(output_dir),
+        weights=weights, jobs=_int_at_least(obj.get("jobs", 1), 1, "jobs"),
     )
 
 
@@ -271,7 +279,8 @@ def cmd_ablate_shift(config_path, weights_arg):
     try:
         cfg = load_config(config_path)
         if weights_arg is not None:
-            weights = [float(w) for w in weights_arg.split(",") if w.strip() != ""]
+            weights = [_coerce(float, w, "--weights") for w in weights_arg.split(",")
+                       if w.strip() != ""]
         else:
             weights = cfg.weights
         if not weights:

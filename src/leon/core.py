@@ -7,7 +7,6 @@ and surrogate networks see bounded inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,18 +247,6 @@ class TrajectoryMemory:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "step": e.step,
-                "design": e.design.to_json(),
-                "raw_value": e.raw_value,
-                "score": e.score,
-                "class_id": e.class_id,
-            }
-            for e in self.entries
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Encoding
@@ -364,10 +351,6 @@ def design_cell(space: DesignSpace, design: Design) -> str:
     return ", ".join(format_value(dim, v) for dim, v in zip(space.dims, design.values))
 
 
-def memory_to_json_str(memory: TrajectoryMemory) -> str:
-    return json.dumps(memory.to_json(), indent=None, separators=(",", ":"))
-
-
 __all__ = [
     "SchemaError",
     "NumericError",
@@ -390,5 +373,4 @@ __all__ = [
     "render_design",
     "render_text",
     "design_cell",
-    "memory_to_json_str",
 ]

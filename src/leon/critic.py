@@ -110,30 +110,6 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
     return CriticModel(net=net, clip=critic.clip)
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-_ACT_CODES = {"relu": "relu", "id": "id"}
-
-
-def critic_to_json(critic: CriticModel) -> dict:
-    return {
-        "layers": [
-            {"w": l.weights.tolist(), "b": l.biases.tolist(), "act": _ACT_CODES[l.activation]}
-            for l in critic.net.layers
-        ],
-        "clip": critic.clip,
-    }
-
-
-def critic_from_json(obj: dict) -> CriticModel:
-    from .numerics import Layer
-
-    layers = [Layer(np.array(l["w"]), np.array(l["b"]), l["act"]) for l in obj["layers"]]
-    return CriticModel(net=DenseNet(layers), clip=float(obj["clip"]))
-
-
 __all__ = [
     "DEFAULT_CLIP",
     "CriticModel",
@@ -142,6 +118,4 @@ __all__ = [
     "critic_values",
     "w1_estimate",
     "critic_train",
-    "critic_to_json",
-    "critic_from_json",
 ]

@@ -1,9 +1,8 @@
 """Minimal numeric kernel.
 
 Dense feed-forward nets with hand-rolled backprop (no autodiff dependency),
-simple-regression slope, seeded k-means with a pluggable metric, and
-entropy/softmax helpers. Everything here is pure given explicit inputs and
-seeds.
+simple-regression slope, seeded euclidean k-means, and entropy/softmax
+helpers. Everything here is pure given explicit inputs and seeds.
 """
 
 from __future__ import annotations
@@ -199,48 +198,30 @@ def regression_slope(xs, ys) -> float | None:
 @dataclass
 class KMeansModel:
     centroids: np.ndarray  # (k, d)
-    metric: str            # "euclidean" | "cosine"
     k: int
     inertia: float = float("nan")
     inertia_history: list | None = None
 
 
-def _normalize_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return X / safe
-
-
-def _prepare(points: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "cosine":
-        return _normalize_rows(points)
-    if metric == "euclidean":
-        return points
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # (n, k) squared euclidean distances; cosine reduces to this on unit rows
+    # (n, k) squared euclidean distances
     return np.maximum(
         (X * X).sum(1)[:, None] - 2.0 * X @ C.T + (C * C).sum(1)[None, :], 0.0
     )
 
 
-def kmeans_fit(points, k: int, metric: str = "euclidean", seed: int = 0,
-               max_iters: int = 100) -> KMeansModel:
+def kmeans_fit(points, k: int, seed: int = 0, max_iters: int = 100) -> KMeansModel:
     """Lloyd iterations with k-means++ seeding.
 
-    For the cosine metric, points and centroids are unit-normalized before
-    distance computation; empty clusters are re-seeded to the point farthest
-    from its assigned centroid.
+    Empty clusters are re-seeded to the point farthest from its assigned
+    centroid.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
         raise ValueError("points must be 2-D")
-    n = points.shape[0]
+    n = X.shape[0]
     if k < 1 or n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
-    X = _prepare(points, metric)
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -272,30 +253,21 @@ def kmeans_fit(points, k: int, metric: str = "euclidean", seed: int = 0,
                 farthest = int(d2[np.arange(n), assign].argmax())
                 centroids[j] = X[farthest]
                 continue
-            c = members.mean(axis=0)
-            if metric == "cosine":
-                norm = np.linalg.norm(c)
-                c = c / norm if norm > 0 else X[int(rng.integers(n))]
-            centroids[j] = c
+            centroids[j] = members.mean(axis=0)
 
     d2 = _sq_dists(X, centroids)
     inertia = float(d2[np.arange(n), d2.argmin(axis=1)].sum())
     history.append(inertia)
-    return KMeansModel(centroids=centroids, metric=metric, k=k,
-                       inertia=inertia, inertia_history=history)
+    return KMeansModel(centroids=centroids, k=k, inertia=inertia, inertia_history=history)
 
 
 def kmeans_assign(model: KMeansModel, points) -> np.ndarray:
     """Index of the nearest centroid for each row of an `(n, d)` array;
-    lowest index wins ties. Under the cosine metric rows are unit-normalized
-    first, and an all-zero row, which has no direction, is assigned 0."""
+    lowest index wins ties."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.centroids.shape[1]:
         raise ValueError("dimension mismatch")
-    ids = _sq_dists(_prepare(points, model.metric), model.centroids).argmin(axis=1)
-    if model.metric == "cosine":
-        ids[~points.any(axis=1)] = 0
-    return ids
+    return _sq_dists(points, model.centroids).argmin(axis=1)
 
 
 def chord_distances(ks, values) -> np.ndarray:
@@ -314,8 +286,7 @@ def chord_distances(ks, values) -> np.ndarray:
     return cross / denom
 
 
-def elbow_select_k(points, kmin: int = 2, kmax: int = 20, metric: str = "euclidean",
-                   seed: int = 0) -> int:
+def elbow_select_k(points, kmin: int = 2, kmax: int = 20, seed: int = 0) -> int:
     """Pick k in [kmin, kmax] maximizing the distance of the within-cluster
     sum-of-squares curve from the straight chord between its endpoints.
     Lowest k wins ties (a perfectly linear curve returns kmin)."""
@@ -327,7 +298,7 @@ def elbow_select_k(points, kmin: int = 2, kmax: int = 20, metric: str = "euclide
     if kmin == kmax:
         return kmin
     ks = list(range(kmin, kmax + 1))
-    wcss = [kmeans_fit(points, k, metric=metric, seed=seed).inertia for k in ks]
+    wcss = [kmeans_fit(points, k, seed=seed).inertia for k in ks]
     dists = chord_distances(ks, wcss)
     return ks[int(np.argmax(dists))]
 

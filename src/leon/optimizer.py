@@ -23,7 +23,7 @@ from .certainty import (
 )
 from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace, encode_batch
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
-from .equivalence import PartitionConfig, fit_partition
+from .equivalence import fit_partition
 from .proposal import (
     BoltzmannMemoryEngine,
     ChatApiEngine,
@@ -83,7 +83,7 @@ class RunConfig:
     method: str = "leon"  # "leon" or one of BASELINES
     engine: str = "boltzmann-memory"
     engine_params: dict = field(default_factory=dict)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    partition: str = "kmeans"  # "kmeans" | "random" | "score"
     surrogate_variant: str = "analytic-shift"
     beta: float = 0.5
     radius: float = 1.0
@@ -209,11 +209,11 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     warnings: list[str] = []
 
     src_raw = None
-    if cfg.partition.variant == "score":  # bins are cut around the source raw values
+    if cfg.partition == "score":  # bins are cut around the source raw values
         src_raw = (np.array([metered.inner.value(d, ctx) for d in source_pool.designs])
                    + hp.lambda0 * critic_values(critic, source_pool.encoded))
-    partition = fit_partition(cfg.partition, source_pool, task,
-                              seed=derive_seed(seed, 6), src_raw=src_raw)
+    partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
+                              src_raw=src_raw)
 
     prompt_state = PromptState(
         knowledge="", reflection="", memory_view=[], context=ctx,

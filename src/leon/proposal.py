@@ -36,12 +36,15 @@ from .core import (
     encode_batch,
     render_context,
 )
-from .equivalence import TransportError
 from .numerics import shannon_entropy, stable_softmax
 
 
 class DesignParseError(ValueError):
     """The raw engine output could not be parsed into any designs."""
+
+
+class TransportError(RuntimeError):
+    """An external chat endpoint failed after retries."""
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +594,7 @@ def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:
 
 __all__ = [
     "DesignParseError",
+    "TransportError",
     "PROMPT_HEADERS",
     "PromptState",
     "memory_table",

@@ -313,6 +313,9 @@ def make_learned_surrogate(task: Task, seed: int = 0, n_train: int = 768,
                             y_mean=y_mean, y_std=y_std)
 
 
+SURROGATES = ("analytic-shift", "learned", "oracle")
+
+
 def make_surrogate(task: Task, variant: str = "analytic-shift", seed: int = 0,
                    beta: float = 0.5, radius: float = 1.0, **kwargs):
     if variant == "analytic-shift":
@@ -321,7 +324,7 @@ def make_surrogate(task: Task, variant: str = "analytic-shift", seed: int = 0,
         return make_learned_surrogate(task, seed=seed, **kwargs)
     if variant == "oracle":
         return OracleSurrogate(task=task)
-    raise ValueError(f"unknown surrogate variant {variant!r}")
+    raise ValueError(f"unknown surrogate variant {variant!r}; known: {SURROGATES}")
 
 
 @dataclass
@@ -419,6 +422,7 @@ __all__ = [
     "AnalyticShiftSurrogate",
     "LearnedSurrogate",
     "MixtureSurrogate",
+    "SURROGATES",
     "make_surrogate",
     "make_learned_surrogate",
     "train_regression_net",

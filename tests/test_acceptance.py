@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from leon.core import Design, Hyperparams
-from leon.equivalence import PartitionConfig
 from leon.optimizer import RunConfig, evaluate_cohort, run_leon
 from leon.tasks import make_dose_task
 from leon.verify import (
@@ -157,14 +156,14 @@ def test_criterion_10_lambda_dynamics():
 
     # source designs cluster near dose 50; propose far outside
     hp_ood = Hyperparams(budget=160, batch_size=16, w0=0.0, lambda0=0.0, eta_critic=5.0)
-    cfg = RunConfig(method="leon", hp=hp_ood, partition=PartitionConfig(variant="random"),
+    cfg = RunConfig(method="leon", hp=hp_ood, partition="random",
                     critic_hidden=(256, 256))
     ood = run_leon(task, cfg, seed=3, engine=ForcedEngine(95.0, 100.0, seed=5))
     ood_trace = np.array(ood.lambda_trace)
     ood_ok = bool(np.all(np.diff(ood_trace) >= -1e-12)) and ood_trace[-1] > ood_trace[0]
 
     hp_ind = Hyperparams(budget=160, batch_size=16, w0=0.5, lambda0=0.5, eta_critic=5.0)
-    cfg_ind = RunConfig(method="leon", hp=hp_ind, partition=PartitionConfig(variant="random"),
+    cfg_ind = RunConfig(method="leon", hp=hp_ind, partition="random",
                         critic_hidden=(256, 256))
     ind = run_leon(task, cfg_ind, seed=3, engine=ForcedEngine(40.0, 60.0, seed=5))
     ind_trace = np.array(ind.lambda_trace)

@@ -81,7 +81,23 @@ def test_config_error_exit_code(tmp_path):
                 _config(methods=[{"name": "leon", "memory_view": -1}]),
                 _config(methods=[{"name": "leon", "source_pool_size": 0}]),
                 _config(methods=[{"name": "leon", "knowledge_budget": -1}]),
-                _config(methods=[{"name": "leon", "select_by_raw": "no"}])):
+                _config(methods=[{"name": "leon", "select_by_raw": "no"}]),
+                # integer fields take JSON integers in range: no bool, float or string
+                _config(methods=[{"name": "leon", "source_pool_size": 12.9}]),
+                _config(methods=[{"name": "leon", "memory_view": True}]),
+                _config(methods=[{"name": "leon", "knowledge_budget": 2.5}]),
+                _config(jobs=2.7),
+                _config(jobs=-3),
+                _config(task_seed="3"),
+                _config(n_patients=True),
+                _config(seed=-1),
+                _config(hyperparams={"budget": 64, "batch_size": 32.5}),
+                _config(hyperparams={"budget": 64.0, "batch_size": 32}),
+                # wrong types and unknown variants
+                _config(output_dir=5),
+                _config(hyperparams=5),
+                _config(methods=[5]),
+                _config(surrogate={"variant": "bogus"})):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
@@ -171,9 +187,11 @@ def test_ablate_requires_weights(tmp_path):
 
 
 def test_ablate_rejects_bad_weights(tmp_path):
-    result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, _config()),
-                                  "--weights", "0,2"])
-    assert result.exit_code == 2
+    for weights in ("0,2", "abc"):
+        result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, _config()),
+                                      "--weights", weights])
+        assert result.exit_code == 2, (weights, result.output)
+        assert "config error" in result.output
 
 
 # ---------------------------------------------------------------------------

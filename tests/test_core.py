@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +15,6 @@ from leon.core import (
     TrajectoryMemory,
     decode_design,
     encode_design,
-    memory_to_json_str,
     render_context,
     render_text,
 )
@@ -217,14 +214,6 @@ def test_memory_scores_exact_product():
     mem.append_batch(1, [Design((0.0,))] * 3, raws, mu * raws, [0, 1, 2])
     for e, r in zip(mem.entries, raws):
         assert e.score == mu * r  # bitwise: same product
-
-
-def test_memory_serialization():
-    mem = TrajectoryMemory(budget=2)
-    mem.append_batch(1, [Design((5.0,)), Design((7.0,))], [1.0, 2.0], [1.0, 2.0], [0, 1])
-    payload = json.loads(memory_to_json_str(mem))
-    assert payload[0]["design"] == {"values": [5.0]}
-    assert set(payload[0]) == {"step", "design", "raw_value", "score", "class_id"}
 
 
 def test_design_context_json_round_trip(mixed_space):

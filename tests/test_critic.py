@@ -6,8 +6,6 @@ from leon.core import ContinuousDim, Design, DesignSpace, NumericError, encode_b
 from leon.critic import (
     CriticModel,
     SourcePool,
-    critic_from_json,
-    critic_to_json,
     critic_train,
     critic_values,
     init_critic,
@@ -145,18 +143,3 @@ def test_train_validates_inputs():
 def test_source_pool_non_empty():
     with pytest.raises(ValueError):
         SourcePool(SPACE_1D, [])
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip():
-    critic = init_critic(SPACE_1D, hidden=(8, 8), seed=9)
-    obj = critic_to_json(critic)
-    assert obj["clip"] == 0.01
-    assert obj["layers"][0]["act"] == "relu"
-    back = critic_from_json(obj)
-    X = _enc([73.0])
-    assert np.array_equal(critic_values(back, X), critic_values(critic, X))

@@ -1,45 +1,17 @@
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import leon.equivalence
-from leon.core import (
-    BooleanDim,
-    CategoricalDim,
-    ContinuousDim,
-    Design,
-    DesignSpace,
-    encode_batch,
-    render_text,
-)
+from leon.core import CategoricalDim, ContinuousDim, Design, DesignSpace, encode_batch
 from leon.critic import SourcePool
-from leon.equivalence import (
-    KMeansPartition,
-    PartitionConfig,
-    RandomPartition,
-    ScoreBinnedPartition,
-    TextEmbedding,
-    fit_partition,
-    occupancies,
-    reference_context,
-)
+from leon.equivalence import RandomPartition, ScoreBinnedPartition, fit_partition, occupancies
 from leon.numerics import kmeans_assign, shannon_entropy
 from leon.optimizer import derive_seed
 from leon.tasks import make_dose_task
-
-
-@dataclass(frozen=True)
-class _LetterCounts:
-    """Offline text embedder: unit-normalized counts of each letter."""
-
-    def embed(self, text):
-        v = np.array([text.lower().count(c) for c in "abcdefghijklmnopqrstuvwxyz"], dtype=float)
-        return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +26,6 @@ BLOB_SPACE = DesignSpace((
 ))
 
 
-class BlobTask:
-    name = "blobs"
-    ctx_dim = 2
-    space = BLOB_SPACE
-
-
 def _blob_designs(rng, n_per=20):
     designs, labels = [], []
     for blob in range(3):
@@ -72,8 +38,8 @@ def _blob_designs(rng, n_per=20):
 def test_fit_kmeans_partition_recovers_blobs(rng):
     designs, labels = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
-    part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    assert part.n_classes == 3 and part.model.metric == "euclidean"
+    part = fit_partition("kmeans", src, seed=0)
+    assert part.n_classes == 3
     assigned = part.assign(designs, src.encoded, np.zeros(len(designs))).tolist()
     by_blob = [set(a for a, l in zip(assigned, labels) if l == blob) for blob in range(3)]
     assert all(len(s) == 1 for s in by_blob)
@@ -83,7 +49,7 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
 def test_fit_random_partition():
     task = make_dose_task(0)
     src = SourcePool(task.space, [Design((float(v),)) for v in range(12)])
-    part = fit_partition(PartitionConfig(variant="random"), src, task, seed=3)
+    part = fit_partition("random", src, seed=3)
     assert isinstance(part, RandomPartition)
     assert part.n_classes == 10
 
@@ -91,8 +57,7 @@ def test_fit_random_partition():
 def test_fit_score_partition_bins():
     task = make_dose_task(0)
     src = SourcePool(task.space, [Design((float(v),)) for v in np.linspace(10, 90, 24)])
-    part = fit_partition(PartitionConfig(variant="score"), src, task, seed=0,
-                         src_raw=np.linspace(10, 90, 24))
+    part = fit_partition("score", src, seed=0, src_raw=np.linspace(10, 90, 24))
     assert isinstance(part, ScoreBinnedPartition)
     assert part.mu_src == pytest.approx(50.0)
     assert len(part.edges) == 11
@@ -103,15 +68,15 @@ def test_fit_shrinks_kmax_with_warning(rng):
     designs, _ = _blob_designs(rng, n_per=4)  # 12 designs < default kmax=20
     src = SourcePool(BLOB_SPACE, designs)
     with pytest.warns(UserWarning):
-        part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
+        part = fit_partition("kmeans", src, seed=0)
     assert 1 <= part.n_classes <= 12
 
 
 def test_partition_stability_same_seed(rng):
     designs, _ = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
-    a = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
-    b = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=7)
+    a = fit_partition("kmeans", src, seed=7)
+    b = fit_partition("kmeans", src, seed=7)
     raw = np.zeros(len(designs))
     assert np.array_equal(a.assign(designs, src.encoded, raw), b.assign(designs, src.encoded, raw))
 
@@ -122,7 +87,7 @@ def test_default_kmeans_classes_are_dose_intervals():
     classes - 1). The source pool and fit seed are those of `run_leon`."""
     task = make_dose_task(0)
     src = SourcePool(task.space, task.source_designs(np.random.default_rng([0, 2]), 128))
-    part = fit_partition(PartitionConfig(), src, task, seed=derive_seed(0, 6))
+    part = fit_partition("kmeans", src, seed=derive_seed(0, 6))
     designs = [Design((float(v),)) for v in range(30, 71)]
     ids = part.assign(designs, encode_batch(task.space, designs), np.zeros(len(designs)))
     changes = int(np.count_nonzero(np.diff(ids)))
@@ -152,46 +117,20 @@ def test_score_assignment_left_closed():
     assert got.tolist() == [5, 4, 3, 0, 9]
 
 
-def test_kmeans_assignment_matches_kernel(rng, monkeypatch):
+def test_kmeans_assignment_matches_kernel(rng):
     designs, _ = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
     X = encode_batch(BLOB_SPACE, designs[:10])
-    part = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    assert part.text is None
+    part = fit_partition("kmeans", src, seed=0)
     assert np.array_equal(part.assign(designs[:10], X, np.zeros(10)),
                           kmeans_assign(part.model, X))
-
-    # with a text provider, fitting and assignment both render under the
-    # reference context
-    rendered = []
-    monkeypatch.setattr(leon.equivalence, "render_text",
-                        lambda name, space, ctx, d: rendered.append(ctx) or
-                        render_text(name, space, ctx, d))
-    part = fit_partition(PartitionConfig(variant="kmeans", provider=_LetterCounts()), src,
-                         BlobTask(), seed=0)
-    assert part.model.metric == "cosine"
-    got = part.assign(designs[:10], X, np.zeros(10))
-    ref = reference_context(2)
-    vecs = np.stack([_LetterCounts().embed(render_text("blobs", BLOB_SPACE, ref, d))
-                     for d in designs[:10]])
-    assert np.array_equal(got, kmeans_assign(part.model, vecs))
-    assert rendered == [ref] * (len(designs) + 10)
 
 
 # Per-design references for batch assignment: one design at a time, as the
 # partitions assigned before they took whole batches.
 
 def _kmeans_one(part, design):
-    if part.text is None:
-        vec = encode_batch(BLOB_SPACE, [design])[0]
-    else:
-        vec = part.text.provider.embed(
-            render_text(part.text.task_name, part.text.space, part.text.ctx, design))
-    if part.model.metric == "cosine":
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return int(np.argmax(part.model.centroids @ vec))  # all zero: lowest index
-        vec = vec / norm
+    vec = encode_batch(BLOB_SPACE, [design])[0]
     d2 = ((part.model.centroids - vec) ** 2).sum(axis=1)
     return int(np.argmin(d2))
 
@@ -207,38 +146,19 @@ def _score_one(part, raw):
     return min(max(idx, 0), part.n_classes - 1)
 
 
-@dataclass(frozen=True)
-class _ZeroForLowDose:
-    """Letter-count embeddings, but an all-zero vector for doses below 1."""
-
-    def embed(self, text):
-        dose = float(text.rsplit("Dose: ", 1)[1])
-        return np.zeros(26) if dose < 1.0 else _LetterCounts().embed(text)
-
-
 def test_batch_assign_matches_per_design_reference(rng):
     designs, _ = _blob_designs(rng)
-    designs += [Design((0, 1, 2, 0.0)), Design((2, 2, 2, 0.5))]  # zero embeddings
     src = SourcePool(BLOB_SPACE, designs)
     X = src.encoded
-    encoded = fit_partition(PartitionConfig(variant="kmeans"), src, BlobTask(), seed=0)
-    fitted = fit_partition(PartitionConfig(variant="kmeans", provider=_LetterCounts()), src,
-                           BlobTask(), seed=0)
-    text = TextEmbedding(_ZeroForLowDose(), "blobs", BLOB_SPACE, reference_context(2))
-    kmeans = KMeansPartition(model=fitted.model, text=text)
+    kmeans = fit_partition("kmeans", src, seed=0)
     score = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
     # every bin edge exactly, both infinities, and values between the edges
     raw = np.concatenate([score.edges, rng.normal(10.0, 6.0, size=len(designs) - 11)])
     assert len(raw) == len(designs)
 
-    got = encoded.assign(designs, X, raw)
-    assert got.tolist() == [_kmeans_one(encoded, d) for d in designs]
-    assert encoded.model.metric == "euclidean" and len(set(got.tolist())) > 1
-
     got = kmeans.assign(designs, X, raw)
     assert got.tolist() == [_kmeans_one(kmeans, d) for d in designs]
-    assert got[-2:].tolist() == [0, 0]  # all-zero rows are class 0 under cosine
-    assert kmeans.model.metric == "cosine" and len(set(got.tolist())) > 1
+    assert len(set(got.tolist())) > 1
 
     random = RandomPartition(n_classes=10, seed=4)
     assert random.assign(designs, X, raw).tolist() == [_random_one(random, d) for d in designs]
@@ -293,53 +213,3 @@ def test_coarse_entropy_values():
     assert shannon_entropy([1.0, 0.0]) == 0.0
     assert shannon_entropy([0.2] * 5) == pytest.approx(math.log(5))
     assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.039721, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# embedding endpoint client
-# ---------------------------------------------------------------------------
-
-
-def test_api_embedder_round_trip_and_retry():
-    import json as _json
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    from leon.equivalence import ApiEmbedder, TransportError
-
-    class Handler(BaseHTTPRequestHandler):
-        fail_first = True
-
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            body = _json.loads(self.rfile.read(length))
-            assert body["model"] == "stub-embed" and body["input"]
-            if Handler.fail_first:
-                Handler.fail_first = False
-                self.send_response(500)
-                self.end_headers()
-                return
-            payload = _json.dumps({"data": [{"embedding": [3.0, 4.0]}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        emb = ApiEmbedder(model="stub-embed",
-                          endpoint=f"http://127.0.0.1:{server.server_port}",
-                          max_retries=3, retry_wait=0.0)
-        vec = emb.embed("some text")  # first attempt 500s, retry succeeds
-        assert np.allclose(vec, [0.6, 0.8])  # normalized (3,4)
-    finally:
-        server.shutdown()
-
-    dead = ApiEmbedder(model="stub-embed", endpoint="http://127.0.0.1:1",
-                       max_retries=2, retry_wait=0.0, timeout=0.2)
-    with pytest.raises(TransportError):
-        dead.embed("text")

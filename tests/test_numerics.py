@@ -170,13 +170,13 @@ def _blobs(rng, centers, n_per=20, scale=0.05):
 
 def test_kmeans_k1_is_mean(rng):
     pts = rng.normal(0, 1, size=(10, 3))
-    model = kmeans_fit(pts, 1, metric="euclidean", seed=0)
+    model = kmeans_fit(pts, 1, seed=0)
     assert np.allclose(model.centroids[0], pts.mean(axis=0))
 
 
 def test_kmeans_separated_blobs(rng):
     pts, labels = _blobs(rng, [(0, 0, 5), (5, 0, 0), (0, 5, 0)])
-    model = kmeans_fit(pts, 3, metric="euclidean", seed=1)
+    model = kmeans_fit(pts, 3, seed=1)
     assigned = kmeans_assign(model, pts)
     # each true blob maps to exactly one distinct cluster
     blob_clusters = [set(assigned[labels == i]) for i in range(3)]
@@ -222,16 +222,6 @@ def test_assign_matches_linear_scan(rng):
     assert kmeans_assign(model, P).tolist() == expect
     with pytest.raises(ValueError):
         kmeans_assign(model, P[0])  # one design is a (1, d) batch, not a vector
-
-
-def test_cosine_assign_zero_vector_falls_back():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    model = kmeans_fit(pts, 2, metric="cosine", seed=0)
-    # a zero row has no direction: class 0, whatever the other rows are
-    P = np.array([[0.0, 0.0], [1.0, 0.1], [0.0, 0.0]])
-    ids = kmeans_assign(model, P).tolist()
-    assert ids[1] == int(np.argmax(model.centroids @ P[1])) != 0
-    assert ids[0] == ids[2] == 0
 
 
 # ---------------------------------------------------------------------------

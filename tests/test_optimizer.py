@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from leon.core import Context, Design, Hyperparams, TrajectoryMemory
-from leon.equivalence import PartitionConfig
 from leon.optimizer import (
     BudgetExceededError,
     MeteredSurrogate,
@@ -169,8 +168,7 @@ def test_default_run_renders_no_text(dose_task, monkeypatch):
 
 def test_partition_variants_run(dose_task):
     for variant in ("kmeans", "random", "score"):
-        cfg = RunConfig(method="leon", hp=HP_SMALL,
-                        partition=PartitionConfig(variant=variant))
+        cfg = RunConfig(method="leon", hp=HP_SMALL, partition=variant)
         result = run_leon(dose_task, cfg, seed=1)
         assert len(result.memory) == 64
 
@@ -323,7 +321,7 @@ def test_make_engine_rejects_unknown(dose_task):
 
 def test_large_source_pool_subsampled(dose_task):
     cfg = RunConfig(method="leon", hp=HP_SMALL, source_pool_size=600,
-                    partition=PartitionConfig(variant="random"))
+                    partition="random")
     result = run_leon(dose_task, cfg, seed=1)
     assert len(result.memory) == 64
 
