@@ -2,7 +2,6 @@
 
 from .core import (
     BooleanDim,
-    CategoricalDim,
     Context,
     ContinuousDim,
     Design,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BooleanDim",
-    "CategoricalDim",
     "Context",
     "ContinuousDim",
     "Design",

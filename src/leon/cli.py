@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .core import Hyperparams
-from .optimizer import BASELINES, ENGINES, RunConfig, evaluate_cohort
+from .optimizer import BASELINES, ENGINES, RunConfig, evaluate_cohort, make_engine
 from .tasks import SURROGATES, TASKS, make_task
 from .verify import run_all_checks
 
@@ -32,9 +32,9 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
 _METHOD_KEYS = {"name", "engine", "engine_params", "partition", "select_by_raw",
-                "critic_hidden", "source_pool_size", "memory_view", "knowledge_budget"}
-_HP_KEYS = {"lambda0", "w0", "eta_lambda", "eta_critic", "temperature",
-            "batch_size", "budget", "mu_max"}
+                "critic_hidden", "source_pool_size", "memory_view"}
+_HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "temperature", "mu_max"}
+_HP_KEYS = _HP_FLOATS | {"batch_size", "budget"}
 _SURROGATE_KEYS = {"variant", "beta", "radius", "mixture_w"}
 
 
@@ -75,6 +75,19 @@ def _int_at_least(value, lo: int, where: str) -> int:
     return value
 
 
+def _finite(value, where: str, lo: float | None = None, hi: float | None = None) -> float:
+    """A finite JSON number (an int or float, not a bool or string), within
+    [lo, hi] where a bound is given."""
+    # `abs(value) <= max float` is False for NaN, the infinities and
+    # integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ConfigError(f"{where} must lie in [{lo}, {hi}], got {value!r}")
+    return float(value)
+
+
 def _hidden_sizes(value, where: str) -> tuple:
     """A non-empty list of positive layer widths."""
     if not isinstance(value, list) or not value:
@@ -101,8 +114,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     hp_spec = obj.get("hyperparams", {})
     _reject_unknown(hp_spec, _HP_KEYS, "hyperparams")
     hp_spec = dict(hp_spec)
-    for key in ("budget", "batch_size"):
-        if key in hp_spec:
+    for key in hp_spec:
+        if key in _HP_FLOATS:
+            hp_spec[key] = _finite(hp_spec[key], f"hyperparams.{key}")
+        else:
             hp_spec[key] = _int_at_least(hp_spec[key], 1, f"hyperparams.{key}")
     try:
         hp = Hyperparams(**hp_spec)
@@ -111,16 +126,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     sur_spec = obj.get("surrogate", {})
     _reject_unknown(sur_spec, _SURROGATE_KEYS, "surrogate")
-    beta = _coerce(float, sur_spec.get("beta", 0.5), "surrogate.beta")
-    radius = _coerce(float, sur_spec.get("radius", 1.0), "surrogate.radius")
+    beta = _finite(sur_spec.get("beta", 0.5), "surrogate.beta")
+    radius = _finite(sur_spec.get("radius", 1.0), "surrogate.radius")
     surrogate_variant = sur_spec.get("variant", "analytic-shift")
     if surrogate_variant not in SURROGATES:
         raise ConfigError(f"surrogate.variant must be one of {SURROGATES}")
     mixture_w = sur_spec.get("mixture_w")
     if mixture_w is not None:
-        mixture_w = _coerce(float, mixture_w, "surrogate.mixture_w")
-        if not 0.0 <= mixture_w <= 1.0:
-            raise ConfigError("surrogate.mixture_w must lie in [0, 1]")
+        mixture_w = _finite(mixture_w, "surrogate.mixture_w", 0.0, 1.0)
 
     methods = []
     for i, m in enumerate(methods_spec):
@@ -137,10 +150,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
         select_by_raw = m.get("select_by_raw", False)
         if not isinstance(select_by_raw, bool):
             raise ConfigError(f"methods[{i}].select_by_raw must be true or false")
-        methods.append(RunConfig(
+        engine_params = m.get("engine_params", {})
+        if not isinstance(engine_params, dict):
+            raise ConfigError(f"methods[{i}].engine_params must be a JSON object")
+        cfg = RunConfig(
             method=name,
             engine=engine,
-            engine_params=m.get("engine_params", {}),
+            engine_params=engine_params,
             partition=partition,
             surrogate_variant=surrogate_variant,
             beta=beta,
@@ -152,16 +168,20 @@ def parse_config(obj: dict) -> ExperimentConfig:
             source_pool_size=_int_at_least(m.get("source_pool_size", 128), 1,
                                            f"methods[{i}].source_pool_size"),
             memory_view=_int_at_least(m.get("memory_view", 64), 1, f"methods[{i}].memory_view"),
-            knowledge_budget=_int_at_least(m.get("knowledge_budget", 5), 0,
-                                           f"methods[{i}].knowledge_budget"),
             select_by_raw=select_by_raw,
-        ))
+        )
+        if name == "leon":
+            try:  # building an engine sends no request
+                make_engine(cfg, seed=0)
+            except TypeError as exc:
+                raise ConfigError(f"methods[{i}].engine_params: {exc}") from exc
+        methods.append(cfg)
 
     weights = obj.get("weights")
     if weights is not None:
-        weights = [_coerce(float, w, "weights") for w in _coerce(list, weights, "weights")]
-        if any(not 0.0 <= w <= 1.0 for w in weights):
-            raise ConfigError("weights must lie in [0, 1]")
+        if not isinstance(weights, list):
+            raise ConfigError(f"weights must be a list of numbers, got {weights!r}")
+        weights = [_finite(w, f"weights[{j}]", 0.0, 1.0) for j, w in enumerate(weights)]
     return ExperimentConfig(
         task=task, methods=methods, n_patients=n_patients, seed=seed,
         task_seed=_int_at_least(obj.get("task_seed", seed), 0, "task_seed"),
@@ -249,8 +269,7 @@ def main():
 
 @main.command("run")
 @click.option("-c", "--config", "config_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, default=None, help="parallel patient runs")
-def cmd_run(config_path, jobs):
+def cmd_run(config_path):
     """Run every configured method over a cohort of target contexts."""
     try:
         cfg = load_config(config_path)
@@ -259,8 +278,7 @@ def cmd_run(config_path, jobs):
         sys.exit(2)
     try:
         task = make_task({"name": cfg.task, "seed": cfg.task_seed})
-        cohort = evaluate_cohort(task, cfg.methods, cfg.n_patients, cfg.seed,
-                                 jobs=jobs or cfg.jobs)
+        cohort = evaluate_cohort(task, cfg.methods, cfg.n_patients, cfg.seed, jobs=cfg.jobs)
         cohorts = [(None, cohort)]
         _write_outputs(cfg, cohorts)
         _print_ranking(cohorts)

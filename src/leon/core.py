@@ -1,8 +1,8 @@
 """Domain types for designs, contexts, and trajectory memory.
 
-A design lives in a mixed continuous/boolean/categorical search space. All
-numeric encoding maps into [0, 1]-scaled vectors so that downstream critic
-and surrogate networks see bounded inputs.
+A design lives in a mixed continuous/boolean search space, one encoded
+column per dimension. All numeric encoding maps into [0, 1]-scaled vectors
+so that downstream critic and surrogate networks see bounded inputs.
 """
 
 from __future__ import annotations
@@ -35,38 +35,13 @@ class ContinuousDim:
         if not self.lo < self.hi:
             raise SchemaError(f"dim {self.name!r}: lo must be < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class BooleanDim:
     name: str
 
-    @property
-    def width(self) -> int:
-        return 1
 
-
-@dataclass(frozen=True)
-class CategoricalDim:
-    name: str
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise SchemaError(f"dim {self.name!r}: empty label list")
-        if len(set(self.labels)) != len(self.labels):
-            raise SchemaError(f"dim {self.name!r}: duplicate labels")
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def width(self) -> int:
-        return len(self.labels)
-
-
-DimSpec = ContinuousDim | BooleanDim | CategoricalDim
+DimSpec = ContinuousDim | BooleanDim
 
 
 @dataclass(frozen=True)
@@ -80,7 +55,7 @@ class DesignSpace:
 
     @property
     def encoded_width(self) -> int:
-        return sum(d.width for d in self.dims)
+        return len(self.dims)
 
     def validate(self, design: "Design") -> None:
         if len(design.values) != len(self.dims):
@@ -91,20 +66,13 @@ class DesignSpace:
             if isinstance(dim, ContinuousDim):
                 if not (dim.lo <= float(v) <= dim.hi):
                     raise SchemaError(f"{dim.name}={v} outside [{dim.lo}, {dim.hi}]")
-            elif isinstance(dim, BooleanDim):
-                if not isinstance(v, (bool, np.bool_)):
-                    raise SchemaError(f"{dim.name}={v!r} is not a bool")
-            else:
-                if not isinstance(v, (int, np.integer)) or isinstance(v, (bool, np.bool_)):
-                    raise SchemaError(f"{dim.name}={v!r} is not a label index")
-                if not (0 <= int(v) < len(dim.labels)):
-                    raise SchemaError(f"{dim.name} index {v} out of range")
+            elif not isinstance(v, (bool, np.bool_)):
+                raise SchemaError(f"{dim.name}={v!r} is not a bool")
 
 
 @dataclass(frozen=True)
 class Design:
-    """A concrete point: floats for continuous dims, bools for boolean dims,
-    integer label indices for categorical dims."""
+    """A concrete point: floats for continuous dims, bools for boolean dims."""
 
     values: tuple
 
@@ -116,15 +84,8 @@ class Design:
 
     @staticmethod
     def from_json(obj: dict, space: DesignSpace) -> "Design":
-        vals = []
-        for dim, v in zip(space.dims, obj["values"]):
-            if isinstance(dim, ContinuousDim):
-                vals.append(float(v))
-            elif isinstance(dim, BooleanDim):
-                vals.append(bool(v))
-            else:
-                vals.append(int(v))
-        d = Design(tuple(vals))
+        d = Design(tuple(float(v) if isinstance(dim, ContinuousDim) else bool(v)
+                         for dim, v in zip(space.dims, obj["values"])))
         space.validate(d)
         return d
 
@@ -148,11 +109,7 @@ class Context:
 
 
 def _plain(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    return int(v)
+    return bool(v) if isinstance(v, (np.bool_, bool)) else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +213,16 @@ class TrajectoryMemory:
 def encode_design(space: DesignSpace, design: Design) -> np.ndarray:
     """Encode a design as a float vector.
 
-    Continuous dims are min-max scaled to [0, 1], booleans map to {0, 1},
-    categoricals are one-hot. Total length is the sum of per-dim widths.
+    Continuous dims are min-max scaled to [0, 1] and booleans map to {0, 1},
+    one entry per dim.
     """
     space.validate(design)
     out = np.empty(space.encoded_width)
-    i = 0
-    for dim, v in zip(space.dims, design.values):
+    for i, (dim, v) in enumerate(zip(space.dims, design.values)):
         if isinstance(dim, ContinuousDim):
             out[i] = (float(v) - dim.lo) / (dim.hi - dim.lo)
-            i += 1
-        elif isinstance(dim, BooleanDim):
-            out[i] = 1.0 if v else 0.0
-            i += 1
         else:
-            out[i : i + dim.width] = 0.0
-            out[i + int(v)] = 1.0
-            i += dim.width
+            out[i] = 1.0 if v else 0.0
     return out
 
 
@@ -285,27 +235,19 @@ def encode_batch(space: DesignSpace, designs) -> np.ndarray:
 def decode_design(space: DesignSpace, v: np.ndarray) -> Design:
     """Inverse of encode_design up to clamping.
 
-    Continuous entries clamp to [lo, hi]; categorical blocks decode by
-    argmax with lowest-index tie-break; `encode(decode(v))` is idempotent
-    on valid encodings.
+    Continuous entries clamp to [lo, hi] and boolean entries threshold at
+    0.5; `encode(decode(v))` is idempotent on valid encodings.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.encoded_width,):
         raise SchemaError(f"expected encoded length {space.encoded_width}, got {v.shape}")
     vals = []
-    i = 0
-    for dim in space.dims:
+    for i, dim in enumerate(space.dims):
         if isinstance(dim, ContinuousDim):
             x = dim.lo + float(v[i]) * (dim.hi - dim.lo)
             vals.append(min(max(x, dim.lo), dim.hi))
-            i += 1
-        elif isinstance(dim, BooleanDim):
-            vals.append(bool(v[i] >= 0.5))
-            i += 1
         else:
-            block = v[i : i + dim.width]
-            vals.append(int(np.argmax(block)))  # argmax takes the lowest index on ties
-            i += dim.width
+            vals.append(bool(v[i] >= 0.5))
     return Design(tuple(vals))
 
 
@@ -317,9 +259,7 @@ def decode_design(space: DesignSpace, v: np.ndarray) -> Design:
 def format_value(dim: DimSpec, v) -> str:
     if isinstance(dim, ContinuousDim):
         return f"{float(v):.4f}"
-    if isinstance(dim, BooleanDim):
-        return "yes" if v else "no"
-    return dim.labels[int(v)]
+    return "yes" if v else "no"
 
 
 def render_context(ctx: Context) -> str:
@@ -356,7 +296,6 @@ __all__ = [
     "NumericError",
     "ContinuousDim",
     "BooleanDim",
-    "CategoricalDim",
     "DimSpec",
     "DesignSpace",
     "Design",

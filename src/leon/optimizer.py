@@ -36,7 +36,7 @@ from .proposal import (
     reflect,
 )
 from .tasks import Task, make_surrogate, make_task, mix_surrogate, oracle_eval, OracleSurrogate
-from .core import BooleanDim, CategoricalDim, ContinuousDim, decode_design
+from .core import ContinuousDim, decode_design
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,7 +113,6 @@ class RunResult:
     w1_trace: list[float]
     warnings: list[str]
     memory: TrajectoryMemory | None = None
-    oracle_calls: int = 1
     surrogate_calls: int = 0
 
     def to_json(self) -> dict:
@@ -274,7 +273,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         task=task.name, method=cfg.label, seed=seed, patient_id=ctx.id,
         final_design=final, oracle_score=score, lambda_trace=lambda_trace,
         mu_trace=mu_trace, w1_trace=w1_trace, warnings=warnings, memory=memory,
-        oracle_calls=1, surrogate_calls=metered.calls,
+        surrogate_calls=metered.calls,
     )
 
 
@@ -328,10 +327,8 @@ def _single_dim_move(space, design, rng):
     if isinstance(dim, ContinuousDim):
         width = dim.hi - dim.lo
         vals[i] = min(max(float(vals[i]) + rng.normal(0.0, 0.1 * width), dim.lo), dim.hi)
-    elif isinstance(dim, BooleanDim):
-        vals[i] = not vals[i]
     else:
-        vals[i] = int(rng.integers(len(dim.labels)))
+        vals[i] = not vals[i]
     return Design(tuple(vals))
 
 
@@ -391,7 +388,7 @@ def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
         for i in range(len(space.dims)):
             if used >= allotment or metered.remaining == 0:
                 break
-            cand = _flip_dim(space, current, i, rng)
+            cand = _flip_dim(space, current, i)
             val = metered.value(cand, ctx)
             _log_entry(memory, step, cand, val)
             used += 1
@@ -410,15 +407,11 @@ def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
     return step
 
 
-def _flip_dim(space, design, i, rng):
-    dim = space.dims[i]
-    vals = list(design.values)
-    if isinstance(dim, BooleanDim):
-        vals[i] = not vals[i]
-    elif isinstance(dim, CategoricalDim):
-        vals[i] = int((int(vals[i]) + 1 + rng.integers(len(dim.labels) - 1)) % len(dim.labels))
-    else:
+def _flip_dim(space, design, i):
+    if isinstance(space.dims[i], ContinuousDim):
         raise ValueError("flip move on a continuous dim")
+    vals = list(design.values)
+    vals[i] = not vals[i]
     return Design(tuple(vals))
 
 
@@ -449,8 +442,7 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     return RunResult(
         task=task.name, method=variant, seed=seed, patient_id=ctx.id,
         final_design=final, oracle_score=score, lambda_trace=[], mu_trace=[],
-        w1_trace=[], warnings=[], memory=memory, oracle_calls=1,
-        surrogate_calls=metered.calls,
+        w1_trace=[], warnings=[], memory=memory, surrogate_calls=metered.calls,
     )
 
 
@@ -480,7 +472,6 @@ class CohortResult:
     task: str
     summaries: list[MethodSummary]
     records: list[RunResult]
-    oracle_calls_per_method: dict[str, int]
 
 
 def _run_one(args):
@@ -525,13 +516,7 @@ def evaluate_cohort(task: Task, cfgs, n_patients: int, seed: int, jobs: int = 1)
         means.append(mean)
     for s, m in zip(summaries, means):
         s.rank = 1 + sum(1 for other in means if other > m)
-
-    oracle_calls = {}
-    for mi, cfg in enumerate(cfgs):
-        oracle_calls[f"{mi}:{cfg.label}"] = sum(
-            r.oracle_calls for r in records[mi * n_patients:(mi + 1) * n_patients])
-    return CohortResult(task=task.name, summaries=summaries, records=records,
-                        oracle_calls_per_method=oracle_calls)
+    return CohortResult(task=task.name, summaries=summaries, records=records)
 
 
 __all__ = [

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    BooleanDim,
     Context,
     ContinuousDim,
     Design,
@@ -101,22 +100,13 @@ def _coerce_value(dim, v):
     if isinstance(dim, ContinuousDim):
         x = float(v)
         return min(max(x, dim.lo), dim.hi)  # out-of-range clamps to the bound
-    if isinstance(dim, BooleanDim):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, (int, float)) and v in (0, 1):
-            return bool(v)
-        if isinstance(v, str) and v.lower() in ("true", "false", "yes", "no"):
-            return v.lower() in ("true", "yes")
-        raise ValueError(f"bad boolean {v!r}")
-    if isinstance(v, str):
-        for i, label in enumerate(dim.labels):
-            if label.lower() == v.lower():
-                return i
-        raise ValueError(f"unknown label {v!r}")
-    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < len(dim.labels):
+    if isinstance(v, bool):
         return v
-    raise ValueError(f"bad categorical {v!r}")
+    if isinstance(v, (int, float)) and v in (0, 1):
+        return bool(v)
+    if isinstance(v, str) and v.lower() in ("true", "false", "yes", "no"):
+        return v.lower() in ("true", "yes")
+    raise ValueError(f"bad boolean {v!r}")
 
 
 def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], int]:
@@ -163,30 +153,23 @@ def random_design(space: DesignSpace, rng: np.random.Generator) -> Design:
     for dim in space.dims:
         if isinstance(dim, ContinuousDim):
             vals.append(float(rng.uniform(dim.lo, dim.hi)))
-        elif isinstance(dim, BooleanDim):
-            vals.append(bool(rng.integers(2)))
         else:
-            vals.append(int(rng.integers(len(dim.labels))))
+            vals.append(bool(rng.integers(2)))
     return Design(tuple(vals))
 
 
 def perturb_design(space: DesignSpace, design: Design, rng: np.random.Generator,
                    sigma: float = 0.1, flip_prob: float = 0.1) -> Design:
-    """Jitter continuous dims by sigma (in encoded units), flip booleans and
-    resample categoricals with probability flip_prob."""
+    """Jitter continuous dims by sigma (in encoded units) and flip booleans
+    with probability flip_prob."""
     vals = []
     for dim, v in zip(space.dims, design.values):
         if isinstance(dim, ContinuousDim):
             width = dim.hi - dim.lo
             x = float(v) + rng.normal(0.0, sigma * width)
             vals.append(min(max(x, dim.lo), dim.hi))
-        elif isinstance(dim, BooleanDim):
-            vals.append((not v) if rng.random() < flip_prob else bool(v))
         else:
-            if rng.random() < flip_prob:
-                vals.append(int(rng.integers(len(dim.labels))))
-            else:
-                vals.append(int(v))
+            vals.append((not v) if rng.random() < flip_prob else bool(v))
     return Design(tuple(vals))
 
 
@@ -338,10 +321,7 @@ exploitation (refining successful designs)."""
 def _dim_contract(dim) -> str:
     if isinstance(dim, ContinuousDim):
         return f'"{dim.name}": a number between {dim.lo} and {dim.hi}'
-    if isinstance(dim, BooleanDim):
-        return f'"{dim.name}": true or false'
-    labels = ", ".join(f'"{l}"' for l in dim.labels)
-    return f'"{dim.name}": one of {labels}'
+    return f'"{dim.name}": true or false'
 
 
 def output_contract(space: DesignSpace, b: int) -> str:

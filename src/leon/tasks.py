@@ -101,8 +101,7 @@ class Task:
             "description": self.description,
             "dims": [
                 {"name": d.name, "type": type(d).__name__,
-                 **({"lo": d.lo, "hi": d.hi} if isinstance(d, ContinuousDim) else {}),
-                 **({"labels": list(d.labels)} if hasattr(d, "labels") else {})}
+                 **({"lo": d.lo, "hi": d.hi} if isinstance(d, ContinuousDim) else {})}
                 for d in self.space.dims
             ],
             "params": {k: v for k, v in self.params.items()},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from leon.core import BooleanDim, CategoricalDim, ContinuousDim, DesignSpace
+from leon.core import BooleanDim, ContinuousDim, DesignSpace
 from leon.tasks import make_dose_task, make_regimen_task
 
 settings.register_profile(
@@ -29,7 +29,7 @@ def mixed_space():
     return DesignSpace((
         ContinuousDim("Dose", 0.0, 100.0),
         BooleanDim("Boost"),
-        CategoricalDim("Route", ("oral", "iv", "topical")),
+        BooleanDim("Taper"),
     ))
 
 

@@ -97,10 +97,31 @@ def test_config_error_exit_code(tmp_path):
                 _config(output_dir=5),
                 _config(hyperparams=5),
                 _config(methods=[5]),
-                _config(surrogate={"variant": "bogus"})):
+                _config(surrogate={"variant": "bogus"}),
+                # float fields take finite JSON numbers: no bool, string or NaN
+                _config(surrogate={"variant": "analytic-shift", "beta": True}),
+                _config(surrogate={"variant": "analytic-shift", "beta": float("nan")}),
+                _config(surrogate={"variant": "analytic-shift", "radius": "2"}),
+                _config(surrogate={"variant": "analytic-shift", "mixture_w": float("inf")}),
+                _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": True}),
+                _config(hyperparams={"budget": 64, "batch_size": 32, "w0": float("nan")}),
+                _config(weights=["0.5"]),
+                _config(weights={"0.5": 1}),
+                # engine parameters build the engine at parse time
+                _config(methods=[{"name": "leon", "engine_params": {"bogus": 1}}]),
+                _config(methods=[{"name": "leon", "engine_params": 5}]),
+                # no knowledge source reaches the CLI, so no knowledge budget either
+                _config(methods=[{"name": "leon", "knowledge_budget": 3}])):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+
+
+def test_run_has_no_jobs_flag(tmp_path):
+    """The config's validated `jobs` is the only parallelism setting."""
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config()), "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from leon.core import (
     BooleanDim,
-    CategoricalDim,
     Context,
     ContinuousDim,
     Design,
@@ -29,23 +28,17 @@ def test_space_invariants():
     with pytest.raises(SchemaError):
         ContinuousDim("x", 1.0, 1.0)
     with pytest.raises(SchemaError):
-        CategoricalDim("c", ())
-    with pytest.raises(SchemaError):
-        CategoricalDim("c", ("a", "a"))
-    with pytest.raises(SchemaError):
         DesignSpace(())
 
 
 def test_design_validation(mixed_space):
-    mixed_space.validate(Design((50.0, True, 1)))
+    mixed_space.validate(Design((50.0, True, False)))
     with pytest.raises(SchemaError):
         mixed_space.validate(Design((50.0, True)))  # arity
     with pytest.raises(SchemaError):
-        mixed_space.validate(Design((101.0, True, 1)))  # out of range
+        mixed_space.validate(Design((101.0, True, False)))  # out of range
     with pytest.raises(SchemaError):
-        mixed_space.validate(Design((50.0, True, 3)))  # label index
-    with pytest.raises(SchemaError):
-        mixed_space.validate(Design((50.0, 1, 1)))  # int is not a bool here
+        mixed_space.validate(Design((50.0, 1, False)))  # int is not a bool here
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +56,10 @@ def test_encode_booleans_identity():
     assert encode_design(space, Design((True, False, True))).tolist() == [1.0, 0.0, 1.0]
 
 
-def test_encode_categorical_one_hot():
-    space = DesignSpace((CategoricalDim("c", ("a", "b", "c")),))
-    # independent construction of the expected one-hot vector
-    expected = [0.0] * 3
-    expected[("a", "b", "c").index("b")] = 1.0
-    assert encode_design(space, Design((1,))).tolist() == expected
-
-
 def test_decode_examples():
     cont = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
     assert decode_design(cont, np.array([0.5])).values == (50.0,)
     assert decode_design(cont, np.array([1.7])).values == (100.0,)  # clamps to hi
-
-    cat = DesignSpace((CategoricalDim("c", ("a", "b", "c")),))
-    v = np.array([0.2, 0.9, 0.2])
-    assert decode_design(cat, v).values == (int(np.argmax(v)),)
 
 
 def test_decode_wrong_length(mixed_space):
@@ -92,19 +73,15 @@ def space_and_design(draw):
     values = []
     n = draw(st.integers(1, 5))
     for i in range(n):
-        kind = draw(st.sampled_from(["cont", "bool", "cat"]))
+        kind = draw(st.sampled_from(["cont", "bool"]))
         if kind == "cont":
             lo = draw(st.floats(-10, 10))
             hi = lo + draw(st.floats(0.5, 20))
             dims.append(ContinuousDim(f"d{i}", lo, hi))
             values.append(lo + draw(st.floats(0, 1)) * (hi - lo))
-        elif kind == "bool":
+        else:
             dims.append(BooleanDim(f"d{i}"))
             values.append(draw(st.booleans()))
-        else:
-            k = draw(st.integers(2, 4))
-            dims.append(CategoricalDim(f"d{i}", tuple(f"L{j}" for j in range(k))))
-            values.append(draw(st.integers(0, k - 1)))
     return DesignSpace(tuple(dims)), Design(tuple(values))
 
 
@@ -146,8 +123,8 @@ def test_render_deterministic(dose_task):
 
 def test_render_single_dim_diff(mixed_space):
     ctx = Context((0.5, 0.5), id="p3")
-    t1 = render_text("t", mixed_space, ctx, Design((10.0, True, 0)))
-    t2 = render_text("t", mixed_space, ctx, Design((10.0, False, 0)))
+    t1 = render_text("t", mixed_space, ctx, Design((10.0, True, False)))
+    t2 = render_text("t", mixed_space, ctx, Design((10.0, False, False)))
     diff = [(a, b) for a, b in zip(t1.splitlines(), t2.splitlines()) if a != b]
     assert len(diff) == 1
     assert diff[0][0].startswith("Boost:")
@@ -155,7 +132,7 @@ def test_render_single_dim_diff(mixed_space):
 
 def test_render_context_in_render_text(mixed_space):
     ctx = Context((0.25, 0.75), id="p4")
-    assert render_context(ctx) in render_text("t", mixed_space, ctx, Design((1.0, True, 2)))
+    assert render_context(ctx) in render_text("t", mixed_space, ctx, Design((1.0, True, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +194,7 @@ def test_memory_scores_exact_product():
 
 
 def test_design_context_json_round_trip(mixed_space):
-    d = Design((12.5, False, 2))
+    d = Design((12.5, False, True))
     assert Design.from_json(d.to_json(), mixed_space) == d
     ctx = Context((1.0, -2.0), id="p9")
     assert Context.from_json(ctx.to_json()) == ctx

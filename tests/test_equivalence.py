@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leon.core import CategoricalDim, ContinuousDim, Design, DesignSpace, encode_batch
+from leon.core import BooleanDim, ContinuousDim, Design, DesignSpace, encode_batch
 from leon.critic import SourcePool
 from leon.equivalence import RandomPartition, ScoreBinnedPartition, fit_partition, occupancies
 from leon.numerics import kmeans_assign, shannon_entropy
@@ -18,10 +18,10 @@ from leon.tasks import make_dose_task
 # partition fitting
 # ---------------------------------------------------------------------------
 
+# three groups of three flags: blob b sets flag b of each group, so blob
+# centres lie sqrt(6) apart in encoded units while the dose spans one unit
 BLOB_SPACE = DesignSpace((
-    CategoricalDim("Core", ("alphaline", "betamax", "gammaron")),
-    CategoricalDim("Carrier", ("solvex", "aquon", "lipidol")),
-    CategoricalDim("Schedule", ("daily", "weekly", "monthly")),
+    *(BooleanDim(f"{group}{b}") for group in ("Core", "Carrier", "Schedule") for b in range(3)),
     ContinuousDim("Dose", 0.0, 10.0),
 ))
 
@@ -29,8 +29,9 @@ BLOB_SPACE = DesignSpace((
 def _blob_designs(rng, n_per=20):
     designs, labels = [], []
     for blob in range(3):
+        flags = tuple(b == blob for b in range(3)) * 3
         for _ in range(n_per):
-            designs.append(Design((blob, blob, blob, float(rng.uniform(0, 10)))))
+            designs.append(Design((*flags, float(rng.uniform(0, 10)))))
             labels.append(blob)
     return designs, labels
 

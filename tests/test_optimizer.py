@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import leon.optimizer
 from leon.core import Context, Design, Hyperparams, TrajectoryMemory
 from leon.optimizer import (
     BudgetExceededError,
@@ -18,6 +19,16 @@ from leon.optimizer import (
 from leon.tasks import AnalyticShiftSurrogate, make_dose_task, make_regimen_task, oracle_eval
 
 HP_SMALL = Hyperparams(budget=64, batch_size=32)
+
+
+@pytest.fixture
+def oracle_ids(monkeypatch):
+    """The patient id of every ground-truth oracle call a run makes."""
+    ids = []
+    real = leon.optimizer.oracle_eval
+    monkeypatch.setattr(leon.optimizer, "oracle_eval",
+                        lambda task, design, ctx: ids.append(ctx.id) or real(task, design, ctx))
+    return ids
 
 
 def _mem(rows):
@@ -85,14 +96,14 @@ def test_metered_surrogate_enforces_budget():
 # ---------------------------------------------------------------------------
 
 
-def test_single_iteration_structure(dose_task):
+def test_single_iteration_structure(dose_task, oracle_ids):
     hp = Hyperparams(budget=32, batch_size=32)
     cfg = RunConfig(method="leon", hp=hp)
     result = run_leon(dose_task, cfg, seed=5)
     assert len(result.memory) == 32
     assert len(result.lambda_trace) == 1
     assert result.surrogate_calls == 32
-    assert result.oracle_calls == 1
+    assert oracle_ids == [result.patient_id]
 
 
 def test_lambda_trace_starts_at_lambda0(dose_task):
@@ -173,11 +184,13 @@ def test_partition_variants_run(dose_task):
         assert len(result.memory) == 64
 
 
-def test_all_engines_run(dose_task):
+def test_all_engines_run(dose_task, oracle_ids):
     for engine in ("random", "boltzmann-memory", "hill-climb"):
+        oracle_ids.clear()
         cfg = RunConfig(method="leon", engine=engine, hp=HP_SMALL)
         result = run_leon(dose_task, cfg, seed=1)
-        assert result.oracle_calls == 1
+        assert len(result.memory) == HP_SMALL.budget
+        assert oracle_ids == [result.patient_id]
 
 
 def test_run_result_json_schema(dose_task):
@@ -219,12 +232,12 @@ def test_random_search_finds_surrogate_argmax(dose_task):
     assert result.surrogate_calls == 2048
 
 
-def test_simulated_annealing_metered_and_late_greedy(dose_task):
+def test_simulated_annealing_metered_and_late_greedy(dose_task, oracle_ids):
     hp = Hyperparams(budget=512, batch_size=32)
     cfg = RunConfig(method="simulated-annealing", hp=hp)
     result = run_baseline(dose_task, "simulated-annealing", cfg, seed=3)
     assert result.surrogate_calls == 512
-    assert result.oracle_calls == 1
+    assert oracle_ids == [result.patient_id]
     # final design is the best-by-surrogate over everything visited
     best = max(e.raw_value for e in result.memory.entries)
     assert any(e.design == result.final_design and e.raw_value == best
@@ -288,15 +301,17 @@ def test_cohort_mean_sem_match_reference(dose_task):
     assert res.summaries[0].sem == pytest.approx(sem)
 
 
-def test_cohort_oracle_isolation(dose_task):
+def test_cohort_oracle_isolation(dose_task, oracle_ids):
+    """Each method calls the oracle once per patient and never otherwise;
+    a serial cohort runs the methods one after another."""
     cfgs = [RunConfig(method="leon", hp=HP_SMALL),
             RunConfig(method="random-search", hp=HP_SMALL)]
     n = 3
     res = evaluate_cohort(dose_task, cfgs, n_patients=n, seed=2)
-    for calls in res.oracle_calls_per_method.values():
-        assert calls == n
+    patients = [f"p{i:03d}" for i in range(n)]
+    assert oracle_ids == patients * len(cfgs)
+    assert [r.patient_id for r in res.records] == patients * len(cfgs)
     for r in res.records:
-        assert r.oracle_calls == 1
         assert r.surrogate_calls <= HP_SMALL.budget
 
 

@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 
 from leon.core import (
     BooleanDim,
-    CategoricalDim,
     Context,
     ContinuousDim,
     Design,
@@ -40,7 +39,7 @@ from leon.proposal import (
 SPACE = DesignSpace((
     ContinuousDim("Dose", 0.0, 100.0),
     BooleanDim("Boost"),
-    CategoricalDim("Route", ("oral", "iv")),
+    BooleanDim("Taper"),
 ))
 
 CTX = Context((0.1, -0.4), id="p7")
@@ -54,8 +53,8 @@ def _state(entries=(), knowledge="", reflection="", space=SPACE):
     )
 
 
-def _entry(step, dose, raw, score, boost=True, route=0):
-    return MemoryEntry(step, Design((dose, boost, route)), raw, score, 0)
+def _entry(step, dose, raw, score, boost=True, taper=False):
+    return MemoryEntry(step, Design((dose, boost, taper)), raw, score, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +92,17 @@ def test_prompt_distinct_inputs_distinct_bytes():
 
 
 def _payload(n, dose=10.0):
-    return json.dumps([{"Dose": dose + i, "Boost": True, "Route": "iv"} for i in range(n)])
+    return json.dumps([{"Dose": dose + i, "Boost": True, "Taper": True} for i in range(n)])
 
 
 def test_parse_well_formed():
     designs, rejects = parse_designs(_payload(4), SPACE, 4)
     assert len(designs) == 4 and rejects == 0
-    assert designs[0].values == (10.0, True, 1)
+    assert designs[0].values == (10.0, True, True)
 
 
 def test_parse_clamps_out_of_range():
-    raw = json.dumps([{"Dose": 150.0, "Boost": False, "Route": "oral"}])
+    raw = json.dumps([{"Dose": 150.0, "Boost": False, "Taper": False}])
     designs, rejects = parse_designs(raw, SPACE, 1)
     assert rejects == 0
     assert designs[0].values[0] == 100.0
@@ -111,7 +110,7 @@ def test_parse_clamps_out_of_range():
 
 def test_parse_rejects_malformed_element():
     items = json.loads(_payload(3))
-    items[1] = {"Dose": 5.0, "Boost": True, "Route": "sublingual"}  # unknown label
+    items[1] = {"Dose": 5.0, "Boost": "maybe", "Taper": True}  # not a boolean
     designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
     assert len(designs) == 2 and rejects == 1
 
@@ -130,8 +129,8 @@ def test_parse_strips_code_fences():
 
 
 def test_parse_accepts_boolean_spellings():
-    raw = json.dumps([{"Dose": 1.0, "Boost": "yes", "Route": 0},
-                      {"Dose": 2.0, "Boost": 0, "Route": "ORAL"}])
+    raw = json.dumps([{"Dose": 1.0, "Boost": "yes", "Taper": False},
+                      {"Dose": 2.0, "Boost": 0, "Taper": False}])
     designs, rejects = parse_designs(raw, SPACE, 2)
     assert rejects == 0
     assert designs[0].values[1] is True and designs[1].values[1] is False
