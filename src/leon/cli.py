@@ -173,7 +173,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         if name == "leon":
             try:  # building an engine sends no request
                 make_engine(cfg, seed=0)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"methods[{i}].engine_params: {exc}") from exc
         methods.append(cfg)
 
@@ -273,6 +273,9 @@ def cmd_run(config_path):
     """Run every configured method over a cohort of target contexts."""
     try:
         cfg = load_config(config_path)
+        if cfg.weights is not None:
+            raise ConfigError("weights (mixture weights) are read only by `leon ablate-shift`; "
+                              "`leon run` runs one cohort on the configured surrogate")
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

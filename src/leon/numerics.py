@@ -90,39 +90,63 @@ def net_forward(net: DenseNet, x) -> float:
     return float(net_forward_batch(net, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights: np.ndarray):
+def net_workspace(net: DenseNet, n: int) -> list:
+    """Per-layer (activation, delta) buffers for `net_weighted_gradient` on
+    batches of `n` rows. A caller that takes many gradients of nets of one
+    shape allocates this once and passes it to every call."""
+    return [(np.empty((n, l.weights.shape[0])), np.empty((n, l.weights.shape[0])))
+            for l in net.layers]
+
+
+def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace=None):
     """Gradient of sum_j weights[j] * net(X[j]) w.r.t. all parameters.
 
     Returns a list of (dW, db) with the same shapes as the layers. This is
     the single backprop core; batch-mean objectives and regression losses
-    are expressed through the weight vector.
+    are expressed through the weight vector. `weights` is an (n,) array or
+    a function of the net's outputs on X (as `net_forward_batch` returns
+    them) that gives one, so a loss gradient takes a single forward pass.
+    `workspace` (from `net_workspace`) holds the pass's activations and
+    deltas; without it they are allocated per call.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("empty batch")
+    if workspace is None:
+        workspace = net_workspace(net, n)
+    elif [(act.shape, delta.shape) for act, delta in workspace] != \
+            [((n, l.weights.shape[0]),) * 2 for l in net.layers]:
+        raise ValueError("workspace does not match the net and batch")
     activations = [X]
-    pre = []
     a = X
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
-        pre.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    for layer, (act, _) in zip(net.layers, workspace):
+        # z = a @ W.T + b, then relu, all in the layer's buffer; relu(z) > 0
+        # exactly where z > 0, so backprop masks on the activation
+        np.matmul(a, layer.weights.T, out=act)
+        act += layer.biases
+        if layer.activation == "relu":
+            np.maximum(act, 0.0, out=act)
+        a = act
         activations.append(a)
+    if callable(weights):
+        weights = weights(a[:, 0] if a.shape[1] == 1 else a)
+    weights = np.asarray(weights, dtype=float)
 
     grads = [None] * len(net.layers)
-    delta = np.tile(weights[:, None], (1, net.layers[-1].weights.shape[0]))
+    delta = workspace[-1][1]
+    delta[...] = weights[:, None]
     if net.layers[-1].activation == "relu":
-        delta = delta * (pre[-1] > 0)
+        np.multiply(delta, activations[-1] > 0, out=delta)
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
         dW = delta.T @ activations[li]
         db = delta.sum(axis=0)
         grads[li] = (dW, db)
         if li > 0:
-            delta = delta @ layer.weights
+            delta = np.matmul(delta, layer.weights, out=workspace[li - 1][1])
             if net.layers[li - 1].activation == "relu":
-                delta = delta * (pre[li - 1] > 0)
+                np.multiply(delta, activations[li] > 0, out=delta)
     return grads
 
 
@@ -337,6 +361,7 @@ __all__ = [
     "net_forward_batch",
     "net_gradient",
     "net_weighted_gradient",
+    "net_workspace",
     "sgd_step",
     "flatten_params",
     "lipschitz_bound",

@@ -188,6 +188,23 @@ def _batch_summary(batch) -> str:
     )
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite number (an integer when `integer`), not a bool or string."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return True
+    return not integer and isinstance(value, (float, np.floating)) and bool(np.isfinite(value))
+
+
+def _check_params(engine, rules) -> None:
+    """Raise ValueError for the first (field, ok, rule) of `rules` whose
+    check failed."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(engine, name)!r}")
+
+
 @dataclass
 class _MockEngineBase:
     """Shared seeded plumbing for the offline engines."""
@@ -240,6 +257,18 @@ class BoltzmannMemoryEngine(_MockEngineBase):
     pool_size: int = 64
     top_m: int = 8
     explore_frac: float = 0.25
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_params(self, (
+            ("temp", _is_number(self.temp) and self.temp >= 0, "a finite number >= 0"),
+            ("pool_size", _is_number(self.pool_size, integer=True) and self.pool_size >= 1,
+             "an integer >= 1"),
+            ("top_m", _is_number(self.top_m, integer=True) and self.top_m >= 1,
+             "an integer >= 1"),
+            ("explore_frac", _is_number(self.explore_frac) and 0 <= self.explore_frac <= 1,
+             "a number in [0, 1]"),
+        ))
 
     def _build_pool(self, state: PromptState, space: DesignSpace):
         # Parents are ranked by raw value: the mu-scaled score can collapse
@@ -296,6 +325,11 @@ class HillClimbEngine(_MockEngineBase):
     """Batch of perturbations of the best design in memory."""
 
     step: float = 0.05
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_params(self, (("step", _is_number(self.step) and self.step > 0,
+                              "a finite number > 0"),))
 
     def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
         if not state.memory_view:

@@ -23,7 +23,7 @@ from .core import (
     NumericError,
     encode_batch,
 )
-from .numerics import init_net, net_forward_batch, net_weighted_gradient
+from .numerics import Layer, init_net, net_forward_batch, net_weighted_gradient, net_workspace
 
 
 @dataclass
@@ -265,29 +265,33 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     net = init_net((X.shape[1], *hidden, 1), seed=seed)
     n = X.shape[0]
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    stage = max(1, iters // 5)
-    for it in range(iters):
-        step = lr * 0.5 ** (it // stage)
-        resid = net_forward_batch(net, X) - y
+    workspace = net_workspace(net, n)
+
+    def loss_weights(out):
+        resid = out - y
         loss = float((resid ** 2).mean())
         if not np.isfinite(loss):
             raise NumericError("surrogate training diverged")
-        grads = net_weighted_gradient(net, X, -2.0 * resid / n)  # ascent on -loss
+        return -2.0 * resid / n  # ascent on -loss
+
+    stage = max(1, iters // 5)
+    for it in range(iters):
+        step = lr * 0.5 ** (it // stage)
+        grads = net_weighted_gradient(net, X, loss_weights, workspace)
         for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
             vw *= momentum
             vw += gw
             vb *= momentum
             vb += gb
-            layer.weights = layer.weights + step * vw
-            layer.biases = layer.biases + step * vb
+            layer.weights += step * vw
+            layer.biases += step * vb
+    del workspace  # free the step buffers before the ridge solve allocates its own
 
     a = X
     for layer in net.layers[:-1]:
         a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
     H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
     coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)
-    from .numerics import Layer
-
     net.layers[-1] = Layer(coef[:-1][None, :], coef[-1:], "id")
     return net
 

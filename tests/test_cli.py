@@ -110,11 +110,33 @@ def test_config_error_exit_code(tmp_path):
                 # engine parameters build the engine at parse time
                 _config(methods=[{"name": "leon", "engine_params": {"bogus": 1}}]),
                 _config(methods=[{"name": "leon", "engine_params": 5}]),
+                # ... and the engine checks the parameters' values
+                _config(methods=[{"name": "leon", "engine_params": {"temp": "hot"}}]),
+                _config(methods=[{"name": "leon", "engine_params": {"pool_size": -1}}]),
+                _config(methods=[{"name": "leon", "engine_params": {"top_m": 2.5}}]),
+                _config(methods=[{"name": "leon", "engine_params": {"explore_frac": 1.5}}]),
+                _config(methods=[{"name": "leon", "engine": "hill-climb",
+                                  "engine_params": {"step": 0}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
                 _config(methods=[{"name": "leon", "knowledge_budget": 3}])):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+
+
+def test_weights_key_belongs_to_ablate_shift(tmp_path, monkeypatch):
+    """`leon run` has no mixture weights to sweep, so it rejects the key;
+    `leon ablate-shift` reads it."""
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _config(weights=[0.0, 1.0]))
+    result = runner.invoke(main, ["run", "-c", path])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and "ablate-shift" in result.output
+    assert not (tmp_path / "out").exists()
+    result = runner.invoke(main, ["ablate-shift", "-c", path])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert [g["mixture_w"] for g in payload["groups"]] == [0.0, 1.0]
 
 
 def test_run_has_no_jobs_flag(tmp_path):

@@ -16,7 +16,10 @@ from leon.numerics import (
     kmeans_assign,
     kmeans_fit,
     net_forward,
+    net_forward_batch,
     net_gradient,
+    net_weighted_gradient,
+    net_workspace,
     regression_slope,
     sgd_step,
     shannon_entropy,
@@ -81,6 +84,34 @@ def test_gradient_empty_batch():
     net = init_net((2, 3, 1), seed=0)
     with pytest.raises(ValueError):
         net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)))
+
+
+def test_callable_weights_match_array_weights():
+    """Weights given as a function of the net's outputs, with or without a
+    workspace, give the gradients of the same weights given as an array,
+    bit for bit; one workspace serves nets of one shape in turn."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(24, 3))
+    y = rng.normal(size=24)
+    relu_out = init_net((3, 6, 5, 1), seed=2)
+    relu_out.layers[-1].activation = "relu"
+    nets = [init_net((3, 6, 5, 1), seed=0), init_net((3, 6, 5, 1), seed=1), relu_out]
+    loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
+    workspace = net_workspace(nets[0], len(X))
+    for net in nets:
+        want = net_weighted_gradient(net, X, loss_weights(net_forward_batch(net, X)))
+        for got in (net_weighted_gradient(net, X, loss_weights),
+                    net_weighted_gradient(net, X, loss_weights, workspace)):
+            for (gw, gb), (ww, wb) in zip(got, want):
+                assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+
+def test_workspace_shape_mismatch():
+    net = init_net((3, 4, 1), seed=0)
+    X = np.zeros((5, 3))
+    for bad in (net_workspace(net, 6), net_workspace(init_net((3, 7, 1), seed=0), 5)):
+        with pytest.raises(ValueError):
+            net_weighted_gradient(net, X, np.ones(5), bad)
 
 
 def test_gradient_matches_finite_differences():

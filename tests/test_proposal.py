@@ -201,6 +201,22 @@ def test_boltzmann_entropy_monotone_in_inverse_temp():
     assert hs[0] >= hs[1] >= hs[2]
 
 
+def test_engine_params_are_checked():
+    for kwargs in ({"temp": "hot"}, {"temp": -0.1}, {"temp": float("nan")},
+                   {"temp": float("inf")}, {"pool_size": -1}, {"pool_size": 0},
+                   {"pool_size": 2.0}, {"pool_size": True}, {"top_m": 0}, {"top_m": "8"},
+                   {"explore_frac": 1.5}, {"explore_frac": -0.1}, {"explore_frac": None}):
+        with pytest.raises(ValueError):
+            BoltzmannMemoryEngine(seed=0, **kwargs)
+    for step in (0, -0.05, float("nan"), "0.05"):
+        with pytest.raises(ValueError):
+            HillClimbEngine(seed=0, step=step)
+    # the ends of each range are accepted
+    BoltzmannMemoryEngine(seed=0, temp=0, pool_size=1, top_m=1, explore_frac=0.0)
+    BoltzmannMemoryEngine(seed=0, temp=np.float64(2.0), pool_size=np.int64(8), explore_frac=1)
+    HillClimbEngine(seed=0, step=1e-9)
+
+
 def test_hill_climb_without_memory_is_random():
     engine = HillClimbEngine(seed=9)
     designs = propose(engine, _state(), SPACE, 4)

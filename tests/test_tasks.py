@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from leon.core import Context, Design, encode_batch
-from leon.numerics import net_forward_batch
+from leon import tasks
+from leon.core import Context, Design, NumericError, encode_batch
+from leon.numerics import DenseNet, Layer, init_net, net_forward_batch, net_weighted_gradient
 from leon.tasks import (
     AnalyticShiftSurrogate,
     OracleSurrogate,
@@ -18,6 +19,7 @@ from leon.tasks import (
     mix_surrogate,
     oracle_eval,
     theorem_s1_check,
+    train_regression_net,
 )
 
 
@@ -146,6 +148,80 @@ def test_learned_surrogate_shift_premise_regimen():
     src_rmse, _ = _rmse_and_std(task, sur, "source")
     tgt_rmse, _ = _rmse_and_std(task, sur, "target")
     assert tgt_rmse > src_rmse
+
+
+def _two_pass_train(X, y, hidden=(128, 128), seed=0, lr=0.05, iters=4000, momentum=0.9,
+                    ridge=1e-6):
+    """Reference training loop: a separate forward pass for the residual,
+    then a gradient pass with array weights, fresh arrays every step."""
+    net = init_net((X.shape[1], *hidden, 1), seed=seed)
+    n = X.shape[0]
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
+    stage = max(1, iters // 5)
+    for it in range(iters):
+        step = lr * 0.5 ** (it // stage)
+        resid = net_forward_batch(net, X) - y
+        grads = net_weighted_gradient(net, X, -2.0 * resid / n)
+        for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
+            vw *= momentum
+            vw += gw
+            vb *= momentum
+            vb += gb
+            layer.weights = layer.weights + step * vw
+            layer.biases = layer.biases + step * vb
+    a = X
+    for layer in net.layers[:-1]:
+        a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
+    H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
+    coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)
+    net.layers[-1] = Layer(coef[:-1][None, :], coef[-1:], "id")
+    return net
+
+
+@pytest.mark.parametrize("make_task_fn", [make_dose_task, make_regimen_task])
+def test_training_matches_two_pass_reference(make_task_fn, monkeypatch):
+    """The one-pass training step keeps the two-pass loop's arithmetic:
+    every weight and bias is bit-for-bit equal."""
+    task = make_task_fn(0)
+    kwargs = dict(seed=3, n_train=64, hidden=(16, 16), iters=30)
+    fused = make_learned_surrogate(task, **kwargs).net
+    monkeypatch.setattr(tasks, "train_regression_net", _two_pass_train)
+    reference = make_learned_surrogate(task, **kwargs).net
+    assert len(fused.layers) == len(reference.layers) == 3
+    for got, want in zip(fused.layers, reference.layers):
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.biases, want.biases)
+
+
+def test_training_takes_one_pass_per_step(monkeypatch):
+    """Each step is one `tasks.net_weighted_gradient(net, X, ...)` call
+    and no separate forward pass."""
+    calls = {"gradient": 0, "forward": 0}
+    X = np.random.default_rng(0).normal(size=(16, 3))
+    y = X.sum(axis=1)
+
+    def gradient(net, X_arg, *args):
+        assert isinstance(net, DenseNet) and X_arg is X
+        calls["gradient"] += 1
+        return net_weighted_gradient(net, X_arg, *args)
+
+    def forward(*args):
+        calls["forward"] += 1
+        return net_forward_batch(*args)
+
+    monkeypatch.setattr(tasks, "net_weighted_gradient", gradient)
+    monkeypatch.setattr(tasks, "net_forward_batch", forward)
+    train_regression_net(X, y, hidden=(8,), iters=7)
+    assert calls == {"gradient": 7, "forward": 0}
+
+
+def test_training_divergence_raises():
+    X = np.random.default_rng(1).normal(size=(16, 3))
+    y = X.sum(axis=1)
+    with pytest.raises(NumericError, match="diverged"):
+        train_regression_net(X, np.where(np.arange(16) == 5, np.nan, y), hidden=(8,), iters=3)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged"):
+        train_regression_net(X, y, hidden=(8, 8), lr=1e6, iters=50)
 
 
 def test_make_surrogate_variants(dose_task):
