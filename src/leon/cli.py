@@ -33,7 +33,7 @@ _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams"
              "surrogate", "output_dir", "weights", "jobs"}
 _METHOD_KEYS = {"name", "engine", "engine_params", "partition", "select_by_raw",
                 "critic_hidden", "source_pool_size", "memory_view"}
-_HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "temperature", "mu_max"}
+_HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"}
 _HP_KEYS = _HP_FLOATS | {"batch_size", "budget"}
 _SURROGATE_KEYS = {"variant", "beta", "radius", "mixture_w"}
 

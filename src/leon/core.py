@@ -123,7 +123,6 @@ class Hyperparams:
     w0: float = 1.0
     eta_lambda: float = 0.1
     eta_critic: float = 0.001
-    temperature: float = 1.0
     batch_size: int = 32
     budget: int = 2048
     mu_max: float = 100.0
@@ -137,8 +136,6 @@ class Hyperparams:
             raise ValueError("eta_lambda must be >= 0")
         if self.eta_critic <= 0:
             raise ValueError("eta_critic must be > 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.batch_size <= 1:
             raise ValueError("batch_size must be > 1")
         if self.budget < self.batch_size:

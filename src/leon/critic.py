@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Design, DesignSpace, NumericError, encode_batch
-from .numerics import DenseNet, init_net, net_forward_batch, net_gradient, sgd_step
+from .numerics import (DenseNet, init_net, net_forward_batch, net_gradient, net_workspace,
+                       sgd_step)
 
 DEFAULT_CLIP = 0.01
 
@@ -77,10 +78,13 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
     """Gradient-ascend the dual estimate on encoded source and generated
     batches, clamping all parameters to [-clip, clip] after every step.
 
-    Stops when the absolute change of the estimate stays below `tol` for 5
-    consecutive iterations, or after `max_iters`. The source side uses all
-    rows when it has at most `src_subsample`, otherwise a seeded uniform
-    subsample per iteration.
+    Each iteration is one `net_gradient` pass, which also gives the estimate
+    of the net it steps from. Training stops, before stepping, once the
+    estimate of the stepped nets has changed by less than `tol` for 5
+    consecutive iterations, or after `max_iters` steps; a non-finite
+    estimate raises `NumericError`. The source side uses all rows when it
+    has at most `src_subsample`, otherwise a seeded uniform subsample per
+    iteration, which the iteration's estimate is taken on too.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
@@ -88,25 +92,23 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
         raise ValueError("empty generated batch")
     rng = np.random.default_rng(seed)
     net = critic.net.copy()
+    workspace = net_workspace(net, min(len(src_enc), src_subsample) + len(gen_enc))
     prev = None
     calm = 0
-    for _ in range(max_iters):
+    for it in range(max_iters + 1):
         if len(src_enc) <= src_subsample:
             src_rows = src_enc
         else:
             src_rows = src_enc[rng.choice(len(src_enc), size=src_subsample, replace=False)]
-        grads = net_gradient(net, src_rows, gen_enc)
-        net = sgd_step(net, grads, lr=lr, clip=critic.clip)
-        est = w1_estimate(CriticModel(net=net, clip=critic.clip), src_rows, gen_enc)
-        if not np.isfinite(est):
-            raise NumericError("critic training produced a non-finite estimate")
-        if prev is not None and abs(est - prev) < tol:
-            calm += 1
-            if calm >= 5:
-                break
-        else:
-            calm = 0
-        prev = est
+        grads, est = net_gradient(net, src_rows, gen_enc, workspace)
+        if it > 0:  # `est` is the estimate of the net after `it` steps
+            if not np.isfinite(est):
+                raise NumericError("critic training produced a non-finite estimate")
+            calm = calm + 1 if prev is not None and abs(est - prev) < tol else 0
+            prev = est
+        if calm >= 5 or it == max_iters:
+            break
+        sgd_step(net, grads, lr, critic.clip)
     return CriticModel(net=net, clip=critic.clip)
 
 

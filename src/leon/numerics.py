@@ -92,30 +92,27 @@ def net_forward(net: DenseNet, x) -> float:
 
 def net_workspace(net: DenseNet, n: int) -> list:
     """Per-layer (activation, delta) buffers for `net_weighted_gradient` on
-    batches of `n` rows. A caller that takes many gradients of nets of one
-    shape allocates this once and passes it to every call."""
+    batches of `n` rows. A training loop allocates this once and passes it
+    to every step."""
     return [(np.empty((n, l.weights.shape[0])), np.empty((n, l.weights.shape[0])))
             for l in net.layers]
 
 
-def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace=None):
-    """Gradient of sum_j weights[j] * net(X[j]) w.r.t. all parameters.
+def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace: list):
+    """Gradient of sum_j w[j] * net(X[j]) w.r.t. all parameters, in one
+    forward-plus-backprop pass.
 
-    Returns a list of (dW, db) with the same shapes as the layers. This is
-    the single backprop core; batch-mean objectives and regression losses
-    are expressed through the weight vector. `weights` is an (n,) array or
-    a function of the net's outputs on X (as `net_forward_batch` returns
-    them) that gives one, so a loss gradient takes a single forward pass.
-    `workspace` (from `net_workspace`) holds the pass's activations and
-    deltas; without it they are allocated per call.
+    `weights` is a function of the net's outputs on X (as `net_forward_batch`
+    returns them) that gives the (n,) vector w, so a loss, or an estimate
+    read off the same outputs, needs no second forward pass. `workspace`
+    (from `net_workspace`) holds the pass's activations and deltas. Returns
+    a list of (dW, db) with the same shapes as the layers.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if workspace is None:
-        workspace = net_workspace(net, n)
-    elif [(act.shape, delta.shape) for act, delta in workspace] != \
+    if [(act.shape, delta.shape) for act, delta in workspace] != \
             [((n, l.weights.shape[0]),) * 2 for l in net.layers]:
         raise ValueError("workspace does not match the net and batch")
     activations = [X]
@@ -129,9 +126,7 @@ def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace=None)
             np.maximum(act, 0.0, out=act)
         a = act
         activations.append(a)
-    if callable(weights):
-        weights = weights(a[:, 0] if a.shape[1] == 1 else a)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights(a[:, 0] if a.shape[1] == 1 else a), dtype=float)
 
     grads = [None] * len(net.layers)
     delta = workspace[-1][1]
@@ -150,35 +145,40 @@ def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace=None)
     return grads
 
 
-def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray):
-    """Gradient of mean(net(batch_pos)) - mean(net(batch_neg))."""
+def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,
+                 workspace: list):
+    """Gradient of mean(net(batch_pos)) - mean(net(batch_neg)) and that
+    difference itself, both from one pass: returns (grads, value). The
+    workspace holds `len(batch_pos) + len(batch_neg)` rows."""
     pos = np.atleast_2d(np.asarray(batch_pos, dtype=float))
     neg = np.atleast_2d(np.asarray(batch_neg, dtype=float))
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("empty batch")
-    X = np.concatenate([pos, neg], axis=0)
-    w = np.concatenate(
-        [np.full(pos.shape[0], 1.0 / pos.shape[0]), np.full(neg.shape[0], -1.0 / neg.shape[0])]
-    )
-    return net_weighted_gradient(net, X, w)
+    value = None
+
+    def weights(out):
+        nonlocal value
+        value = float(out[:n_pos].mean() - out[n_pos:].mean())
+        return np.concatenate([np.full(n_pos, 1.0 / n_pos), np.full(n_neg, -1.0 / n_neg)])
+
+    grads = net_weighted_gradient(net, np.concatenate([pos, neg], axis=0), weights, workspace)
+    return grads, value
 
 
-def sgd_step(net: DenseNet, grads, lr: float, clip: float | None = None) -> DenseNet:
-    """Ascent step theta += lr * grad, then clamp every parameter to
-    [-clip, +clip] when clip is set. Biases are clamped too."""
+def sgd_step(net: DenseNet, grads, lr: float, clip: float) -> None:
+    """Ascent step theta += lr * grad in place, then clamp every parameter,
+    biases too, to [-clip, +clip]. Every gradient is checked to be finite
+    before any parameter changes."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    layers = []
-    for layer, (dW, db) in zip(net.layers, grads):
+    for dW, db in grads:
         if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
             raise NumericError("non-finite gradient")
-        w = layer.weights + lr * dW
-        b = layer.biases + lr * db
-        if clip is not None:
-            w = np.clip(w, -clip, clip)
-            b = np.clip(b, -clip, clip)
-        layers.append(Layer(w, b, layer.activation))
-    return DenseNet(layers)
+    for layer, (dW, db) in zip(net.layers, grads):
+        for param, grad in ((layer.weights, dW), (layer.biases, db)):
+            param += lr * grad
+            np.clip(param, -clip, clip, out=param)
 
 
 def flatten_params(net: DenseNet) -> np.ndarray:

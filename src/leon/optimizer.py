@@ -135,13 +135,11 @@ def make_engine(cfg: RunConfig, seed: int):
     if cfg.engine == "random":
         return RandomEngine(seed=seed, **params)
     if cfg.engine == "boltzmann-memory":
-        params.setdefault("temp", cfg.hp.temperature)
         return BoltzmannMemoryEngine(seed=seed, **params)
     if cfg.engine == "hill-climb":
         return HillClimbEngine(seed=seed, **params)
     if cfg.engine == "chat-api":
         params.setdefault("model", "default")
-        params.setdefault("temperature", cfg.hp.temperature)
         return ChatApiEngine(seed=seed, **params)
     raise ValueError(f"unknown engine {cfg.engine!r}; known: {ENGINES}")
 
@@ -361,10 +359,11 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
             up, dn = u.copy(), u.copy()
             up[j] = min(u[j] + fd_step, 1.0)
             dn[j] = max(u[j] - fd_step, 0.0)
-            v_up = metered.value(decode_design(space, up), ctx)
-            v_dn = metered.value(decode_design(space, dn), ctx)
-            _log_entry(memory, step, decode_design(space, up), v_up)
-            _log_entry(memory, step, decode_design(space, dn), v_dn)
+            d_up, d_dn = decode_design(space, up), decode_design(space, dn)
+            v_up = metered.value(d_up, ctx)
+            v_dn = metered.value(d_dn, ctx)
+            _log_entry(memory, step, d_up, v_up)
+            _log_entry(memory, step, d_dn, v_dn)
             step += 1
             denom = up[j] - dn[j]
             grad[j] = (v_up - v_dn) / denom if denom > 0 else 0.0

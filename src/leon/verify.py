@@ -21,6 +21,7 @@ from .numerics import (
     init_net,
     net_gradient,
     net_forward_batch,
+    net_workspace,
     shannon_entropy,
     stable_softmax,
 )
@@ -337,7 +338,7 @@ def check_backprop_fd(seed: int = 0, nets: int = 20, h: float = 1e-5) -> CheckRe
             neg = rng.normal(0, 1, size=(int(rng.integers(2, 6)), dims[0]))
             if _min_abs_preactivation(net, np.concatenate([pos, neg])) > 100 * h:
                 break
-        grads = net_gradient(net, pos, neg)
+        grads, _ = net_gradient(net, pos, neg, net_workspace(net, len(pos) + len(neg)))
         analytic = np.concatenate([np.concatenate([g[0].ravel(), g[1]]) for g in grads])
 
         def objective(n):

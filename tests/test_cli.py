@@ -105,6 +105,8 @@ def test_config_error_exit_code(tmp_path):
                 _config(surrogate={"variant": "analytic-shift", "mixture_w": float("inf")}),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": True}),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "w0": float("nan")}),
+                # the engines' own `temp` / `temperature` are the only temperature
+                _config(hyperparams={"budget": 64, "batch_size": 32, "temperature": 0.5}),
                 _config(weights=["0.5"]),
                 _config(weights={"0.5": 1}),
                 # engine parameters build the engine at parse time

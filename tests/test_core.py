@@ -143,7 +143,7 @@ def test_render_context_in_render_text(mixed_space):
 def test_hyperparam_defaults():
     hp = Hyperparams()
     assert (hp.lambda0, hp.w0, hp.eta_lambda, hp.eta_critic) == (0.0, 1.0, 0.1, 0.001)
-    assert (hp.temperature, hp.batch_size, hp.budget) == (1.0, 32, 2048)
+    assert (hp.batch_size, hp.budget, hp.mu_max) == (32, 2048, 100.0)
 
 
 @pytest.mark.parametrize("kwargs", [

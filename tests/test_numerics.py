@@ -62,10 +62,15 @@ def test_forward_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def _gradient(net, pos, neg):
+    return net_gradient(net, pos, neg, net_workspace(net, len(pos) + len(neg)))
+
+
 def test_gradient_identical_batches_is_zero():
     net = init_net((2, 5, 1), seed=1)
     batch = np.array([[0.3, -0.2], [1.0, 0.4]])
-    grads = net_gradient(net, batch, batch)
+    grads, value = _gradient(net, batch, batch)
+    assert value == 0.0
     for dw, db in grads:
         assert np.allclose(dw, 0.0) and np.allclose(db, 0.0)
 
@@ -74,22 +79,34 @@ def test_gradient_antisymmetric_under_swap():
     net = init_net((2, 5, 1), seed=2)
     pos = np.array([[0.3, -0.2], [1.0, 0.4]])
     neg = np.array([[0.9, 0.1]])
-    g1 = net_gradient(net, pos, neg)
-    g2 = net_gradient(net, neg, pos)
+    g1, v1 = _gradient(net, pos, neg)
+    g2, v2 = _gradient(net, neg, pos)
+    assert v1 == -v2
     for (dw1, db1), (dw2, db2) in zip(g1, g2):
         assert np.allclose(dw1, -dw2) and np.allclose(db1, -db2)
+
+
+def test_gradient_value_is_the_mean_difference():
+    """The value comes from the gradient pass's own outputs and equals the
+    mean difference of two separate forward passes, bit for bit."""
+    rng = np.random.default_rng(5)
+    net = init_net((3, 8, 8, 1), seed=3, scale=0.5)
+    pos, neg = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+    _, value = _gradient(net, pos, neg)
+    assert isinstance(value, float)
+    assert value == float(net_forward_batch(net, pos).mean() - net_forward_batch(net, neg).mean())
 
 
 def test_gradient_empty_batch():
     net = init_net((2, 3, 1), seed=0)
     with pytest.raises(ValueError):
-        net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)))
+        net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)), net_workspace(net, 1))
 
 
 def test_callable_weights_match_array_weights():
-    """Weights given as a function of the net's outputs, with or without a
-    workspace, give the gradients of the same weights given as an array,
-    bit for bit; one workspace serves nets of one shape in turn."""
+    """Weights read off the pass's own outputs give the gradients of the
+    same weights computed from a separate forward pass and passed as a
+    constant, bit for bit; one workspace serves nets of one shape in turn."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(24, 3))
     y = rng.normal(size=24)
@@ -99,11 +116,11 @@ def test_callable_weights_match_array_weights():
     loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
     workspace = net_workspace(nets[0], len(X))
     for net in nets:
-        want = net_weighted_gradient(net, X, loss_weights(net_forward_batch(net, X)))
-        for got in (net_weighted_gradient(net, X, loss_weights),
-                    net_weighted_gradient(net, X, loss_weights, workspace)):
-            for (gw, gb), (ww, wb) in zip(got, want):
-                assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+        fixed = loss_weights(net_forward_batch(net, X))
+        want = net_weighted_gradient(net, X, lambda out: fixed, net_workspace(net, len(X)))
+        got = net_weighted_gradient(net, X, loss_weights, workspace)
+        for (gw, gb), (ww, wb) in zip(got, want):
+            assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
 
 
 def test_workspace_shape_mismatch():
@@ -111,7 +128,7 @@ def test_workspace_shape_mismatch():
     X = np.zeros((5, 3))
     for bad in (net_workspace(net, 6), net_workspace(init_net((3, 7, 1), seed=0), 5)):
         with pytest.raises(ValueError):
-            net_weighted_gradient(net, X, np.ones(5), bad)
+            net_weighted_gradient(net, X, lambda out: np.ones(5), bad)
 
 
 def test_gradient_matches_finite_differences():
@@ -127,16 +144,33 @@ def test_gradient_matches_finite_differences():
 def test_sgd_clip_exact():
     net = DenseNet([Layer(np.array([[0.009]]), np.array([0.0]), "id")])
     grads = [(np.array([[1.0]]), np.array([0.0]))]
-    stepped = sgd_step(net, grads, lr=0.001, clip=0.01)
-    w = stepped.layers[0].weights[0, 0]
+    sgd_step(net, grads, 0.001, 0.01)
+    w = net.layers[0].weights[0, 0]
     assert w == pytest.approx(0.01, abs=1e-15) and w <= 0.01  # reaches the clamp boundary
 
 
 def test_sgd_zero_gradient_no_op():
     net = init_net((2, 3, 1), seed=4, scale=0.005)
+    before = flatten_params(net)
     grads = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    stepped = sgd_step(net, grads, lr=0.5, clip=0.01)
-    assert np.allclose(flatten_params(stepped), flatten_params(net))
+    sgd_step(net, grads, 0.5, 0.01)
+    assert np.array_equal(flatten_params(net), before)
+
+
+def test_sgd_steps_in_place_like_a_fresh_net():
+    """The in-place step keeps the arithmetic of adding `lr * grad` to a
+    copy and clipping it: every parameter is bit-for-bit equal."""
+    rng = np.random.default_rng(3)
+    net = init_net((3, 5, 1), seed=1, scale=0.01)
+    grads = [(rng.normal(0, 1, l.weights.shape), rng.normal(0, 1, l.biases.shape))
+             for l in net.layers]
+    want = [(np.clip(l.weights + 0.004 * gw, -0.01, 0.01),
+             np.clip(l.biases + 0.004 * gb, -0.01, 0.01)) for l, (gw, gb) in zip(net.layers, grads)]
+    arrays = [(l.weights, l.biases) for l in net.layers]
+    sgd_step(net, grads, 0.004, 0.01)
+    for layer, (w, b), (w0, b0) in zip(net.layers, want, arrays):
+        assert layer.weights is w0 and layer.biases is b0
+        assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
 
 
 @given(st.integers(0, 1000), st.floats(0.001, 1.0))
@@ -145,15 +179,27 @@ def test_sgd_clip_invariant(seed, lr):
     net = init_net((2, 4, 1), seed=seed)
     grads = [(rng.normal(0, 10, l.weights.shape), rng.normal(0, 10, l.biases.shape))
              for l in net.layers]
-    stepped = sgd_step(net, grads, lr=lr, clip=0.01)
-    assert np.abs(flatten_params(stepped)).max() <= 0.01
+    sgd_step(net, grads, lr, 0.01)
+    assert np.abs(flatten_params(net)).max() <= 0.01
 
 
 def test_sgd_nonfinite_gradient():
     net = init_net((1, 2, 1), seed=0)
     grads = [(np.full_like(l.weights, np.nan), np.zeros_like(l.biases)) for l in net.layers]
     with pytest.raises(NumericError):
-        sgd_step(net, grads, lr=0.1)
+        sgd_step(net, grads, 0.1, 0.01)
+
+
+def test_sgd_nonfinite_last_layer_changes_nothing():
+    """A non-finite gradient in the last layer is caught before the first
+    layer is stepped: no parameter of any layer changes."""
+    net = init_net((2, 4, 3, 1), seed=2, scale=0.01)
+    before = flatten_params(net)
+    grads = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in net.layers]
+    grads[-1] = (grads[-1][0], np.array([np.inf]))
+    with pytest.raises(NumericError):
+        sgd_step(net, grads, 0.001, 0.01)
+    assert np.array_equal(flatten_params(net), before)
 
 
 # ---------------------------------------------------------------------------

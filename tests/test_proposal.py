@@ -379,6 +379,9 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_chat_engine_parses_stub_batch(stub_server):

@@ -5,7 +5,8 @@ import pytest
 
 from leon import tasks
 from leon.core import Context, Design, NumericError, encode_batch
-from leon.numerics import DenseNet, Layer, init_net, net_forward_batch, net_weighted_gradient
+from leon.numerics import (DenseNet, Layer, init_net, net_forward_batch, net_weighted_gradient,
+                           net_workspace)
 from leon.tasks import (
     AnalyticShiftSurrogate,
     OracleSurrogate,
@@ -153,15 +154,16 @@ def test_learned_surrogate_shift_premise_regimen():
 def _two_pass_train(X, y, hidden=(128, 128), seed=0, lr=0.05, iters=4000, momentum=0.9,
                     ridge=1e-6):
     """Reference training loop: a separate forward pass for the residual,
-    then a gradient pass with array weights, fresh arrays every step."""
+    then a gradient pass with those weights as a constant, fresh arrays
+    every step."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed)
     n = X.shape[0]
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
     stage = max(1, iters // 5)
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
-        resid = net_forward_batch(net, X) - y
-        grads = net_weighted_gradient(net, X, -2.0 * resid / n)
+        weights = -2.0 * (net_forward_batch(net, X) - y) / n
+        grads = net_weighted_gradient(net, X, lambda out: weights, net_workspace(net, n))
         for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
             vw *= momentum
             vw += gw
