@@ -9,7 +9,6 @@ from .core import (
     Hyperparams,
     TrajectoryMemory,
     decode_design,
-    encode_design,
     render_text,
 )
 from .optimizer import RunConfig, RunResult, evaluate_cohort, run_baseline, run_leon, select_final
@@ -26,7 +25,6 @@ __all__ = [
     "Hyperparams",
     "TrajectoryMemory",
     "decode_design",
-    "encode_design",
     "render_text",
     "RunConfig",
     "RunResult",

@@ -58,16 +58,8 @@ class DesignSpace:
         return len(self.dims)
 
     def validate(self, design: "Design") -> None:
-        if len(design.values) != len(self.dims):
-            raise SchemaError(
-                f"design arity {len(design.values)} != space arity {len(self.dims)}"
-            )
-        for dim, v in zip(self.dims, design.values):
-            if isinstance(dim, ContinuousDim):
-                if not (dim.lo <= float(v) <= dim.hi):
-                    raise SchemaError(f"{dim.name}={v} outside [{dim.lo}, {dim.hi}]")
-            elif not isinstance(v, (bool, np.bool_)):
-                raise SchemaError(f"{dim.name}={v!r} is not a bool")
+        """Check one design by the rules of `encode_batch`."""
+        encode_batch(self, [design])
 
 
 @dataclass(frozen=True)
@@ -207,30 +199,36 @@ class TrajectoryMemory:
 # ---------------------------------------------------------------------------
 
 
-def encode_design(space: DesignSpace, design: Design) -> np.ndarray:
-    """Encode a design as a float vector.
-
-    Continuous dims are min-max scaled to [0, 1] and booleans map to {0, 1},
-    one entry per dim.
-    """
-    space.validate(design)
-    out = np.empty(space.encoded_width)
-    for i, (dim, v) in enumerate(zip(space.dims, design.values)):
-        if isinstance(dim, ContinuousDim):
-            out[i] = (float(v) - dim.lo) / (dim.hi - dim.lo)
-        else:
-            out[i] = 1.0 if v else 0.0
-    return out
-
-
 def encode_batch(space: DesignSpace, designs) -> np.ndarray:
-    if len(designs) == 0:
-        return np.zeros((0, space.encoded_width))
-    return np.stack([encode_design(space, d) for d in designs])
+    """Check and encode a batch of designs as an `(n, d)` float array.
+
+    Every design must have one value per dim, each continuous value within
+    [lo, hi] (NaN fails) and each boolean value a `bool` or `np.bool_`; the
+    first offending design and dim raise `SchemaError`. Continuous dims are
+    min-max scaled to [0, 1] and booleans map to {0, 1}.
+    """
+    width = len(space.dims)
+    for d in designs:
+        if len(d.values) != width:
+            raise SchemaError(f"design arity {len(d.values)} != space arity {width}")
+    V = np.array([d.values for d in designs], dtype=object).reshape(len(designs), width)
+    is_bool = np.array([isinstance(dim, BooleanDim) for dim in space.dims])
+    lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, space.dims)])
+    hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, space.dims)])
+    bool_typed = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)(V)
+    not_bool = is_bool & ~bool_typed.astype(bool)
+    X = np.where(not_bool, 0.0, V).astype(float)
+    bad = not_bool | ~((lo <= X) & (X <= hi))
+    if bad.any():
+        row, i = divmod(int(bad.argmax()), width)
+        dim, v = space.dims[i], designs[row].values[i]
+        raise SchemaError(f"{dim.name}={v!r} is not a bool" if is_bool[i]
+                          else f"{dim.name}={v} outside [{dim.lo}, {dim.hi}]")
+    return (X - lo) / (hi - lo)
 
 
 def decode_design(space: DesignSpace, v: np.ndarray) -> Design:
-    """Inverse of encode_design up to clamping.
+    """Inverse of `encode_batch` on one row, up to clamping.
 
     Continuous entries clamp to [lo, hi] and boolean entries threshold at
     0.5; `encode(decode(v))` is idempotent on valid encodings.
@@ -301,7 +299,6 @@ __all__ = [
     "MemoryEntry",
     "StepTrace",
     "TrajectoryMemory",
-    "encode_design",
     "encode_batch",
     "decode_design",
     "format_value",

@@ -6,10 +6,10 @@ That mean difference is a lower-bound estimate of the 1-Wasserstein
 distance between the two empirical distributions (up to the critic's
 Lipschitz constant).
 
-Contract: `critic_values`, `w1_estimate` and `critic_train` take designs
-already encoded as `(n, d)` arrays (`core.encode_batch`, or
-`SourcePool.encoded` for the source side), so a caller encodes each batch
-once and reuses it for evaluation, training and the W1 estimate.
+Contract: `critic_values` and `critic_train` take designs already encoded
+as `(n, d)` arrays (`core.encode_batch`, or `SourcePool.encoded`), and
+`critic_train` returns its last pass's values on both batches, which
+`w1_estimate` takes, so no batch is encoded or evaluated twice.
 """
 
 from __future__ import annotations
@@ -64,17 +64,17 @@ def critic_values(critic: CriticModel, X: np.ndarray) -> np.ndarray:
     return net_forward_batch(critic.net, X)
 
 
-def w1_estimate(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray) -> float:
-    """Mean critic value over the encoded source batch minus mean over the
-    encoded generated batch. Antisymmetric under swapping the batches."""
-    if len(src_enc) == 0 or len(gen_enc) == 0:
+def w1_estimate(src_values: np.ndarray, gen_values: np.ndarray) -> float:
+    """Mean critic value over the source rows minus mean over the generated
+    rows. Antisymmetric under swapping the batches."""
+    if len(src_values) == 0 or len(gen_values) == 0:
         raise ValueError("empty batch")
-    return float(critic_values(critic, src_enc).mean() - critic_values(critic, gen_enc).mean())
+    return float(src_values.mean() - gen_values.mean())
 
 
 def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, lr: float,
                  tol: float = 1e-4, max_iters: int = 500, seed: int = 0,
-                 src_subsample: int = 512) -> CriticModel:
+                 src_subsample: int = 512) -> tuple[CriticModel, np.ndarray, np.ndarray]:
     """Gradient-ascend the dual estimate on encoded source and generated
     batches, clamping all parameters to [-clip, clip] after every step.
 
@@ -84,7 +84,9 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
     consecutive iterations, or after `max_iters` steps; a non-finite
     estimate raises `NumericError`. The source side uses all rows when it
     has at most `src_subsample`, otherwise a seeded uniform subsample per
-    iteration, which the iteration's estimate is taken on too.
+    iteration, which the iteration's estimate is taken on too. Returns the
+    trained critic and its values on the source and generated rows of the
+    pass that ended training.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
@@ -109,7 +111,9 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
         if calm >= 5 or it == max_iters:
             break
         sgd_step(net, grads, lr, critic.clip)
-    return CriticModel(net=net, clip=critic.clip)
+    values = workspace[-1][0][:, 0]  # outputs of the last pass, which are the returned net's
+    n_src = len(src_rows)
+    return CriticModel(net=net, clip=critic.clip), values[:n_src].copy(), values[n_src:].copy()
 
 
 __all__ = [

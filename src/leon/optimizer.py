@@ -21,7 +21,7 @@ from .certainty import (
     score_designs,
     update_lambda,
 )
-from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace, encode_batch
+from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
 from .equivalence import fit_partition
 from .proposal import (
@@ -227,8 +227,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         b = min(hp.batch_size, metered.remaining)
         prompt_state.reflection = reflection
         prompt_state.memory_view = memory.entries[-cfg.memory_view:]
-        designs = propose(engine, prompt_state, space, b)
-        batch_enc = encode_batch(space, designs)
+        designs, batch_enc = propose(engine, prompt_state, space, b)
 
         f_vals = metered.values(designs, ctx)
         c_vals = critic_values(critic, batch_enc)
@@ -239,14 +238,13 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         mu_hat = estimate_mu(stats, state.mu_hat, hp.mu_max)
         state = replace(state, mu_hat=mu_hat)
 
-        critic = critic_train(critic, source_pool.encoded, batch_enc, lr=hp.eta_critic,
-                              seed=derive_seed(seed, 7, t))
+        critic, src_c, batch_c = critic_train(critic, source_pool.encoded, batch_enc,
+                                              lr=hp.eta_critic, seed=derive_seed(seed, 7, t))
 
-        src_mean_c = float(critic_values(critic, source_pool.encoded).mean())
-        stats_now = replace(stats, best_critic=critic_values(critic, batch_enc)[stats.best_rows])
+        stats_now = replace(stats, best_critic=batch_c[stats.best_rows])
         qbar = boltzmann_weights(stats_now, mu_hat)
-        grad = dual_gradient(hp.w0, src_mean_c, stats_now, qbar)
-        w1_now = w1_estimate(critic, source_pool.encoded, batch_enc)
+        grad = dual_gradient(hp.w0, float(src_c.mean()), stats_now, qbar)
+        w1_now = w1_estimate(src_c, batch_c)
 
         lambda_trace.append(state.lam)  # the value that scored this batch
         mu_trace.append(mu_hat)

@@ -99,6 +99,8 @@ _FENCE_RE = re.compile(r"```(?:json)?", re.IGNORECASE)
 def _coerce_value(dim, v):
     if isinstance(dim, ContinuousDim):
         x = float(v)
+        if x != x:
+            raise ValueError("NaN value")
         return min(max(x, dim.lo), dim.hi)  # out-of-range clamps to the bound
     if isinstance(v, bool):
         return v
@@ -112,9 +114,11 @@ def _coerce_value(dim, v):
 def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], int]:
     """Parse a JSON array of {dim name: value} objects.
 
-    Returns at most `b` designs plus the number of rejected elements.
-    Raises DesignParseError when the payload is not a JSON array at all, so
-    engine retry logic can resample.
+    Returns at most `b` designs plus the number of rejected elements: those
+    with a missing key or a malformed value, NaN or a number too large for
+    a float included. A number out of range, ±Infinity too, clamps to the
+    dim's bound. Raises DesignParseError when the payload is not a JSON
+    array at all, so engine retry logic can resample.
     """
     text = _FENCE_RE.sub("", raw).strip()
     start, end = text.find("["), text.rfind("]")
@@ -136,7 +140,7 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
             continue
         try:
             values = tuple(_coerce_value(dim, item[dim.name]) for dim in space.dims)
-        except (KeyError, ValueError, TypeError):
+        except (KeyError, ValueError, TypeError, OverflowError):
             rejects += 1
             continue
         designs.append(Design(values))
@@ -563,15 +567,14 @@ KnowledgeSource = StaticFactsSource | ScriptedSource | FileCorpusSource
 # ---------------------------------------------------------------------------
 
 
-def propose(engine, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
+def propose(engine, state: PromptState, space: DesignSpace, b: int) -> tuple[list[Design], np.ndarray]:
+    """The engine's `b` designs and their encoding, checked by `encode_batch`."""
     if b < 1:
         raise ValueError("b must be >= 1")
     designs = engine.propose(state, space, b)
     if len(designs) != b:
         raise RuntimeError(f"engine returned {len(designs)} designs, expected {b}")
-    for d in designs:
-        space.validate(d)
-    return designs
+    return designs, encode_batch(space, designs)
 
 
 def reflect(engine, batch, task_description: str) -> str:

@@ -239,16 +239,16 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
 
     same = encode_batch(space, [Design((float(v),)) for v in rng.uniform(0.2, 0.8, size=32)])
     critic = init_critic(space, hidden=(64, 64), seed=seed)
-    trained_same = critic_train(critic, same, same, lr=0.001, seed=seed)
-    est_same = w1_estimate(trained_same, same, same)
+    trained_same, *same_values = critic_train(critic, same, same, lr=0.001, seed=seed)
+    est_same = w1_estimate(*same_values)
 
     src = np.linspace(0.0, 0.2, 24)
     gen = np.linspace(0.8, 1.0, 24)
     src_enc = encode_batch(space, [Design((float(v),)) for v in src])
     gen_enc = encode_batch(space, [Design((float(v),)) for v in gen])
     critic2 = init_critic(space, hidden=(64, 64), seed=seed + 1)
-    trained = critic_train(critic2, src_enc, gen_enc, lr=0.001, max_iters=500, seed=seed)
-    est = w1_estimate(trained, src_enc, gen_enc)
+    trained, *values = critic_train(critic2, src_enc, gen_enc, lr=0.001, max_iters=500, seed=seed)
+    est = w1_estimate(*values)
     true_w1 = exact_w1_1d(src, gen)
 
     max_param = max(float(np.abs(flatten_params(m.net)).max())

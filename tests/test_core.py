@@ -13,7 +13,7 @@ from leon.core import (
     SchemaError,
     TrajectoryMemory,
     decode_design,
-    encode_design,
+    encode_batch,
     render_context,
     render_text,
 )
@@ -41,6 +41,64 @@ def test_design_validation(mixed_space):
         mixed_space.validate(Design((50.0, 1, False)))  # int is not a bool here
 
 
+def _per_design_validate(space, design):
+    """The rules as one loop over a single design's values."""
+    if len(design.values) != len(space.dims):
+        raise SchemaError("arity")
+    for dim, v in zip(space.dims, design.values):
+        if isinstance(dim, ContinuousDim):
+            if not (dim.lo <= float(v) <= dim.hi):
+                raise SchemaError("range")
+        elif not isinstance(v, (bool, np.bool_)):
+            raise SchemaError("bool")
+
+
+def _per_design_encoding(space, design):
+    """The encoding as one Python formula per value."""
+    return np.array([(float(v) - dim.lo) / (dim.hi - dim.lo) if isinstance(dim, ContinuousDim)
+                     else (1.0 if v else 0.0) for dim, v in zip(space.dims, design.values)])
+
+
+RULE_CASES = {
+    "short arity": ((50.0, True), False),
+    "long arity": ((50.0, True, False, True), False),
+    "below lo": ((-0.5, True, False), False),
+    "above hi": ((100.5, True, False), False),
+    "nan": ((float("nan"), True, False), False),
+    "int 1 for a bool": ((50.0, 1, False), False),
+    "float 1.0 for a bool": ((50.0, True, 1.0), False),
+    "exactly lo": ((0.0, True, False), True),
+    "exactly hi": ((100.0, False, True), True),
+    "bool": ((37.5, True, False), True),
+    "np.bool_": ((62.25, np.bool_(True), np.bool_(False)), True),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_batch_rules_match_per_design_rules(mixed_space, case):
+    """`encode_batch` on a batch holding the design, and `validate` on the
+    design alone, accept or reject it as the per-design rules do; an
+    accepted batch encodes bit for bit like the per-design formula."""
+    values, accepted = RULE_CASES[case]
+    design = Design(values)
+    batch = [Design((12.0, False, True)), design, Design((88.0, True, True))]
+    try:
+        _per_design_validate(mixed_space, design)
+        reference = True
+    except SchemaError:
+        reference = False
+    assert reference == accepted
+    if accepted:
+        mixed_space.validate(design)
+        X = encode_batch(mixed_space, batch)
+        assert np.array_equal(X, np.stack([_per_design_encoding(mixed_space, d) for d in batch]))
+    else:
+        with pytest.raises(SchemaError):
+            mixed_space.validate(design)
+        with pytest.raises(SchemaError):
+            encode_batch(mixed_space, batch)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -48,12 +106,12 @@ def test_design_validation(mixed_space):
 
 def test_encode_continuous_midpoint():
     space = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
-    assert encode_design(space, Design((50.0,))).tolist() == [0.5]
+    assert encode_batch(space, [Design((50.0,))]).tolist() == [[0.5]]
 
 
 def test_encode_booleans_identity():
     space = DesignSpace(tuple(BooleanDim(f"b{i}") for i in range(3)))
-    assert encode_design(space, Design((True, False, True))).tolist() == [1.0, 0.0, 1.0]
+    assert encode_batch(space, [Design((True, False, True))]).tolist() == [[1.0, 0.0, 1.0]]
 
 
 def test_decode_examples():
@@ -88,7 +146,8 @@ def space_and_design(draw):
 @given(space_and_design())
 def test_encode_decode_round_trip(sd):
     space, design = sd
-    v = encode_design(space, design)
+    v = encode_batch(space, [design])[0]
+    assert np.array_equal(v, _per_design_encoding(space, design))
     assert v.shape == (space.encoded_width,)
     assert np.all(np.isfinite(v))
     back = decode_design(space, v)
@@ -98,7 +157,7 @@ def test_encode_decode_round_trip(sd):
         else:
             assert a == b
     # idempotence of encode(decode(.)) on valid encodings
-    assert np.allclose(encode_design(space, back), v)
+    assert np.allclose(encode_batch(space, [back])[0], v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import leon.critic
-from leon.core import ContinuousDim, Design, DesignSpace, NumericError, encode_batch, encode_design
+from leon.core import ContinuousDim, Design, DesignSpace, NumericError, encode_batch
 from leon.critic import (
     CriticModel,
     SourcePool,
@@ -27,6 +27,10 @@ def _enc(values):
     return encode_batch(SPACE_1D, _designs(values))
 
 
+def _w1(critic, src_enc, gen_enc):
+    return w1_estimate(critic_values(critic, src_enc), critic_values(critic, gen_enc))
+
+
 def _identity_critic():
     # single identity layer undoes the [0,1] encoding: c(encode(x)) == x
     return CriticModel(net=DenseNet([Layer(np.array([[100.0]]), np.array([0.0]), "id")]),
@@ -45,7 +49,7 @@ def test_critic_value_deterministic_and_composed():
     a = critic_values(critic, X)
     assert np.array_equal(a, critic_values(critic, X))
     for row, d in zip(a, _designs([42.0, 7.0, 99.0])):
-        assert row == pytest.approx(net_forward(critic.net, encode_design(SPACE_1D, d)),
+        assert row == pytest.approx(net_forward(critic.net, encode_batch(SPACE_1D, [d])[0]),
                                     rel=1e-12, abs=1e-15)
     assert critic_values(critic, X[:0]).shape == (0,)
 
@@ -53,24 +57,25 @@ def test_critic_value_deterministic_and_composed():
 def test_w1_identical_batches():
     critic = init_critic(SPACE_1D, seed=0)
     batch = _enc([10, 20, 30])
-    assert w1_estimate(critic, batch, batch) == 0.0
+    assert _w1(critic, batch, batch) == 0.0
 
 
 def test_w1_hand_arithmetic():
     critic = _identity_critic()
-    assert w1_estimate(critic, _enc([1, 3]), _enc([0, 2])) == pytest.approx(1.0)
+    assert _w1(critic, _enc([1, 3]), _enc([0, 2])) == pytest.approx(1.0)
 
 
 def test_w1_antisymmetric():
     critic = init_critic(SPACE_1D, seed=3)
     src, gen = _enc([5, 15, 25]), _enc([60, 80])
-    assert w1_estimate(critic, src, gen) == pytest.approx(-w1_estimate(critic, gen, src))
+    assert _w1(critic, src, gen) == pytest.approx(-_w1(critic, gen, src))
 
 
 def test_w1_empty_batch():
-    critic = init_critic(SPACE_1D, seed=0)
     with pytest.raises(ValueError):
-        w1_estimate(critic, _enc([]), _enc([1]))
+        w1_estimate(np.zeros(0), np.ones(1))
+    with pytest.raises(ValueError):
+        w1_estimate(np.ones(1), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +85,23 @@ def test_w1_empty_batch():
 
 def test_train_keeps_clip_exactly():
     critic = init_critic(SPACE_1D, seed=1)
-    trained = critic_train(critic, _enc(np.linspace(10, 30, 16)), _enc(np.linspace(70, 90, 8)),
-                           lr=0.01, max_iters=50, seed=0)
+    trained, *_ = critic_train(critic, _enc(np.linspace(10, 30, 16)),
+                               _enc(np.linspace(70, 90, 8)), lr=0.01, max_iters=50, seed=0)
     assert np.abs(flatten_params(trained.net)).max() <= trained.clip
 
 
 def test_train_same_distribution_stays_flat():
     pts = _enc(np.linspace(20, 80, 32))
-    trained = critic_train(init_critic(SPACE_1D, seed=2), pts, pts, lr=0.001, seed=0)
-    assert abs(w1_estimate(trained, pts, pts)) <= 0.05
+    _, *values = critic_train(init_critic(SPACE_1D, seed=2), pts, pts, lr=0.001, seed=0)
+    assert abs(w1_estimate(*values)) <= 0.05
 
 
 def test_train_separates_and_respects_exact_w1():
     src = _enc(np.linspace(0, 20, 24))
     gen = _enc(np.linspace(80, 100, 24))
-    trained = critic_train(init_critic(SPACE_1D, seed=4), src, gen,
-                           lr=0.001, max_iters=500, seed=0)
-    est = w1_estimate(trained, src, gen)
+    _, *values = critic_train(init_critic(SPACE_1D, seed=4), src, gen,
+                              lr=0.001, max_iters=500, seed=0)
+    est = w1_estimate(*values)
     # encoded units: sorted-sample transport distance is the oracle
     true_w1 = exact_w1_1d(src[:, 0], gen[:, 0])
     assert est > 0
@@ -107,9 +112,10 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
     rng = np.random.default_rng(7)
     src = _designs(rng.uniform(0, 40, size=16))
     gen = _designs(rng.uniform(55, 100, size=16))
-    trained = critic_train(init_critic(SPACE_1D, seed=6), encode_batch(SPACE_1D, src),
-                           encode_batch(SPACE_1D, gen), lr=0.005, max_iters=300, seed=1)
-    est = w1_estimate(trained, encode_batch(SPACE_1D, src), encode_batch(SPACE_1D, gen))
+    trained, *values = critic_train(init_critic(SPACE_1D, seed=6), encode_batch(SPACE_1D, src),
+                                    encode_batch(SPACE_1D, gen), lr=0.005, max_iters=300,
+                                    seed=1)
+    est = w1_estimate(*values)
     lip = lipschitz_bound(trained.net)
     assert lip > 0
 
@@ -144,7 +150,7 @@ def _three_call_train(critic, src_enc, gen_enc, lr, tol=1e-4, max_iters=500):
                               l.activation)
                         for l, (dW, db) in zip(net.layers, grads)])
         steps += 1
-        est = w1_estimate(CriticModel(net=net, clip=critic.clip), src_enc, gen_enc)
+        est = _w1(CriticModel(net=net, clip=critic.clip), src_enc, gen_enc)
         assert np.isfinite(est)
         if prev is not None and abs(est - prev) < tol:
             calm += 1
@@ -165,7 +171,7 @@ def _default_like_batches(seed):
 def test_train_matches_three_call_reference(case):
     """One pass per iteration, stepped in place, returns the net of the
     reference loop bit for bit, whether training stops on the calm rule or
-    runs out of iterations."""
+    runs out of iterations, and with it that net's values on both batches."""
     if case == "regimen":
         space = make_regimen_task(0).space
         rng = np.random.default_rng(2)
@@ -179,7 +185,7 @@ def test_train_matches_three_call_reference(case):
         # tol 0 never counts an iteration as calm
         kwargs = dict(lr=0.001) if case == "calm" else dict(lr=0.001, tol=0.0, max_iters=40)
     initial = flatten_params(critic.net)
-    trained = critic_train(critic, src, gen, seed=0, **kwargs)
+    trained, src_values, gen_values = critic_train(critic, src, gen, seed=0, **kwargs)
     assert np.array_equal(flatten_params(critic.net), initial)  # the input is not stepped
     reference, steps = _three_call_train(critic, src, gen, **kwargs)
     if case == "max_iters":
@@ -189,6 +195,8 @@ def test_train_matches_three_call_reference(case):
     for got, want in zip(trained.net.layers, reference.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.biases, want.biases)
+    assert np.array_equal(src_values, critic_values(trained, src))
+    assert np.array_equal(gen_values, critic_values(trained, gen))
 
 
 def _count_critic_calls(monkeypatch):
@@ -220,7 +228,8 @@ def test_train_takes_one_gradient_pass_per_iteration(monkeypatch):
 def test_train_subsamples_large_source_pools(monkeypatch):
     """A source pool above `src_subsample` is subsampled per iteration:
     every pass sees `src_subsample + len(gen)` rows, the result repeats
-    under a seed, and every parameter stays within the clip."""
+    under a seed, and every parameter stays within the clip. The returned
+    source values are the last pass's subsample."""
     calls = _count_critic_calls(monkeypatch)
     rng = np.random.default_rng(4)
     src, gen = _enc(rng.uniform(0, 60, size=600)), _enc(rng.uniform(40, 100, size=32))
@@ -228,10 +237,13 @@ def test_train_subsamples_large_source_pools(monkeypatch):
     runs = [critic_train(critic, src, gen, lr=0.005, max_iters=60, seed=9) for _ in range(2)]
     assert calls["forward"] == 0 and calls["gradient"]
     assert set(calls["gradient"]) == {(512, 32)}
-    assert np.array_equal(flatten_params(runs[0].net), flatten_params(runs[1].net))
-    assert np.abs(flatten_params(runs[0].net)).max() <= critic.clip
-    other = critic_train(critic, src, gen, lr=0.005, max_iters=60, seed=10)
-    assert not np.array_equal(flatten_params(other.net), flatten_params(runs[0].net))
+    (trained, src_values, gen_values), again = runs
+    assert np.array_equal(flatten_params(trained.net), flatten_params(again[0].net))
+    assert src_values.shape == (512,) and gen_values.shape == (32,)
+    assert np.array_equal(src_values, again[1]) and np.array_equal(gen_values, again[2])
+    assert np.abs(flatten_params(trained.net)).max() <= critic.clip
+    other, *_ = critic_train(critic, src, gen, lr=0.005, max_iters=60, seed=10)
+    assert not np.array_equal(flatten_params(other.net), flatten_params(trained.net))
 
 
 def test_train_aborts_on_nonfinite():

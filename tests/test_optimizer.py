@@ -150,19 +150,52 @@ def test_budget_not_divisible_truncates_last_batch(dose_task):
 
 
 def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
-    """Each step encodes its batch once and reuses it for the critic; the
-    source pool is encoded once per run. Only the engine's parent-spread
-    estimate encodes more, so the total stays under two rows per budget unit."""
+    """Each step encodes its batch once, in `propose`, and reuses it for the
+    critic; the source pool is encoded once per run. Only the engine's
+    parent-spread estimate encodes more, so the total stays under two rows
+    per budget unit."""
     import leon.core
 
-    calls = []
-    encode = leon.core.encode_design
-    monkeypatch.setattr(leon.core, "encode_design",
-                        lambda space, d: calls.append(1) or encode(space, d))
+    rows = {}
+
+    def counting(module):
+        def encode_batch(space, designs):
+            rows[module] = rows.get(module, 0) + len(designs)
+            return leon.core.encode_batch(space, designs)
+        return encode_batch
+
+    for module in ("proposal", "critic", "tasks"):
+        monkeypatch.setattr(getattr(leon, module), "encode_batch", counting(module))
     hp = Hyperparams()
     result = run_leon(dose_task, RunConfig(method="leon", hp=hp), seed=0)
     assert len(result.memory) == hp.budget
-    assert len(calls) <= 2 * hp.budget
+    assert rows["proposal"] >= hp.budget and rows["critic"] == 128
+    assert sum(rows.values()) <= 2 * hp.budget
+
+
+def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
+    """After training, a step reads the critic's values from the pass that
+    ended training: one forward pass per step, before training. Designs are
+    checked by `encode_batch`, so only the harness's oracle call validates a
+    single design."""
+    import leon.core
+    import leon.critic
+
+    calls = {"forward": 0, "gradient": 0, "validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(leon.critic, "net_forward_batch",
+                        counted("forward", leon.critic.net_forward_batch))
+    monkeypatch.setattr(leon.critic, "net_gradient", counted("gradient", leon.critic.net_gradient))
+    monkeypatch.setattr(leon.core.DesignSpace, "validate",
+                        counted("validate", leon.core.DesignSpace.validate))
+    run_leon(dose_task, RunConfig(), 0)
+    assert calls == {"forward": 64, "gradient": 448, "validate": 1}
 
 
 def test_default_run_renders_no_text(dose_task, monkeypatch):

@@ -14,6 +14,8 @@ from leon.core import (
     Design,
     DesignSpace,
     MemoryEntry,
+    SchemaError,
+    encode_batch,
     render_context,
 )
 from leon.numerics import shannon_entropy
@@ -115,6 +117,21 @@ def test_parse_rejects_malformed_element():
     assert len(designs) == 2 and rejects == 1
 
 
+def test_parse_rejects_nan_and_oversized_numbers():
+    raw = ('[{"Dose": NaN, "Boost": true, "Taper": false}, '
+           '{"Dose": 1' + "0" * 400 + ', "Boost": true, "Taper": false}, '
+           '{"Dose": 7.5, "Boost": false, "Taper": true}]')
+    designs, rejects = parse_designs(raw, SPACE, 3)
+    assert designs == [Design((7.5, False, True))] and rejects == 2
+
+
+def test_parse_clamps_infinities_to_the_bounds():
+    raw = ('[{"Dose": Infinity, "Boost": true, "Taper": false}, '
+           '{"Dose": -Infinity, "Boost": true, "Taper": false}]')
+    designs, rejects = parse_designs(raw, SPACE, 2)
+    assert [d.values[0] for d in designs] == [100.0, 0.0] and rejects == 0
+
+
 def test_parse_malformed_json_raises():
     with pytest.raises(DesignParseError):
         parse_designs("not json at all", SPACE, 2)
@@ -143,22 +160,46 @@ def test_parse_accepts_boolean_spellings():
 
 def test_random_engine_reproducible():
     space = DesignSpace(tuple(BooleanDim(f"b{i}") for i in range(4)))
-    a = propose(RandomEngine(seed=11), _state(space=space), space, 8)
-    b = propose(RandomEngine(seed=11), _state(space=space), space, 8)
-    assert a == b
+    a, Xa = propose(RandomEngine(seed=11), _state(space=space), space, 8)
+    b, Xb = propose(RandomEngine(seed=11), _state(space=space), space, 8)
+    assert a == b and np.array_equal(Xa, Xb)
     for d in a:
         space.validate(d)
 
 
 def test_propose_returns_exactly_b():
     for engine in (RandomEngine(seed=0), BoltzmannMemoryEngine(seed=0), HillClimbEngine(seed=0)):
-        designs = propose(engine, _state(), SPACE, 5)
+        designs, X = propose(engine, _state(), SPACE, 5)
         assert len(designs) == 5
+        assert np.array_equal(X, encode_batch(SPACE, designs))
 
 
 def test_propose_validates_b():
     with pytest.raises(ValueError):
         propose(RandomEngine(seed=0), _state(), SPACE, 0)
+
+
+class _FixedEngine(RandomEngine):
+    def __init__(self, designs):
+        super().__init__(seed=0)
+        self.designs = designs
+
+    def propose(self, state, space, b):
+        return list(self.designs)
+
+
+@pytest.mark.parametrize("bad", [Design((float("nan"), True, False)),
+                                 Design((100.5, True, False)), Design((50.0, 1, False))])
+def test_propose_rejects_an_invalid_design(bad):
+    engine = _FixedEngine([Design((10.0, True, False)), bad, Design((20.0, False, False))])
+    with pytest.raises(SchemaError):
+        propose(engine, _state(), SPACE, 3)
+
+
+def test_propose_rejects_a_short_batch():
+    engine = _FixedEngine([Design((10.0, True, False))] * 3)
+    with pytest.raises(RuntimeError):
+        propose(engine, _state(), SPACE, 4)
 
 
 def test_boltzmann_temp_zero_collapses():
@@ -219,7 +260,7 @@ def test_engine_params_are_checked():
 
 def test_hill_climb_without_memory_is_random():
     engine = HillClimbEngine(seed=9)
-    designs = propose(engine, _state(), SPACE, 4)
+    designs, _ = propose(engine, _state(), SPACE, 4)
     assert len(designs) == 4
 
 
@@ -387,7 +428,7 @@ def stub_server():
 def test_chat_engine_parses_stub_batch(stub_server):
     _StubHandler.responses = [_payload(3)]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, retry_wait=0.0, seed=0)
-    designs = propose(engine, _state(), SPACE, 3)
+    designs, _ = propose(engine, _state(), SPACE, 3)
     assert len(designs) == 3
     assert not engine.warnings
     sent = _StubHandler.requests[0]
@@ -399,9 +440,18 @@ def test_chat_engine_fills_random_after_garbage(stub_server):
     _StubHandler.responses = ["no json here", "still not json", "nope"]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, max_retries=3,
                            retry_wait=0.0, seed=1)
-    designs = propose(engine, _state(), SPACE, 4)
+    designs, _ = propose(engine, _state(), SPACE, 4)
     assert len(designs) == 4
     assert any("filled 4 slots with random designs" in w for w in engine.warnings)
+
+
+def test_chat_engine_retries_past_a_nan_element():
+    engine = ChatApiEngine(model="stub", retry_wait=0.0, seed=0)
+    items = [{"Dose": float("nan"), "Boost": True, "Taper": True}, *json.loads(_payload(3))]
+    engine._chat = lambda messages: json.dumps(items)
+    designs, X = propose(engine, _state(), SPACE, 3)
+    assert len(designs) == 3 and np.all(np.isfinite(X))
+    assert any("rejected 1 malformed design elements" in w for w in engine.warnings)
 
 
 def test_chat_engine_reflect_degrades_to_empty():
