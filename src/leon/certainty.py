@@ -3,12 +3,13 @@
 Per-class optima of the critic-regularized surrogate, Boltzmann class
 weights, slope-regression estimation of the entropy multiplier mu, the
 dual gradient in lambda, and design scoring. These are the single-step
-updates of the optimization loop; no convergence machinery lives here.
+updates of the optimization loop, on plain values: lambda and mu are
+floats the loop carries, and no convergence machinery lives here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,53 +21,35 @@ DEFAULT_MU = 1.0
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per observed class: occupancy, best member, and its values.
+    """Per observed class: occupancy, best member, and its value.
 
     `best_rows[i]` is the batch row of the class's best member, the max over
-    class members of f_hat + lambda * critic; `best_values[i]` is that max and
-    `best_critic[i]` the critic value at that row (needed by the dual
-    gradient). Occupancies over observed classes sum to 1.
+    class members of the raw value f_hat + lambda * critic; `best_values[i]`
+    is that max. Occupancies over observed classes sum to 1.
     """
 
     class_ids: tuple[int, ...]
     q_hat: np.ndarray
     best_rows: np.ndarray
     best_values: np.ndarray
-    best_critic: np.ndarray
 
     def __len__(self) -> int:
         return len(self.class_ids)
 
 
-@dataclass(frozen=True)
-class CertaintyState:
-    lam: float = 0.0
-    mu_hat: float = DEFAULT_MU
-    step: int = 1
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-
-
-def class_optima(f_vals, c_vals, assignments, lam: float, n_classes: int) -> ClassStats:
+def class_optima(raw, assignments, n_classes: int) -> ClassStats:
     """Reduce a scored batch to per-class optima.
 
-    Row j of the batch has surrogate value `f_vals[j]`, critic value
-    `c_vals[j]` and class `assignments[j]`; its raw value is
-    f_hat + lam * critic. Ties keep the first occurrence.
+    Row j of the batch has raw value `raw[j]` (f_hat + lambda * critic) and
+    class `assignments[j]`. Ties keep the first occurrence.
     """
-    f_vals = np.asarray(f_vals, dtype=float)
-    c_vals = np.asarray(c_vals, dtype=float)
+    raw = np.asarray(raw, dtype=float)
     assignments = np.asarray(assignments, dtype=int)
-    if len(f_vals) == 0:
+    if len(raw) == 0:
         raise ValueError("empty batch")
-    if not len(f_vals) == len(c_vals) == len(assignments):
+    if len(raw) != len(assignments):
         raise ValueError("batch and assignments misaligned")
     q = occupancies(assignments, n_classes)
-    raw = f_vals + lam * c_vals
     order = np.lexsort((-raw, assignments))  # by class, then best first; stable on ties
     cls = assignments[order]
     rows = order[np.r_[True, cls[1:] != cls[:-1]]]
@@ -76,7 +59,6 @@ def class_optima(f_vals, c_vals, assignments, lam: float, n_classes: int) -> Cla
         q_hat=q[ids],
         best_rows=rows,
         best_values=raw[rows],
-        best_critic=c_vals[rows],
     )
 
 
@@ -109,23 +91,21 @@ def estimate_mu(stats: ClassStats, prev_mu: float, mu_max: float) -> float:
     return float(min(max(slope, 0.0), mu_max))
 
 
-def dual_gradient(w0: float, src_mean_critic: float, stats: ClassStats,
-                  qbar) -> float:
+def dual_gradient(w0: float, src_mean_critic: float, best_critic, qbar) -> float:
     """Partial derivative of the dual objective in lambda:
-    w0 - (E_src[critic] - sum_i qbar_i * critic(best_i))."""
+    w0 - (E_src[critic] - sum_i qbar_i * critic(best_i)), where
+    `best_critic[i]` is the critic value at class i's best row."""
+    best_critic = np.asarray(best_critic, dtype=float)
     qbar = np.asarray(qbar, dtype=float)
-    if qbar.shape != stats.best_critic.shape:
-        raise ValueError("qbar misaligned with class stats")
-    return float(w0 - src_mean_critic + qbar @ stats.best_critic)
+    if qbar.shape != best_critic.shape:
+        raise ValueError("qbar misaligned with class optima")
+    return float(w0 - src_mean_critic + qbar @ best_critic)
 
 
-def update_lambda(state: CertaintyState, grad: float, eta_lambda: float) -> CertaintyState:
-    """One projected step lambda <- max(0, lambda - (eta/sqrt(t)) * grad).
-
-    The caller increments `step` once per acquisition.
-    """
-    new_lam = max(0.0, state.lam - (eta_lambda / np.sqrt(state.step)) * grad)
-    return replace(state, lam=float(new_lam))
+def update_lambda(lam: float, grad: float, eta_lambda: float, step: int) -> float:
+    """One projected step lambda <- max(0, lambda - (eta/sqrt(step)) * grad),
+    with `step` the 1-based acquisition step."""
+    return float(max(0.0, lam - (eta_lambda / np.sqrt(step)) * grad))
 
 
 def score_designs(raw_values, mu_hat: float) -> np.ndarray:
@@ -146,7 +126,6 @@ def log_partition(values, mu: float) -> float:
 __all__ = [
     "DEFAULT_MU",
     "ClassStats",
-    "CertaintyState",
     "class_optima",
     "boltzmann_weights",
     "estimate_mu",

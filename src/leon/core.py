@@ -74,13 +74,6 @@ class Design:
     def to_json(self) -> dict:
         return {"values": [_plain(v) for v in self.values]}
 
-    @staticmethod
-    def from_json(obj: dict, space: DesignSpace) -> "Design":
-        d = Design(tuple(float(v) if isinstance(dim, ContinuousDim) else bool(v)
-                         for dim, v in zip(space.dims, obj["values"])))
-        space.validate(d)
-        return d
-
 
 @dataclass(frozen=True)
 class Context:
@@ -91,13 +84,6 @@ class Context:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(float(f) for f in self.features))
-
-    def to_json(self) -> dict:
-        return {"features": list(self.features), "id": self.id}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Context":
-        return Context(tuple(obj["features"]), obj.get("id", ""))
 
 
 def _plain(v):
@@ -120,6 +106,9 @@ class Hyperparams:
     mu_max: float = 100.0
 
     def __post_init__(self):
+        for name in ("lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lambda0 < 0:
             raise ValueError("lambda0 must be >= 0")
         if self.w0 < 0:

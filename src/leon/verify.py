@@ -138,8 +138,7 @@ def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float 
             s = rng.normal(0.0, 1.0, size=3)
         mu = float(rng.uniform(0.5, 2.5))
         stats = ClassStats(class_ids=(0, 1, 2), q_hat=np.ones(3) / 3,
-                           best_rows=np.arange(3), best_values=s,
-                           best_critic=np.zeros(3))
+                           best_rows=np.arange(3), best_values=s)
         closed = weights_fn(stats, mu)
 
         feasible = H >= shannon_entropy(closed) - 1e-12
@@ -179,10 +178,9 @@ def check_dual_gradient(seed: int = 0, instances: int = 100) -> CheckResult:
                     + log_partition(f + l * c, mu) / mu)
 
         stats = ClassStats(class_ids=tuple(range(n)), q_hat=np.ones(n) / n,
-                           best_rows=np.arange(n), best_values=f + lam * c,
-                           best_critic=c)
+                           best_rows=np.arange(n), best_values=f + lam * c)
         qbar = boltzmann_weights(stats, mu)
-        analytic = dual_gradient(w0, src_mean, stats, qbar)
+        analytic = dual_gradient(w0, src_mean, c, qbar)
         h = 1e-6 * max(1.0, abs(lam))
         fd = (dual(lam + h) - dual(lam - h)) / (2 * h)
         rel = abs(analytic - fd) / max(1.0, abs(fd))
@@ -209,7 +207,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
         s = np.arange(4) * scale
         q = stable_softmax(mu_true * s)
         stats = ClassStats(class_ids=(0, 1, 2, 3), q_hat=q, best_rows=np.arange(4),
-                           best_values=s, best_critic=np.zeros(4))
+                           best_values=s)
         mu_exact = estimate_mu(stats, prev_mu=1.0, mu_max=100.0)
         worst_exact = max(worst_exact, abs(mu_exact - mu_true))
 
@@ -217,8 +215,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
         q_hat = np.bincount(draws, minlength=4) / n_samples
         keep = q_hat > 0
         noisy = ClassStats(class_ids=tuple(np.where(keep)[0]), q_hat=q_hat[keep],
-                           best_rows=np.flatnonzero(keep),
-                           best_values=s[keep], best_critic=np.zeros(int(keep.sum())))
+                           best_rows=np.flatnonzero(keep), best_values=s[keep])
         mu_noisy = estimate_mu(noisy, prev_mu=1.0, mu_max=100.0)
         worst_noisy = max(worst_noisy, abs(mu_noisy - mu_true) / mu_true)
     passed = worst_exact <= 1e-9 and worst_noisy <= 0.10

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leon.certainty import (
-    CertaintyState,
     ClassStats,
     boltzmann_weights,
     class_optima,
@@ -19,14 +18,13 @@ from leon.certainty import (
 from leon.numerics import stable_softmax
 
 
-def _stats(values, critic=None, q=None):
+def _stats(values, q=None):
     n = len(values)
     return ClassStats(
         class_ids=tuple(range(n)),
         q_hat=np.array(q) if q is not None else np.ones(n) / n,
         best_rows=np.arange(n),
         best_values=np.array(values, dtype=float),
-        best_critic=np.array(critic, dtype=float) if critic is not None else np.zeros(n),
     )
 
 
@@ -36,35 +34,37 @@ def _stats(values, critic=None, q=None):
 
 
 def test_class_optima_single_class():
-    stats = class_optima([1.0, 3.0], [0.0, 0.0], [0, 0], lam=0.0, n_classes=1)
+    stats = class_optima([1.0, 3.0], [0, 0], n_classes=1)
     assert stats.best_values.tolist() == [3.0]
     assert stats.q_hat.tolist() == [1.0]
     assert stats.best_rows.tolist() == [1]
 
 
 def test_class_optima_lambda_zero_is_argmax_f():
-    stats = class_optima([2.0, 5.0, 1.0], [9.0, -9.0, 9.0], [0, 0, 0], lam=0.0, n_classes=1)
+    f, c = np.array([2.0, 5.0, 1.0]), np.array([9.0, -9.0, 9.0])
+    stats = class_optima(f + 0.0 * c, [0, 0, 0], n_classes=1)
     assert stats.best_rows.tolist() == [1]  # index of f-max, critic ignored
 
 
 def test_class_optima_lambda_weighting():
     # lam=2: second design wins because 0 + 2*1 > 1 + 2*0
-    stats = class_optima([1.0, 0.0], [0.0, 1.0], [0, 0], lam=2.0, n_classes=1)
+    f, c = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    stats = class_optima(f + 2.0 * c, [0, 0], n_classes=1)
     assert stats.best_values.tolist() == [2.0]
     assert stats.best_rows.tolist() == [1]
-    assert stats.best_critic.tolist() == [1.0]
+    assert c[stats.best_rows].tolist() == [1.0]
 
 
 def test_class_optima_first_occurrence_on_tie():
-    stats = class_optima([1.0, 1.0], [0.0, 0.0], [0, 0], lam=0.0, n_classes=1)
+    stats = class_optima([1.0, 1.0], [0, 0], n_classes=1)
     assert stats.best_rows.tolist() == [0]
 
 
 def test_class_optima_misaligned():
     with pytest.raises(ValueError):
-        class_optima([1.0], [0.0], [0, 1], lam=0.0, n_classes=2)
+        class_optima([1.0], [0, 1], n_classes=2)
     with pytest.raises(ValueError):
-        class_optima([], [], [], lam=0.0, n_classes=2)
+        class_optima([], [], n_classes=2)
 
 
 def _class_optima_loop(f_vals, c_vals, assignments, lam):
@@ -85,17 +85,17 @@ def test_class_optima_matches_loop_reference(rows, lam):
     # small integer values make ties between rows frequent
     f_vals, c_vals, assignments = (np.array(col, dtype=float) for col in zip(*rows))
     assignments = assignments.astype(int)
-    stats = class_optima(f_vals, c_vals, assignments, lam=lam, n_classes=5)
+    stats = class_optima(f_vals + lam * c_vals, assignments, n_classes=5)
     ids, best_rows, best_values, best_critic = _class_optima_loop(f_vals, c_vals,
                                                                   assignments, lam)
     assert list(stats.class_ids) == ids
     assert stats.best_rows.tolist() == best_rows
     assert stats.best_values.tolist() == best_values
-    assert stats.best_critic.tolist() == best_critic
+    assert c_vals[stats.best_rows].tolist() == best_critic
 
 
 def test_class_optima_occupancies_sum_to_one():
-    stats = class_optima([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0, 0, 2, 2], lam=0.0, n_classes=4)
+    stats = class_optima([1.0, 2.0, 3.0, 4.0], [0, 0, 2, 2], n_classes=4)
     assert stats.class_ids == (0, 2)
     assert stats.q_hat.sum() == pytest.approx(1.0)
 
@@ -172,26 +172,23 @@ def test_mu_clamped():
 
 
 def test_dual_gradient_zero_when_bound_met():
-    stats = _stats([1.0, 2.0], critic=[0.3, 0.3])
     qbar = np.array([0.5, 0.5])
     # E_src[c] - sum q c = 1.3 - 0.3 = 1.0 == w0
-    assert dual_gradient(1.0, 1.3, stats, qbar) == pytest.approx(0.0)
+    assert dual_gradient(1.0, 1.3, [0.3, 0.3], qbar) == pytest.approx(0.0)
 
 
 def test_dual_gradient_arithmetic():
-    stats = _stats([0.0, 0.0], critic=[-0.2, -0.2])
     qbar = np.array([0.5, 0.5])
-    assert dual_gradient(1.0, 0.3, stats, qbar) == pytest.approx(0.5)
+    assert dual_gradient(1.0, 0.3, [-0.2, -0.2], qbar) == pytest.approx(0.5)
 
 
 def test_dual_gradient_zero_critic():
-    stats = _stats([1.0, 2.0], critic=[0.0, 0.0])
-    assert dual_gradient(1.0, 0.0, stats, np.array([0.4, 0.6])) == pytest.approx(1.0)
+    assert dual_gradient(1.0, 0.0, [0.0, 0.0], np.array([0.4, 0.6])) == pytest.approx(1.0)
 
 
 def test_dual_gradient_misaligned():
     with pytest.raises(ValueError):
-        dual_gradient(1.0, 0.0, _stats([1.0, 2.0]), np.array([1.0]))
+        dual_gradient(1.0, 0.0, [0.0, 0.0], np.array([1.0]))
 
 
 def test_dual_gradient_matches_finite_difference():
@@ -206,46 +203,38 @@ def test_dual_gradient_matches_finite_difference():
         def g(l):
             return l * (w0 - src) + 1.0 / mu + log_partition(f + l * c, mu) / mu
 
-        stats = _stats(f + lam * c, critic=c)
-        qbar = boltzmann_weights(stats, mu)
+        qbar = boltzmann_weights(_stats(f + lam * c), mu)
         h = 1e-6
         fd = (g(lam + h) - g(lam - h)) / (2 * h)
-        assert dual_gradient(w0, src, stats, qbar) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert dual_gradient(w0, src, c, qbar) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_update_lambda_arithmetic():
-    state = CertaintyState(lam=0.5, mu_hat=1.0, step=1)
-    assert update_lambda(state, grad=0.5, eta_lambda=0.1).lam == pytest.approx(0.45)
+    assert update_lambda(0.5, grad=0.5, eta_lambda=0.1, step=1) == pytest.approx(0.45)
 
 
 def test_update_lambda_zero_gradient():
-    state = CertaintyState(lam=0.7, mu_hat=1.0, step=4)
-    assert update_lambda(state, grad=0.0, eta_lambda=0.1).lam == 0.7
+    assert update_lambda(0.7, grad=0.0, eta_lambda=0.1, step=4) == 0.7
 
 
 def test_update_lambda_projects_to_zero():
-    state = CertaintyState(lam=0.0, mu_hat=1.0, step=1)
-    assert update_lambda(state, grad=1.0, eta_lambda=0.1).lam == 0.0
+    assert update_lambda(0.0, grad=1.0, eta_lambda=0.1, step=1) == 0.0
 
 
 def test_update_lambda_sqrt_decay():
-    state = CertaintyState(lam=1.0, mu_hat=1.0, step=4)
-    assert update_lambda(state, grad=1.0, eta_lambda=0.1).lam == pytest.approx(1.0 - 0.05)
+    assert update_lambda(1.0, grad=1.0, eta_lambda=0.1, step=4) == pytest.approx(1.0 - 0.05)
 
 
 def test_lambda_sign_behavior():
     # out-of-distribution optima: critic values far below the source mean
-    ood = _stats([0.0, 0.0], critic=[-0.5, -0.5])
-    grad_ood = dual_gradient(1.0, 2.0, ood, np.array([0.5, 0.5]))
+    grad_ood = dual_gradient(1.0, 2.0, [-0.5, -0.5], np.array([0.5, 0.5]))
     assert grad_ood < 0
-    state = CertaintyState(lam=0.5, mu_hat=1.0, step=1)
-    assert update_lambda(state, grad_ood, 0.1).lam > 0.5
+    assert update_lambda(0.5, grad_ood, 0.1, step=1) > 0.5
 
     # in-distribution optima: class values match the source mean, bound slack
-    ind = _stats([0.0, 0.0], critic=[2.0, 2.0])
-    grad_ind = dual_gradient(1.0, 2.0, ind, np.array([0.5, 0.5]))
+    grad_ind = dual_gradient(1.0, 2.0, [2.0, 2.0], np.array([0.5, 0.5]))
     assert grad_ind > 0
-    assert update_lambda(state, grad_ind, 0.1).lam < 0.5
+    assert update_lambda(0.5, grad_ind, 0.1, step=1) < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +253,3 @@ def test_score_preserves_argmax(raw, mu):
     scores = score_designs(raw, mu)
     assert int(np.argmax(scores)) == int(np.argmax(raw))
 
-
-def test_certainty_state_validation():
-    with pytest.raises(ValueError):
-        CertaintyState(lam=-0.1)
-    with pytest.raises(ValueError):
-        CertaintyState(step=0)

@@ -211,6 +211,9 @@ def test_hyperparam_defaults():
     {"batch_size": 1},
     {"budget": 16, "batch_size": 32},
     {"mu_max": 0.0},
+    {"w0": float("nan")},
+    {"mu_max": float("nan")},
+    {"eta_lambda": float("inf")},
 ])
 def test_hyperparam_validation(kwargs):
     with pytest.raises(ValueError):
@@ -252,8 +255,8 @@ def test_memory_scores_exact_product():
         assert e.score == mu * r  # bitwise: same product
 
 
-def test_design_context_json_round_trip(mixed_space):
-    d = Design((12.5, False, True))
-    assert Design.from_json(d.to_json(), mixed_space) == d
-    ctx = Context((1.0, -2.0), id="p9")
-    assert Context.from_json(ctx.to_json()) == ctx
+def test_design_context_json_round_trip():
+    # designs are written to results.json and never read back
+    assert Design((12.5, False, True)).to_json() == {"values": [12.5, False, True]}
+    written = Design((12.5, np.bool_(True))).to_json()["values"]
+    assert written == [12.5, True] and type(written[1]) is bool

@@ -217,6 +217,20 @@ def test_partition_variants_run(dose_task):
         assert len(result.memory) == 64
 
 
+def test_score_partition_scores_source_pool_outside_budget(dose_task, monkeypatch):
+    """The score partition cuts its bins around the source pool's raw values,
+    which it reads from the surrogate past the meter: a run makes budget plus
+    pool-size surrogate calls, and only the budget is counted."""
+    calls = []
+    real = AnalyticShiftSurrogate.value
+    monkeypatch.setattr(AnalyticShiftSurrogate, "value",
+                        lambda self, d, ctx: calls.append(d) or real(self, d, ctx))
+    cfg = RunConfig(method="leon", hp=HP_SMALL, partition="score", source_pool_size=40)
+    result = run_leon(dose_task, cfg, seed=1)
+    assert result.surrogate_calls == HP_SMALL.budget
+    assert len(calls) == HP_SMALL.budget + cfg.source_pool_size
+
+
 def test_all_engines_run(dose_task, oracle_ids):
     for engine in ("random", "boltzmann-memory", "hill-climb"):
         oracle_ids.clear()
@@ -353,6 +367,16 @@ def test_cohort_parallel_matches_serial(dose_task):
     serial = evaluate_cohort(dose_task, [cfg], n_patients=2, seed=6, jobs=1)
     parallel = evaluate_cohort(dose_task, [cfg], n_patients=2, seed=6, jobs=2)
     assert [r.to_json() for r in serial.records] == [r.to_json() for r in parallel.records]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cohort_runs_the_given_task(jobs):
+    """The cohort runs the Task object it is handed, not the registered task
+    of the same name: an 8-bit regimen yields 8-value designs."""
+    task = make_regimen_task(0, n_bits=8)
+    cfgs = [RunConfig(method="leon", hp=HP_SMALL), RunConfig(method="random-search", hp=HP_SMALL)]
+    res = evaluate_cohort(task, cfgs, n_patients=1, seed=3, jobs=jobs)
+    assert [len(r.final_design.values) for r in res.records] == [8, 8]
 
 
 def test_run_method_dispatch(dose_task):
