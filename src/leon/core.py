@@ -3,6 +3,12 @@
 A design lives in a mixed continuous/boolean search space, one encoded
 column per dimension. All numeric encoding maps into [0, 1]-scaled vectors
 so that downstream critic and surrogate networks see bounded inputs.
+
+Trajectory memory is a set of columns preallocated to the run's budget:
+step, the exact design values (booleans as 0/1), raw value, score and
+class. Engines and final selection read those columns as arrays;
+`MemoryEntry` rows are built only at the boundaries that need objects,
+the chat engine's prompt table and readers of `TrajectoryMemory.entries`.
 """
 
 from __future__ import annotations
@@ -109,6 +115,10 @@ class Hyperparams:
         for name in ("lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("batch_size", "budget"):  # memory preallocates `budget` rows
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.lambda0 < 0:
             raise ValueError("lambda0 must be >= 0")
         if self.w0 < 0:
@@ -148,39 +158,103 @@ class StepTrace:
     reflection: str = ""
 
 
-class TrajectoryMemory:
-    """Append-only log of proposed designs and their scores.
+@dataclass(frozen=True, eq=False)
+class MemoryView:
+    """Consecutive rows of a `TrajectoryMemory` as read-only array views.
 
-    Single-writer: the optimizer loop appends between steps; readers may
-    snapshot `entries` at any step boundary.
+    `values` holds each design's values, booleans as 0/1; `design(i)` and
+    `entries` rebuild objects from the rows, value for value and type for
+    type.
     """
 
-    def __init__(self, budget: int):
+    space: DesignSpace
+    step: np.ndarray
+    values: np.ndarray
+    raw: np.ndarray
+    score: np.ndarray
+    class_id: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.step, self.values, self.raw, self.score, self.class_id):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def design(self, i: int) -> Design:
+        kinds = [isinstance(dim, BooleanDim) for dim in self.space.dims]
+        return Design(tuple(bool(v) if b else v for b, v in zip(kinds, self.values[i].tolist())))
+
+    @property
+    def entries(self) -> list[MemoryEntry]:
+        return [MemoryEntry(int(self.step[i]), self.design(i), float(self.raw[i]),
+                            float(self.score[i]), int(self.class_id[i]))
+                for i in range(len(self))]
+
+
+class TrajectoryMemory:
+    """Append-only log of proposed designs and their scores, held as
+    columns preallocated to `budget` rows.
+
+    Single-writer: the optimizer loop appends between steps; readers may
+    take a `view` at any step boundary, and the rows it covers never change.
+    """
+
+    def __init__(self, space: DesignSpace, budget: int):
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        self.space = space
         self.budget = budget
-        self.entries: list[MemoryEntry] = []
+        self._n = 0
+        self._step = np.zeros(budget, dtype=np.int64)
+        self._values = np.zeros((budget, space.encoded_width))
+        self._raw = np.zeros(budget)
+        self._score = np.zeros(budget)
+        self._class_id = np.zeros(budget, dtype=np.int64)
         self.traces: list[StepTrace] = []
 
     def append_batch(self, step, designs, raw_values, scores, class_ids):
         n = len(designs)
         if not (n == len(raw_values) == len(scores) == len(class_ids)):
             raise ValueError("misaligned batch arrays")
-        if len(self.entries) + n > self.budget:
+        if self._n + n > self.budget:
             raise ValueError(
                 f"memory budget {self.budget} exceeded "
-                f"({len(self.entries)} + {n} entries)"
+                f"({self._n} + {n} entries)"
             )
-        if self.entries and step < self.entries[-1].step:
+        if self._n and step < self._step[self._n - 1]:
             raise ValueError("steps must be non-decreasing")
-        for d, r, s, c in zip(designs, raw_values, scores, class_ids):
-            self.entries.append(MemoryEntry(step, d, float(r), float(s), int(c)))
+        width = self.space.encoded_width
+        for d in designs:  # a 1-value design would broadcast across a row
+            if len(d.values) != width:
+                raise SchemaError(f"design arity {len(d.values)} != space arity {width}")
+        if n == 0:
+            return
+        rows = slice(self._n, self._n + n)
+        self._step[rows] = step
+        self._values[rows] = [d.values for d in designs]
+        self._raw[rows] = raw_values
+        self._score[rows] = scores
+        self._class_id[rows] = class_ids
+        self._n += n
+
+    def view(self, last: int | None = None) -> MemoryView:
+        """The whole memory, or its `last` rows, as read-only array views."""
+        lo = 0 if last is None else max(self._n - last, 0)
+        rows = slice(lo, self._n)
+        return MemoryView(self.space, self._step[rows], self._values[rows], self._raw[rows],
+                          self._score[rows], self._class_id[rows])
+
+    @property
+    def entries(self) -> list[MemoryEntry]:
+        """Every row as a `MemoryEntry`, built on each read."""
+        return self.view().entries
 
     def add_trace(self, trace: StepTrace) -> None:
         self.traces.append(trace)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +275,7 @@ def encode_batch(space: DesignSpace, designs) -> np.ndarray:
         if len(d.values) != width:
             raise SchemaError(f"design arity {len(d.values)} != space arity {width}")
     V = np.array([d.values for d in designs], dtype=object).reshape(len(designs), width)
-    is_bool = np.array([isinstance(dim, BooleanDim) for dim in space.dims])
-    lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, space.dims)])
-    hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, space.dims)])
+    is_bool, lo, hi = _limits(space)
     bool_typed = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)(V)
     not_bool = is_bool & ~bool_typed.astype(bool)
     X = np.where(not_bool, 0.0, V).astype(float)
@@ -213,6 +285,22 @@ def encode_batch(space: DesignSpace, designs) -> np.ndarray:
         dim, v = space.dims[i], designs[row].values[i]
         raise SchemaError(f"{dim.name}={v!r} is not a bool" if is_bool[i]
                           else f"{dim.name}={v} outside [{dim.lo}, {dim.hi}]")
+    return scale_values(space, X)
+
+
+def _limits(space: DesignSpace):
+    """Per-dim boolean mask and the [lo, hi] that booleans' 0/1 share."""
+    is_bool = np.array([isinstance(dim, BooleanDim) for dim in space.dims])
+    lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, space.dims)])
+    hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, space.dims)])
+    return is_bool, lo, hi
+
+
+def scale_values(space: DesignSpace, X: np.ndarray) -> np.ndarray:
+    """Encode rows of checked design values, booleans as 0/1: continuous
+    dims min-max scaled to [0, 1], booleans unchanged. The arithmetic of
+    `encode_batch`, without its checks."""
+    _, lo, hi = _limits(space)
     return (X - lo) / (hi - lo)
 
 
@@ -286,9 +374,11 @@ __all__ = [
     "Context",
     "Hyperparams",
     "MemoryEntry",
+    "MemoryView",
     "StepTrace",
     "TrajectoryMemory",
     "encode_batch",
+    "scale_values",
     "decode_design",
     "format_value",
     "render_context",

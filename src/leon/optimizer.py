@@ -163,13 +163,10 @@ def select_final(memory: TrajectoryMemory, by_raw: bool = False) -> Design:
     earliest step."""
     if len(memory) == 0:
         raise ValueError("empty memory")
-    best = None
-    best_key = None
-    for e in memory.entries:
-        key = (e.raw_value, e.score) if by_raw else (e.score, e.raw_value)
-        if best_key is None or key > best_key:  # strict: first occurrence wins ties
-            best, best_key = e, key
-    return best.design
+    rows = memory.view()
+    first, second = (rows.raw, rows.score) if by_raw else (rows.score, rows.raw)
+    tied = np.flatnonzero(first == first.max())
+    return rows.design(int(tied[np.argmax(second[tied])]))  # argmax: earliest row of a tie
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     metered = MeteredSurrogate(surrogate, hp.budget)
     critic = init_critic(space, hidden=cfg.critic_hidden, seed=derive_seed(seed, 5))
     lam, mu_hat = hp.lambda0, DEFAULT_MU
-    memory = TrajectoryMemory(budget=hp.budget)
+    memory = TrajectoryMemory(space, hp.budget)
     warnings: list[str] = []
 
     src_raw = None
@@ -219,7 +216,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
                               src_raw=src_raw)
 
     prompt_state = PromptState(
-        knowledge="", reflection="", memory_view=[], context=ctx,
+        knowledge="", reflection="", memory_view=memory.view(cfg.memory_view), context=ctx,
         task_description=task.description, task_name=task.name, space=space,
     )
     knowledge = generate_knowledge(engine, list(sources), prompt_state, cfg.knowledge_budget)
@@ -232,7 +229,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     for t in range(1, n_steps + 1):
         b = min(hp.batch_size, metered.remaining)
         prompt_state.reflection = reflection
-        prompt_state.memory_view = memory.entries[-cfg.memory_view:]
+        prompt_state.memory_view = memory.view(cfg.memory_view)
         designs, batch_enc = propose(engine, prompt_state, space, b)
 
         f_vals = metered.values(designs, ctx)
@@ -429,7 +426,7 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     if surrogate is None:
         surrogate = build_surrogate(task, cfg, derive_seed(seed, 4))
     metered = MeteredSurrogate(surrogate, hp.budget)
-    memory = TrajectoryMemory(budget=hp.budget)
+    memory = TrajectoryMemory(task.space, hp.budget)
 
     if variant == "random-search":
         _random_search(task, metered, ctx, rng, memory)

@@ -30,10 +30,11 @@ from .core import (
     ContinuousDim,
     Design,
     DesignSpace,
-    MemoryEntry,
+    MemoryView,
     design_cell,
     encode_batch,
     render_context,
+    scale_values,
 )
 from .numerics import shannon_entropy, stable_softmax
 
@@ -63,7 +64,7 @@ PROMPT_HEADERS = (
 class PromptState:
     knowledge: str
     reflection: str
-    memory_view: list[MemoryEntry]
+    memory_view: MemoryView  # the memory's last rows, as arrays
     context: Context
     task_description: str
     task_name: str
@@ -82,7 +83,7 @@ def build_prompt(state: PromptState) -> str:
     sections = [
         (PROMPT_HEADERS[0], state.knowledge),
         (PROMPT_HEADERS[1], render_context(state.context)),
-        (PROMPT_HEADERS[2], memory_table(state.space, state.memory_view)),
+        (PROMPT_HEADERS[2], memory_table(state.space, state.memory_view.entries)),
         (PROMPT_HEADERS[3], state.reflection),
         (PROMPT_HEADERS[4], state.task_description),
     ]
@@ -278,39 +279,42 @@ class BoltzmannMemoryEngine(_MockEngineBase):
         # Parents are ranked by raw value: the mu-scaled score can collapse
         # to all-zeros on a zero-certainty step, which would make the
         # ranking arbitrary. Sampling weights still use the stored scores.
-        top = sorted(state.memory_view, key=lambda e: -e.raw_value)[: self.top_m]
+        view = state.memory_view
+        top = np.argsort(-view.raw, kind="stable")[: self.top_m]
+        parents = [view.design(i) for i in top]
+        parent_scores = view.score[top].tolist()
         pool: list[Design] = []
         scores: list[float] = []
-        floor = min((e.score for e in top), default=0.0)
+        floor = min(parent_scores, default=0.0)
 
         n_explore = max(1, int(self.pool_size * self.explore_frac))
-        if not top:
+        if not parents:
             n_explore = self.pool_size
         for _ in range(n_explore):
             pool.append(random_design(space, self.rng))
             scores.append(floor)
 
-        if top:
-            sigma, flip = self._adaptive_scale(space, [e.design for e in top])
-            for e in top:  # keep incumbents themselves in the pool
-                pool.append(e.design)
-                scores.append(e.score)
+        if parents:
+            sigma, flip = self._adaptive_scale(space, view.values[top])
+            pool.extend(parents)  # keep incumbents themselves in the pool
+            scores.extend(parent_scores)
             i = 0
             while len(pool) < self.pool_size:
-                parent = top[i % len(top)]
+                k = i % len(parents)
                 # alternate coarse and fine jitter so proposals keep
                 # refining once the memory has concentrated
                 scale = 1.0 if i % 2 == 0 else 0.1
-                pool.append(perturb_design(space, parent.design, self.rng,
+                pool.append(perturb_design(space, parents[k], self.rng,
                                            max(sigma * scale, 1e-4),
                                            max(flip * scale, 0.01)))
-                scores.append(parent.score)
+                scores.append(parent_scores[k])
                 i += 1
         return pool, np.array(scores)
 
-    def _adaptive_scale(self, space, designs):
-        enc = encode_batch(space, designs)
-        spread = float(enc.std(axis=0).mean()) if len(designs) > 1 else 0.1
+    def _adaptive_scale(self, space, values):
+        """Perturbation scales from the spread of the parents' encoded rows;
+        `values` are memory rows, already checked when proposed."""
+        spread = 0.1 if len(values) < 2 else float(scale_values(space, values).std(axis=0).mean())
         sigma = min(max(spread, 1e-3), 0.25)
         flip = min(max(spread, 0.02), 0.25)
         return sigma, flip
@@ -336,11 +340,12 @@ class HillClimbEngine(_MockEngineBase):
                               "a finite number > 0"),))
 
     def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
-        if not state.memory_view:
+        view = state.memory_view
+        if not view:
             return [random_design(space, self.rng) for _ in range(b)]
-        best = max(state.memory_view, key=lambda e: e.score)
+        best = view.design(int(np.argmax(view.score)))  # first of the top scores
         flip = min(0.5, self.step)
-        return [perturb_design(space, best.design, self.rng, self.step, flip) for _ in range(b)]
+        return [perturb_design(space, best, self.rng, self.step, flip) for _ in range(b)]
 
 
 # ---------------------------------------------------------------------------

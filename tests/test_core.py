@@ -203,6 +203,7 @@ def test_hyperparam_defaults():
     hp = Hyperparams()
     assert (hp.lambda0, hp.w0, hp.eta_lambda, hp.eta_critic) == (0.0, 1.0, 0.1, 0.001)
     assert (hp.batch_size, hp.budget, hp.mu_max) == (32, 2048, 100.0)
+    assert Hyperparams(budget=np.int64(64), batch_size=np.int64(32)).budget == 64
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -214,6 +215,13 @@ def test_hyperparam_defaults():
     {"w0": float("nan")},
     {"mu_max": float("nan")},
     {"eta_lambda": float("inf")},
+    # memory preallocates `budget` rows: both sizes are integers, not bools
+    {"budget": float("nan")},
+    {"budget": 64.5},
+    {"budget": 64.0},
+    {"batch_size": 8.5},
+    {"budget": True, "batch_size": 2},
+    {"budget": 64, "batch_size": True},
 ])
 def test_hyperparam_validation(kwargs):
     with pytest.raises(ValueError):
@@ -225,6 +233,9 @@ def test_hyperparam_validation(kwargs):
 # ---------------------------------------------------------------------------
 
 
+LINE = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
+
+
 def _entry_args(n, step=1):
     designs = [Design((float(i),)) for i in range(n)]
     raws = [float(i) for i in range(n)]
@@ -233,14 +244,14 @@ def _entry_args(n, step=1):
 
 
 def test_memory_budget_enforced():
-    mem = TrajectoryMemory(budget=4)
+    mem = TrajectoryMemory(LINE, budget=4)
     mem.append_batch(*_entry_args(4))
     with pytest.raises(ValueError):
         mem.append_batch(*_entry_args(1, step=2))
 
 
 def test_memory_steps_monotone():
-    mem = TrajectoryMemory(budget=8)
+    mem = TrajectoryMemory(LINE, budget=8)
     mem.append_batch(*_entry_args(2, step=3))
     with pytest.raises(ValueError):
         mem.append_batch(*_entry_args(2, step=2))
@@ -249,10 +260,42 @@ def test_memory_steps_monotone():
 def test_memory_scores_exact_product():
     mu = 0.37
     raws = np.array([1.5, -2.25, 0.0])
-    mem = TrajectoryMemory(budget=3)
+    mem = TrajectoryMemory(LINE, budget=3)
     mem.append_batch(1, [Design((0.0,))] * 3, raws, mu * raws, [0, 1, 2])
     for e, r in zip(mem.entries, raws):
         assert e.score == mu * r  # bitwise: same product
+
+
+def test_memory_columns_give_back_what_was_appended(mixed_space):
+    designs = [Design((0.1 + 0.2, True, False)), Design((100.0, np.bool_(False), np.bool_(True))),
+               Design((5e-324, False, False))]
+    raws = [1.0 / 3.0, -0.0, -7.25]
+    scores = [0.1 * r for r in raws]
+    mem = TrajectoryMemory(mixed_space, budget=4)
+    mem.append_batch(2, designs[:2], np.array(raws[:2]), scores[:2], np.array([3, 0]))
+    mem.append_batch(5, designs[2:], raws[2:], scores[2:], [1])
+    assert len(mem) == 3
+    entries = mem.entries
+    assert [e.step for e in entries] == [2, 2, 5]
+    assert [e.class_id for e in entries] == [3, 0, 1]
+    for e, d, r, s in zip(entries, designs, raws, scores):
+        assert e.design == d
+        assert [type(v) for v in e.design.values] == [float, bool, bool]
+        assert np.float64(e.design.values[0]).tobytes() == np.float64(d.values[0]).tobytes()
+        assert (np.float64(e.raw_value).tobytes(), np.float64(e.score).tobytes()) == \
+            (np.float64(r).tobytes(), np.float64(s).tobytes())
+    assert mem.view(last=2).entries == entries[1:]
+    for args, message in (
+        ((6, designs[:1], raws[:2], scores[:1], [0]), "misaligned"),
+        ((6, designs[:2], raws[:2], scores[:2], [0, 0]), "budget 4 exceeded"),
+        ((4, designs[:1], raws[:1], scores[:1], [0]), "non-decreasing"),
+        ((6, [Design((1.0,))], raws[:1], scores[:1], [0]), "arity"),  # would broadcast
+    ):
+        with pytest.raises(ValueError, match=message):
+            mem.append_batch(*args)
+    assert mem.entries == entries  # a rejected batch writes nothing
+    mem.append_batch(6, [], [], [], [])
+    assert len(mem) == 3
 
 
 def test_design_context_json_round_trip():

@@ -1,10 +1,14 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import leon.optimizer
-from leon.core import Context, Design, Hyperparams, TrajectoryMemory
+from leon.core import Context, ContinuousDim, Design, DesignSpace, Hyperparams, TrajectoryMemory
 from leon.optimizer import (
     BudgetExceededError,
     MeteredSurrogate,
@@ -31,8 +35,11 @@ def oracle_ids(monkeypatch):
     return ids
 
 
+LINE = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
+
+
 def _mem(rows):
-    mem = TrajectoryMemory(budget=len(rows))
+    mem = TrajectoryMemory(LINE, budget=len(rows))
     for step, dose, raw, score in rows:
         mem.append_batch(step, [Design((dose,))], [raw], [score], [0])
     return mem
@@ -68,7 +75,31 @@ def test_select_by_raw_flag():
 
 def test_select_empty_memory():
     with pytest.raises(ValueError):
-        select_final(TrajectoryMemory(budget=1))
+        select_final(TrajectoryMemory(LINE, budget=1))
+
+
+def _select_by_loop(entries, by_raw):
+    """The rule as a loop over entries, the reference for `select_final`."""
+    best, best_key = None, None
+    for e in entries:
+        key = (e.raw_value, e.score) if by_raw else (e.score, e.raw_value)
+        if best_key is None or key > best_key:  # strict: first occurrence wins ties
+            best, best_key = e, key
+    return best.design
+
+
+TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), TIED, TIED), min_size=1, max_size=24),
+       st.booleans())
+def test_select_matches_the_loop_on_exact_ties(rows, by_raw):
+    mem = TrajectoryMemory(LINE, budget=len(rows))
+    step = 0
+    for i, (advance, raw, score) in enumerate(rows):
+        step += advance
+        mem.append_batch(step, [Design((float(i),))], [raw], [score], [0])  # the row's own dose
+    assert select_final(mem, by_raw=by_raw) == _select_by_loop(mem.entries, by_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +182,9 @@ def test_budget_not_divisible_truncates_last_batch(dose_task):
 
 def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
     """Each step encodes its batch once, in `propose`, and reuses it for the
-    critic; the source pool is encoded once per run. Only the engine's
-    parent-spread estimate encodes more, so the total stays under two rows
-    per budget unit."""
+    critic; the source pool is encoded once per run. The engine's
+    parent-spread estimate scales memory rows, which were checked when
+    proposed, and encodes none."""
     import leon.core
 
     rows = {}
@@ -169,8 +200,7 @@ def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
     hp = Hyperparams()
     result = run_leon(dose_task, RunConfig(method="leon", hp=hp), seed=0)
     assert len(result.memory) == hp.budget
-    assert rows["proposal"] >= hp.budget and rows["critic"] == 128
-    assert sum(rows.values()) <= 2 * hp.budget
+    assert rows == {"proposal": hp.budget, "critic": 128}
 
 
 def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
@@ -196,6 +226,37 @@ def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
                         counted("validate", leon.core.DesignSpace.validate))
     run_leon(dose_task, RunConfig(), 0)
     assert calls == {"forward": 64, "gradient": 448, "validate": 1}
+
+
+def test_default_run_builds_no_memory_entries(dose_task, monkeypatch):
+    """Engines and final selection read memory columns; `MemoryEntry` rows
+    are built only for the chat prompt and for readers of `entries`."""
+    import leon.core
+
+    built = []
+    real = leon.core.MemoryEntry
+    monkeypatch.setattr(leon.core, "MemoryEntry", lambda *a: built.append(a) or real(*a))
+    result = run_leon(dose_task, RunConfig(), 0)
+    assert len(result.memory) == Hyperparams().budget
+    assert built == []
+
+
+def test_finished_run_memory_is_small(dose_task):
+    """A finished default dose run's memory holds its columns, not an object
+    per entry: at most 64 bytes per entry, traces included."""
+    tracemalloc.start()
+    try:
+        result = run_leon(dose_task, RunConfig(), 0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        n = len(result.memory)
+        result.memory = None
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n == Hyperparams().budget
+    assert 0 < retained <= 64 * n
 
 
 def test_default_run_renders_no_text(dose_task, monkeypatch):

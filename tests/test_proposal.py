@@ -15,6 +15,7 @@ from leon.core import (
     DesignSpace,
     MemoryEntry,
     SchemaError,
+    TrajectoryMemory,
     encode_batch,
     render_context,
 )
@@ -48,8 +49,12 @@ CTX = Context((0.1, -0.4), id="p7")
 
 
 def _state(entries=(), knowledge="", reflection="", space=SPACE):
+    """A prompt state whose memory view holds `entries`, in order."""
+    memory = TrajectoryMemory(space, budget=max(len(entries), 1))
+    for e in entries:
+        memory.append_batch(e.step, [e.design], [e.raw_value], [e.score], [e.class_id])
     return PromptState(
-        knowledge=knowledge, reflection=reflection, memory_view=list(entries),
+        knowledge=knowledge, reflection=reflection, memory_view=memory.view(),
         context=CTX, task_description="maximize the response", task_name="demo",
         space=space,
     )
@@ -79,6 +84,12 @@ def test_memory_table_row_count():
     table = memory_table(SPACE, [_entry(1, 20.0, 1.0, 1.0)])
     assert len(table.splitlines()) == 3
     assert "20.0000" in table
+    # the chat prompt renders the memory view's rows exactly as the entries
+    entries = [_entry(1, 20.0, 1.0, 1.0), _entry(2, 1 / 3, -0.5, -0.25, boost=False, taper=True)]
+    rows = "| 0 | 20.0000, yes, no | 1.0000 |\n| 1 | 0.3333, no, yes | -0.2500 |"
+    assert memory_table(SPACE, entries).endswith(rows)
+    assert f"### Previously Proposed Designs\n{memory_table(SPACE, entries)}\n\n" in \
+        build_prompt(_state(entries))
 
 
 def test_prompt_distinct_inputs_distinct_bytes():
