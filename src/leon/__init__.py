@@ -12,7 +12,7 @@ from .core import (
     render_text,
 )
 from .optimizer import RunConfig, RunResult, evaluate_cohort, run_baseline, run_leon, select_final
-from .tasks import make_surrogate, make_task, mix_surrogate, oracle_eval
+from .tasks import make_surrogate, make_task, oracle_eval
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "select_final",
     "make_surrogate",
     "make_task",
-    "mix_surrogate",
     "oracle_eval",
     "__version__",
 ]

@@ -35,7 +35,7 @@ from .proposal import (
     random_design,
     reflect,
 )
-from .tasks import Task, make_surrogate, mix_surrogate, oracle_eval, OracleSurrogate
+from .tasks import MixtureSurrogate, OracleSurrogate, Task, make_surrogate, oracle_eval
 from .tasks import make_task  # noqa: F401 - perfbench's tracer wraps optimizer.make_task
 from .core import ContinuousDim, decode_design
 
@@ -45,7 +45,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class MeteredSurrogate:
-    """Counts every surrogate evaluation and enforces the budget."""
+    """Charges every scored design against the budget."""
 
     def __init__(self, inner, budget: int):
         self.inner = inner
@@ -56,14 +56,14 @@ class MeteredSurrogate:
     def remaining(self) -> int:
         return self.budget - self.calls
 
-    def value(self, design: Design, ctx: Context) -> float:
-        if self.calls >= self.budget:
-            raise BudgetExceededError(f"surrogate budget {self.budget} exhausted")
-        self.calls += 1
-        return self.inner.value(design, ctx)
-
-    def values(self, designs, ctx: Context) -> np.ndarray:
-        return np.array([self.value(d, ctx) for d in designs])
+    def value(self, designs, ctx: Context) -> np.ndarray:
+        """The inner surrogate's values of a batch, charged `len(designs)`;
+        a batch that would overflow the budget raises before any is scored."""
+        if self.calls + len(designs) > self.budget:
+            raise BudgetExceededError(
+                f"surrogate budget {self.budget} exceeded ({self.calls} + {len(designs)} designs)")
+        self.calls += len(designs)
+        return self.inner.value(designs, ctx)
 
 
 def derive_seed(*parts: int) -> int:
@@ -150,7 +150,7 @@ def build_surrogate(task: Task, cfg: RunConfig, seed: int):
                           beta=cfg.beta, radius=cfg.radius)
     if cfg.mixture_w is None:
         return base
-    return mix_surrogate(OracleSurrogate(task), base, cfg.mixture_w)
+    return MixtureSurrogate(OracleSurrogate(task), base, cfg.mixture_w)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,9 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     overrides exist for controlled experiments and tests.
 
     The `score` partition cuts its bins around the source pool's raw
-    values, so it evaluates the surrogate once per source design through
-    the unmetered handle: those calls lie outside the budget and
-    `surrogate_calls` does not count them.
+    values, so it scores the source pool in one surrogate call past the
+    meter: those designs lie outside the budget and `surrogate_calls` does
+    not count them.
     """
     hp = cfg.hp
     space = task.space
@@ -210,7 +210,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     src_raw = None
     if cfg.partition == "score":  # bins are cut around the source raw values
-        src_raw = (np.array([metered.inner.value(d, ctx) for d in source_pool.designs])
+        src_raw = (surrogate.value(source_pool.designs, ctx)
                    + hp.lambda0 * critic_values(critic, source_pool.encoded))
     partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
                               src_raw=src_raw)
@@ -232,7 +232,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         prompt_state.memory_view = memory.view(cfg.memory_view)
         designs, batch_enc = propose(engine, prompt_state, space, b)
 
-        f_vals = metered.values(designs, ctx)
+        f_vals = metered.value(designs, ctx)
         c_vals = critic_values(critic, batch_enc)
         raw = f_vals + lam * c_vals
         assignments = partition.assign(designs, batch_enc, raw)
@@ -279,16 +279,21 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _log_entry(memory, step, design, value):
-    memory.append_batch(step, [design], [value], [value], [0])
+def _log(memory, step, designs, values):
+    """Log scored designs at one step; a baseline's raw value is its score."""
+    memory.append_batch(step, designs, values, values, [0] * len(designs))
 
 
-def _random_search(task, metered, ctx, rng, memory):
-    step = 0
+def _log_rows(memory, designs, values):
+    """Log scored designs one step per row, numbering steps by row."""
+    for d, v in zip(designs, values):
+        _log(memory, len(memory), [d], [v])
+
+
+def _random_search(task, metered, ctx, rng, memory, chunk):
     while metered.remaining > 0:
-        d = random_design(task.space, rng)
-        _log_entry(memory, step, d, metered.value(d, ctx))
-        step += 1
+        designs = [random_design(task.space, rng) for _ in range(min(chunk, metered.remaining))]
+        _log_rows(memory, designs, metered.value(designs, ctx))
 
 
 def _simulated_annealing(task, metered, ctx, rng, memory):
@@ -296,9 +301,8 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     final temperature is 1% of the initial one."""
     space = task.space
     probes = [random_design(space, rng) for _ in range(min(64, metered.remaining))]
-    vals = [metered.value(d, ctx) for d in probes]
-    for i, (d, v) in enumerate(zip(probes, vals)):
-        _log_entry(memory, i, d, v)
+    vals = metered.value(probes, ctx)
+    _log_rows(memory, probes, vals)
     t0 = float(np.std(vals)) or 1.0
     n = metered.remaining
     if n == 0:
@@ -307,10 +311,10 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     best_i = int(np.argmax(vals))
     current, cur_val = probes[best_i], vals[best_i]
     temp = t0
-    for k in range(n):
+    for _ in range(n):
         cand = _single_dim_move(space, current, rng)
-        cand_val = metered.value(cand, ctx)
-        _log_entry(memory, 64 + k, cand, cand_val)
+        cand_val = metered.value([cand], ctx)[0]
+        _log_rows(memory, [cand], [cand_val])
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
@@ -354,18 +358,18 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
     k = 1
     while used + 2 * d <= allotment and metered.remaining >= 2 * d:
         grad = np.zeros(d)
+        probes, denoms = [], []
         for j in range(d):
             up, dn = u.copy(), u.copy()
             up[j] = min(u[j] + fd_step, 1.0)
             dn[j] = max(u[j] - fd_step, 0.0)
-            d_up, d_dn = decode_design(space, up), decode_design(space, dn)
-            v_up = metered.value(d_up, ctx)
-            v_dn = metered.value(d_dn, ctx)
-            _log_entry(memory, step, d_up, v_up)
-            _log_entry(memory, step, d_dn, v_dn)
+            probes += [decode_design(space, up), decode_design(space, dn)]
+            denoms.append(up[j] - dn[j])
+        vals = metered.value(probes, ctx)
+        for j, denom in enumerate(denoms):
+            _log(memory, step, probes[2 * j:2 * j + 2], vals[2 * j:2 * j + 2])
             step += 1
-            denom = up[j] - dn[j]
-            grad[j] = (v_up - v_dn) / denom if denom > 0 else 0.0
+            grad[j] = (vals[2 * j] - vals[2 * j + 1]) / denom if denom > 0 else 0.0
         used += 2 * d
         norm = np.linalg.norm(grad)
         if norm > 0:
@@ -376,32 +380,27 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
 
 def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
     """Best-improvement single-flip hill climbing with random restarts."""
-    used = 0
     current = random_design(space, rng)
-    cur_val = metered.value(current, ctx)
-    _log_entry(memory, step, current, cur_val)
-    used += 1
+    cur_val = metered.value([current], ctx)[0]
+    _log(memory, step, [current], [cur_val])
+    used = 1
     while used < allotment and metered.remaining > 0:
-        best_cand, best_val = None, cur_val
-        for i in range(len(space.dims)):
-            if used >= allotment or metered.remaining == 0:
-                break
-            cand = _flip_dim(space, current, i)
-            val = metered.value(cand, ctx)
-            _log_entry(memory, step, cand, val)
-            used += 1
-            if val > best_val:
-                best_cand, best_val = cand, val
+        n = min(len(space.dims), allotment - used, metered.remaining)
+        cands = [_flip_dim(space, current, i) for i in range(n)]
+        vals = metered.value(cands, ctx)
+        _log(memory, step, cands, vals)
+        used += n
         step += 1
-        if best_cand is None:  # local optimum: restart
+        best = int(np.argmax(vals))  # first of the best flips
+        if vals[best] <= cur_val:  # local optimum: restart
             if used >= allotment or metered.remaining == 0:
                 break
             current = random_design(space, rng)
-            cur_val = metered.value(current, ctx)
-            _log_entry(memory, step, current, cur_val)
+            cur_val = metered.value([current], ctx)[0]
+            _log(memory, step, [current], [cur_val])
             used += 1
         else:
-            current, cur_val = best_cand, best_val
+            current, cur_val = cands[best], vals[best]
     return step
 
 
@@ -429,7 +428,7 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     memory = TrajectoryMemory(task.space, hp.budget)
 
     if variant == "random-search":
-        _random_search(task, metered, ctx, rng, memory)
+        _random_search(task, metered, ctx, rng, memory, hp.batch_size)
     elif variant == "simulated-annealing":
         _simulated_annealing(task, metered, ctx, rng, memory)
     else:

@@ -56,15 +56,24 @@ class Task:
             raise ValueError("only defined for the dose task")
         return float(self.params["g_bias"] + self._g_w @ np.asarray(ctx.features))
 
-    def oracle(self, design: Design, ctx: Context) -> float:
+    def value_rows(self, designs) -> np.ndarray:
+        """A batch's design values as an `(n, d)` float array, booleans as 0/1."""
+        return np.array([d.values for d in designs], dtype=float).reshape(
+            len(designs), len(self.space.dims))
+
+    def oracle_values(self, designs, ctx: Context) -> np.ndarray:
+        """Oracle values of a batch under one context: a list of designs, or
+        their `value_rows`."""
+        V = designs if isinstance(designs, np.ndarray) else self.value_rows(designs)
         z = np.asarray(ctx.features, dtype=float)
         if self.kind == "quadratic-dose":
-            x = float(design.values[0])
             g = self.params["g_bias"] + float(self._g_w @ z)
-            return -((x - g) ** 2)
-        x = np.array([1.0 if v else 0.0 for v in design.values])
+            return -np.square(V[:, 0] - g)
         w = self._W @ z + self._w0
-        return float(w @ x + x @ self._Q @ x)
+        return V @ w + ((V @ self._Q) * V).sum(axis=1)
+
+    def oracle(self, design: Design, ctx: Context) -> float:
+        return float(self.oracle_values([design], ctx)[0])
 
     # -- context sampling -------------------------------------------------
 
@@ -201,8 +210,8 @@ class OracleSurrogate:
 
     task: Task
 
-    def value(self, design: Design, ctx: Context) -> float:
-        return self.task.oracle(design, ctx)
+    def value(self, designs, ctx: Context) -> np.ndarray:
+        return self.task.oracle_values(designs, ctx)
 
 
 @dataclass
@@ -214,23 +223,22 @@ class AnalyticShiftSurrogate:
     beta: float = 0.5
     radius: float = 1.0
 
-    def _bump(self, design: Design) -> float:
+    def _bump(self, V: np.ndarray) -> np.ndarray:
         p = self.task.params
         if self.task.kind == "quadratic-dose":
-            x = float(design.values[0])
-            return p["bump_amp"] * float(
-                np.exp(-((x - p["bump_center"]) ** 2) / (2.0 * p["bump_width"] ** 2))
-            )
-        bits = np.array([1.0 if v else 0.0 for v in design.values])
-        hamming = float(np.abs(bits - self.task._pattern).sum())
-        return p["bump_amp"] * float(np.exp(-hamming / 2.0))
+            return p["bump_amp"] * np.exp(
+                -np.square(V[:, 0] - p["bump_center"]) / (2.0 * p["bump_width"] ** 2))
+        hamming = np.abs(V - self.task._pattern).sum(axis=1)
+        return p["bump_amp"] * np.exp(-hamming / 2.0)
 
     def shift_weight(self, ctx: Context) -> float:
         z = np.asarray(ctx.features, dtype=float)
         return max(0.0, float(np.linalg.norm(z - self.task._m_src)) - self.radius)
 
-    def value(self, design: Design, ctx: Context) -> float:
-        return self.task.oracle(design, ctx) + self.beta * self.shift_weight(ctx) * self._bump(design)
+    def value(self, designs, ctx: Context) -> np.ndarray:
+        V = self.task.value_rows(designs)
+        return (self.task.oracle_values(V, ctx)
+                + self.beta * self.shift_weight(ctx) * self._bump(V))
 
 
 @dataclass
@@ -245,15 +253,11 @@ class LearnedSurrogate:
     y_mean: float
     y_std: float
 
-    def _features(self, designs, ctxs) -> np.ndarray:
+    def value(self, designs, ctx: Context) -> np.ndarray:
         enc = encode_batch(self.space, designs)
-        Z = np.stack([np.asarray(c.features, dtype=float) for c in ctxs])
-        X = np.concatenate([enc, Z], axis=1)
-        return (X - self.x_mean) / self.x_std
-
-    def value(self, design: Design, ctx: Context) -> float:
-        X = self._features([design], [ctx])
-        return float(net_forward_batch(self.net, X)[0] * self.y_std + self.y_mean)
+        Z = np.broadcast_to(np.asarray(ctx.features, dtype=float), (len(enc), len(ctx.features)))
+        X = (np.concatenate([enc, Z], axis=1) - self.x_mean) / self.x_std
+        return net_forward_batch(self.net, X) * self.y_std + self.y_mean
 
 
 def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: int = 0,
@@ -342,12 +346,8 @@ class MixtureSurrogate:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
 
-    def value(self, design: Design, ctx: Context) -> float:
-        return self.w * self.f.value(design, ctx) + (1.0 - self.w) * self.f_hat.value(design, ctx)
-
-
-def mix_surrogate(f, f_hat, w: float) -> MixtureSurrogate:
-    return MixtureSurrogate(f=f, f_hat=f_hat, w=w)
+    def value(self, designs, ctx: Context) -> np.ndarray:
+        return self.w * self.f.value(designs, ctx) + (1.0 - self.w) * self.f_hat.value(designs, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,6 @@ __all__ = [
     "make_surrogate",
     "make_learned_surrogate",
     "train_regression_net",
-    "mix_surrogate",
     "exact_w1_1d",
     "grid_lipschitz",
     "theorem_s1_check",

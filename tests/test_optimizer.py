@@ -108,18 +108,55 @@ def test_select_matches_the_loop_on_exact_ties(rows, by_raw):
 
 
 class _Flat:
-    def value(self, design, ctx):
-        return 1.0
+    """Scores every design 1.0 and records the size of each batch it scores."""
+
+    def __init__(self):
+        self.batches = []
+
+    def value(self, designs, ctx):
+        self.batches.append(len(designs))
+        return np.ones(len(designs))
 
 
 def test_metered_surrogate_enforces_budget():
     metered = MeteredSurrogate(_Flat(), budget=3)
     ctx = Context((0.0,), id="c")
     for _ in range(3):
-        metered.value(Design((1.0,)), ctx)
+        metered.value([Design((1.0,))], ctx)
     with pytest.raises(BudgetExceededError):
-        metered.value(Design((1.0,)), ctx)
+        metered.value([Design((1.0,))], ctx)
     assert metered.calls == 3
+
+
+def test_metered_batch_charges_its_length_and_an_overflow_charges_nothing():
+    inner = _Flat()
+    metered = MeteredSurrogate(inner, budget=5)
+    ctx = Context((0.0,), id="c")
+    assert metered.value([Design((1.0,))] * 3, ctx).shape == (3,)
+    assert (metered.calls, metered.remaining) == (3, 2)
+    with pytest.raises(BudgetExceededError):
+        metered.value([Design((1.0,))] * 3, ctx)
+    assert metered.calls == 3
+    assert inner.batches == [3]  # the overflowing batch never reached the surrogate
+    metered.value([Design((1.0,))] * 2, ctx)
+    assert (metered.calls, inner.batches) == (5, [3, 2])
+
+
+@pytest.fixture
+def scored_batches(monkeypatch):
+    """The size of every batch `AnalyticShiftSurrogate.value` scores."""
+    sizes = []
+    real = AnalyticShiftSurrogate.value
+    monkeypatch.setattr(AnalyticShiftSurrogate, "value",
+                        lambda self, designs, ctx: sizes.append(len(designs))
+                        or real(self, designs, ctx))
+    return sizes
+
+
+def test_default_dose_run_scores_one_batch_per_step(dose_task, scored_batches):
+    result = run_leon(dose_task, RunConfig(), seed=0)
+    assert scored_batches == [32] * 64
+    assert result.surrogate_calls == 2048
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +315,16 @@ def test_partition_variants_run(dose_task):
         assert len(result.memory) == 64
 
 
-def test_score_partition_scores_source_pool_outside_budget(dose_task, monkeypatch):
+def test_score_partition_scores_source_pool_outside_budget(dose_task, scored_batches):
     """The score partition cuts its bins around the source pool's raw values,
-    which it reads from the surrogate past the meter: a run makes budget plus
-    pool-size surrogate calls, and only the budget is counted."""
-    calls = []
-    real = AnalyticShiftSurrogate.value
-    monkeypatch.setattr(AnalyticShiftSurrogate, "value",
-                        lambda self, d, ctx: calls.append(d) or real(self, d, ctx))
+    which it reads from the surrogate past the meter: a run scores budget plus
+    pool-size designs in one call per step plus one, and only the budget is
+    counted."""
     cfg = RunConfig(method="leon", hp=HP_SMALL, partition="score", source_pool_size=40)
     result = run_leon(dose_task, cfg, seed=1)
     assert result.surrogate_calls == HP_SMALL.budget
-    assert len(calls) == HP_SMALL.budget + cfg.source_pool_size
+    assert sum(scored_batches) == HP_SMALL.budget + cfg.source_pool_size
+    assert len(scored_batches) == HP_SMALL.budget // HP_SMALL.batch_size + 1
 
 
 def test_all_engines_run(dose_task, oracle_ids):
@@ -334,7 +369,7 @@ def test_random_search_finds_surrogate_argmax(dose_task):
     result = run_baseline(dose_task, "random-search", cfg, seed=11, ctx=ctx)
     sur = AnalyticShiftSurrogate(dose_task, beta=cfg.beta, radius=cfg.radius)
     grid = np.linspace(0, 100, 100001)
-    vals = np.array([sur.value(Design((float(x),)), ctx) for x in grid])
+    vals = sur.value([Design((float(x),)) for x in grid], ctx)
     x_star = grid[int(np.argmax(vals))]
     assert abs(result.final_design.values[0] - x_star) < 2.0
     assert result.surrogate_calls == 2048
@@ -377,6 +412,27 @@ def test_surrogate_greedy_discrete_flips(regimen_task):
     result = run_baseline(regimen_task, "surrogate-greedy", cfg, seed=7)
     assert result.surrogate_calls <= 512
     assert len(result.final_design.values) == 16
+
+
+def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
+    """Random search scores a batch at a time, annealing its 64 probes at
+    once and then each move alone, greedy ascent each gradient step's two
+    probes per dim (or each flip sweep) at once; every scored design is one
+    memory row, and the row-per-step baselines number steps by row."""
+    cfg = RunConfig(hp=Hyperparams(budget=80, batch_size=32))
+    expected = {"random-search": [32, 32, 16], "simulated-annealing": [64] + [1] * 16,
+                "surrogate-greedy": [2] * 40}
+    for variant, sizes in expected.items():
+        scored_batches.clear()
+        result = run_baseline(dose_task, variant, cfg, seed=3)
+        assert scored_batches == sizes
+        assert len(result.memory) == result.surrogate_calls == 80
+        if variant != "surrogate-greedy":
+            assert np.array_equal(result.memory.view().step, np.arange(80))
+    scored_batches.clear()
+    result = run_baseline(regimen_task, "surrogate-greedy", cfg, seed=3)
+    assert max(scored_batches) == 16  # one flip per dim
+    assert sum(scored_batches) == len(result.memory) == 80
 
 
 # ---------------------------------------------------------------------------

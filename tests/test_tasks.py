@@ -9,6 +9,7 @@ from leon.numerics import (DenseNet, Layer, init_net, net_forward_batch, net_wei
                            net_workspace)
 from leon.tasks import (
     AnalyticShiftSurrogate,
+    MixtureSurrogate,
     OracleSurrogate,
     exact_w1_1d,
     grid_lipschitz,
@@ -17,7 +18,6 @@ from leon.tasks import (
     make_regimen_task,
     make_surrogate,
     make_task,
-    mix_surrogate,
     oracle_eval,
     theorem_s1_check,
     train_regression_net,
@@ -99,7 +99,7 @@ def test_analytic_shift_exact_at_source_mean(dose_task):
     ctx = Context(tuple(dose_task.params["m_source"]), id="center")
     for x in np.linspace(0, 100, 21):
         d = Design((float(x),))
-        assert sur.value(d, ctx) == oracle_eval(dose_task, d, ctx)
+        assert sur.value([d], ctx)[0] == oracle_eval(dose_task, d, ctx)
 
 
 def test_analytic_shift_beta_zero_is_oracle(dose_task, rng):
@@ -107,14 +107,14 @@ def test_analytic_shift_beta_zero_is_oracle(dose_task, rng):
     ctx = _ctx(dose_task, rng)
     for x in (10.0, 50.0, 90.0):
         d = Design((x,))
-        assert sur.value(d, ctx) == oracle_eval(dose_task, d, ctx)
+        assert sur.value([d], ctx)[0] == oracle_eval(dose_task, d, ctx)
 
 
 def test_analytic_shift_biases_off_source(dose_task):
     sur = AnalyticShiftSurrogate(dose_task, beta=0.5, radius=1.0)
     far = Context((3.0, 3.0, 3.0, 3.0), id="far")
     bump_center = Design((dose_task.params["bump_center"],))
-    assert sur.value(bump_center, far) > oracle_eval(dose_task, bump_center, far)
+    assert sur.value([bump_center], far)[0] > oracle_eval(dose_task, bump_center, far)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def _rmse_and_std(task, sur, which, seed=99, n=256):
     err, f_vals = [], []
     for d, c in zip(designs, ctxs):
         f = oracle_eval(task, d, c)
-        err.append((sur.value(d, c) - f) ** 2)
+        err.append((sur.value([d], c)[0] - f) ** 2)
         f_vals.append(f)
     return float(np.sqrt(np.mean(err))), float(np.std(f_vals))
 
@@ -242,23 +242,23 @@ class _Const:
     def __init__(self, v):
         self.v = v
 
-    def value(self, design, ctx):
-        return self.v
+    def value(self, designs, ctx):
+        return np.full(len(designs), self.v)
 
 
 def test_mixture_endpoints_and_midpoint():
     f, f_hat = _Const(2.0), _Const(0.0)
     d, ctx = Design((1.0,)), Context((0.0,), id="c")
-    assert mix_surrogate(f, f_hat, 1.0).value(d, ctx) == 2.0
-    assert mix_surrogate(f, f_hat, 0.0).value(d, ctx) == 0.0
-    assert mix_surrogate(f, f_hat, 0.5).value(d, ctx) == 1.0
+    assert MixtureSurrogate(f, f_hat, 1.0).value([d], ctx)[0] == 2.0
+    assert MixtureSurrogate(f, f_hat, 0.0).value([d], ctx)[0] == 0.0
+    assert MixtureSurrogate(f, f_hat, 0.5).value([d], ctx)[0] == 1.0
 
 
 def test_mixture_rejects_bad_weight():
     with pytest.raises(ValueError):
-        mix_surrogate(_Const(1.0), _Const(0.0), 1.5)
+        MixtureSurrogate(_Const(1.0), _Const(0.0), 1.5)
     with pytest.raises(ValueError):
-        mix_surrogate(_Const(1.0), _Const(0.0), -0.1)
+        MixtureSurrogate(_Const(1.0), _Const(0.0), -0.1)
 
 
 def test_mixture_monotone_toward_oracle(dose_task, rng):
@@ -268,8 +268,8 @@ def test_mixture_monotone_toward_oracle(dose_task, rng):
     probes = [Design((float(x),)) for x in np.linspace(0, 100, 41)]
     gaps = []
     for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-        mixed = mix_surrogate(oracle, biased, w)
-        gaps.append(max(abs(mixed.value(d, ctx) - oracle.value(d, ctx)) for d in probes))
+        mixed = MixtureSurrogate(oracle, biased, w)
+        gaps.append(float(np.abs(mixed.value(probes, ctx) - oracle.value(probes, ctx)).max()))
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] == 0.0
 
@@ -326,3 +326,58 @@ def test_risk_bound_piecewise_example():
 
 def test_grid_lipschitz_linear_function():
     assert grid_lipschitz(lambda x: 4.0 * x, np.array([0.0, 1.0])) == pytest.approx(4.0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the batch contract
+# ---------------------------------------------------------------------------
+
+
+def _small_learned(task):
+    return make_learned_surrogate(task, seed=1, n_train=64, hidden=(16, 16), iters=30)
+
+
+SURROGATE_BUILDS = {
+    "oracle": OracleSurrogate,
+    "analytic-shift": AnalyticShiftSurrogate,
+    "learned": _small_learned,
+    "mixture": lambda task: MixtureSurrogate(OracleSurrogate(task),
+                                             AnalyticShiftSurrogate(task), 0.25),
+}
+
+
+@pytest.mark.parametrize("variant", SURROGATE_BUILDS)
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_batch_rows_are_one_design_batches(task_name, variant):
+    """Row i of a batch's values is design i scored alone: exactly on the
+    dose closed forms, and to summation order through regimen's matrix
+    products and the learned net."""
+    task = make_task({"name": task_name})
+    sur = SURROGATE_BUILDS[variant](task)
+    rng = np.random.default_rng(5)
+    ctx = task.sample_context(rng, "target", id="t")
+    assert AnalyticShiftSurrogate(task).shift_weight(ctx) > 0  # the bump is on
+    designs = task.source_designs(rng, 33)
+    batch = sur.value(designs, ctx)
+    alone = np.array([sur.value([d], ctx)[0] for d in designs])
+    assert batch.shape == (33,)
+    if task_name == "dose" and variant != "learned":
+        assert np.array_equal(batch, alone)
+    else:
+        np.testing.assert_allclose(batch, alone, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_oracle_is_the_one_row_batch_of_the_closed_form(task_name):
+    task = make_task({"name": task_name})
+    rng = np.random.default_rng(6)
+    ctx = task.sample_context(rng, "target", id="t")
+    z = np.asarray(ctx.features)
+    for d in task.source_designs(rng, 16):
+        assert task.oracle(d, ctx) == task.oracle_values([d], ctx)[0]
+        if task_name == "dose":
+            closed = -(d.values[0] - task.optimum_location(ctx)) ** 2
+        else:
+            x = np.array(d.values, dtype=float)
+            closed = (task._W @ z + task._w0) @ x + x @ task._Q @ x
+        assert task.oracle(d, ctx) == pytest.approx(closed, rel=1e-12)
