@@ -4,11 +4,16 @@ A design lives in a mixed continuous/boolean search space, one encoded
 column per dimension. All numeric encoding maps into [0, 1]-scaled vectors
 so that downstream critic and surrogate networks see bounded inputs.
 
+Inside a run a batch of designs is an `(n, d)` float array of design
+values, booleans as 0.0/1.0, checked by `encode_batch`: engines, baselines,
+surrogates, partitions, the critic's source pool and the memory pass only
+that. `Design` objects live at the boundaries: outside input (`validate`),
+the oracle, the final design and its JSON, the chat prompt and parser, and
+`TrajectoryMemory.entries`.
+
 Trajectory memory is a set of columns preallocated to the run's budget:
-step, the exact design values (booleans as 0/1), raw value, score and
-class. Engines and final selection read those columns as arrays;
-`MemoryEntry` rows are built only at the boundaries that need objects,
-the chat engine's prompt table and readers of `TrajectoryMemory.entries`.
+step, the exact design values, raw value, score and class. The values
+column is `bool` when every dim is boolean and float64 otherwise.
 """
 
 from __future__ import annotations
@@ -63,9 +68,21 @@ class DesignSpace:
     def encoded_width(self) -> int:
         return len(self.dims)
 
+    def limits(self):
+        """Per-dim boolean mask and each dim's [lo, hi], booleans' being [0, 1]."""
+        is_bool = np.array([isinstance(dim, BooleanDim) for dim in self.dims])
+        lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, self.dims)])
+        hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, self.dims)])
+        return is_bool, lo, hi
+
     def validate(self, design: "Design") -> None:
-        """Check one design by the rules of `encode_batch`."""
-        encode_batch(self, [design])
+        """Check one outside design: each boolean value a `bool` or
+        `np.bool_` (an int is not a bool), then its values by the rules of
+        `encode_batch`."""
+        for dim, v in zip(self.dims, design.values):
+            if isinstance(dim, BooleanDim) and not isinstance(v, (bool, np.bool_)):
+                raise SchemaError(f"{dim.name}={v!r} is not a bool")
+        encode_batch(self, [design.values])
 
 
 @dataclass(frozen=True)
@@ -162,9 +179,9 @@ class StepTrace:
 class MemoryView:
     """Consecutive rows of a `TrajectoryMemory` as read-only array views.
 
-    `values` holds each design's values, booleans as 0/1; `design(i)` and
-    `entries` rebuild objects from the rows, value for value and type for
-    type.
+    `values` holds each design's value row (`bool` when every dim is
+    boolean); `design(i)` and `entries` rebuild objects from the rows,
+    value for value and type for type.
     """
 
     space: DesignSpace
@@ -207,14 +224,20 @@ class TrajectoryMemory:
         self.budget = budget
         self._n = 0
         self._step = np.zeros(budget, dtype=np.int64)
-        self._values = np.zeros((budget, space.encoded_width))
+        all_bool = all(isinstance(dim, BooleanDim) for dim in space.dims)
+        self._values = np.zeros((budget, space.encoded_width), dtype=bool if all_bool else float)
         self._raw = np.zeros(budget)
         self._score = np.zeros(budget)
         self._class_id = np.zeros(budget, dtype=np.int64)
         self.traces: list[StepTrace] = []
 
-    def append_batch(self, step, designs, raw_values, scores, class_ids):
-        n = len(designs)
+    def append_batch(self, step, values, raw_values, scores, class_ids):
+        """Log a batch's `(n, d)` value rows with their raw values, scores
+        and class ids at one step."""
+        width = self.space.encoded_width
+        if np.ndim(values) != 2 or np.shape(values)[1] != width:
+            raise SchemaError(f"expected value rows of shape (n, {width}), got {np.shape(values)}")
+        n = len(values)
         if not (n == len(raw_values) == len(scores) == len(class_ids)):
             raise ValueError("misaligned batch arrays")
         if self._n + n > self.budget:
@@ -224,15 +247,11 @@ class TrajectoryMemory:
             )
         if self._n and step < self._step[self._n - 1]:
             raise ValueError("steps must be non-decreasing")
-        width = self.space.encoded_width
-        for d in designs:  # a 1-value design would broadcast across a row
-            if len(d.values) != width:
-                raise SchemaError(f"design arity {len(d.values)} != space arity {width}")
         if n == 0:
             return
         rows = slice(self._n, self._n + n)
         self._step[rows] = step
-        self._values[rows] = [d.values for d in designs]
+        self._values[rows] = values
         self._raw[rows] = raw_values
         self._score[rows] = scores
         self._class_id[rows] = class_ids
@@ -262,65 +281,49 @@ class TrajectoryMemory:
 # ---------------------------------------------------------------------------
 
 
-def encode_batch(space: DesignSpace, designs) -> np.ndarray:
-    """Check and encode a batch of designs as an `(n, d)` float array.
+def encode_batch(space: DesignSpace, values) -> np.ndarray:
+    """Check and encode design value rows as an `(n, d)` float array.
 
-    Every design must have one value per dim, each continuous value within
-    [lo, hi] (NaN fails) and each boolean value a `bool` or `np.bool_`; the
-    first offending design and dim raise `SchemaError`. Continuous dims are
-    min-max scaled to [0, 1] and booleans map to {0, 1}.
+    `values` must have shape `(n, d)`, every value finite and within its
+    dim's [lo, hi], and every boolean value exactly 0 or 1; the first
+    offending row and dim raise `SchemaError`. Continuous dims are min-max
+    scaled to [0, 1] and booleans keep their 0/1.
     """
-    width = len(space.dims)
-    for d in designs:
-        if len(d.values) != width:
-            raise SchemaError(f"design arity {len(d.values)} != space arity {width}")
-    V = np.array([d.values for d in designs], dtype=object).reshape(len(designs), width)
-    is_bool, lo, hi = _limits(space)
-    bool_typed = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)(V)
-    not_bool = is_bool & ~bool_typed.astype(bool)
-    X = np.where(not_bool, 0.0, V).astype(float)
-    bad = not_bool | ~((lo <= X) & (X <= hi))
+    V = np.asarray(values, dtype=float)
+    width = space.encoded_width
+    if V.ndim != 2 or V.shape[1] != width:
+        raise SchemaError(f"expected value rows of shape (n, {width}), got {V.shape}")
+    is_bool, lo, hi = space.limits()
+    bad = ~((lo <= V) & (V <= hi)) | (is_bool & (V != 0.0) & (V != 1.0))
     if bad.any():
         row, i = divmod(int(bad.argmax()), width)
-        dim, v = space.dims[i], designs[row].values[i]
-        raise SchemaError(f"{dim.name}={v!r} is not a bool" if is_bool[i]
-                          else f"{dim.name}={v} outside [{dim.lo}, {dim.hi}]")
-    return scale_values(space, X)
-
-
-def _limits(space: DesignSpace):
-    """Per-dim boolean mask and the [lo, hi] that booleans' 0/1 share."""
-    is_bool = np.array([isinstance(dim, BooleanDim) for dim in space.dims])
-    lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, space.dims)])
-    hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, space.dims)])
-    return is_bool, lo, hi
+        dim, v = space.dims[i], float(V[row, i])
+        raise SchemaError(f"row {row}: {dim.name}={v} is not 0 or 1" if is_bool[i]
+                          else f"row {row}: {dim.name}={v} outside [{dim.lo}, {dim.hi}]")
+    return scale_values(space, V)
 
 
 def scale_values(space: DesignSpace, X: np.ndarray) -> np.ndarray:
-    """Encode rows of checked design values, booleans as 0/1: continuous
-    dims min-max scaled to [0, 1], booleans unchanged. The arithmetic of
-    `encode_batch`, without its checks."""
-    _, lo, hi = _limits(space)
+    """Encode checked design value rows: continuous dims min-max scaled to
+    [0, 1], booleans unchanged. The arithmetic of `encode_batch`, without
+    its checks."""
+    _, lo, hi = space.limits()
     return (X - lo) / (hi - lo)
 
 
-def decode_design(space: DesignSpace, v: np.ndarray) -> Design:
-    """Inverse of `encode_batch` on one row, up to clamping.
+def decode_design(space: DesignSpace, X: np.ndarray) -> np.ndarray:
+    """Inverse of `encode_batch`, up to clamping: encoded rows `(n, d)` to
+    design value rows.
 
     Continuous entries clamp to [lo, hi] and boolean entries threshold at
-    0.5; `encode(decode(v))` is idempotent on valid encodings.
+    0.5; `encode(decode(X))` is idempotent on valid encodings.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.encoded_width,):
-        raise SchemaError(f"expected encoded length {space.encoded_width}, got {v.shape}")
-    vals = []
-    for i, dim in enumerate(space.dims):
-        if isinstance(dim, ContinuousDim):
-            x = dim.lo + float(v[i]) * (dim.hi - dim.lo)
-            vals.append(min(max(x, dim.lo), dim.hi))
-        else:
-            vals.append(bool(v[i] >= 0.5))
-    return Design(tuple(vals))
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != space.encoded_width:
+        raise SchemaError(f"expected encoded rows of shape (n, {space.encoded_width}), "
+                          f"got {X.shape}")
+    is_bool, lo, hi = space.limits()
+    return np.where(is_bool, X >= 0.5, np.clip(lo + X * (hi - lo), lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Design, DesignSpace, NumericError, encode_batch
+from .core import DesignSpace, NumericError, encode_batch
 from .numerics import (DenseNet, init_net, net_forward_batch, net_gradient, net_workspace,
                        sgd_step)
 
@@ -33,23 +33,23 @@ class CriticModel:
 
 @dataclass
 class SourcePool:
-    """Designs drawn from the source distribution, with an encoded cache.
+    """Designs drawn from the source distribution: their `(n, d)` value rows
+    (`Task.source_designs`) and those rows checked and encoded once.
 
     Carries no context data: the critic's domain is the design space only.
     """
 
     space: DesignSpace
-    designs: list[Design]
-    encoded: np.ndarray = field(default=None)
+    values: np.ndarray
+    encoded: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if len(self.designs) == 0:
+        if len(self.values) == 0:
             raise ValueError("source pool must be non-empty")
-        if self.encoded is None:
-            self.encoded = encode_batch(self.space, self.designs)
+        self.encoded = encode_batch(self.space, self.values)
 
     def __len__(self) -> int:
-        return len(self.designs)
+        return len(self.values)
 
 
 def init_critic(space: DesignSpace, hidden=(64, 64), seed: int = 0,

@@ -10,10 +10,11 @@ The k-means variant clusters the encoded source pool (euclidean, k by the
 elbow rule), so nearby designs share a class.
 
 Contract: assignment is per batch. Every partition has
-`assign(designs, X, raw_values) -> class ids`, taking a step's designs with
-their `(n, d)` encodings (`core.encode_batch`) and raw values (`(n,)`
-array) and returning an `(n,)` integer array; the k-means variant makes one
-nearest-centroid matrix operation, the score variant one `searchsorted`.
+`assign(X, raw_values) -> class ids`, taking a step's `(n, d)` encoded rows
+(`core.encode_batch`) and raw values (`(n,)` array) and returning an `(n,)`
+integer array; the k-means variant makes one nearest-centroid matrix
+operation, the score variant one `searchsorted`, and the random variant
+hashes each encoded row's bytes.
 """
 
 from __future__ import annotations
@@ -43,19 +44,21 @@ class KMeansPartition:
     def n_classes(self) -> int:
         return self.model.k
 
-    def assign(self, designs, X, raw_values) -> np.ndarray:
+    def assign(self, X, raw_values) -> np.ndarray:
         return kmeans_assign(self.model, X)
 
 
 @dataclass
 class RandomPartition:
+    """A seeded hash of each encoded row into `n_classes` classes."""
+
     n_classes: int = N_RANDOM_CLASSES
     seed: int = 0
 
-    def assign(self, designs, X, raw_values) -> np.ndarray:
+    def assign(self, X, raw_values) -> np.ndarray:
         key = str(self.seed).encode()
-        digests = [hashlib.blake2b(repr(d.values).encode(), digest_size=8, key=key).digest()
-                   for d in designs]
+        digests = [hashlib.blake2b(row.tobytes(), digest_size=8, key=key).digest()
+                   for row in np.asarray(X, dtype=float)]
         return np.array([int.from_bytes(h, "little") % self.n_classes for h in digests])
 
 
@@ -78,7 +81,7 @@ class ScoreBinnedPartition:
     def n_classes(self) -> int:
         return len(self.edges) - 1  # 10 bins from 11 thresholds
 
-    def assign(self, designs, X, raw_values) -> np.ndarray:
+    def assign(self, X, raw_values) -> np.ndarray:
         idx = np.searchsorted(self.edges, np.asarray(raw_values, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.n_classes - 1)
 

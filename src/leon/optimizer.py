@@ -45,7 +45,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class MeteredSurrogate:
-    """Charges every scored design against the budget."""
+    """Charges every scored design against the budget. `calls` counts
+    scored designs (value rows), not calls: one call scores a batch."""
 
     def __init__(self, inner, budget: int):
         self.inner = inner
@@ -56,14 +57,14 @@ class MeteredSurrogate:
     def remaining(self) -> int:
         return self.budget - self.calls
 
-    def value(self, designs, ctx: Context) -> np.ndarray:
-        """The inner surrogate's values of a batch, charged `len(designs)`;
+    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+        """The inner surrogate's values of `(n, d)` value rows, charged `n`;
         a batch that would overflow the budget raises before any is scored."""
-        if self.calls + len(designs) > self.budget:
+        if self.calls + len(V) > self.budget:
             raise BudgetExceededError(
-                f"surrogate budget {self.budget} exceeded ({self.calls} + {len(designs)} designs)")
-        self.calls += len(designs)
-        return self.inner.value(designs, ctx)
+                f"surrogate budget {self.budget} exceeded ({self.calls} + {len(V)} designs)")
+        self.calls += len(V)
+        return self.inner.value(V, ctx)
 
 
 def derive_seed(*parts: int) -> int:
@@ -103,6 +104,9 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """One run's outcome. `surrogate_calls` counts the designs the metered
+    surrogate scored, not its calls: one call scores a batch."""
+
     task: str
     method: str
     seed: int
@@ -210,7 +214,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     src_raw = None
     if cfg.partition == "score":  # bins are cut around the source raw values
-        src_raw = (surrogate.value(source_pool.designs, ctx)
+        src_raw = (surrogate.value(source_pool.values, ctx)
                    + hp.lambda0 * critic_values(critic, source_pool.encoded))
     partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
                               src_raw=src_raw)
@@ -230,12 +234,12 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         b = min(hp.batch_size, metered.remaining)
         prompt_state.reflection = reflection
         prompt_state.memory_view = memory.view(cfg.memory_view)
-        designs, batch_enc = propose(engine, prompt_state, space, b)
+        values, batch_enc = propose(engine, prompt_state, space, b)
 
-        f_vals = metered.value(designs, ctx)
+        f_vals = metered.value(values, ctx)
         c_vals = critic_values(critic, batch_enc)
         raw = f_vals + lam * c_vals
-        assignments = partition.assign(designs, batch_enc, raw)
+        assignments = partition.assign(batch_enc, raw)
 
         stats = class_optima(raw, assignments, partition.n_classes)
         mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
@@ -253,10 +257,10 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         w1_trace.append(w1_now)
 
         scores = score_designs(raw, mu_hat)
-        memory.append_batch(t, designs, raw, scores, assignments)
+        memory.append_batch(t, values, raw, scores, assignments)
 
         if t < n_steps:
-            reflection = reflect(engine, list(zip(designs, scores)), task.description)
+            reflection = reflect(engine, values, scores, task.description)
         memory.add_trace(StepTrace(step=t, lam=lam, mu_hat=mu_hat,
                                    w1_estimate=w1_now, reflection=reflection if t < n_steps else ""))
 
@@ -279,28 +283,28 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _log(memory, step, designs, values):
-    """Log scored designs at one step; a baseline's raw value is its score."""
-    memory.append_batch(step, designs, values, values, [0] * len(designs))
+def _log(memory, step, V, values):
+    """Log scored value rows at one step; a baseline's raw value is its score."""
+    memory.append_batch(step, V, values, values, [0] * len(V))
 
 
-def _log_rows(memory, designs, values):
-    """Log scored designs one step per row, numbering steps by row."""
-    for d, v in zip(designs, values):
-        _log(memory, len(memory), [d], [v])
+def _log_rows(memory, V, values):
+    """Log scored value rows one step per row, numbering steps by row."""
+    for i in range(len(V)):
+        _log(memory, len(memory), V[i:i + 1], values[i:i + 1])
 
 
 def _random_search(task, metered, ctx, rng, memory, chunk):
     while metered.remaining > 0:
-        designs = [random_design(task.space, rng) for _ in range(min(chunk, metered.remaining))]
-        _log_rows(memory, designs, metered.value(designs, ctx))
+        V = random_design(task.space, rng, min(chunk, metered.remaining))
+        _log_rows(memory, V, metered.value(V, ctx))
 
 
 def _simulated_annealing(task, metered, ctx, rng, memory):
     """Single chain with a geometric temperature schedule calibrated so the
     final temperature is 1% of the initial one."""
     space = task.space
-    probes = [random_design(space, rng) for _ in range(min(64, metered.remaining))]
+    probes = random_design(space, rng, min(64, metered.remaining))
     vals = metered.value(probes, ctx)
     _log_rows(memory, probes, vals)
     t0 = float(np.std(vals)) or 1.0
@@ -313,24 +317,26 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     temp = t0
     for _ in range(n):
         cand = _single_dim_move(space, current, rng)
-        cand_val = metered.value([cand], ctx)[0]
-        _log_rows(memory, [cand], [cand_val])
+        cand_val = metered.value(cand[None], ctx)[0]
+        _log_rows(memory, cand[None], [cand_val])
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
             current, cur_val = cand, cand_val
 
 
-def _single_dim_move(space, design, rng):
+def _single_dim_move(space, row, rng):
+    """A copy of a value row with one random dim moved: a continuous dim
+    jittered by 0.1 of its width and clamped, a boolean flipped."""
     i = int(rng.integers(len(space.dims)))
     dim = space.dims[i]
-    vals = list(design.values)
+    cand = row.copy()
     if isinstance(dim, ContinuousDim):
         width = dim.hi - dim.lo
-        vals[i] = min(max(float(vals[i]) + rng.normal(0.0, 0.1 * width), dim.lo), dim.hi)
+        cand[i] = min(max(float(cand[i]) + rng.normal(0.0, 0.1 * width), dim.lo), dim.hi)
     else:
-        vals[i] = not vals[i]
-    return Design(tuple(vals))
+        cand[i] = 1.0 - cand[i]
+    return cand
 
 
 def _surrogate_greedy(task, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
@@ -353,23 +359,21 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
     """Normalized-gradient ascent in encoded units with a 1/sqrt(k) decayed
     step, via central finite differences on the surrogate."""
     d = len(space.dims)
-    u = np.array([rng.uniform(0.0, 1.0) for _ in range(d)])
+    u = rng.uniform(0.0, 1.0, size=d)
+    j = np.arange(d)
     used = 0
     k = 1
     while used + 2 * d <= allotment and metered.remaining >= 2 * d:
-        grad = np.zeros(d)
-        probes, denoms = [], []
-        for j in range(d):
-            up, dn = u.copy(), u.copy()
-            up[j] = min(u[j] + fd_step, 1.0)
-            dn[j] = max(u[j] - fd_step, 0.0)
-            probes += [decode_design(space, up), decode_design(space, dn)]
-            denoms.append(up[j] - dn[j])
+        U = np.repeat(u[None], 2 * d, axis=0)  # rows 2j and 2j + 1 probe dim j up and down
+        U[2 * j, j] = np.minimum(u + fd_step, 1.0)
+        U[2 * j + 1, j] = np.maximum(u - fd_step, 0.0)
+        probes = decode_design(space, U)
         vals = metered.value(probes, ctx)
-        for j, denom in enumerate(denoms):
-            _log(memory, step, probes[2 * j:2 * j + 2], vals[2 * j:2 * j + 2])
+        for i in range(d):
+            _log(memory, step, probes[2 * i:2 * i + 2], vals[2 * i:2 * i + 2])
             step += 1
-            grad[j] = (vals[2 * j] - vals[2 * j + 1]) / denom if denom > 0 else 0.0
+        denoms = U[2 * j, j] - U[2 * j + 1, j]
+        grad = np.divide(vals[2 * j] - vals[2 * j + 1], denoms, out=np.zeros(d), where=denoms > 0)
         used += 2 * d
         norm = np.linalg.norm(grad)
         if norm > 0:
@@ -380,13 +384,13 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
 
 def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
     """Best-improvement single-flip hill climbing with random restarts."""
-    current = random_design(space, rng)
-    cur_val = metered.value([current], ctx)[0]
-    _log(memory, step, [current], [cur_val])
+    current = random_design(space, rng, 1)[0]
+    cur_val = metered.value(current[None], ctx)[0]
+    _log(memory, step, current[None], [cur_val])
     used = 1
     while used < allotment and metered.remaining > 0:
         n = min(len(space.dims), allotment - used, metered.remaining)
-        cands = [_flip_dim(space, current, i) for i in range(n)]
+        cands = _flip_each_dim(space, current, n)
         vals = metered.value(cands, ctx)
         _log(memory, step, cands, vals)
         used += n
@@ -395,21 +399,23 @@ def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
         if vals[best] <= cur_val:  # local optimum: restart
             if used >= allotment or metered.remaining == 0:
                 break
-            current = random_design(space, rng)
-            cur_val = metered.value([current], ctx)[0]
-            _log(memory, step, [current], [cur_val])
+            current = random_design(space, rng, 1)[0]
+            cur_val = metered.value(current[None], ctx)[0]
+            _log(memory, step, current[None], [cur_val])
             used += 1
         else:
             current, cur_val = cands[best], vals[best]
     return step
 
 
-def _flip_dim(space, design, i):
-    if isinstance(space.dims[i], ContinuousDim):
+def _flip_each_dim(space, row, n):
+    """`n` copies of a value row, copy i with boolean dim i flipped."""
+    if any(isinstance(dim, ContinuousDim) for dim in space.dims[:n]):
         raise ValueError("flip move on a continuous dim")
-    vals = list(design.values)
-    vals[i] = not vals[i]
-    return Design(tuple(vals))
+    cands = np.tile(row, (n, 1))
+    i = np.arange(n)
+    cands[i, i] = 1.0 - cands[i, i]
+    return cands
 
 
 def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,

@@ -6,12 +6,16 @@ and fully offline; the chat engine talks to an HTTP chat-completions
 endpoint with a strict JSON output contract and falls back to random designs
 when parsing keeps failing.
 
+A batch is an `(n, d)` float array of design values, booleans as 0.0/1.0
+(see `core`); the mock engines draw each batch with one generator call per
+kind of dim, in the row-major order of per-design, per-dim scalar draws.
+
 Engine protocol (duck-typed):
-    propose(state, space, b) -> list[Design]         # exactly b valid designs
-    reflect(batch, task_description) -> str          # never raises
+    propose(state, space, b) -> (b, d) value array     # checked by `propose`
+    reflect(values, scores, task_description) -> str   # never raises
     knowledge_action(history, sources, state) -> (source_index | None, query, stop)
     synthesize_knowledge(history, state) -> str
-    warnings: list[str]                              # drained by the runner
+    warnings: list[str]                                # drained by the runner
 """
 
 from __future__ import annotations
@@ -153,39 +157,38 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
 # ---------------------------------------------------------------------------
 
 
-def random_design(space: DesignSpace, rng: np.random.Generator) -> Design:
-    vals = []
-    for dim in space.dims:
-        if isinstance(dim, ContinuousDim):
-            vals.append(float(rng.uniform(dim.lo, dim.hi)))
-        else:
-            vals.append(bool(rng.integers(2)))
-    return Design(tuple(vals))
+def random_design(space: DesignSpace, rng: np.random.Generator, n: int) -> np.ndarray:
+    """`n` uniform designs as `(n, d)` value rows: one `uniform` draw for
+    the continuous dims and one `integers(2)` draw for the booleans."""
+    is_bool, lo, hi = space.limits()
+    cont = ~is_bool
+    V = np.empty((n, len(is_bool)))
+    V[:, cont] = rng.uniform(lo[cont], hi[cont], size=(n, cont.sum()))
+    V[:, is_bool] = rng.integers(2, size=(n, is_bool.sum()))
+    return V
 
 
-def perturb_design(space: DesignSpace, design: Design, rng: np.random.Generator,
-                   sigma: float = 0.1, flip_prob: float = 0.1) -> Design:
-    """Jitter continuous dims by sigma (in encoded units) and flip booleans
-    with probability flip_prob."""
-    vals = []
-    for dim, v in zip(space.dims, design.values):
-        if isinstance(dim, ContinuousDim):
-            width = dim.hi - dim.lo
-            x = float(v) + rng.normal(0.0, sigma * width)
-            vals.append(min(max(x, dim.lo), dim.hi))
-        else:
-            vals.append((not v) if rng.random() < flip_prob else bool(v))
-    return Design(tuple(vals))
+def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
+                   sigma: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Jitter each value row's continuous dims by its `sigma` (in encoded
+    units, clamped to the bounds) and flip each of its booleans with its
+    probability `flip`: one `normal` draw for the continuous dims and one
+    `random` draw for the booleans."""
+    is_bool, lo, hi = space.limits()
+    cont = ~is_bool
+    out = np.array(V, dtype=float)
+    noise = rng.normal(0.0, sigma[:, None] * (hi - lo)[cont], size=(len(out), cont.sum()))
+    out[:, cont] = np.clip(out[:, cont] + noise, lo[cont], hi[cont])
+    flips = rng.random((len(out), is_bool.sum())) < flip[:, None]
+    out[:, is_bool] = np.where(flips, 1.0 - out[:, is_bool], out[:, is_bool])
+    return out
 
 
-def _batch_summary(batch) -> str:
+def _batch_summary(values: np.ndarray, scores: np.ndarray) -> str:
     """Deterministic one-line reflection for mock engines: best/worst score
     plus the entropy of the batch's design histogram."""
-    scores = np.array([s for _, s in batch], dtype=float)
-    counts: dict[tuple, int] = {}
-    for d, _ in batch:
-        counts[d.values] = counts.get(d.values, 0) + 1
-    p = np.array(list(counts.values()), dtype=float)
+    _, first, counts = np.unique(values, axis=0, return_index=True, return_counts=True)
+    p = counts[np.argsort(first)].astype(float)  # first-seen order, as the tally ran
     ent = shannon_entropy(p / p.sum())
     return (
         f"Round summary: best score {scores.max():.4f}, worst score {scores.min():.4f}, "
@@ -222,10 +225,10 @@ class _MockEngineBase:
         self.warnings: list[str] = []
         self._knowledge_round = 0
 
-    def reflect(self, batch, task_description: str) -> str:
-        if not batch:
+    def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
+        if len(values) == 0:
             raise ValueError("empty batch")
-        return _batch_summary(batch)
+        return _batch_summary(values, np.asarray(scores, dtype=float))
 
     def knowledge_action(self, history, sources, state):
         if self.knowledge_stop_after is not None and self._knowledge_round >= self.knowledge_stop_after:
@@ -243,8 +246,8 @@ class _MockEngineBase:
 class RandomEngine(_MockEngineBase):
     """Uniform per-dim sampling."""
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
-        return [random_design(space, self.rng) for _ in range(b)]
+    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
+        return random_design(space, self.rng, b)
 
 
 @dataclass
@@ -281,35 +284,26 @@ class BoltzmannMemoryEngine(_MockEngineBase):
         # ranking arbitrary. Sampling weights still use the stored scores.
         view = state.memory_view
         top = np.argsort(-view.raw, kind="stable")[: self.top_m]
-        parents = [view.design(i) for i in top]
-        parent_scores = view.score[top].tolist()
-        pool: list[Design] = []
-        scores: list[float] = []
-        floor = min(parent_scores, default=0.0)
+        parents = view.values[top].astype(float)
+        parent_scores = view.score[top]
+        if len(top) == 0:
+            return random_design(space, self.rng, self.pool_size), np.zeros(self.pool_size)
 
         n_explore = max(1, int(self.pool_size * self.explore_frac))
-        if not parents:
-            n_explore = self.pool_size
-        for _ in range(n_explore):
-            pool.append(random_design(space, self.rng))
-            scores.append(floor)
-
-        if parents:
-            sigma, flip = self._adaptive_scale(space, view.values[top])
-            pool.extend(parents)  # keep incumbents themselves in the pool
-            scores.extend(parent_scores)
-            i = 0
-            while len(pool) < self.pool_size:
-                k = i % len(parents)
-                # alternate coarse and fine jitter so proposals keep
-                # refining once the memory has concentrated
-                scale = 1.0 if i % 2 == 0 else 0.1
-                pool.append(perturb_design(space, parents[k], self.rng,
-                                           max(sigma * scale, 1e-4),
-                                           max(flip * scale, 0.01)))
-                scores.append(parent_scores[k])
-                i += 1
-        return pool, np.array(scores)
+        explore = random_design(space, self.rng, n_explore)
+        sigma, flip = self._adaptive_scale(space, parents)
+        i = np.arange(max(self.pool_size - n_explore - len(top), 0))
+        # alternate coarse and fine jitter so proposals keep refining once
+        # the memory has concentrated
+        scale = np.where(i % 2 == 0, 1.0, 0.1)
+        k = i % len(top)
+        jittered = perturb_design(space, parents[k], self.rng, np.maximum(sigma * scale, 1e-4),
+                                  np.maximum(flip * scale, 0.01))
+        # explore rows at the parents' floor score, the incumbents, then their jitter
+        pool = np.concatenate([explore, parents, jittered])
+        scores = np.concatenate([np.full(n_explore, parent_scores.min()), parent_scores,
+                                 parent_scores[k]])
+        return pool, scores
 
     def _adaptive_scale(self, space, values):
         """Perturbation scales from the spread of the parents' encoded rows;
@@ -319,13 +313,12 @@ class BoltzmannMemoryEngine(_MockEngineBase):
         flip = min(max(spread, 0.02), 0.25)
         return sigma, flip
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
+    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
         pool, scores = self._build_pool(state, space)
         if self.temp <= 1e-9:
-            return [pool[int(np.argmax(scores))]] * b
+            return np.repeat(pool[[int(np.argmax(scores))]], b, axis=0)
         probs = stable_softmax(scores / self.temp)
-        idx = self.rng.choice(len(pool), size=b, replace=True, p=probs)
-        return [pool[i] for i in idx]
+        return pool[self.rng.choice(len(pool), size=b, replace=True, p=probs)]
 
 
 @dataclass
@@ -339,13 +332,13 @@ class HillClimbEngine(_MockEngineBase):
         _check_params(self, (("step", _is_number(self.step) and self.step > 0,
                               "a finite number > 0"),))
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
+    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
         view = state.memory_view
         if not view:
-            return [random_design(space, self.rng) for _ in range(b)]
-        best = view.design(int(np.argmax(view.score)))  # first of the top scores
-        flip = min(0.5, self.step)
-        return [perturb_design(space, best, self.rng, self.step, flip) for _ in range(b)]
+            return random_design(space, self.rng, b)
+        best = view.values[int(np.argmax(view.score))]  # first of the top scores
+        return perturb_design(space, np.tile(best, (b, 1)), self.rng, np.full(b, self.step),
+                              np.full(b, min(0.5, self.step)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +414,7 @@ class ChatApiEngine:
                     time.sleep(self.retry_wait * (2 ** attempt))
         raise TransportError(f"chat request failed after {self.max_retries} attempts: {last}")
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> list[Design]:
+    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
         designs: list[Design] = []
         for _ in range(self.max_retries):
             need = b - len(designs)
@@ -439,16 +432,18 @@ class ChatApiEngine:
                 self.warnings.append(f"proposal round failed: {exc}")
             if len(designs) >= b:
                 break
+        values = np.array([d.values for d in designs], dtype=float).reshape(
+            len(designs), space.encoded_width)
         if len(designs) < b:
             missing = b - len(designs)
             self.warnings.append(f"filled {missing} slots with random designs after retries")
-            designs.extend(random_design(space, self.rng) for _ in range(missing))
-        return designs[:b]
+            values = np.concatenate([values, random_design(space, self.rng, missing)])
+        return values
 
-    def reflect(self, batch, task_description: str) -> str:
-        if not batch:
+    def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
+        if len(values) == 0:
             raise ValueError("empty batch")
-        table = "\n".join(f"| {i} | {s:.4f} |" for i, (_, s) in enumerate(batch))
+        table = "\n".join(f"| {i} | {s:.4f} |" for i, s in enumerate(scores))
         prompt = (
             f"### Task Description\n{task_description}\n\n### Scores of the last batch\n"
             f"| index | score |\n|---|---|\n{table}\n\n"
@@ -572,18 +567,20 @@ KnowledgeSource = StaticFactsSource | ScriptedSource | FileCorpusSource
 # ---------------------------------------------------------------------------
 
 
-def propose(engine, state: PromptState, space: DesignSpace, b: int) -> tuple[list[Design], np.ndarray]:
-    """The engine's `b` designs and their encoding, checked by `encode_batch`."""
+def propose(engine, state: PromptState, space: DesignSpace, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's `(b, d)` value rows and their encoding, checked by
+    `encode_batch`."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    designs = engine.propose(state, space, b)
-    if len(designs) != b:
-        raise RuntimeError(f"engine returned {len(designs)} designs, expected {b}")
-    return designs, encode_batch(space, designs)
+    values = engine.propose(state, space, b)
+    if not isinstance(values, np.ndarray) or len(values) != b:
+        raise RuntimeError(f"engine returned {type(values).__name__} of length {len(values)}, "
+                           f"expected a ({b}, {space.encoded_width}) value array")
+    return values, encode_batch(space, values)
 
 
-def reflect(engine, batch, task_description: str) -> str:
-    return engine.reflect(batch, task_description)
+def reflect(engine, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
+    return engine.reflect(values, scores, task_description)
 
 
 def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:

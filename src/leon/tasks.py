@@ -56,15 +56,8 @@ class Task:
             raise ValueError("only defined for the dose task")
         return float(self.params["g_bias"] + self._g_w @ np.asarray(ctx.features))
 
-    def value_rows(self, designs) -> np.ndarray:
-        """A batch's design values as an `(n, d)` float array, booleans as 0/1."""
-        return np.array([d.values for d in designs], dtype=float).reshape(
-            len(designs), len(self.space.dims))
-
-    def oracle_values(self, designs, ctx: Context) -> np.ndarray:
-        """Oracle values of a batch under one context: a list of designs, or
-        their `value_rows`."""
-        V = designs if isinstance(designs, np.ndarray) else self.value_rows(designs)
+    def oracle_values(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+        """Oracle values of `(n, d)` design value rows under one context."""
         z = np.asarray(ctx.features, dtype=float)
         if self.kind == "quadratic-dose":
             g = self.params["g_bias"] + float(self._g_w @ z)
@@ -73,7 +66,7 @@ class Task:
         return V @ w + ((V @ self._Q) * V).sum(axis=1)
 
     def oracle(self, design: Design, ctx: Context) -> float:
-        return float(self.oracle_values([design], ctx)[0])
+        return float(self.oracle_values(np.array([design.values], dtype=float), ctx)[0])
 
     # -- context sampling -------------------------------------------------
 
@@ -84,21 +77,18 @@ class Task:
 
     # -- source design policy ---------------------------------------------
 
-    def source_designs(self, rng: np.random.Generator, n: int) -> list[Design]:
-        """Near-source-optimal designs plus noise (the projection of the
-        source dataset onto the design space)."""
-        out = []
-        for _ in range(n):
+    def source_designs(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """`(n, d)` value rows of near-source-optimal designs plus noise (the
+        projection of the source dataset onto the design space)."""
+        out = np.empty((n, len(self.space.dims)))
+        for i in range(n):
             z = rng.normal(self._m_src, 1.0)
             if self.kind == "quadratic-dose":
                 g = self.params["g_bias"] + float(self._g_w @ z)
-                x = min(max(g + rng.normal(0.0, 3.0), 0.0), 100.0)
-                out.append(Design((float(x),)))
+                out[i] = min(max(g + rng.normal(0.0, 3.0), 0.0), 100.0)
             else:
-                w = self._W @ z + self._w0
-                bits = [bool(wi > 0) for wi in w]
-                bits = [(not b) if rng.random() < 0.1 else b for b in bits]
-                out.append(Design(tuple(bits)))
+                bits = (self._W @ z + self._w0) > 0
+                out[i] = bits != (rng.random(len(bits)) < 0.1)
         return out
 
     def to_json(self) -> dict:
@@ -210,8 +200,8 @@ class OracleSurrogate:
 
     task: Task
 
-    def value(self, designs, ctx: Context) -> np.ndarray:
-        return self.task.oracle_values(designs, ctx)
+    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+        return self.task.oracle_values(V, ctx)
 
 
 @dataclass
@@ -235,8 +225,7 @@ class AnalyticShiftSurrogate:
         z = np.asarray(ctx.features, dtype=float)
         return max(0.0, float(np.linalg.norm(z - self.task._m_src)) - self.radius)
 
-    def value(self, designs, ctx: Context) -> np.ndarray:
-        V = self.task.value_rows(designs)
+    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
         return (self.task.oracle_values(V, ctx)
                 + self.beta * self.shift_weight(ctx) * self._bump(V))
 
@@ -253,8 +242,8 @@ class LearnedSurrogate:
     y_mean: float
     y_std: float
 
-    def value(self, designs, ctx: Context) -> np.ndarray:
-        enc = encode_batch(self.space, designs)
+    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+        enc = encode_batch(self.space, V)
         Z = np.broadcast_to(np.asarray(ctx.features, dtype=float), (len(enc), len(ctx.features)))
         X = (np.concatenate([enc, Z], axis=1) - self.x_mean) / self.x_std
         return net_forward_batch(self.net, X) * self.y_std + self.y_mean
@@ -304,11 +293,11 @@ def make_learned_surrogate(task: Task, seed: int = 0, n_train: int = 768,
                            hidden=(128, 128), iters: int = 4000) -> LearnedSurrogate:
     rng = np.random.default_rng([seed, 21])
     ctxs = [task.sample_context(rng, "source", id=f"s{i}") for i in range(n_train)]
-    designs = task.source_designs(rng, n_train)
-    enc = encode_batch(task.space, designs)
+    V = task.source_designs(rng, n_train)
+    enc = encode_batch(task.space, V)
     Z = np.stack([np.asarray(c.features, dtype=float) for c in ctxs])
     X = np.concatenate([enc, Z], axis=1)
-    y = np.array([task.oracle(d, c) for d, c in zip(designs, ctxs)])
+    y = np.array([task.oracle_values(V[i:i + 1], c)[0] for i, c in enumerate(ctxs)])
 
     x_mean, x_std = X.mean(axis=0), X.std(axis=0)
     x_std = np.where(x_std > 1e-9, x_std, 1.0)
@@ -346,8 +335,8 @@ class MixtureSurrogate:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
 
-    def value(self, designs, ctx: Context) -> np.ndarray:
-        return self.w * self.f.value(designs, ctx) + (1.0 - self.w) * self.f_hat.value(designs, ctx)
+    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+        return self.w * self.f.value(V, ctx) + (1.0 - self.w) * self.f_hat.value(V, ctx)
 
 
 # ---------------------------------------------------------------------------

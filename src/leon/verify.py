@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certainty import ClassStats, boltzmann_weights, dual_gradient, estimate_mu, log_partition
-from .core import ContinuousDim, Design, DesignSpace, encode_batch
+from .core import ContinuousDim, DesignSpace, encode_batch
 from .critic import critic_train, init_critic, w1_estimate
 from .numerics import (
     flatten_params,
@@ -234,15 +234,15 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
     space = DesignSpace((ContinuousDim("x", 0.0, 1.0),))
     rng = np.random.default_rng(seed)
 
-    same = encode_batch(space, [Design((float(v),)) for v in rng.uniform(0.2, 0.8, size=32)])
+    same = encode_batch(space, rng.uniform(0.2, 0.8, size=(32, 1)))
     critic = init_critic(space, hidden=(64, 64), seed=seed)
     trained_same, *same_values = critic_train(critic, same, same, lr=0.001, seed=seed)
     est_same = w1_estimate(*same_values)
 
     src = np.linspace(0.0, 0.2, 24)
     gen = np.linspace(0.8, 1.0, 24)
-    src_enc = encode_batch(space, [Design((float(v),)) for v in src])
-    gen_enc = encode_batch(space, [Design((float(v),)) for v in gen])
+    src_enc = encode_batch(space, src[:, None])
+    gen_enc = encode_batch(space, gen[:, None])
     critic2 = init_critic(space, hidden=(64, 64), seed=seed + 1)
     trained, *values = critic_train(critic2, src_enc, gen_enc, lr=0.001, max_iters=500, seed=seed)
     est = w1_estimate(*values)

@@ -2,6 +2,7 @@
 pass/fail line with its observed margin and runtime. All criteria run
 offline on synthetic tasks with fixed seeds."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from leon.core import Design, Hyperparams
+from leon.cli import main
+from leon.core import Hyperparams
 from leon.optimizer import RunConfig, evaluate_cohort, run_leon
 from leon.tasks import make_dose_task
 from leon.verify import (
@@ -135,9 +138,9 @@ class ForcedEngine:
         self.warnings = []
 
     def propose(self, state, space, b):
-        return [Design((float(self.rng.uniform(self.lo, self.hi)),)) for _ in range(b)]
+        return self.rng.uniform(self.lo, self.hi, size=(b, 1))
 
-    def reflect(self, batch, task_description):
+    def reflect(self, values, scores, task_description):
         return "forced"
 
     def knowledge_action(self, history, sources, state):
@@ -178,20 +181,23 @@ def test_criterion_10_lambda_dynamics():
     assert elapsed < 60
 
 
+CRITERION_11_CONFIG = {
+    "task": "dose",
+    "methods": [{"name": "leon", "engine": "boltzmann-memory"},
+                {"name": "random-search"}],
+    "n_patients": 2,
+    "seed": 7,
+    "hyperparams": {"budget": 256, "batch_size": 32},
+    "surrogate": {"variant": "analytic-shift", "beta": 0.5},
+}
+CRITERION_11_SHA256 = "8666896cb3589e1682ff4395e0476d31788d53782bb47cdc4ef8153b47f19902"
+
+
 def test_criterion_11_cli_determinism(tmp_path):
     """Two identical CLI runs with mock engines produce byte-identical
     results JSON."""
     t0 = time.time()
-    cfg = {
-        "task": "dose",
-        "methods": [{"name": "leon", "engine": "boltzmann-memory"},
-                    {"name": "random-search"}],
-        "n_patients": 2,
-        "seed": 7,
-        "hyperparams": {"budget": 256, "batch_size": 32},
-        "surrogate": {"variant": "analytic-shift", "beta": 0.5},
-        "output_dir": str(tmp_path / "out"),
-    }
+    cfg = {**CRITERION_11_CONFIG, "output_dir": str(tmp_path / "out")}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     # the subprocess imports leon from this checkout's src, installed or not
@@ -212,3 +218,17 @@ def test_criterion_11_cli_determinism(tmp_path):
           f"{len(digests[0])} result bytes, identical={ok}")
     assert ok
     assert elapsed < 300
+
+
+def test_criterion_11_results_are_pinned(tmp_path):
+    """Mock-engine configs keep byte-identical output: criterion 11's config,
+    run in-process, writes the `results.json` whose sha256 is pinned here.
+    A change that alters this output on purpose updates the pin and states
+    why in CHANGES.md."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**CRITERION_11_CONFIG, "output_dir": str(tmp_path / "out")}),
+                        encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", "-c", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    written = (tmp_path / "out" / "results.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == CRITERION_11_SHA256

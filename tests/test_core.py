@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from leon.core import (
     render_context,
     render_text,
 )
+from leon.tasks import oracle_eval
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +34,18 @@ def test_space_invariants():
         DesignSpace(())
 
 
-def test_design_validation(mixed_space):
+def test_design_validation(mixed_space, dose_task):
     mixed_space.validate(Design((50.0, True, False)))
     with pytest.raises(SchemaError):
         mixed_space.validate(Design((50.0, True)))  # arity
     with pytest.raises(SchemaError):
         mixed_space.validate(Design((101.0, True, False)))  # out of range
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="not a bool"):
         mixed_space.validate(Design((50.0, 1, False)))  # int is not a bool here
+    # the harness's oracle call checks its outside design the same way
+    task = dataclasses.replace(dose_task, space=mixed_space)
+    with pytest.raises(SchemaError, match="not a bool"):
+        oracle_eval(task, Design((50.0, 1, False)), Context((0.0,) * 4))
 
 
 def _per_design_validate(space, design):
@@ -59,29 +66,37 @@ def _per_design_encoding(space, design):
                      else (1.0 if v else 0.0) for dim, v in zip(space.dims, design.values)])
 
 
+# name: (design values, accepted by `validate`, the `encode_batch` error on
+# value rows holding them as row 1, or None when the rows are accepted)
 RULE_CASES = {
-    "short arity": ((50.0, True), False),
-    "long arity": ((50.0, True, False, True), False),
-    "below lo": ((-0.5, True, False), False),
-    "above hi": ((100.5, True, False), False),
-    "nan": ((float("nan"), True, False), False),
-    "int 1 for a bool": ((50.0, 1, False), False),
-    "float 1.0 for a bool": ((50.0, True, 1.0), False),
-    "exactly lo": ((0.0, True, False), True),
-    "exactly hi": ((100.0, False, True), True),
-    "bool": ((37.5, True, False), True),
-    "np.bool_": ((62.25, np.bool_(True), np.bool_(False)), True),
+    "short arity": ((50.0, True), False, r"shape \(n, 3\), got \(1, 2\)"),
+    "long arity": ((50.0, True, False, True), False, r"shape \(n, 3\), got \(1, 4\)"),
+    "1-D input": ((50.0, True, False), True, r"shape \(n, 3\), got \(3,\)"),
+    "below lo": ((-0.5, True, False), False, r"row 1: Dose=-0.5 outside"),
+    "above hi": ((100.5, True, False), False, r"row 1: Dose=100.5 outside"),
+    "nan": ((float("nan"), True, False), False, r"row 1: Dose=nan outside"),
+    "inf": ((float("inf"), True, False), False, r"row 1: Dose=inf outside"),
+    "-inf": ((float("-inf"), True, False), False, r"row 1: Dose=-inf outside"),
+    "0.5 for a bool": ((50.0, 0.5, False), False, r"row 1: Boost=0.5 is not 0 or 1"),
+    "2.0 for a bool": ((50.0, True, 2.0), False, r"row 1: Taper=2.0 is not 0 or 1"),
+    # value rows carry no types: only an outside `Design` is type-checked
+    "int 1 for a bool": ((50.0, 1, False), False, None),
+    "float 1.0 for a bool": ((50.0, True, 1.0), False, None),
+    "exactly lo": ((0.0, True, False), True, None),
+    "exactly hi": ((100.0, False, True), True, None),
+    "bool": ((37.5, True, False), True, None),
+    "np.bool_": ((62.25, np.bool_(True), np.bool_(False)), True, None),
 }
 
 
 @pytest.mark.parametrize("case", list(RULE_CASES))
 def test_batch_rules_match_per_design_rules(mixed_space, case):
-    """`encode_batch` on a batch holding the design, and `validate` on the
-    design alone, accept or reject it as the per-design rules do; an
-    accepted batch encodes bit for bit like the per-design formula."""
-    values, accepted = RULE_CASES[case]
+    """`validate` accepts or rejects a design as the per-design rules do;
+    `encode_batch` on value rows holding its values accepts them or names
+    the first bad row and dim, and accepted rows encode bit for bit like
+    the per-design formula."""
+    values, accepted, rows_error = RULE_CASES[case]
     design = Design(values)
-    batch = [Design((12.0, False, True)), design, Design((88.0, True, True))]
     try:
         _per_design_validate(mixed_space, design)
         reference = True
@@ -90,13 +105,23 @@ def test_batch_rules_match_per_design_rules(mixed_space, case):
     assert reference == accepted
     if accepted:
         mixed_space.validate(design)
-        X = encode_batch(mixed_space, batch)
-        assert np.array_equal(X, np.stack([_per_design_encoding(mixed_space, d) for d in batch]))
     else:
         with pytest.raises(SchemaError):
             mixed_space.validate(design)
-        with pytest.raises(SchemaError):
-            encode_batch(mixed_space, batch)
+
+    if case == "1-D input":
+        rows = np.array(values, dtype=float)
+    elif len(values) == len(mixed_space.dims):
+        rows = np.array([(12.0, 0.0, 1.0), values, (88.0, 1.0, 1.0)], dtype=float)
+    else:
+        rows = np.array([values], dtype=float)
+    if rows_error is None:
+        X = encode_batch(mixed_space, rows)
+        batch = [Design(tuple(r)) for r in rows]
+        assert np.array_equal(X, np.stack([_per_design_encoding(mixed_space, d) for d in batch]))
+    else:
+        with pytest.raises(SchemaError, match=rows_error):
+            encode_batch(mixed_space, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +131,19 @@ def test_batch_rules_match_per_design_rules(mixed_space, case):
 
 def test_encode_continuous_midpoint():
     space = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
-    assert encode_batch(space, [Design((50.0,))]).tolist() == [[0.5]]
+    assert encode_batch(space, [[50.0]]).tolist() == [[0.5]]
 
 
 def test_encode_booleans_identity():
     space = DesignSpace(tuple(BooleanDim(f"b{i}") for i in range(3)))
-    assert encode_batch(space, [Design((True, False, True))]).tolist() == [[1.0, 0.0, 1.0]]
+    assert encode_batch(space, [[True, False, True]]).tolist() == [[1.0, 0.0, 1.0]]
 
 
 def test_decode_examples():
     cont = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
-    assert decode_design(cont, np.array([0.5])).values == (50.0,)
-    assert decode_design(cont, np.array([1.7])).values == (100.0,)  # clamps to hi
+    assert decode_design(cont, np.array([[0.5], [1.7]])).tolist() == [[50.0], [100.0]]  # clamps
+    bits = DesignSpace((BooleanDim("a"), BooleanDim("b")))
+    assert decode_design(bits, np.array([[0.5, 0.49]])).tolist() == [[1.0, 0.0]]
 
 
 def test_decode_wrong_length(mixed_space):
@@ -146,18 +172,18 @@ def space_and_design(draw):
 @given(space_and_design())
 def test_encode_decode_round_trip(sd):
     space, design = sd
-    v = encode_batch(space, [design])[0]
+    v = encode_batch(space, [design.values])[0]
     assert np.array_equal(v, _per_design_encoding(space, design))
     assert v.shape == (space.encoded_width,)
     assert np.all(np.isfinite(v))
-    back = decode_design(space, v)
-    for dim, a, b in zip(space.dims, design.values, back.values):
+    back = decode_design(space, v[None])
+    for dim, a, b in zip(space.dims, design.values, back[0]):
         if isinstance(dim, ContinuousDim):
             assert a == pytest.approx(b, abs=1e-9 * (dim.hi - dim.lo))
         else:
             assert a == b
     # idempotence of encode(decode(.)) on valid encodings
-    assert np.allclose(encode_batch(space, [back])[0], v)
+    assert np.allclose(encode_batch(space, back)[0], v)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +263,7 @@ LINE = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
 
 
 def _entry_args(n, step=1):
-    designs = [Design((float(i),)) for i in range(n)]
+    designs = np.arange(n, dtype=float)[:, None]
     raws = [float(i) for i in range(n)]
     scores = [2.0 * i for i in range(n)]
     return step, designs, raws, scores, [0] * n
@@ -261,7 +287,7 @@ def test_memory_scores_exact_product():
     mu = 0.37
     raws = np.array([1.5, -2.25, 0.0])
     mem = TrajectoryMemory(LINE, budget=3)
-    mem.append_batch(1, [Design((0.0,))] * 3, raws, mu * raws, [0, 1, 2])
+    mem.append_batch(1, np.zeros((3, 1)), raws, mu * raws, [0, 1, 2])
     for e, r in zip(mem.entries, raws):
         assert e.score == mu * r  # bitwise: same product
 
@@ -271,9 +297,10 @@ def test_memory_columns_give_back_what_was_appended(mixed_space):
                Design((5e-324, False, False))]
     raws = [1.0 / 3.0, -0.0, -7.25]
     scores = [0.1 * r for r in raws]
+    rows = np.array([d.values for d in designs], dtype=float)
     mem = TrajectoryMemory(mixed_space, budget=4)
-    mem.append_batch(2, designs[:2], np.array(raws[:2]), scores[:2], np.array([3, 0]))
-    mem.append_batch(5, designs[2:], raws[2:], scores[2:], [1])
+    mem.append_batch(2, rows[:2], np.array(raws[:2]), scores[:2], np.array([3, 0]))
+    mem.append_batch(5, rows[2:], raws[2:], scores[2:], [1])
     assert len(mem) == 3
     entries = mem.entries
     assert [e.step for e in entries] == [2, 2, 5]
@@ -286,16 +313,24 @@ def test_memory_columns_give_back_what_was_appended(mixed_space):
             (np.float64(r).tobytes(), np.float64(s).tobytes())
     assert mem.view(last=2).entries == entries[1:]
     for args, message in (
-        ((6, designs[:1], raws[:2], scores[:1], [0]), "misaligned"),
-        ((6, designs[:2], raws[:2], scores[:2], [0, 0]), "budget 4 exceeded"),
-        ((4, designs[:1], raws[:1], scores[:1], [0]), "non-decreasing"),
-        ((6, [Design((1.0,))], raws[:1], scores[:1], [0]), "arity"),  # would broadcast
+        ((6, rows[:1], raws[:2], scores[:1], [0]), "misaligned"),
+        ((6, rows[:2], raws[:2], scores[:2], [0, 0]), "budget 4 exceeded"),
+        ((4, rows[:1], raws[:1], scores[:1], [0]), "non-decreasing"),
+        ((6, np.ones((1, 1)), raws[:1], scores[:1], [0]), "shape"),  # would broadcast
+        ((6, rows[0], raws[:3], scores[:3], [0] * 3), "shape"),
     ):
         with pytest.raises(ValueError, match=message):
             mem.append_batch(*args)
     assert mem.entries == entries  # a rejected batch writes nothing
-    mem.append_batch(6, [], [], [], [])
+    mem.append_batch(6, np.empty((0, 3)), [], [], [])
     assert len(mem) == 3
+
+    # an all-boolean space keeps one byte per value and gives back bools
+    bits = TrajectoryMemory(DesignSpace((BooleanDim("a"), BooleanDim("b"))), budget=2)
+    bits.append_batch(1, np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 1.5], [0.5, 1.5], [0, 1])
+    assert bits.view().values.dtype == bool
+    assert [e.design.values for e in bits.entries] == [(True, False), (False, True)]
+    assert [type(v) for v in bits.view().design(1).values] == [bool, bool]
 
 
 def test_design_context_json_round_trip():

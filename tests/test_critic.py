@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import leon.critic
-from leon.core import ContinuousDim, Design, DesignSpace, NumericError, encode_batch
+from leon.core import ContinuousDim, DesignSpace, NumericError, encode_batch
 from leon.critic import (
     CriticModel,
     SourcePool,
@@ -20,7 +20,7 @@ SPACE_1D = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
 
 
 def _designs(values):
-    return [Design((float(v),)) for v in values]
+    return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
 def _enc(values):
@@ -49,7 +49,7 @@ def test_critic_value_deterministic_and_composed():
     a = critic_values(critic, X)
     assert np.array_equal(a, critic_values(critic, X))
     for row, d in zip(a, _designs([42.0, 7.0, 99.0])):
-        assert row == pytest.approx(net_forward(critic.net, encode_batch(SPACE_1D, [d])[0]),
+        assert row == pytest.approx(net_forward(critic.net, encode_batch(SPACE_1D, d[None])[0]),
                                     rel=1e-12, abs=1e-15)
     assert critic_values(critic, X[:0]).shape == (0,)
 
@@ -120,13 +120,12 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
     assert lip > 0
 
     # 1-D oracle by sorting
-    w1_sorted = exact_w1_1d([d.values[0] / 100.0 for d in src],
-                            [d.values[0] / 100.0 for d in gen])
+    w1_sorted = exact_w1_1d(src[:, 0] / 100.0, gen[:, 0] / 100.0)
     assert est / lip <= w1_sorted + 1e-9
 
     # small-instance matching oracle agrees with the sorted computation
-    a = np.sort([d.values[0] / 100.0 for d in src])
-    b = np.sort([d.values[0] / 100.0 for d in gen])
+    a = np.sort(src[:, 0] / 100.0)
+    b = np.sort(gen[:, 0] / 100.0)
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     w1_matched = cost[rows, cols].mean()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leon.core import BooleanDim, ContinuousDim, Design, DesignSpace, encode_batch
+from leon.core import BooleanDim, ContinuousDim, DesignSpace, encode_batch
 from leon.critic import SourcePool
 from leon.equivalence import RandomPartition, ScoreBinnedPartition, fit_partition, occupancies
 from leon.numerics import kmeans_assign, shannon_entropy
@@ -27,13 +27,14 @@ BLOB_SPACE = DesignSpace((
 
 
 def _blob_designs(rng, n_per=20):
+    """`(3 * n_per, 10)` value rows and each row's blob."""
     designs, labels = [], []
     for blob in range(3):
-        flags = tuple(b == blob for b in range(3)) * 3
+        flags = tuple(float(b == blob) for b in range(3)) * 3
         for _ in range(n_per):
-            designs.append(Design((*flags, float(rng.uniform(0, 10)))))
+            designs.append((*flags, float(rng.uniform(0, 10))))
             labels.append(blob)
-    return designs, labels
+    return np.array(designs), labels
 
 
 def test_fit_kmeans_partition_recovers_blobs(rng):
@@ -41,7 +42,7 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
     src = SourcePool(BLOB_SPACE, designs)
     part = fit_partition("kmeans", src, seed=0)
     assert part.n_classes == 3
-    assigned = part.assign(designs, src.encoded, np.zeros(len(designs))).tolist()
+    assigned = part.assign(src.encoded, np.zeros(len(designs))).tolist()
     by_blob = [set(a for a, l in zip(assigned, labels) if l == blob) for blob in range(3)]
     assert all(len(s) == 1 for s in by_blob)
     assert len(set.union(*by_blob)) == 3
@@ -49,7 +50,7 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
 
 def test_fit_random_partition():
     task = make_dose_task(0)
-    src = SourcePool(task.space, [Design((float(v),)) for v in range(12)])
+    src = SourcePool(task.space, np.arange(12.0)[:, None])
     part = fit_partition("random", src, seed=3)
     assert isinstance(part, RandomPartition)
     assert part.n_classes == 10
@@ -57,7 +58,7 @@ def test_fit_random_partition():
 
 def test_fit_score_partition_bins():
     task = make_dose_task(0)
-    src = SourcePool(task.space, [Design((float(v),)) for v in np.linspace(10, 90, 24)])
+    src = SourcePool(task.space, np.linspace(10, 90, 24)[:, None])
     part = fit_partition("score", src, seed=0, src_raw=np.linspace(10, 90, 24))
     assert isinstance(part, ScoreBinnedPartition)
     assert part.mu_src == pytest.approx(50.0)
@@ -79,7 +80,7 @@ def test_partition_stability_same_seed(rng):
     a = fit_partition("kmeans", src, seed=7)
     b = fit_partition("kmeans", src, seed=7)
     raw = np.zeros(len(designs))
-    assert np.array_equal(a.assign(designs, src.encoded, raw), b.assign(designs, src.encoded, raw))
+    assert np.array_equal(a.assign(src.encoded, raw), b.assign(src.encoded, raw))
 
 
 def test_default_kmeans_classes_are_dose_intervals():
@@ -89,8 +90,8 @@ def test_default_kmeans_classes_are_dose_intervals():
     task = make_dose_task(0)
     src = SourcePool(task.space, task.source_designs(np.random.default_rng([0, 2]), 128))
     part = fit_partition("kmeans", src, seed=derive_seed(0, 6))
-    designs = [Design((float(v),)) for v in range(30, 71)]
-    ids = part.assign(designs, encode_batch(task.space, designs), np.zeros(len(designs)))
+    doses = np.arange(30.0, 71.0)[:, None]
+    ids = part.assign(encode_batch(task.space, doses), np.zeros(len(doses)))
     changes = int(np.count_nonzero(np.diff(ids)))
     assert len(set(ids.tolist())) > 1
     assert changes == len(set(ids.tolist())) - 1
@@ -103,9 +104,9 @@ def test_default_kmeans_classes_are_dose_intervals():
 
 def test_random_assignment_deterministic():
     part = RandomPartition(n_classes=10, seed=4)
-    d, X = Design((3.5,)), np.array([[0.035]])
-    assert part.assign([d], X, [1.0]) == part.assign([d], X, [-1.0])
-    assert 0 <= part.assign([d], X, [0.0])[0] < 10
+    X = np.array([[0.035]])
+    assert part.assign(X, [1.0]) == part.assign(X, [-1.0])
+    assert 0 <= part.assign(X, [0.0])[0] < 10
 
 
 def test_score_assignment_left_closed():
@@ -114,7 +115,7 @@ def test_score_assignment_left_closed():
     # the bin [mu, mu+sigma) is index 5 of 10: thresholds are
     # [-inf, mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s, +inf];
     # 7.0 is mu - 1.5 sigma
-    got = part.assign([Design((0.0,))] * len(raw), np.zeros((len(raw), 1)), raw)
+    got = part.assign(np.zeros((len(raw), 1)), raw)
     assert got.tolist() == [5, 4, 3, 0, 9]
 
 
@@ -123,22 +124,23 @@ def test_kmeans_assignment_matches_kernel(rng):
     src = SourcePool(BLOB_SPACE, designs)
     X = encode_batch(BLOB_SPACE, designs[:10])
     part = fit_partition("kmeans", src, seed=0)
-    assert np.array_equal(part.assign(designs[:10], X, np.zeros(10)),
+    assert np.array_equal(part.assign(X, np.zeros(10)),
                           kmeans_assign(part.model, X))
 
 
 # Per-design references for batch assignment: one design at a time, as the
 # partitions assigned before they took whole batches.
 
-def _kmeans_one(part, design):
-    vec = encode_batch(BLOB_SPACE, [design])[0]
+def _kmeans_one(part, values):
+    vec = encode_batch(BLOB_SPACE, [values])[0]
     d2 = ((part.model.centroids - vec) ** 2).sum(axis=1)
     return int(np.argmin(d2))
 
 
-def _random_one(part, design):
-    h = hashlib.blake2b(repr(design.values).encode(), digest_size=8,
-                        key=str(part.seed).encode()).digest()
+def _random_one(part, values):
+    """The seeded hash of one design's encoded row."""
+    vec = encode_batch(BLOB_SPACE, [values])[0]
+    h = hashlib.blake2b(vec.tobytes(), digest_size=8, key=str(part.seed).encode()).digest()
     return int.from_bytes(h, "little") % part.n_classes
 
 
@@ -157,14 +159,14 @@ def test_batch_assign_matches_per_design_reference(rng):
     raw = np.concatenate([score.edges, rng.normal(10.0, 6.0, size=len(designs) - 11)])
     assert len(raw) == len(designs)
 
-    got = kmeans.assign(designs, X, raw)
+    got = kmeans.assign(X, raw)
     assert got.tolist() == [_kmeans_one(kmeans, d) for d in designs]
     assert len(set(got.tolist())) > 1
 
     random = RandomPartition(n_classes=10, seed=4)
-    assert random.assign(designs, X, raw).tolist() == [_random_one(random, d) for d in designs]
+    assert random.assign(X, raw).tolist() == [_random_one(random, d) for d in designs]
 
-    got = score.assign(designs, X, raw)
+    got = score.assign(X, raw)
     assert got.tolist() == [_score_one(score, r) for r in raw]
     # left-closed bins: each finite edge opens the bin above it; -inf is in
     # the lowest bin and +inf in the highest
@@ -174,11 +176,10 @@ def test_batch_assign_matches_per_design_reference(rng):
 @given(st.integers(0, 2 ** 20))
 def test_assignment_total(design_seed):
     rng = np.random.default_rng(design_seed)
-    designs = [Design((bool(rng.integers(2)), bool(rng.integers(2)))) for _ in range(8)]
-    X = np.array([[float(v) for v in d.values] for d in designs])
+    X = rng.integers(2, size=(8, 2)).astype(float)
     for part in (RandomPartition(n_classes=10, seed=0),
                  ScoreBinnedPartition(mu_src=0.0, sigma_src=1.0)):
-        cids = part.assign(designs, X, rng.normal(size=8))
+        cids = part.assign(X, rng.normal(size=8))
         assert cids.shape == (8,)
         assert np.all((0 <= cids) & (cids < part.n_classes))
 

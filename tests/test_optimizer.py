@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import leon.optimizer
 from leon.core import Context, ContinuousDim, Design, DesignSpace, Hyperparams, TrajectoryMemory
 from leon.optimizer import (
+    BASELINES,
     BudgetExceededError,
     MeteredSurrogate,
     RunConfig,
@@ -41,7 +42,7 @@ LINE = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
 def _mem(rows):
     mem = TrajectoryMemory(LINE, budget=len(rows))
     for step, dose, raw, score in rows:
-        mem.append_batch(step, [Design((dose,))], [raw], [score], [0])
+        mem.append_batch(step, np.array([[dose]]), [raw], [score], [0])
     return mem
 
 
@@ -98,7 +99,7 @@ def test_select_matches_the_loop_on_exact_ties(rows, by_raw):
     step = 0
     for i, (advance, raw, score) in enumerate(rows):
         step += advance
-        mem.append_batch(step, [Design((float(i),))], [raw], [score], [0])  # the row's own dose
+        mem.append_batch(step, np.array([[float(i)]]), [raw], [score], [0])  # the row's own dose
     assert select_final(mem, by_raw=by_raw) == _select_by_loop(mem.entries, by_raw)
 
 
@@ -122,9 +123,9 @@ def test_metered_surrogate_enforces_budget():
     metered = MeteredSurrogate(_Flat(), budget=3)
     ctx = Context((0.0,), id="c")
     for _ in range(3):
-        metered.value([Design((1.0,))], ctx)
+        metered.value(np.ones((1, 1)), ctx)
     with pytest.raises(BudgetExceededError):
-        metered.value([Design((1.0,))], ctx)
+        metered.value(np.ones((1, 1)), ctx)
     assert metered.calls == 3
 
 
@@ -132,13 +133,13 @@ def test_metered_batch_charges_its_length_and_an_overflow_charges_nothing():
     inner = _Flat()
     metered = MeteredSurrogate(inner, budget=5)
     ctx = Context((0.0,), id="c")
-    assert metered.value([Design((1.0,))] * 3, ctx).shape == (3,)
+    assert metered.value(np.ones((3, 1)), ctx).shape == (3,)
     assert (metered.calls, metered.remaining) == (3, 2)
     with pytest.raises(BudgetExceededError):
-        metered.value([Design((1.0,))] * 3, ctx)
+        metered.value(np.ones((3, 1)), ctx)
     assert metered.calls == 3
     assert inner.batches == [3]  # the overflowing batch never reached the surrogate
-    metered.value([Design((1.0,))] * 2, ctx)
+    metered.value(np.ones((2, 1)), ctx)
     assert (metered.calls, inner.batches) == (5, [3, 2])
 
 
@@ -278,22 +279,40 @@ def test_default_run_builds_no_memory_entries(dose_task, monkeypatch):
     assert built == []
 
 
-def test_finished_run_memory_is_small(dose_task):
-    """A finished default dose run's memory holds its columns, not an object
-    per entry: at most 64 bytes per entry, traces included."""
-    tracemalloc.start()
-    try:
-        result = run_leon(dose_task, RunConfig(), 0)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        n = len(result.memory)
-        result.memory = None
-        gc.collect()
-        retained = held - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert n == Hyperparams().budget
-    assert 0 < retained <= 64 * n
+def test_finished_run_memory_is_small(dose_task, regimen_task):
+    """A finished default run's memory holds its columns, not an object per
+    entry: at most 64 bytes per dose entry, traces included. The regimen's
+    sixteen boolean values take one byte each, so its 48 bytes of columns
+    fit in 80 (as float64 they took 160)."""
+    for task, bound in ((dose_task, 64), (regimen_task, 80)):
+        tracemalloc.start()
+        try:
+            result = run_leon(task, RunConfig(), 0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            n = len(result.memory)
+            result.memory = None
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n == Hyperparams().budget
+        assert 0 < retained <= bound * n
+
+
+@pytest.mark.parametrize("method", ["leon", *BASELINES])
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_default_run_builds_one_design(task_name, method, monkeypatch):
+    """Batches stay value arrays from the engine or baseline to the memory:
+    a default run builds one `Design`, its final design."""
+    built = []
+    real = Design.__post_init__
+    monkeypatch.setattr(Design, "__post_init__", lambda self: built.append(self) or real(self))
+    task = make_dose_task(0) if task_name == "dose" else make_regimen_task(0)
+    partition = "kmeans" if task_name == "dose" else "score"
+    result = run_method(task, RunConfig(method=method, partition=partition), seed=0)
+    assert len(result.memory) == Hyperparams().budget
+    assert len(built) == 1 and built[0] is result.final_design
 
 
 def test_default_run_renders_no_text(dose_task, monkeypatch):
@@ -369,7 +388,7 @@ def test_random_search_finds_surrogate_argmax(dose_task):
     result = run_baseline(dose_task, "random-search", cfg, seed=11, ctx=ctx)
     sur = AnalyticShiftSurrogate(dose_task, beta=cfg.beta, radius=cfg.radius)
     grid = np.linspace(0, 100, 100001)
-    vals = sur.value([Design((float(x),)) for x in grid], ctx)
+    vals = sur.value(grid[:, None], ctx)
     x_star = grid[int(np.argmax(vals))]
     assert abs(result.final_design.values[0] - x_star) < 2.0
     assert result.surrogate_calls == 2048

@@ -19,7 +19,7 @@ from leon.core import (
     encode_batch,
     render_context,
 )
-from leon.numerics import shannon_entropy
+from leon.numerics import shannon_entropy, stable_softmax
 from leon.proposal import (
     BoltzmannMemoryEngine,
     ChatApiEngine,
@@ -35,9 +35,12 @@ from leon.proposal import (
     generate_knowledge,
     memory_table,
     parse_designs,
+    perturb_design,
     propose,
+    random_design,
     reflect,
 )
+from leon.tasks import make_dose_task, make_regimen_task
 
 SPACE = DesignSpace((
     ContinuousDim("Dose", 0.0, 100.0),
@@ -52,7 +55,8 @@ def _state(entries=(), knowledge="", reflection="", space=SPACE):
     """A prompt state whose memory view holds `entries`, in order."""
     memory = TrajectoryMemory(space, budget=max(len(entries), 1))
     for e in entries:
-        memory.append_batch(e.step, [e.design], [e.raw_value], [e.score], [e.class_id])
+        memory.append_batch(e.step, np.array([e.design.values], dtype=float), [e.raw_value],
+                            [e.score], [e.class_id])
     return PromptState(
         knowledge=knowledge, reflection=reflection, memory_view=memory.view(),
         context=CTX, task_description="maximize the response", task_name="demo",
@@ -173,9 +177,8 @@ def test_random_engine_reproducible():
     space = DesignSpace(tuple(BooleanDim(f"b{i}") for i in range(4)))
     a, Xa = propose(RandomEngine(seed=11), _state(space=space), space, 8)
     b, Xb = propose(RandomEngine(seed=11), _state(space=space), space, 8)
-    assert a == b and np.array_equal(Xa, Xb)
-    for d in a:
-        space.validate(d)
+    assert np.array_equal(a, b) and np.array_equal(Xa, Xb)
+    assert a.shape == (8, 4) and np.isin(a, (0.0, 1.0)).all()
 
 
 def test_propose_returns_exactly_b():
@@ -196,29 +199,32 @@ class _FixedEngine(RandomEngine):
         self.designs = designs
 
     def propose(self, state, space, b):
-        return list(self.designs)
+        return np.array(self.designs, dtype=float)
 
 
-@pytest.mark.parametrize("bad", [Design((float("nan"), True, False)),
-                                 Design((100.5, True, False)), Design((50.0, 1, False))])
+# value rows carry no types, so a boolean's bad value is one that is not 0 or 1
+@pytest.mark.parametrize("bad", [(float("nan"), 1.0, 0.0), (100.5, 1.0, 0.0), (50.0, 0.5, 0.0)])
 def test_propose_rejects_an_invalid_design(bad):
-    engine = _FixedEngine([Design((10.0, True, False)), bad, Design((20.0, False, False))])
-    with pytest.raises(SchemaError):
+    engine = _FixedEngine([(10.0, 1.0, 0.0), bad, (20.0, 0.0, 0.0)])
+    with pytest.raises(SchemaError, match="row 1"):
         propose(engine, _state(), SPACE, 3)
 
 
 def test_propose_rejects_a_short_batch():
-    engine = _FixedEngine([Design((10.0, True, False))] * 3)
+    engine = _FixedEngine([(10.0, 1.0, 0.0)] * 3)
     with pytest.raises(RuntimeError):
         propose(engine, _state(), SPACE, 4)
+    engine.propose = lambda state, space, b: [Design((10.0, True, False))] * b  # not an array
+    with pytest.raises(RuntimeError, match=r"expected a \(3, 3\) value array"):
+        propose(engine, _state(), SPACE, 3)
 
 
 def test_boltzmann_temp_zero_collapses():
     entries = [_entry(1, 50.0, 10.0, 10.0)] + [_entry(1, float(i), -5.0, -5.0) for i in range(5)]
     engine = BoltzmannMemoryEngine(seed=3, temp=0.0)
     designs = engine.propose(_state(entries), SPACE, 6)
-    assert len(set(designs)) == 1
-    assert designs[0].values[0] == 50.0  # the dominant-score member is the incumbent
+    assert len(np.unique(designs, axis=0)) == 1
+    assert designs[0, 0] == 50.0  # the dominant-score member is the incumbent
 
 
 def test_boltzmann_high_temp_uniform_over_pool():
@@ -228,12 +234,12 @@ def test_boltzmann_high_temp_uniform_over_pool():
     # duplicate pool members (e.g. perturbations clamped onto their parent)
     # form a cluster whose expected mass is its multiplicity
     multiplicity = {}
-    for d in pool:
+    for d in map(tuple, pool):
         multiplicity[d] = multiplicity.get(d, 0) + 1
     clusters = list(multiplicity)
 
     engine = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
-    draws = engine.propose(_state(entries), SPACE, 512)
+    draws = list(map(tuple, engine.propose(_state(entries), SPACE, 512)))
     observed = np.array([sum(1 for d in draws if d == c) for c in clusters])
     expected = np.array([512 * multiplicity[c] / len(pool) for c in clusters])
     assert chisquare(observed, f_exp=expected).pvalue > 0.01
@@ -246,11 +252,86 @@ def test_boltzmann_entropy_monotone_in_inverse_temp():
         engine = BoltzmannMemoryEngine(seed=5, temp=temp, pool_size=32)
         draws = engine.propose(_state(entries), SPACE, 512)
         counts = {}
-        for d in draws:
+        for d in map(tuple, draws):
             counts[d] = counts.get(d, 0) + 1
         p = np.array(list(counts.values())) / 512
         hs.append(shannon_entropy(p))
     assert hs[0] >= hs[1] >= hs[2]
+
+
+# The mock engines draw a batch with one generator call per kind of dim.
+# For the single-kind spaces of both tasks that is the same stream, in the
+# same order, as one scalar draw per design and dim; the loops below are
+# that scalar reference.
+
+
+def _scalar_random(space, rng, n):
+    return np.array([[rng.uniform(dim.lo, dim.hi) if isinstance(dim, ContinuousDim)
+                      else float(rng.integers(2)) for dim in space.dims] for _ in range(n)])
+
+
+def _scalar_perturb(space, rows, rng, sigmas, flips):
+    out = []
+    for row, sigma, flip in zip(rows, sigmas, flips):
+        vals = []
+        for dim, v in zip(space.dims, row):
+            if isinstance(dim, ContinuousDim):
+                x = float(v) + rng.normal(0.0, sigma * (dim.hi - dim.lo))
+                vals.append(min(max(x, dim.lo), dim.hi))
+            else:
+                vals.append(float(not v) if rng.random() < flip else float(v))
+        out.append(vals)
+    return np.array(out)
+
+
+def _scalar_pool(engine, space, view):
+    """The pool built one design at a time: explore draws, the top parents,
+    then alternating coarse and fine perturbations of each parent in turn."""
+    top = np.argsort(-view.raw, kind="stable")[:engine.top_m]
+    parents = view.values[top].astype(float)
+    parent_scores = view.score[top].tolist()
+    n_explore = max(1, int(engine.pool_size * engine.explore_frac))
+    pool = list(_scalar_random(space, engine.rng, n_explore)) + list(parents)
+    scores = [min(parent_scores)] * n_explore + parent_scores
+    sigma, flip = engine._adaptive_scale(space, parents)
+    i = 0
+    while len(pool) < engine.pool_size:
+        k, scale = i % len(parents), (1.0 if i % 2 == 0 else 0.1)
+        pool += list(_scalar_perturb(space, parents[k:k + 1], engine.rng,
+                                     [max(sigma * scale, 1e-4)], [max(flip * scale, 0.01)]))
+        scores.append(parent_scores[k])
+        i += 1
+    return np.array(pool), np.array(scores)
+
+
+TASK_SPACES = {"dose": make_dose_task(0).space, "regimen": make_regimen_task(0).space}
+
+
+@pytest.mark.parametrize("name", list(TASK_SPACES))
+def test_batch_draws_equal_the_scalar_draws(name):
+    space = TASK_SPACES[name]
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    V = random_design(space, a, 40)
+    assert np.array_equal(V, _scalar_random(space, b, 40))
+    assert a.random() == b.random()
+
+    sigmas, flips = np.where(np.arange(40) % 2 == 0, 0.2, 0.02), np.full(40, 0.3)
+    moved = perturb_design(space, V, a, sigmas, flips)
+    assert np.array_equal(moved, _scalar_perturb(space, V, b, sigmas, flips))
+    assert a.random() == b.random()
+    assert not np.array_equal(moved, V)
+
+    memory = TrajectoryMemory(space, budget=40)
+    raw = np.random.default_rng(4).normal(size=40)
+    memory.append_batch(1, V, raw, 0.5 * raw, np.zeros(40, dtype=np.int64))
+    state = _state(space=space)
+    state.memory_view = memory.view()
+    engine, reference = BoltzmannMemoryEngine(seed=9), BoltzmannMemoryEngine(seed=9)
+    proposed = engine.propose(state, space, 32)
+    pool, scores = _scalar_pool(reference, space, memory.view())
+    probs = stable_softmax(scores / reference.temp)
+    assert np.array_equal(proposed, pool[reference.rng.choice(len(pool), size=32, p=probs)])
+    assert engine.rng.random() == reference.rng.random()
 
 
 def test_engine_params_are_checked():
@@ -279,8 +360,7 @@ def test_hill_climb_perturbs_best():
     entries = [_entry(1, 40.0, 3.0, 3.0), _entry(1, 90.0, -1.0, -1.0)]
     engine = HillClimbEngine(seed=2, step=0.01)
     designs = engine.propose(_state(entries), SPACE, 16)
-    doses = [d.values[0] for d in designs]
-    assert all(abs(x - 40.0) < 10.0 for x in doses)
+    assert np.all(np.abs(designs[:, 0] - 40.0) < 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +370,15 @@ def test_hill_climb_perturbs_best():
 
 def test_mock_reflection_contains_best_score():
     engine = RandomEngine(seed=0)
-    batch = [(Design((1.0, True, 0)), 0.25), (Design((2.0, False, 1)), -1.5)]
-    text = reflect(engine, batch, "desc")
+    values, scores = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), np.array([0.25, -1.5])
+    text = reflect(engine, values, scores, "desc")
     assert "0.2500" in text and "-1.5000" in text
-    assert text == reflect(engine, batch, "desc")
+    assert text == reflect(engine, values, scores, "desc")
 
 
 def test_reflection_empty_batch_raises():
     with pytest.raises(ValueError):
-        reflect(RandomEngine(seed=0), [], "desc")
+        reflect(RandomEngine(seed=0), np.empty((0, 3)), np.empty(0), "desc")
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +548,7 @@ def test_chat_engine_retries_past_a_nan_element():
 def test_chat_engine_reflect_degrades_to_empty():
     engine = ChatApiEngine(model="stub", endpoint="http://127.0.0.1:1",
                            max_retries=1, retry_wait=0.0, timeout=0.2, seed=0)
-    out = engine.reflect([(Design((1.0, True, 0)), 0.5)], "desc")
+    out = engine.reflect(np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc")
     assert out == ""
     assert any("reflection failed" in w for w in engine.warnings)
 

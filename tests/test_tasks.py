@@ -99,7 +99,7 @@ def test_analytic_shift_exact_at_source_mean(dose_task):
     ctx = Context(tuple(dose_task.params["m_source"]), id="center")
     for x in np.linspace(0, 100, 21):
         d = Design((float(x),))
-        assert sur.value([d], ctx)[0] == oracle_eval(dose_task, d, ctx)
+        assert sur.value(np.array([d.values]), ctx)[0] == oracle_eval(dose_task, d, ctx)
 
 
 def test_analytic_shift_beta_zero_is_oracle(dose_task, rng):
@@ -107,14 +107,15 @@ def test_analytic_shift_beta_zero_is_oracle(dose_task, rng):
     ctx = _ctx(dose_task, rng)
     for x in (10.0, 50.0, 90.0):
         d = Design((x,))
-        assert sur.value([d], ctx)[0] == oracle_eval(dose_task, d, ctx)
+        assert sur.value(np.array([d.values]), ctx)[0] == oracle_eval(dose_task, d, ctx)
 
 
 def test_analytic_shift_biases_off_source(dose_task):
     sur = AnalyticShiftSurrogate(dose_task, beta=0.5, radius=1.0)
     far = Context((3.0, 3.0, 3.0, 3.0), id="far")
     bump_center = Design((dose_task.params["bump_center"],))
-    assert sur.value([bump_center], far)[0] > oracle_eval(dose_task, bump_center, far)
+    assert sur.value(np.array([bump_center.values]), far)[0] > \
+        oracle_eval(dose_task, bump_center, far)
 
 
 @pytest.fixture(scope="module")
@@ -128,9 +129,9 @@ def _rmse_and_std(task, sur, which, seed=99, n=256):
     ctxs = [task.sample_context(rng, which, id=f"e{i}") for i in range(n)]
     designs = task.source_designs(rng, n)
     err, f_vals = [], []
-    for d, c in zip(designs, ctxs):
-        f = oracle_eval(task, d, c)
-        err.append((sur.value([d], c)[0] - f) ** 2)
+    for row, c in zip(designs, ctxs):
+        f = task.oracle_values(row[None], c)[0]
+        err.append((sur.value(row[None], c)[0] - f) ** 2)
         f_vals.append(f)
     return float(np.sqrt(np.mean(err))), float(np.std(f_vals))
 
@@ -248,10 +249,10 @@ class _Const:
 
 def test_mixture_endpoints_and_midpoint():
     f, f_hat = _Const(2.0), _Const(0.0)
-    d, ctx = Design((1.0,)), Context((0.0,), id="c")
-    assert MixtureSurrogate(f, f_hat, 1.0).value([d], ctx)[0] == 2.0
-    assert MixtureSurrogate(f, f_hat, 0.0).value([d], ctx)[0] == 0.0
-    assert MixtureSurrogate(f, f_hat, 0.5).value([d], ctx)[0] == 1.0
+    V, ctx = np.ones((1, 1)), Context((0.0,), id="c")
+    assert MixtureSurrogate(f, f_hat, 1.0).value(V, ctx)[0] == 2.0
+    assert MixtureSurrogate(f, f_hat, 0.0).value(V, ctx)[0] == 0.0
+    assert MixtureSurrogate(f, f_hat, 0.5).value(V, ctx)[0] == 1.0
 
 
 def test_mixture_rejects_bad_weight():
@@ -265,7 +266,7 @@ def test_mixture_monotone_toward_oracle(dose_task, rng):
     oracle = OracleSurrogate(dose_task)
     biased = AnalyticShiftSurrogate(dose_task, beta=0.5)
     ctx = _ctx(dose_task, rng)
-    probes = [Design((float(x),)) for x in np.linspace(0, 100, 41)]
+    probes = np.linspace(0, 100, 41)[:, None]
     gaps = []
     for w in (0.0, 0.25, 0.5, 0.75, 1.0):
         mixed = MixtureSurrogate(oracle, biased, w)
@@ -359,7 +360,7 @@ def test_batch_rows_are_one_design_batches(task_name, variant):
     assert AnalyticShiftSurrogate(task).shift_weight(ctx) > 0  # the bump is on
     designs = task.source_designs(rng, 33)
     batch = sur.value(designs, ctx)
-    alone = np.array([sur.value([d], ctx)[0] for d in designs])
+    alone = np.array([sur.value(row[None], ctx)[0] for row in designs])
     assert batch.shape == (33,)
     if task_name == "dose" and variant != "learned":
         assert np.array_equal(batch, alone)
@@ -373,11 +374,12 @@ def test_oracle_is_the_one_row_batch_of_the_closed_form(task_name):
     rng = np.random.default_rng(6)
     ctx = task.sample_context(rng, "target", id="t")
     z = np.asarray(ctx.features)
-    for d in task.source_designs(rng, 16):
-        assert task.oracle(d, ctx) == task.oracle_values([d], ctx)[0]
+    for row in task.source_designs(rng, 16):
+        d = Design(tuple(row) if task_name == "dose" else tuple(row.astype(bool).tolist()))
+        assert task.oracle(d, ctx) == task.oracle_values(row[None], ctx)[0]
         if task_name == "dose":
             closed = -(d.values[0] - task.optimum_location(ctx)) ** 2
         else:
-            x = np.array(d.values, dtype=float)
+            x = row
             closed = (task._W @ z + task._w0) @ x + x @ task._Q @ x
         assert task.oracle(d, ctx) == pytest.approx(closed, rel=1e-12)
