@@ -13,12 +13,15 @@ the oracle, the final design and its JSON, the chat prompt and parser, and
 
 Trajectory memory is a set of columns preallocated to the run's budget:
 step, the exact design values, raw value, score and class. The values
-column is `bool` when every dim is boolean and float64 otherwise.
+column is `bool` when every dim is boolean and float64 otherwise. A leon
+row's step is its acquisition step; a baseline logs each scored batch in
+one append, at the step numbered by the memory row of the batch's first
+design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,32 +58,47 @@ class BooleanDim:
 DimSpec = ContinuousDim | BooleanDim
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DesignSpace:
+    """The dims, and their layout computed once: `is_bool`, the per-dim
+    boolean mask, and `lo`/`hi`, each dim's bounds (a boolean's being
+    [0, 1]), as read-only arrays."""
+
     dims: tuple[DimSpec, ...]
+    is_bool: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) == 0:
             raise SchemaError("a design space needs at least one dimension")
-        object.__setattr__(self, "dims", tuple(self.dims))
+        dims = tuple(self.dims)
+        is_bool = np.array([isinstance(dim, BooleanDim) for dim in dims])
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "is_bool", _read_only(is_bool))
+        object.__setattr__(self, "lo", _read_only(
+            np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, dims)], dtype=float)))
+        object.__setattr__(self, "hi", _read_only(
+            np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, dims)], dtype=float)))
+
+    def __reduce__(self):  # unpickling rebuilds the read-only layout from the dims
+        return DesignSpace, (self.dims,)
 
     @property
     def encoded_width(self) -> int:
         return len(self.dims)
 
-    def limits(self):
-        """Per-dim boolean mask and each dim's [lo, hi], booleans' being [0, 1]."""
-        is_bool = np.array([isinstance(dim, BooleanDim) for dim in self.dims])
-        lo = np.array([0.0 if b else dim.lo for b, dim in zip(is_bool, self.dims)])
-        hi = np.array([1.0 if b else dim.hi for b, dim in zip(is_bool, self.dims)])
-        return is_bool, lo, hi
-
     def validate(self, design: "Design") -> None:
         """Check one outside design: each boolean value a `bool` or
         `np.bool_` (an int is not a bool), then its values by the rules of
         `encode_batch`."""
-        for dim, v in zip(self.dims, design.values):
-            if isinstance(dim, BooleanDim) and not isinstance(v, (bool, np.bool_)):
+        for dim, b, v in zip(self.dims, self.is_bool, design.values):
+            if b and not isinstance(v, (bool, np.bool_)):
                 raise SchemaError(f"{dim.name}={v!r} is not a bool")
         encode_batch(self, [design.values])
 
@@ -199,8 +217,8 @@ class MemoryView:
         return len(self.step)
 
     def design(self, i: int) -> Design:
-        kinds = [isinstance(dim, BooleanDim) for dim in self.space.dims]
-        return Design(tuple(bool(v) if b else v for b, v in zip(kinds, self.values[i].tolist())))
+        return Design(tuple(bool(v) if b else v
+                            for b, v in zip(self.space.is_bool, self.values[i].tolist())))
 
     @property
     def entries(self) -> list[MemoryEntry]:
@@ -224,8 +242,8 @@ class TrajectoryMemory:
         self.budget = budget
         self._n = 0
         self._step = np.zeros(budget, dtype=np.int64)
-        all_bool = all(isinstance(dim, BooleanDim) for dim in space.dims)
-        self._values = np.zeros((budget, space.encoded_width), dtype=bool if all_bool else float)
+        self._values = np.zeros((budget, space.encoded_width),
+                                dtype=bool if space.is_bool.all() else float)
         self._raw = np.zeros(budget)
         self._score = np.zeros(budget)
         self._class_id = np.zeros(budget, dtype=np.int64)
@@ -293,8 +311,8 @@ def encode_batch(space: DesignSpace, values) -> np.ndarray:
     width = space.encoded_width
     if V.ndim != 2 or V.shape[1] != width:
         raise SchemaError(f"expected value rows of shape (n, {width}), got {V.shape}")
-    is_bool, lo, hi = space.limits()
-    bad = ~((lo <= V) & (V <= hi)) | (is_bool & (V != 0.0) & (V != 1.0))
+    is_bool = space.is_bool
+    bad = ~((space.lo <= V) & (V <= space.hi)) | (is_bool & (V != 0.0) & (V != 1.0))
     if bad.any():
         row, i = divmod(int(bad.argmax()), width)
         dim, v = space.dims[i], float(V[row, i])
@@ -307,8 +325,7 @@ def scale_values(space: DesignSpace, X: np.ndarray) -> np.ndarray:
     """Encode checked design value rows: continuous dims min-max scaled to
     [0, 1], booleans unchanged. The arithmetic of `encode_batch`, without
     its checks."""
-    _, lo, hi = space.limits()
-    return (X - lo) / (hi - lo)
+    return (X - space.lo) / (space.hi - space.lo)
 
 
 def decode_design(space: DesignSpace, X: np.ndarray) -> np.ndarray:
@@ -322,8 +339,8 @@ def decode_design(space: DesignSpace, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != space.encoded_width:
         raise SchemaError(f"expected encoded rows of shape (n, {space.encoded_width}), "
                           f"got {X.shape}")
-    is_bool, lo, hi = space.limits()
-    return np.where(is_bool, X >= 0.5, np.clip(lo + X * (hi - lo), lo, hi))
+    lo, hi = space.lo, space.hi
+    return np.where(space.is_bool, X >= 0.5, np.clip(lo + X * (hi - lo), lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Adversarial source critic.
 
-A weight-clipped scalar network trained by gradient ascent on the mean
+A critic is a plain `numerics.DenseNet` with a scalar output, every
+parameter kept in [-CLIP, CLIP], trained by gradient ascent on the mean
 difference between its values on source designs and on generated designs.
 That mean difference is a lower-bound estimate of the 1-Wasserstein
 distance between the two empirical distributions (up to the critic's
 Lipschitz constant).
 
-Contract: `critic_values` and `critic_train` take designs already encoded
-as `(n, d)` arrays (`core.encode_batch`, or `SourcePool.encoded`), and
-`critic_train` returns its last pass's values on both batches, which
-`w1_estimate` takes, so no batch is encoded or evaluated twice.
+Contract: `critic_values` and `critic_train` take the net and designs
+already encoded as `(n, d)` arrays (`core.encode_batch`, or
+`SourcePool.encoded`). Every training pass runs on all source rows and the
+whole generated batch, and `critic_train` returns the trained net with its
+last pass's values on both batches, which `w1_estimate` takes, so no batch
+is encoded or evaluated twice.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from .core import DesignSpace, NumericError, encode_batch
 from .numerics import (DenseNet, init_net, net_forward_batch, net_gradient, net_workspace,
                        sgd_step)
 
-DEFAULT_CLIP = 0.01
-
-
-@dataclass
-class CriticModel:
-    net: DenseNet
-    clip: float = DEFAULT_CLIP
+CLIP = 0.01
 
 
 @dataclass
@@ -52,16 +49,14 @@ class SourcePool:
         return len(self.values)
 
 
-def init_critic(space: DesignSpace, hidden=(64, 64), seed: int = 0,
-                clip: float = DEFAULT_CLIP) -> CriticModel:
-    """Fresh critic with all parameters uniform in [-clip, clip]."""
-    sizes = (space.encoded_width, *hidden, 1)
-    return CriticModel(net=init_net(sizes, seed=seed, scale=clip), clip=clip)
+def init_critic(space: DesignSpace, hidden=(64, 64), seed: int = 0) -> DenseNet:
+    """Fresh critic with all parameters uniform in [-CLIP, CLIP]."""
+    return init_net((space.encoded_width, *hidden, 1), seed=seed, scale=CLIP)
 
 
-def critic_values(critic: CriticModel, X: np.ndarray) -> np.ndarray:
+def critic_values(critic: DenseNet, X: np.ndarray) -> np.ndarray:
     """Critic value of each row of an encoded `(n, d)` batch."""
-    return net_forward_batch(critic.net, X)
+    return net_forward_batch(critic, X)
 
 
 def w1_estimate(src_values: np.ndarray, gen_values: np.ndarray) -> float:
@@ -72,37 +67,30 @@ def w1_estimate(src_values: np.ndarray, gen_values: np.ndarray) -> float:
     return float(src_values.mean() - gen_values.mean())
 
 
-def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, lr: float,
-                 tol: float = 1e-4, max_iters: int = 500, seed: int = 0,
-                 src_subsample: int = 512) -> tuple[CriticModel, np.ndarray, np.ndarray]:
+def critic_train(critic: DenseNet, src_enc: np.ndarray, gen_enc: np.ndarray, lr: float,
+                 tol: float = 1e-4,
+                 max_iters: int = 500) -> tuple[DenseNet, np.ndarray, np.ndarray]:
     """Gradient-ascend the dual estimate on encoded source and generated
-    batches, clamping all parameters to [-clip, clip] after every step.
+    batches, clamping all parameters to [-CLIP, CLIP] after every step.
 
-    Each iteration is one `net_gradient` pass, which also gives the estimate
-    of the net it steps from. Training stops, before stepping, once the
-    estimate of the stepped nets has changed by less than `tol` for 5
-    consecutive iterations, or after `max_iters` steps; a non-finite
-    estimate raises `NumericError`. The source side uses all rows when it
-    has at most `src_subsample`, otherwise a seeded uniform subsample per
-    iteration, which the iteration's estimate is taken on too. Returns the
-    trained critic and its values on the source and generated rows of the
-    pass that ended training.
+    Each iteration is one `net_gradient` pass over every source and
+    generated row, which also gives the estimate of the net it steps from.
+    Training stops, before stepping, once the estimate of the stepped nets
+    has changed by less than `tol` for 5 consecutive iterations, or after
+    `max_iters` steps; a non-finite estimate raises `NumericError`. Returns
+    the trained net and its values on the source and generated rows of the
+    pass that ended training; the input net is not stepped.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
     if len(gen_enc) == 0:
         raise ValueError("empty generated batch")
-    rng = np.random.default_rng(seed)
-    net = critic.net.copy()
-    workspace = net_workspace(net, min(len(src_enc), src_subsample) + len(gen_enc))
+    net = critic.copy()
+    workspace = net_workspace(net, len(src_enc) + len(gen_enc))
     prev = None
     calm = 0
     for it in range(max_iters + 1):
-        if len(src_enc) <= src_subsample:
-            src_rows = src_enc
-        else:
-            src_rows = src_enc[rng.choice(len(src_enc), size=src_subsample, replace=False)]
-        grads, est = net_gradient(net, src_rows, gen_enc, workspace)
+        grads, est = net_gradient(net, src_enc, gen_enc, workspace)
         if it > 0:  # `est` is the estimate of the net after `it` steps
             if not np.isfinite(est):
                 raise NumericError("critic training produced a non-finite estimate")
@@ -110,15 +98,14 @@ def critic_train(critic: CriticModel, src_enc: np.ndarray, gen_enc: np.ndarray, 
             prev = est
         if calm >= 5 or it == max_iters:
             break
-        sgd_step(net, grads, lr, critic.clip)
+        sgd_step(net, grads, lr, CLIP)
     values = workspace[-1][0][:, 0]  # outputs of the last pass, which are the returned net's
-    n_src = len(src_rows)
-    return CriticModel(net=net, clip=critic.clip), values[:n_src].copy(), values[n_src:].copy()
+    n_src = len(src_enc)
+    return net, values[:n_src].copy(), values[n_src:].copy()
 
 
 __all__ = [
-    "DEFAULT_CLIP",
-    "CriticModel",
+    "CLIP",
     "SourcePool",
     "init_critic",
     "critic_values",

@@ -37,7 +37,7 @@ from .proposal import (
 )
 from .tasks import MixtureSurrogate, OracleSurrogate, Task, make_surrogate, oracle_eval
 from .tasks import make_task  # noqa: F401 - perfbench's tracer wraps optimizer.make_task
-from .core import ContinuousDim, decode_design
+from .core import decode_design
 
 
 class BudgetExceededError(RuntimeError):
@@ -245,7 +245,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
 
         critic, src_c, batch_c = critic_train(critic, source_pool.encoded, batch_enc,
-                                              lr=hp.eta_critic, seed=derive_seed(seed, 7, t))
+                                              lr=hp.eta_critic)
 
         # the dual gradient reads the trained critic at each class's best row
         qbar = boltzmann_weights(stats, mu_hat)
@@ -283,21 +283,18 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _log(memory, step, V, values):
-    """Log scored value rows at one step; a baseline's raw value is its score."""
-    memory.append_batch(step, V, values, values, [0] * len(V))
-
-
-def _log_rows(memory, V, values):
-    """Log scored value rows one step per row, numbering steps by row."""
-    for i in range(len(V)):
-        _log(memory, len(memory), V[i:i + 1], values[i:i + 1])
+def _score(metered, memory, V, ctx):
+    """Score a batch of value rows and log it in one append, at the step
+    numbered by the memory row of its first design; a baseline's raw value
+    is its score."""
+    values = metered.value(V, ctx)
+    memory.append_batch(len(memory), V, values, values, np.zeros(len(V), dtype=np.int64))
+    return values
 
 
 def _random_search(task, metered, ctx, rng, memory, chunk):
     while metered.remaining > 0:
-        V = random_design(task.space, rng, min(chunk, metered.remaining))
-        _log_rows(memory, V, metered.value(V, ctx))
+        _score(metered, memory, random_design(task.space, rng, min(chunk, metered.remaining)), ctx)
 
 
 def _simulated_annealing(task, metered, ctx, rng, memory):
@@ -305,8 +302,7 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     final temperature is 1% of the initial one."""
     space = task.space
     probes = random_design(space, rng, min(64, metered.remaining))
-    vals = metered.value(probes, ctx)
-    _log_rows(memory, probes, vals)
+    vals = _score(metered, memory, probes, ctx)
     t0 = float(np.std(vals)) or 1.0
     n = metered.remaining
     if n == 0:
@@ -317,8 +313,7 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     temp = t0
     for _ in range(n):
         cand = _single_dim_move(space, current, rng)
-        cand_val = metered.value(cand[None], ctx)[0]
-        _log_rows(memory, cand[None], [cand_val])
+        cand_val = _score(metered, memory, cand[None], ctx)[0]
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
@@ -329,33 +324,29 @@ def _single_dim_move(space, row, rng):
     """A copy of a value row with one random dim moved: a continuous dim
     jittered by 0.1 of its width and clamped, a boolean flipped."""
     i = int(rng.integers(len(space.dims)))
-    dim = space.dims[i]
     cand = row.copy()
-    if isinstance(dim, ContinuousDim):
-        width = dim.hi - dim.lo
-        cand[i] = min(max(float(cand[i]) + rng.normal(0.0, 0.1 * width), dim.lo), dim.hi)
-    else:
+    if space.is_bool[i]:
         cand[i] = 1.0 - cand[i]
+    else:
+        lo, hi = space.lo[i], space.hi[i]
+        cand[i] = min(max(float(cand[i]) + rng.normal(0.0, 0.1 * (hi - lo)), lo), hi)
     return cand
 
 
 def _surrogate_greedy(task, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
     space = task.space
-    continuous = all(isinstance(d, ContinuousDim) for d in space.dims)
-    step = 0
     share = metered.budget // restarts
     for _ in range(restarts):
         allotment = min(share, metered.remaining)
         if allotment <= 0:
             break
-        if continuous:
-            step = _greedy_continuous(space, metered, ctx, rng, memory, allotment,
-                                      lr, fd_step, step)
+        if space.is_bool.any():
+            _greedy_flip(space, metered, ctx, rng, memory, allotment)
         else:
-            step = _greedy_flip(space, metered, ctx, rng, memory, allotment, step)
+            _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step)
 
 
-def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step, step):
+def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step):
     """Normalized-gradient ascent in encoded units with a 1/sqrt(k) decayed
     step, via central finite differences on the surrogate."""
     d = len(space.dims)
@@ -367,11 +358,7 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
         U = np.repeat(u[None], 2 * d, axis=0)  # rows 2j and 2j + 1 probe dim j up and down
         U[2 * j, j] = np.minimum(u + fd_step, 1.0)
         U[2 * j + 1, j] = np.maximum(u - fd_step, 0.0)
-        probes = decode_design(space, U)
-        vals = metered.value(probes, ctx)
-        for i in range(d):
-            _log(memory, step, probes[2 * i:2 * i + 2], vals[2 * i:2 * i + 2])
-            step += 1
+        vals = _score(metered, memory, decode_design(space, U), ctx)
         denoms = U[2 * j, j] - U[2 * j + 1, j]
         grad = np.divide(vals[2 * j] - vals[2 * j + 1], denoms, out=np.zeros(d), where=denoms > 0)
         used += 2 * d
@@ -379,38 +366,32 @@ def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step,
         if norm > 0:
             u = np.clip(u + (lr / np.sqrt(k)) * grad / norm, 0.0, 1.0)
         k += 1
-    return step
 
 
-def _greedy_flip(space, metered, ctx, rng, memory, allotment, step):
+def _greedy_flip(space, metered, ctx, rng, memory, allotment):
     """Best-improvement single-flip hill climbing with random restarts."""
     current = random_design(space, rng, 1)[0]
-    cur_val = metered.value(current[None], ctx)[0]
-    _log(memory, step, current[None], [cur_val])
+    cur_val = _score(metered, memory, current[None], ctx)[0]
     used = 1
     while used < allotment and metered.remaining > 0:
         n = min(len(space.dims), allotment - used, metered.remaining)
         cands = _flip_each_dim(space, current, n)
-        vals = metered.value(cands, ctx)
-        _log(memory, step, cands, vals)
+        vals = _score(metered, memory, cands, ctx)
         used += n
-        step += 1
         best = int(np.argmax(vals))  # first of the best flips
         if vals[best] <= cur_val:  # local optimum: restart
             if used >= allotment or metered.remaining == 0:
                 break
             current = random_design(space, rng, 1)[0]
-            cur_val = metered.value(current[None], ctx)[0]
-            _log(memory, step, current[None], [cur_val])
+            cur_val = _score(metered, memory, current[None], ctx)[0]
             used += 1
         else:
             current, cur_val = cands[best], vals[best]
-    return step
 
 
 def _flip_each_dim(space, row, n):
     """`n` copies of a value row, copy i with boolean dim i flipped."""
-    if any(isinstance(dim, ContinuousDim) for dim in space.dims[:n]):
+    if not space.is_bool[:n].all():
         raise ValueError("flip move on a continuous dim")
     cands = np.tile(row, (n, 1))
     i = np.arange(n)

@@ -103,6 +103,8 @@ _FENCE_RE = re.compile(r"```(?:json)?", re.IGNORECASE)
 
 def _coerce_value(dim, v):
     if isinstance(dim, ContinuousDim):
+        if isinstance(v, bool):  # a JSON boolean is not a number
+            raise ValueError(f"bad number {v!r}")
         x = float(v)
         if x != x:
             raise ValueError("NaN value")
@@ -120,10 +122,11 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
     """Parse a JSON array of {dim name: value} objects.
 
     Returns at most `b` designs plus the number of rejected elements: those
-    with a missing key or a malformed value, NaN or a number too large for
-    a float included. A number out of range, ±Infinity too, clamps to the
-    dim's bound. Raises DesignParseError when the payload is not a JSON
-    array at all, so engine retry logic can resample.
+    with a missing key or a malformed value, NaN, a number too large for a
+    float and a boolean for a continuous dim included. A number out of
+    range, ±Infinity too, clamps to the dim's bound. Raises
+    DesignParseError when the payload is not a JSON array at all, so engine
+    retry logic can resample.
     """
     text = _FENCE_RE.sub("", raw).strip()
     start, end = text.find("["), text.rfind("]")
@@ -160,7 +163,7 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
 def random_design(space: DesignSpace, rng: np.random.Generator, n: int) -> np.ndarray:
     """`n` uniform designs as `(n, d)` value rows: one `uniform` draw for
     the continuous dims and one `integers(2)` draw for the booleans."""
-    is_bool, lo, hi = space.limits()
+    is_bool, lo, hi = space.is_bool, space.lo, space.hi
     cont = ~is_bool
     V = np.empty((n, len(is_bool)))
     V[:, cont] = rng.uniform(lo[cont], hi[cont], size=(n, cont.sum()))
@@ -174,7 +177,7 @@ def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
     units, clamped to the bounds) and flip each of its booleans with its
     probability `flip`: one `normal` draw for the continuous dims and one
     `random` draw for the booleans."""
-    is_bool, lo, hi = space.limits()
+    is_bool, lo, hi = space.is_bool, space.lo, space.hi
     cont = ~is_bool
     out = np.array(V, dtype=float)
     noise = rng.normal(0.0, sigma[:, None] * (hi - lo)[cont], size=(len(out), cont.sum()))

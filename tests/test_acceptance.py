@@ -192,6 +192,27 @@ CRITERION_11_CONFIG = {
 }
 CRITERION_11_SHA256 = "8666896cb3589e1682ff4395e0476d31788d53782bb47cdc4ef8153b47f19902"
 
+# the benchmark's dose-kmeans and regimen-score configs, methods in a fixed
+# order: together they run leon and every baseline's continuous and boolean paths
+_BENCHMARK_BASELINES = [{"name": "random-search"}, {"name": "simulated-annealing"},
+                        {"name": "surrogate-greedy"}]
+_BENCHMARK_RUN = {"n_patients": 4, "seed": 2024,
+                  "hyperparams": {"budget": 2048, "batch_size": 32},
+                  "surrogate": {"variant": "analytic-shift", "beta": 0.5, "radius": 1.0}}
+PINNED_RESULTS = {
+    "criterion-11": (CRITERION_11_CONFIG, CRITERION_11_SHA256),
+    "dose-kmeans": (
+        {"task": "dose", "methods": [{"name": "leon", "engine": "boltzmann-memory",
+                                      "partition": "kmeans"}, *_BENCHMARK_BASELINES],
+         **_BENCHMARK_RUN},
+        "809df43a7fd4fddb07893b7ed960c98b2522b94c9c6ac1b9b92489e1b362b97d"),
+    "regimen-score": (
+        {"task": "regimen", "methods": [{"name": "leon", "engine": "boltzmann-memory",
+                                         "partition": "score"}, *_BENCHMARK_BASELINES],
+         **_BENCHMARK_RUN},
+        "95fb2dbe0b1e1f4998abf486036d68bd56d41a19d554ba05399abd9a6e0ea886"),
+}
+
 
 def test_criterion_11_cli_determinism(tmp_path):
     """Two identical CLI runs with mock engines produce byte-identical
@@ -220,15 +241,17 @@ def test_criterion_11_cli_determinism(tmp_path):
     assert elapsed < 300
 
 
-def test_criterion_11_results_are_pinned(tmp_path):
-    """Mock-engine configs keep byte-identical output: criterion 11's config,
-    run in-process, writes the `results.json` whose sha256 is pinned here.
-    A change that alters this output on purpose updates the pin and states
-    why in CHANGES.md."""
+@pytest.mark.parametrize("name", list(PINNED_RESULTS))
+def test_criterion_11_results_are_pinned(tmp_path, name):
+    """Mock-engine configs keep byte-identical output: criterion 11's config
+    and two benchmark configs, run in-process, write the `results.json`
+    whose sha256 is pinned here. A change that alters this output on
+    purpose updates the pin and states why in CHANGES.md."""
+    config, sha256 = PINNED_RESULTS[name]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**CRITERION_11_CONFIG, "output_dir": str(tmp_path / "out")}),
+    cfg_path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
                         encoding="utf-8")
     result = CliRunner().invoke(main, ["run", "-c", str(cfg_path)])
     assert result.exit_code == 0, result.output
     written = (tmp_path / "out" / "results.json").read_bytes()
-    assert hashlib.sha256(written).hexdigest() == CRITERION_11_SHA256
+    assert hashlib.sha256(written).hexdigest() == sha256

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ def test_space_invariants():
         ContinuousDim("x", 1.0, 1.0)
     with pytest.raises(SchemaError):
         DesignSpace(())
+
+
+def test_space_layout_is_read_only_and_survives_pickling(mixed_space):
+    """The layout arrays are computed once, cannot be written, stay out of
+    eq, hash and repr, and are rebuilt read-only by unpickling."""
+    again = pickle.loads(pickle.dumps(mixed_space))
+    for space in (mixed_space, again):
+        assert space.is_bool.tolist() == [False, True, True]
+        assert space.lo.tolist() == [0.0, 0.0, 0.0] and space.hi.tolist() == [100.0, 1.0, 1.0]
+        for a in (space.is_bool, space.lo, space.hi):
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert again == mixed_space and hash(again) == hash(mixed_space)
+    assert "is_bool" not in repr(mixed_space)
 
 
 def test_design_validation(mixed_space, dose_task):

@@ -5,7 +5,7 @@ from scipy.optimize import linear_sum_assignment
 import leon.critic
 from leon.core import ContinuousDim, DesignSpace, NumericError, encode_batch
 from leon.critic import (
-    CriticModel,
+    CLIP,
     SourcePool,
     critic_train,
     critic_values,
@@ -33,13 +33,12 @@ def _w1(critic, src_enc, gen_enc):
 
 def _identity_critic():
     # single identity layer undoes the [0,1] encoding: c(encode(x)) == x
-    return CriticModel(net=DenseNet([Layer(np.array([[100.0]]), np.array([0.0]), "id")]),
-                       clip=100.0)
+    return DenseNet([Layer(np.array([[100.0]]), np.array([0.0]), "id")])
 
 
 def test_zero_critic_value():
-    critic = CriticModel(net=DenseNet([Layer(np.zeros((8, 1)), np.zeros(8), "relu"),
-                                       Layer(np.zeros((1, 8)), np.zeros(1), "id")]))
+    critic = DenseNet([Layer(np.zeros((8, 1)), np.zeros(8), "relu"),
+                       Layer(np.zeros((1, 8)), np.zeros(1), "id")])
     assert critic_values(critic, _enc([0.0, 33.3, 100.0])).tolist() == [0.0, 0.0, 0.0]
 
 
@@ -49,7 +48,7 @@ def test_critic_value_deterministic_and_composed():
     a = critic_values(critic, X)
     assert np.array_equal(a, critic_values(critic, X))
     for row, d in zip(a, _designs([42.0, 7.0, 99.0])):
-        assert row == pytest.approx(net_forward(critic.net, encode_batch(SPACE_1D, d[None])[0]),
+        assert row == pytest.approx(net_forward(critic, encode_batch(SPACE_1D, d[None])[0]),
                                     rel=1e-12, abs=1e-15)
     assert critic_values(critic, X[:0]).shape == (0,)
 
@@ -86,13 +85,13 @@ def test_w1_empty_batch():
 def test_train_keeps_clip_exactly():
     critic = init_critic(SPACE_1D, seed=1)
     trained, *_ = critic_train(critic, _enc(np.linspace(10, 30, 16)),
-                               _enc(np.linspace(70, 90, 8)), lr=0.01, max_iters=50, seed=0)
-    assert np.abs(flatten_params(trained.net)).max() <= trained.clip
+                               _enc(np.linspace(70, 90, 8)), lr=0.01, max_iters=50)
+    assert np.abs(flatten_params(trained)).max() <= CLIP
 
 
 def test_train_same_distribution_stays_flat():
     pts = _enc(np.linspace(20, 80, 32))
-    _, *values = critic_train(init_critic(SPACE_1D, seed=2), pts, pts, lr=0.001, seed=0)
+    _, *values = critic_train(init_critic(SPACE_1D, seed=2), pts, pts, lr=0.001)
     assert abs(w1_estimate(*values)) <= 0.05
 
 
@@ -100,7 +99,7 @@ def test_train_separates_and_respects_exact_w1():
     src = _enc(np.linspace(0, 20, 24))
     gen = _enc(np.linspace(80, 100, 24))
     _, *values = critic_train(init_critic(SPACE_1D, seed=4), src, gen,
-                              lr=0.001, max_iters=500, seed=0)
+                              lr=0.001, max_iters=500)
     est = w1_estimate(*values)
     # encoded units: sorted-sample transport distance is the oracle
     true_w1 = exact_w1_1d(src[:, 0], gen[:, 0])
@@ -113,10 +112,9 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
     src = _designs(rng.uniform(0, 40, size=16))
     gen = _designs(rng.uniform(55, 100, size=16))
     trained, *values = critic_train(init_critic(SPACE_1D, seed=6), encode_batch(SPACE_1D, src),
-                                    encode_batch(SPACE_1D, gen), lr=0.005, max_iters=300,
-                                    seed=1)
+                                    encode_batch(SPACE_1D, gen), lr=0.005, max_iters=300)
     est = w1_estimate(*values)
-    lip = lipschitz_bound(trained.net)
+    lip = lipschitz_bound(trained)
     assert lip > 0
 
     # 1-D oracle by sorting
@@ -133,23 +131,22 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
 
 
 def _three_call_train(critic, src_enc, gen_enc, lr, tol=1e-4, max_iters=500):
-    """Reference loop for source pools within the subsample: a gradient
-    pass into fresh buffers, a clipped step into a fresh net, then a
-    separate W1 estimate of the stepped net. Returns the net and the
-    number of steps taken."""
-    net = critic.net.copy()
+    """Reference loop: a gradient pass over every row into fresh buffers, a
+    clipped step into a fresh net, then a separate W1 estimate of the
+    stepped net. Returns the net and the number of steps taken."""
+    net = critic.copy()
     prev = None
     calm = 0
     steps = 0
     for _ in range(max_iters):
         grads, _ = net_gradient(net, src_enc, gen_enc,
                                 net_workspace(net, len(src_enc) + len(gen_enc)))
-        net = DenseNet([Layer(np.clip(l.weights + lr * dW, -critic.clip, critic.clip),
-                              np.clip(l.biases + lr * db, -critic.clip, critic.clip),
+        net = DenseNet([Layer(np.clip(l.weights + lr * dW, -CLIP, CLIP),
+                              np.clip(l.biases + lr * db, -CLIP, CLIP),
                               l.activation)
                         for l, (dW, db) in zip(net.layers, grads)])
         steps += 1
-        est = _w1(CriticModel(net=net, clip=critic.clip), src_enc, gen_enc)
+        est = _w1(net, src_enc, gen_enc)
         assert np.isfinite(est)
         if prev is not None and abs(est - prev) < tol:
             calm += 1
@@ -166,11 +163,12 @@ def _default_like_batches(seed):
     return _enc(rng.uniform(30, 70, size=128)), _enc(rng.uniform(60, 100, size=32))
 
 
-@pytest.mark.parametrize("case", ["calm", "max_iters", "regimen"])
+@pytest.mark.parametrize("case", ["calm", "max_iters", "regimen", "large_pool"])
 def test_train_matches_three_call_reference(case):
     """One pass per iteration, stepped in place, returns the net of the
     reference loop bit for bit, whether training stops on the calm rule or
-    runs out of iterations, and with it that net's values on both batches."""
+    runs out of iterations, and on a 600-row source pool as on a small one,
+    and with it that net's values on both batches."""
     if case == "regimen":
         space = make_regimen_task(0).space
         rng = np.random.default_rng(2)
@@ -178,20 +176,25 @@ def test_train_matches_three_call_reference(case):
         gen = rng.integers(0, 2, size=(32, len(space.dims))).astype(float)
         critic = init_critic(space, hidden=(64, 64), seed=5)
         kwargs = dict(lr=0.001)
+    elif case == "large_pool":
+        rng = np.random.default_rng(4)
+        src, gen = _enc(rng.uniform(0, 60, size=600)), _enc(rng.uniform(40, 100, size=32))
+        critic = init_critic(SPACE_1D, hidden=(16, 16), seed=1)
+        kwargs = dict(lr=0.005, max_iters=60)
     else:
         src, gen = _default_like_batches(1)
         critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
         # tol 0 never counts an iteration as calm
         kwargs = dict(lr=0.001) if case == "calm" else dict(lr=0.001, tol=0.0, max_iters=40)
-    initial = flatten_params(critic.net)
-    trained, src_values, gen_values = critic_train(critic, src, gen, seed=0, **kwargs)
-    assert np.array_equal(flatten_params(critic.net), initial)  # the input is not stepped
+    initial = flatten_params(critic)
+    trained, src_values, gen_values = critic_train(critic, src, gen, **kwargs)
+    assert np.array_equal(flatten_params(critic), initial)  # the input is not stepped
     reference, steps = _three_call_train(critic, src, gen, **kwargs)
     if case == "max_iters":
         assert steps == 40
-    else:
+    elif case != "large_pool":
         assert steps < 500  # stopped on the calm rule
-    for got, want in zip(trained.net.layers, reference.layers):
+    for got, want in zip(trained.layers, reference.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.biases, want.biases)
     assert np.array_equal(src_values, critic_values(trained, src))
@@ -220,35 +223,14 @@ def test_train_takes_one_gradient_pass_per_iteration(monkeypatch):
     calls = _count_critic_calls(monkeypatch)
     src, gen = _default_like_batches(1)
     critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
-    critic_train(critic, src, gen, lr=0.001, tol=0.0, max_iters=40, seed=0)
+    critic_train(critic, src, gen, lr=0.001, tol=0.0, max_iters=40)
     assert calls == {"gradient": [(128, 32)] * 41, "forward": 0}
 
 
-def test_train_subsamples_large_source_pools(monkeypatch):
-    """A source pool above `src_subsample` is subsampled per iteration:
-    every pass sees `src_subsample + len(gen)` rows, the result repeats
-    under a seed, and every parameter stays within the clip. The returned
-    source values are the last pass's subsample."""
-    calls = _count_critic_calls(monkeypatch)
-    rng = np.random.default_rng(4)
-    src, gen = _enc(rng.uniform(0, 60, size=600)), _enc(rng.uniform(40, 100, size=32))
-    critic = init_critic(SPACE_1D, hidden=(16, 16), seed=1)
-    runs = [critic_train(critic, src, gen, lr=0.005, max_iters=60, seed=9) for _ in range(2)]
-    assert calls["forward"] == 0 and calls["gradient"]
-    assert set(calls["gradient"]) == {(512, 32)}
-    (trained, src_values, gen_values), again = runs
-    assert np.array_equal(flatten_params(trained.net), flatten_params(again[0].net))
-    assert src_values.shape == (512,) and gen_values.shape == (32,)
-    assert np.array_equal(src_values, again[1]) and np.array_equal(gen_values, again[2])
-    assert np.abs(flatten_params(trained.net)).max() <= critic.clip
-    other, *_ = critic_train(critic, src, gen, lr=0.005, max_iters=60, seed=10)
-    assert not np.array_equal(flatten_params(other.net), flatten_params(trained.net))
-
-
 def test_train_aborts_on_nonfinite():
-    bad = CriticModel(net=DenseNet([Layer(np.array([[np.nan]]), np.array([0.0]), "id")]))
+    bad = DenseNet([Layer(np.array([[np.nan]]), np.array([0.0]), "id")])
     with pytest.raises(NumericError):
-        critic_train(bad, _enc([10, 20]), _enc([80]), lr=0.001, seed=0)
+        critic_train(bad, _enc([10, 20]), _enc([80]), lr=0.001)
 
 
 def test_train_validates_inputs():

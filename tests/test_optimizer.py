@@ -437,7 +437,12 @@ def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
     """Random search scores a batch at a time, annealing its 64 probes at
     once and then each move alone, greedy ascent each gradient step's two
     probes per dim (or each flip sweep) at once; every scored design is one
-    memory row, and the row-per-step baselines number steps by row."""
+    memory row, and a batch's rows carry the step numbered by the memory
+    row of its first design."""
+
+    def batch_steps(sizes):
+        return np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+
     cfg = RunConfig(hp=Hyperparams(budget=80, batch_size=32))
     expected = {"random-search": [32, 32, 16], "simulated-annealing": [64] + [1] * 16,
                 "surrogate-greedy": [2] * 40}
@@ -446,12 +451,12 @@ def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
         result = run_baseline(dose_task, variant, cfg, seed=3)
         assert scored_batches == sizes
         assert len(result.memory) == result.surrogate_calls == 80
-        if variant != "surrogate-greedy":
-            assert np.array_equal(result.memory.view().step, np.arange(80))
+        assert np.array_equal(result.memory.view().step, batch_steps(sizes))
     scored_batches.clear()
     result = run_baseline(regimen_task, "surrogate-greedy", cfg, seed=3)
     assert max(scored_batches) == 16  # one flip per dim
     assert sum(scored_batches) == len(result.memory) == 80
+    assert np.array_equal(result.memory.view().step, batch_steps(scored_batches))
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +532,24 @@ def test_make_engine_rejects_unknown(dose_task):
         make_engine(RunConfig(engine="gradient-llm"), seed=0)
 
 
-def test_large_source_pool_subsampled(dose_task):
+def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
+    """Every critic gradient pass of a run sees the whole 600-row source
+    pool and the whole batch."""
+    import leon.critic
+
+    rows = []
+    real = leon.critic.net_gradient
+
+    def gradient(net, pos, neg, *args):
+        rows.append(len(pos) + len(neg))
+        return real(net, pos, neg, *args)
+
+    monkeypatch.setattr(leon.critic, "net_gradient", gradient)
     cfg = RunConfig(method="leon", hp=HP_SMALL, source_pool_size=600,
                     partition="random")
     result = run_leon(dose_task, cfg, seed=1)
     assert len(result.memory) == 64
+    assert rows and set(rows) == {600 + 32}
 
 
 def test_run_with_knowledge_sources(dose_task):

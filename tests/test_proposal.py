@@ -130,6 +130,9 @@ def test_parse_rejects_malformed_element():
     items[1] = {"Dose": 5.0, "Boost": "maybe", "Taper": True}  # not a boolean
     designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
     assert len(designs) == 2 and rejects == 1
+    items[1] = {"Dose": True, "Boost": True, "Taper": False}  # a boolean is not a dose
+    designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
+    assert len(designs) == 2 and rejects == 1
 
 
 def test_parse_rejects_nan_and_oversized_numbers():
