@@ -13,6 +13,12 @@ already encoded as `(n, d)` arrays (`core.encode_batch`, or
 whole generated batch, and `critic_train` returns the trained net with its
 last pass's values on both batches, which `w1_estimate` takes, so no batch
 is encoded or evaluated twice.
+
+Training works on the net's one flat parameter vector (`DenseNet.params`):
+each step is one finiteness check, one add and one clip over it. A
+`critic_train` call allocates one `numerics.NetWorkspace` for the source
+pool plus the batch, so its passes' input rows, activations, deltas and
+gradient are allocated once per call, not per pass.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DesignSpace, NumericError, encode_batch
-from .numerics import (DenseNet, init_net, net_forward_batch, net_gradient, net_workspace,
-                       sgd_step)
+from .numerics import DenseNet, NetWorkspace, init_net, net_forward_batch, net_gradient, sgd_step
 
 CLIP = 0.01
 
@@ -68,8 +73,7 @@ def w1_estimate(src_values: np.ndarray, gen_values: np.ndarray) -> float:
 
 
 def critic_train(critic: DenseNet, src_enc: np.ndarray, gen_enc: np.ndarray, lr: float,
-                 tol: float = 1e-4,
-                 max_iters: int = 500) -> tuple[DenseNet, np.ndarray, np.ndarray]:
+                 tol: float = 1e-4, max_iters: int = 500) -> tuple[DenseNet, np.ndarray, np.ndarray]:
     """Gradient-ascend the dual estimate on encoded source and generated
     batches, clamping all parameters to [-CLIP, CLIP] after every step.
 
@@ -77,30 +81,36 @@ def critic_train(critic: DenseNet, src_enc: np.ndarray, gen_enc: np.ndarray, lr:
     generated row, which also gives the estimate of the net it steps from.
     Training stops, before stepping, once the estimate of the stepped nets
     has changed by less than `tol` for 5 consecutive iterations, or after
-    `max_iters` steps; a non-finite estimate raises `NumericError`. Returns
-    the trained net and its values on the source and generated rows of the
-    pass that ended training; the input net is not stepped.
+    `max_iters` steps; the pass that stops it runs forward only. A
+    non-finite estimate raises `NumericError`. Returns the trained net and
+    its values on the source and generated rows of the pass that ended
+    training; the input net is not stepped.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
     if len(gen_enc) == 0:
         raise ValueError("empty generated batch")
     net = critic.copy()
-    workspace = net_workspace(net, len(src_enc) + len(gen_enc))
+    n_src = len(src_enc)
+    workspace = NetWorkspace(net, n_src + len(gen_enc))
     prev = None
     calm = 0
-    for it in range(max_iters + 1):
-        grads, est = net_gradient(net, src_enc, gen_enc, workspace)
-        if it > 0:  # `est` is the estimate of the net after `it` steps
+
+    def stop(est):  # `est` is the estimate of the net after `it` steps
+        nonlocal prev, calm
+        if it > 0:
             if not np.isfinite(est):
                 raise NumericError("critic training produced a non-finite estimate")
             calm = calm + 1 if prev is not None and abs(est - prev) < tol else 0
             prev = est
-        if calm >= 5 or it == max_iters:
+        return calm >= 5 or it == max_iters
+
+    for it in range(max_iters + 1):
+        grad, _ = net_gradient(net, src_enc, gen_enc, workspace, stop)
+        if grad is None:
             break
-        sgd_step(net, grads, lr, CLIP)
-    values = workspace[-1][0][:, 0]  # outputs of the last pass, which are the returned net's
-    n_src = len(src_enc)
+        sgd_step(net, grad, lr, CLIP)
+    values = workspace.acts[-1][:, 0]  # outputs of the last pass, which are the returned net's
     return net, values[:n_src].copy(), values[n_src:].copy()
 
 

@@ -7,7 +7,7 @@ helpers. Everything here is pure given explicit inputs and seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,23 +36,64 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
+    """Per-layer (weights, biases) views of a vector laid out like
+    `net.params`, such as a gradient: each layer's (out, in) weights in row
+    order, then its out biases, layer after layer."""
+    views, i = [], 0
+    for out, fan_in in net.shapes:
+        j = i + out * fan_in
+        views.append((vec[i:j].reshape(out, fan_in), vec[j:j + out]))
+        i = j + out
+    return views
+
+
 @dataclass
 class DenseNet:
+    """Feed-forward net whose parameters are one contiguous float64 vector,
+    `params`, in `layer_views` order. Each layer's `weights` and `biases`
+    are views of it: writing them writes `params` and the reverse, so a
+    step over all parameters is one operation on `params`. Construction
+    copies the given layers' arrays into a new vector. `params` is the net:
+    steps, copies and pickles all read it, so a layer's arrays are written
+    in place, never rebound."""
+
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    shapes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError("consecutive layer shapes incompatible")
+        self.shapes = tuple(l.weights.shape for l in self.layers)
+        self._bind(np.concatenate([np.concatenate([l.weights.ravel(), l.biases])
+                                   for l in self.layers]),
+                   [l.activation for l in self.layers])
+
+    def _bind(self, params: np.ndarray, activations) -> None:
+        self.params = params
+        self.layers = [Layer(w, b, act)
+                       for (w, b), act in zip(layer_views(self, params), activations)]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.shapes[0][1]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers]
-        )
+        return _net_on(self.params.copy(), self.shapes, [l.activation for l in self.layers])
+
+    def __reduce__(self):
+        # pickled as its vector, like `copy`; the layers are rebuilt as views
+        return _net_on, (self.params, self.shapes, [l.activation for l in self.layers])
+
+
+def _net_on(params: np.ndarray, shapes: tuple, activations) -> DenseNet:
+    """A net whose layers are views of `params` (owned by the new net)."""
+    net = object.__new__(DenseNet)
+    net.shapes = shapes
+    net._bind(params, activations)
+    return net
 
 
 def init_net(sizes, seed, activation="relu", scale=None) -> DenseNet:
@@ -90,99 +131,147 @@ def net_forward(net: DenseNet, x) -> float:
     return float(net_forward_batch(net, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def net_workspace(net: DenseNet, n: int) -> list:
-    """Per-layer (activation, delta) buffers for `net_weighted_gradient` on
-    batches of `n` rows. A training loop allocates this once and passes it
-    to every step."""
-    return [(np.empty((n, l.weights.shape[0])), np.empty((n, l.weights.shape[0])))
-            for l in net.layers]
+class NetWorkspace:
+    """Buffers for gradient passes of nets shaped like `net` on batches of
+    exactly `n` rows: input rows, each layer's activations (which backprop
+    overwrites with the layer's deltas), a rectifier mask (one buffer,
+    viewed per layer, as each mask is used only where it is made), the flat
+    gradient (in `params` layout, with per-layer views `grads`) and the
+    +-1/n weights of `net_gradient`. A training loop allocates one and
+    passes it to every pass, which overwrites them all."""
+
+    def __init__(self, net: DenseNet, n: int):
+        widths = [out for out, _ in net.shapes]
+        self.shapes = net.shapes
+        self.rows = n
+        self.X = np.empty((n, net.input_dim))
+        self.acts = [np.empty((n, w)) for w in widths]
+        mask = np.empty(n * max(widths), dtype=bool)
+        self.masks = [mask[:n * w].reshape(n, w) for w in widths]
+        self.grad = np.empty_like(net.params)
+        self.grads = layer_views(net, self.grad)
+        self.weights = np.empty(n)
+
+    def load(self, pos, neg) -> int:
+        """Copy two row batches into the input rows and set `weights` to
+        their +-1/n; returns the number of `pos` rows."""
+        pos = np.atleast_2d(np.asarray(pos, dtype=float))
+        neg = np.atleast_2d(np.asarray(neg, dtype=float))
+        if len(pos) == 0 or len(neg) == 0:
+            raise ValueError("empty batch")
+        width = self.X.shape[1]
+        if len(pos) + len(neg) != self.rows or pos.shape[1] != width or neg.shape[1] != width:
+            raise ValueError("workspace does not match the batch")
+        n_pos = len(pos)
+        self.X[:n_pos] = pos
+        self.X[n_pos:] = neg
+        self.weights[:n_pos] = 1.0 / n_pos
+        self.weights[n_pos:] = -1.0 / len(neg)
+        return n_pos
 
 
-def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights, workspace: list):
+def _check_workspace(net: DenseNet, workspace: NetWorkspace, n: int) -> None:
+    if workspace.shapes != net.shapes or workspace.rows != n:
+        raise ValueError("workspace does not match the net and batch")
+
+
+def _forward(net: DenseNet, X: np.ndarray, workspace: NetWorkspace) -> np.ndarray:
+    """The net's outputs on X, with every layer's activations left in the
+    workspace."""
+    a = X
+    for layer, act in zip(net.layers, workspace.acts):
+        # z = a @ W.T + b, then relu, all in the layer's buffer
+        np.matmul(a, layer.weights.T, out=act)
+        act += layer.biases
+        if layer.activation == "relu":
+            np.maximum(act, 0.0, out=act)
+        a = act
+    return a[:, 0] if a.shape[1] == 1 else a
+
+
+def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
+              workspace: NetWorkspace) -> np.ndarray:
+    """Backprop of sum_j weights[j] * net(X[j]) after `_forward` on X;
+    returns the workspace's flat gradient. Each layer's delta overwrites
+    its activations once they are used up."""
+    layers, acts, masks = net.layers, workspace.acts, workspace.masks
+    # relu(z) > 0 exactly where z > 0, so backprop masks on the activation
+    delta = acts[-1]
+    if layers[-1].activation == "relu":
+        np.greater(delta, 0.0, out=masks[-1])
+        delta[...] = weights[:, None]
+        np.multiply(delta, masks[-1], out=delta)
+    else:
+        delta[...] = weights[:, None]
+    for li in range(len(layers) - 1, -1, -1):
+        a = acts[li - 1] if li > 0 else X
+        dW, db = workspace.grads[li]
+        np.matmul(delta.T, a, out=dW)
+        np.add.reduce(delta, axis=0, out=db)
+        if li > 0:
+            relu = layers[li - 1].activation == "relu"
+            if relu:
+                np.greater(a, 0.0, out=masks[li - 1])
+            delta = np.matmul(delta, layers[li].weights, out=a)
+            if relu:
+                np.multiply(delta, masks[li - 1], out=delta)
+    return workspace.grad
+
+
+def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights,
+                          workspace: NetWorkspace) -> np.ndarray:
     """Gradient of sum_j w[j] * net(X[j]) w.r.t. all parameters, in one
     forward-plus-backprop pass.
 
     `weights` is a function of the net's outputs on X (as `net_forward_batch`
     returns them) that gives the (n,) vector w, so a loss, or an estimate
     read off the same outputs, needs no second forward pass. `workspace`
-    (from `net_workspace`) holds the pass's activations and deltas. Returns
-    a list of (dW, db) with the same shapes as the layers.
+    (a `NetWorkspace` for the net and n rows) holds the pass's buffers.
+    Returns the workspace's flat gradient, in `net.params` layout, which
+    the next pass overwrites.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if n == 0:
+    if len(X) == 0:
         raise ValueError("empty batch")
-    if [(act.shape, delta.shape) for act, delta in workspace] != \
-            [((n, l.weights.shape[0]),) * 2 for l in net.layers]:
-        raise ValueError("workspace does not match the net and batch")
-    activations = [X]
-    a = X
-    for layer, (act, _) in zip(net.layers, workspace):
-        # z = a @ W.T + b, then relu, all in the layer's buffer; relu(z) > 0
-        # exactly where z > 0, so backprop masks on the activation
-        np.matmul(a, layer.weights.T, out=act)
-        act += layer.biases
-        if layer.activation == "relu":
-            np.maximum(act, 0.0, out=act)
-        a = act
-        activations.append(a)
-    weights = np.asarray(weights(a[:, 0] if a.shape[1] == 1 else a), dtype=float)
-
-    grads = [None] * len(net.layers)
-    delta = workspace[-1][1]
-    delta[...] = weights[:, None]
-    if net.layers[-1].activation == "relu":
-        np.multiply(delta, activations[-1] > 0, out=delta)
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        dW = delta.T @ activations[li]
-        db = delta.sum(axis=0)
-        grads[li] = (dW, db)
-        if li > 0:
-            delta = np.matmul(delta, layer.weights, out=workspace[li - 1][1])
-            if net.layers[li - 1].activation == "relu":
-                np.multiply(delta, activations[li] > 0, out=delta)
-    return grads
+    _check_workspace(net, workspace, len(X))
+    out = _forward(net, X, workspace)
+    return _backward(net, X, np.asarray(weights(out), dtype=float), workspace)
 
 
 def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,
-                 workspace: list):
+                 workspace: NetWorkspace, stop=None):
     """Gradient of mean(net(batch_pos)) - mean(net(batch_neg)) and that
-    difference itself, both from one pass: returns (grads, value). The
-    workspace holds `len(batch_pos) + len(batch_neg)` rows."""
-    pos = np.atleast_2d(np.asarray(batch_pos, dtype=float))
-    neg = np.atleast_2d(np.asarray(batch_neg, dtype=float))
-    n_pos, n_neg = pos.shape[0], neg.shape[0]
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("empty batch")
-    value = None
+    difference itself, both from one pass: returns (grad, value), with grad
+    as `net_weighted_gradient` returns it.
 
-    def weights(out):
-        nonlocal value
-        value = float(out[:n_pos].mean() - out[n_pos:].mean())
-        return np.concatenate([np.full(n_pos, 1.0 / n_pos), np.full(n_neg, -1.0 / n_neg)])
+    The workspace holds `len(batch_pos) + len(batch_neg)` rows, which
+    `NetWorkspace.load` copies in. When `stop(value)` is true the pass ends
+    after the forward pass and returns (None, value).
+    """
+    n_pos = workspace.load(batch_pos, batch_neg)  # checks the row count
+    n_neg = workspace.rows - n_pos
+    _check_workspace(net, workspace, workspace.rows)
+    out = _forward(net, workspace.X, workspace)
+    # sum / count is how `mean` computes, bit for bit
+    value = float(np.add.reduce(out[:n_pos]) / n_pos - np.add.reduce(out[n_pos:]) / n_neg)
+    if stop is not None and stop(value):
+        return None, value
+    return _backward(net, workspace.X, workspace.weights, workspace), value
 
-    grads = net_weighted_gradient(net, np.concatenate([pos, neg], axis=0), weights, workspace)
-    return grads, value
 
-
-def sgd_step(net: DenseNet, grads, lr: float, clip: float) -> None:
-    """Ascent step theta += lr * grad in place, then clamp every parameter,
-    biases too, to [-clip, +clip]. Every gradient is checked to be finite
-    before any parameter changes."""
+def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, clip: float) -> None:
+    """Ascent step params += lr * grad in place, then clamp every parameter,
+    biases too, to [-clip, +clip]. `grad` is flat, in `net.params` layout,
+    and is checked to be finite before any parameter changes."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    for dW, db in grads:
-        if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
-            raise NumericError("non-finite gradient")
-    for layer, (dW, db) in zip(net.layers, grads):
-        for param, grad in ((layer.weights, dW), (layer.biases, db)):
-            param += lr * grad
-            np.clip(param, -clip, clip, out=param)
-
-
-def flatten_params(net: DenseNet) -> np.ndarray:
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in net.layers])
+    if grad.shape != net.params.shape:
+        raise ValueError("gradient does not match the net")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient")
+    params = net.params
+    params += lr * grad
+    np.clip(params, -clip, clip, out=params)
 
 
 def lipschitz_bound(net: DenseNet) -> float:
@@ -361,9 +450,9 @@ __all__ = [
     "net_forward_batch",
     "net_gradient",
     "net_weighted_gradient",
-    "net_workspace",
+    "NetWorkspace",
+    "layer_views",
     "sgd_step",
-    "flatten_params",
     "lipschitz_bound",
     "regression_slope",
     "KMeansModel",

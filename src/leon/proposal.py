@@ -103,7 +103,7 @@ _FENCE_RE = re.compile(r"```(?:json)?", re.IGNORECASE)
 
 def _coerce_value(dim, v):
     if isinstance(dim, ContinuousDim):
-        if isinstance(v, bool):  # a JSON boolean is not a number
+        if isinstance(v, bool) or not isinstance(v, (int, float)):  # JSON booleans, strings
             raise ValueError(f"bad number {v!r}")
         x = float(v)
         if x != x:
@@ -123,8 +123,8 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
 
     Returns at most `b` designs plus the number of rejected elements: those
     with a missing key or a malformed value, NaN, a number too large for a
-    float and a boolean for a continuous dim included. A number out of
-    range, ±Infinity too, clamps to the dim's bound. Raises
+    float and a boolean or a string for a continuous dim included. A number
+    out of range, ±Infinity too, clamps to the dim's bound. Raises
     DesignParseError when the payload is not a JSON array at all, so engine
     retry logic can resample.
     """

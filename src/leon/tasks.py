@@ -23,7 +23,7 @@ from .core import (
     NumericError,
     encode_batch,
 )
-from .numerics import Layer, init_net, net_forward_batch, net_weighted_gradient, net_workspace
+from .numerics import NetWorkspace, init_net, net_forward_batch, net_weighted_gradient
 
 
 @dataclass
@@ -257,8 +257,8 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     the output layer."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed)
     n = X.shape[0]
-    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    workspace = net_workspace(net, n)
+    velocity = np.zeros_like(net.params)
+    workspace = NetWorkspace(net, n)
 
     def loss_weights(out):
         resid = out - y
@@ -270,14 +270,10 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     stage = max(1, iters // 5)
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
-        grads = net_weighted_gradient(net, X, loss_weights, workspace)
-        for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
-            vw *= momentum
-            vw += gw
-            vb *= momentum
-            vb += gb
-            layer.weights += step * vw
-            layer.biases += step * vb
+        grad = net_weighted_gradient(net, X, loss_weights, workspace)
+        velocity *= momentum
+        velocity += grad
+        net.params += np.multiply(velocity, step, out=grad)  # grad is used up
     del workspace  # free the step buffers before the ridge solve allocates its own
 
     a = X
@@ -285,7 +281,9 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
         a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
     H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
     coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)
-    net.layers[-1] = Layer(coef[:-1][None, :], coef[-1:], "id")
+    out = net.layers[-1]  # an identity layer already; its arrays are views of net.params
+    out.weights[0] = coef[:-1]
+    out.biases[:] = coef[-1:]
     return net
 
 

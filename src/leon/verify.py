@@ -17,11 +17,10 @@ from .certainty import ClassStats, boltzmann_weights, dual_gradient, estimate_mu
 from .core import ContinuousDim, DesignSpace, encode_batch
 from .critic import critic_train, init_critic, w1_estimate
 from .numerics import (
-    flatten_params,
+    NetWorkspace,
     init_net,
     net_gradient,
     net_forward_batch,
-    net_workspace,
     shannon_entropy,
     stable_softmax,
 )
@@ -248,7 +247,7 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
     est = w1_estimate(*values)
     true_w1 = exact_w1_1d(src, gen)
 
-    max_param = max(float(np.abs(flatten_params(net)).max()) for net in (trained_same, trained))
+    max_param = max(float(np.abs(net.params).max()) for net in (trained_same, trained))
     clip_ok = max_param <= 0.01 + 1e-15
     same_ok = abs(est_same) <= 0.05
     positive_ok = est > 0 and est <= true_w1 + 0.05
@@ -334,26 +333,21 @@ def check_backprop_fd(seed: int = 0, nets: int = 20, h: float = 1e-5) -> CheckRe
             neg = rng.normal(0, 1, size=(int(rng.integers(2, 6)), dims[0]))
             if _min_abs_preactivation(net, np.concatenate([pos, neg])) > 100 * h:
                 break
-        grads, _ = net_gradient(net, pos, neg, net_workspace(net, len(pos) + len(neg)))
-        analytic = np.concatenate([np.concatenate([g[0].ravel(), g[1]]) for g in grads])
+        analytic, _ = net_gradient(net, pos, neg, NetWorkspace(net, len(pos) + len(neg)))
 
         def objective(n):
             return float(net_forward_batch(n, pos).mean() - net_forward_batch(n, neg).mean())
 
         fd = np.zeros_like(analytic)
-        idx = 0
-        for layer in net.layers:
-            for arr_name in ("weights", "biases"):
-                flat = getattr(layer, arr_name).ravel()
-                for j in range(flat.size):
-                    orig = flat[j]
-                    flat[j] = orig + h
-                    up = objective(net)
-                    flat[j] = orig - h
-                    dn = objective(net)
-                    flat[j] = orig
-                    fd[idx] = (up - dn) / (2 * h)
-                    idx += 1
+        params = net.params  # every layer's arrays are views of it
+        for j in range(params.size):
+            orig = params[j]
+            params[j] = orig + h
+            up = objective(net)
+            params[j] = orig - h
+            dn = objective(net)
+            params[j] = orig
+            fd[j] = (up - dn) / (2 * h)
         big = np.abs(fd) > 1e-8
         if big.any():
             worst = max(worst, float((np.abs(analytic - fd)[big] / np.abs(fd)[big]).max()))

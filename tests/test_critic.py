@@ -12,8 +12,8 @@ from leon.critic import (
     init_critic,
     w1_estimate,
 )
-from leon.numerics import (DenseNet, Layer, flatten_params, lipschitz_bound, net_forward,
-                           net_forward_batch, net_gradient, net_workspace)
+from leon.numerics import (DenseNet, Layer, NetWorkspace, layer_views, lipschitz_bound,
+                           net_forward, net_forward_batch, net_gradient)
 from leon.tasks import exact_w1_1d, make_regimen_task
 
 SPACE_1D = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
@@ -86,7 +86,7 @@ def test_train_keeps_clip_exactly():
     critic = init_critic(SPACE_1D, seed=1)
     trained, *_ = critic_train(critic, _enc(np.linspace(10, 30, 16)),
                                _enc(np.linspace(70, 90, 8)), lr=0.01, max_iters=50)
-    assert np.abs(flatten_params(trained)).max() <= CLIP
+    assert np.abs(trained.params).max() <= CLIP
 
 
 def test_train_same_distribution_stays_flat():
@@ -139,12 +139,12 @@ def _three_call_train(critic, src_enc, gen_enc, lr, tol=1e-4, max_iters=500):
     calm = 0
     steps = 0
     for _ in range(max_iters):
-        grads, _ = net_gradient(net, src_enc, gen_enc,
-                                net_workspace(net, len(src_enc) + len(gen_enc)))
+        grad, _ = net_gradient(net, src_enc, gen_enc,
+                               NetWorkspace(net, len(src_enc) + len(gen_enc)))
         net = DenseNet([Layer(np.clip(l.weights + lr * dW, -CLIP, CLIP),
                               np.clip(l.biases + lr * db, -CLIP, CLIP),
                               l.activation)
-                        for l, (dW, db) in zip(net.layers, grads)])
+                        for l, (dW, db) in zip(net.layers, layer_views(net, grad))])
         steps += 1
         est = _w1(net, src_enc, gen_enc)
         assert np.isfinite(est)
@@ -186,9 +186,9 @@ def test_train_matches_three_call_reference(case):
         critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
         # tol 0 never counts an iteration as calm
         kwargs = dict(lr=0.001) if case == "calm" else dict(lr=0.001, tol=0.0, max_iters=40)
-    initial = flatten_params(critic)
+    initial = critic.params.copy()
     trained, src_values, gen_values = critic_train(critic, src, gen, **kwargs)
-    assert np.array_equal(flatten_params(critic), initial)  # the input is not stepped
+    assert np.array_equal(critic.params, initial)  # the input is not stepped
     reference, steps = _three_call_train(critic, src, gen, **kwargs)
     if case == "max_iters":
         assert steps == 40
@@ -225,6 +225,23 @@ def test_train_takes_one_gradient_pass_per_iteration(monkeypatch):
     critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
     critic_train(critic, src, gen, lr=0.001, tol=0.0, max_iters=40)
     assert calls == {"gradient": [(128, 32)] * 41, "forward": 0}
+
+
+def test_train_without_iterations_is_one_forward_pass(monkeypatch):
+    """`max_iters=0` makes one pass, forward only, and no step: the net is
+    returned unchanged with its values."""
+    import leon.numerics
+
+    calls = _count_critic_calls(monkeypatch)
+    backward = []
+    monkeypatch.setattr(leon.numerics, "_backward", lambda *a: backward.append(a))
+    src, gen = _default_like_batches(2)
+    critic = init_critic(SPACE_1D, hidden=(64, 64), seed=4)
+    trained, src_values, gen_values = critic_train(critic, src, gen, lr=0.001, max_iters=0)
+    assert calls == {"gradient": [(128, 32)], "forward": 0} and backward == []
+    assert np.array_equal(trained.params, critic.params)
+    assert np.array_equal(src_values, critic_values(critic, src))
+    assert np.array_equal(gen_values, critic_values(critic, gen))
 
 
 def test_train_aborts_on_nonfinite():

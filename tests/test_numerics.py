@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,21 +11,22 @@ from leon.core import NumericError
 from leon.numerics import (
     DenseNet,
     Layer,
+    NetWorkspace,
     chord_distances,
     elbow_select_k,
-    flatten_params,
     init_net,
     kmeans_assign,
     kmeans_fit,
+    layer_views,
     net_forward,
     net_forward_batch,
     net_gradient,
     net_weighted_gradient,
-    net_workspace,
     regression_slope,
     sgd_step,
     shannon_entropy,
 )
+from leon.tasks import train_regression_net
 from leon.verify import check_backprop_fd
 
 
@@ -58,21 +61,74 @@ def test_forward_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# flat parameters
+# ---------------------------------------------------------------------------
+
+
+def _assert_owns_its_views(net):
+    for (w, b), layer in zip(layer_views(net, net.params), net.layers):
+        for view, arr in ((w, layer.weights), (b, layer.biases)):
+            assert arr.base is net.params and arr.shape == view.shape
+            assert arr.__array_interface__["data"] == view.__array_interface__["data"]
+
+
+def test_layers_are_views_of_the_flat_vector():
+    """Each layer's weights (row order) then biases sit in `params`, layer
+    after layer; writing either side writes the other."""
+    net = init_net((3, 5, 1), seed=0, scale=0.5)
+    _assert_owns_its_views(net)
+    want = np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in net.layers])
+    assert np.array_equal(net.params, want) and net.params.size == 3 * 5 + 5 + 5 + 1
+    net.layers[1].biases[0] = 7.0
+    assert net.params[-1] == 7.0
+    net.params[0] = -3.0
+    assert net.layers[0].weights[0, 0] == -3.0
+
+
+@pytest.mark.parametrize("how", ["copy", "pickle"])
+def test_copies_own_their_vector(how):
+    """A copy, and a net sent through pickle as to a `jobs > 1` worker,
+    holds its own vector with its layers' arrays views of it again;
+    stepping it leaves the original unchanged."""
+    net = init_net((2, 6, 4, 1), seed=1, scale=0.01)
+    net.layers[-1].activation = "relu"
+    before = net.params.copy()
+    twin = net.copy() if how == "copy" else pickle.loads(pickle.dumps(net))
+    _assert_owns_its_views(twin)
+    assert not np.shares_memory(twin.params, net.params)
+    assert np.array_equal(twin.params, net.params)
+    assert [l.activation for l in twin.layers] == ["relu", "relu", "relu"]
+    sgd_step(twin, np.ones_like(twin.params), 0.001, 0.01)
+    assert np.array_equal(net.params, before)
+    assert not np.array_equal(twin.params, before)
+
+
+def test_copy_and_pickle_both_carry_the_vector():
+    """`params` is the net: a copy, a pickle round-trip and a deep copy all
+    carry it, even past a layer array rebound away from it."""
+    net = init_net((2, 3, 1), seed=0, scale=0.5)
+    net.layers[0].weights = np.zeros((3, 2))  # no longer a view of params
+    for twin in (net.copy(), pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        _assert_owns_its_views(twin)
+        assert np.array_equal(twin.params, net.params)
+        assert np.array_equal(twin.layers[0].weights, layer_views(net, net.params)[0][0])
+
+
+# ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 
 
 def _gradient(net, pos, neg):
-    return net_gradient(net, pos, neg, net_workspace(net, len(pos) + len(neg)))
+    return net_gradient(net, pos, neg, NetWorkspace(net, len(pos) + len(neg)))
 
 
 def test_gradient_identical_batches_is_zero():
     net = init_net((2, 5, 1), seed=1)
     batch = np.array([[0.3, -0.2], [1.0, 0.4]])
-    grads, value = _gradient(net, batch, batch)
+    grad, value = _gradient(net, batch, batch)
     assert value == 0.0
-    for dw, db in grads:
-        assert np.allclose(dw, 0.0) and np.allclose(db, 0.0)
+    assert np.allclose(grad, 0.0)
 
 
 def test_gradient_antisymmetric_under_swap():
@@ -82,8 +138,7 @@ def test_gradient_antisymmetric_under_swap():
     g1, v1 = _gradient(net, pos, neg)
     g2, v2 = _gradient(net, neg, pos)
     assert v1 == -v2
-    for (dw1, db1), (dw2, db2) in zip(g1, g2):
-        assert np.allclose(dw1, -dw2) and np.allclose(db1, -db2)
+    assert np.allclose(g1, -g2)
 
 
 def test_gradient_value_is_the_mean_difference():
@@ -100,7 +155,37 @@ def test_gradient_value_is_the_mean_difference():
 def test_gradient_empty_batch():
     net = init_net((2, 3, 1), seed=0)
     with pytest.raises(ValueError):
-        net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)), net_workspace(net, 1))
+        net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)), NetWorkspace(net, 1))
+
+
+def test_gradient_stop_skips_backprop():
+    """`stop` sees the pass's value; when it says stop, the pass returns no
+    gradient and leaves the workspace's gradient as it was."""
+    rng = np.random.default_rng(6)
+    net = init_net((2, 5, 1), seed=4, scale=0.5)
+    pos, neg = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    workspace = NetWorkspace(net, 5)
+    workspace.grad[:] = 42.0
+    seen = []
+    grad, value = net_gradient(net, pos, neg, workspace, lambda v: seen.append(v) or True)
+    assert grad is None and seen == [value] and np.all(workspace.grad == 42.0)
+    grad, again = net_gradient(net, pos, neg, workspace, lambda v: False)
+    assert again == value and grad is workspace.grad
+    assert np.array_equal(grad, _gradient(net, pos, neg)[0])
+
+
+def test_workspace_reloads_rows_on_every_pass():
+    """Each pass copies its batches into the workspace, so one workspace
+    serves any batches of its row count in turn."""
+    rng = np.random.default_rng(7)
+    net = init_net((2, 5, 1), seed=5, scale=0.5)
+    pos, neg = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    workspace = NetWorkspace(net, 5)
+    _, value = net_gradient(net, pos, neg, workspace)
+    assert value == _gradient(net, pos, neg)[1]
+    assert np.array_equal(workspace.X, np.concatenate([pos, neg]))
+    _, swapped = net_gradient(net, neg, pos, workspace)
+    assert swapped == -value and np.array_equal(workspace.X, np.concatenate([neg, pos]))
 
 
 def test_callable_weights_match_array_weights():
@@ -114,26 +199,139 @@ def test_callable_weights_match_array_weights():
     relu_out.layers[-1].activation = "relu"
     nets = [init_net((3, 6, 5, 1), seed=0), init_net((3, 6, 5, 1), seed=1), relu_out]
     loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
-    workspace = net_workspace(nets[0], len(X))
+    workspace = NetWorkspace(nets[0], len(X))
     for net in nets:
         fixed = loss_weights(net_forward_batch(net, X))
-        want = net_weighted_gradient(net, X, lambda out: fixed, net_workspace(net, len(X)))
+        want = net_weighted_gradient(net, X, lambda out: fixed, NetWorkspace(net, len(X)))
         got = net_weighted_gradient(net, X, loss_weights, workspace)
-        for (gw, gb), (ww, wb) in zip(got, want):
-            assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+        assert np.array_equal(got, want)
 
 
 def test_workspace_shape_mismatch():
     net = init_net((3, 4, 1), seed=0)
     X = np.zeros((5, 3))
-    for bad in (net_workspace(net, 6), net_workspace(init_net((3, 7, 1), seed=0), 5)):
+    for bad in (NetWorkspace(net, 6), NetWorkspace(init_net((3, 7, 1), seed=0), 5),
+                NetWorkspace(init_net((2, 5, 1), seed=0), 5)):  # 21 parameters, as the net
         with pytest.raises(ValueError):
             net_weighted_gradient(net, X, lambda out: np.ones(5), bad)
+        with pytest.raises(ValueError):
+            net_gradient(net, X[:3], X[3:], bad)
 
 
 def test_gradient_matches_finite_differences():
     result = check_backprop_fd(seed=3, nets=6)
     assert result.passed, result.detail
+
+
+# ---------------------------------------------------------------------------
+# the flat kernel against the per-layer one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_weighted_gradient(net, X, weights):
+    """Per-layer forward plus backprop into fresh arrays: a list of
+    (dW, db), one per layer."""
+    activations = [X]
+    a = X
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.biases
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        activations.append(a)
+    w = np.asarray(weights(a[:, 0] if a.shape[1] == 1 else a), dtype=float)
+    grads = [None] * len(net.layers)
+    delta = np.empty_like(a)
+    delta[...] = w[:, None]
+    if net.layers[-1].activation == "relu":
+        delta = delta * (activations[-1] > 0)
+    for li in range(len(net.layers) - 1, -1, -1):
+        grads[li] = (delta.T @ activations[li], delta.sum(axis=0))
+        if li > 0:
+            delta = delta @ net.layers[li].weights
+            if net.layers[li - 1].activation == "relu":
+                delta = delta * (activations[li] > 0)
+    return grads
+
+
+def _reference_sgd_step(net, grads, lr, clip):
+    """Per-layer step, each array checked first, then stepped and clipped."""
+    for dW, db in grads:
+        if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
+            raise NumericError("non-finite gradient")
+    for layer, (dW, db) in zip(net.layers, grads):
+        for param, grad in ((layer.weights, dW), (layer.biases, db)):
+            param += lr * grad
+            np.clip(param, -clip, clip, out=param)
+
+
+def _flat(grads):
+    """Per-layer (dW, db) packed into the flat `params` layout."""
+    return np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
+
+
+def _kernel_nets():
+    relu_out = init_net((16, 64, 64, 1), seed=7, scale=0.01)
+    relu_out.layers[-1].activation = "relu"
+    return [init_net((1, 64, 64, 1), seed=5, scale=0.01),
+            init_net((16, 64, 64, 1), seed=6, scale=0.01), relu_out]
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.5])
+def test_flat_kernel_matches_per_layer_reference(lr):
+    """Critic-shaped passes (128 source plus 32 generated rows, widths 1
+    and 16, and a relu output) give the per-layer kernel's gradient and
+    stepped parameters bit for bit, over several steps."""
+    rng = np.random.default_rng(8)
+    for net in _kernel_nets():
+        d = net.input_dim
+        pos = rng.integers(0, 2, size=(128, d)).astype(float) if d > 1 else rng.random((128, 1))
+        neg = rng.random((32, d))
+        ref = net.copy()
+        n_pos, n_neg = len(pos), len(neg)
+        ref_w = np.concatenate([np.full(n_pos, 1.0 / n_pos), np.full(n_neg, -1.0 / n_neg)])
+        workspace = NetWorkspace(net, n_pos + n_neg)
+        for _ in range(4):
+            grad, value = net_gradient(net, pos, neg, workspace)
+            want = _reference_weighted_gradient(ref, np.concatenate([pos, neg]), lambda out: ref_w)
+            assert value == float(net_forward_batch(ref, pos).mean()
+                                  - net_forward_batch(ref, neg).mean())
+            assert np.array_equal(grad, _flat(want))
+            for (dW, db), (wW, wb) in zip(workspace.grads, want):
+                assert np.array_equal(dW, wW) and np.array_equal(db, wb)
+            sgd_step(net, grad, lr, 0.01)
+            _reference_sgd_step(ref, want, lr, 0.01)
+            assert np.array_equal(net.params, _flat((l.weights, l.biases) for l in ref.layers))
+
+
+def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
+    """`train_regression_net`'s descent with per-layer gradients and
+    velocities (its ridge solve for the output layer left out)."""
+    net = init_net((X.shape[1], *hidden, 1), seed=seed)
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
+    stage = max(1, iters // 5)
+    for it in range(iters):
+        step = lr * 0.5 ** (it // stage)
+        grads = _reference_weighted_gradient(net, X, lambda out: -2.0 * (out - y) / len(y))
+        for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
+            vw *= momentum
+            vw += gw
+            vb *= momentum
+            vb += gb
+            layer.weights += step * vw
+            layer.biases += step * vb
+    return net
+
+
+def test_flat_regression_training_matches_per_layer_reference():
+    """Five heavy-ball steps on one flat velocity move every hidden weight
+    and bias as the per-layer loop does, bit for bit."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(96, 5))
+    y = np.sin(X).sum(axis=1)
+    got = train_regression_net(X, y, hidden=(32, 32), seed=2, iters=5)
+    want = _reference_train(X, y, hidden=(32, 32), seed=2, iters=5)
+    for g, w in zip(got.layers[:-1], want.layers[:-1]):
+        assert np.array_equal(g.weights, w.weights) and np.array_equal(g.biases, w.biases)
+    _assert_owns_its_views(got)  # the ridge solve writes the output layer in place
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +342,17 @@ def test_gradient_matches_finite_differences():
 def test_sgd_clip_exact():
     net = DenseNet([Layer(np.array([[0.009]]), np.array([0.0]), "id")])
     grads = [(np.array([[1.0]]), np.array([0.0]))]
-    sgd_step(net, grads, 0.001, 0.01)
+    sgd_step(net, _flat(grads), 0.001, 0.01)
     w = net.layers[0].weights[0, 0]
     assert w == pytest.approx(0.01, abs=1e-15) and w <= 0.01  # reaches the clamp boundary
 
 
 def test_sgd_zero_gradient_no_op():
     net = init_net((2, 3, 1), seed=4, scale=0.005)
-    before = flatten_params(net)
+    before = net.params.copy()
     grads = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    sgd_step(net, grads, 0.5, 0.01)
-    assert np.array_equal(flatten_params(net), before)
+    sgd_step(net, _flat(grads), 0.5, 0.01)
+    assert np.array_equal(net.params, before)
 
 
 def test_sgd_steps_in_place_like_a_fresh_net():
@@ -167,7 +365,7 @@ def test_sgd_steps_in_place_like_a_fresh_net():
     want = [(np.clip(l.weights + 0.004 * gw, -0.01, 0.01),
              np.clip(l.biases + 0.004 * gb, -0.01, 0.01)) for l, (gw, gb) in zip(net.layers, grads)]
     arrays = [(l.weights, l.biases) for l in net.layers]
-    sgd_step(net, grads, 0.004, 0.01)
+    sgd_step(net, _flat(grads), 0.004, 0.01)
     for layer, (w, b), (w0, b0) in zip(net.layers, want, arrays):
         assert layer.weights is w0 and layer.biases is b0
         assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
@@ -179,27 +377,33 @@ def test_sgd_clip_invariant(seed, lr):
     net = init_net((2, 4, 1), seed=seed)
     grads = [(rng.normal(0, 10, l.weights.shape), rng.normal(0, 10, l.biases.shape))
              for l in net.layers]
-    sgd_step(net, grads, lr, 0.01)
-    assert np.abs(flatten_params(net)).max() <= 0.01
+    sgd_step(net, _flat(grads), lr, 0.01)
+    assert np.abs(net.params).max() <= 0.01
 
 
 def test_sgd_nonfinite_gradient():
     net = init_net((1, 2, 1), seed=0)
     grads = [(np.full_like(l.weights, np.nan), np.zeros_like(l.biases)) for l in net.layers]
     with pytest.raises(NumericError):
-        sgd_step(net, grads, 0.1, 0.01)
+        sgd_step(net, _flat(grads), 0.1, 0.01)
 
 
 def test_sgd_nonfinite_last_layer_changes_nothing():
     """A non-finite gradient in the last layer is caught before the first
     layer is stepped: no parameter of any layer changes."""
     net = init_net((2, 4, 3, 1), seed=2, scale=0.01)
-    before = flatten_params(net)
+    before = net.params.copy()
     grads = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in net.layers]
     grads[-1] = (grads[-1][0], np.array([np.inf]))
     with pytest.raises(NumericError):
-        sgd_step(net, grads, 0.001, 0.01)
-    assert np.array_equal(flatten_params(net), before)
+        sgd_step(net, _flat(grads), 0.001, 0.01)
+    assert np.array_equal(net.params, before)
+
+
+def test_sgd_rejects_a_gradient_of_another_layout():
+    net = init_net((2, 4, 1), seed=0)
+    with pytest.raises(ValueError):
+        sgd_step(net, np.zeros(net.params.size + 1), 0.1, 0.01)
 
 
 # ---------------------------------------------------------------------------

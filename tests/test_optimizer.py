@@ -266,6 +266,31 @@ def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
     assert calls == {"forward": 64, "gradient": 448, "validate": 1}
 
 
+def test_default_run_takes_no_gradient_on_the_last_pass(dose_task, monkeypatch):
+    """The pass that ends each step's training runs forward only: a default
+    dose run makes 448 gradient passes but 384 backward passes and 384
+    steps, 64 steps of 6 iterations each."""
+    import leon.critic
+
+    calls = {"gradient": 0, "backward": 0, "step": 0}
+    real_gradient, real_step = leon.critic.net_gradient, leon.critic.sgd_step
+
+    def gradient(*args):
+        calls["gradient"] += 1
+        grad, value = real_gradient(*args)
+        calls["backward"] += grad is not None
+        return grad, value
+
+    def step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(leon.critic, "net_gradient", gradient)
+    monkeypatch.setattr(leon.critic, "sgd_step", step)
+    run_leon(dose_task, RunConfig(), 0)
+    assert calls == {"gradient": 448, "backward": 384, "step": 384}
+
+
 def test_default_run_builds_no_memory_entries(dose_task, monkeypatch):
     """Engines and final selection read memory columns; `MemoryEntry` rows
     are built only for the chat prompt and for readers of `entries`."""

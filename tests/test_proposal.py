@@ -133,6 +133,12 @@ def test_parse_rejects_malformed_element():
     items[1] = {"Dose": True, "Boost": True, "Taper": False}  # a boolean is not a dose
     designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
     assert len(designs) == 2 and rejects == 1
+    items[1] = {"Dose": "55", "Boost": True, "Taper": False}  # nor is a string
+    designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
+    assert len(designs) == 2 and rejects == 1
+    items[1] = {"Dose": 55, "Boost": "yes", "Taper": "false"}  # boolean words stay booleans
+    designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
+    assert designs[1] == Design((55.0, True, False)) and rejects == 0
 
 
 def test_parse_rejects_nan_and_oversized_numbers():

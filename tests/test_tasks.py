@@ -5,8 +5,8 @@ import pytest
 
 from leon import tasks
 from leon.core import Context, Design, NumericError, encode_batch
-from leon.numerics import (DenseNet, Layer, init_net, net_forward_batch, net_weighted_gradient,
-                           net_workspace)
+from leon.numerics import (DenseNet, Layer, NetWorkspace, init_net, layer_views, net_forward_batch,
+                           net_weighted_gradient)
 from leon.tasks import (
     AnalyticShiftSurrogate,
     MixtureSurrogate,
@@ -164,8 +164,8 @@ def _two_pass_train(X, y, hidden=(128, 128), seed=0, lr=0.05, iters=4000, moment
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
         weights = -2.0 * (net_forward_batch(net, X) - y) / n
-        grads = net_weighted_gradient(net, X, lambda out: weights, net_workspace(net, n))
-        for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
+        grad = net_weighted_gradient(net, X, lambda out: weights, NetWorkspace(net, n))
+        for layer, (gw, gb), (vw, vb) in zip(net.layers, layer_views(net, grad), velocity):
             vw *= momentum
             vw += gw
             vb *= momentum
