@@ -31,8 +31,8 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
-_METHOD_KEYS = {"name", "engine", "engine_params", "partition", "select_by_raw",
-                "critic_hidden", "source_pool_size", "memory_view"}
+_METHOD_KEYS = {"name", "engine", "engine_params", "partition", "critic_hidden",
+                "source_pool_size", "memory_view"}
 _HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"}
 _HP_KEYS = _HP_FLOATS | {"batch_size", "budget"}
 _SURROGATE_KEYS = {"variant", "beta", "radius", "mixture_w"}
@@ -147,9 +147,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         engine = m.get("engine", "boltzmann-memory")
         if engine not in ENGINES:
             raise ConfigError(f"methods[{i}].engine must be one of {ENGINES}")
-        select_by_raw = m.get("select_by_raw", False)
-        if not isinstance(select_by_raw, bool):
-            raise ConfigError(f"methods[{i}].select_by_raw must be true or false")
         engine_params = m.get("engine_params", {})
         if not isinstance(engine_params, dict):
             raise ConfigError(f"methods[{i}].engine_params must be a JSON object")
@@ -168,7 +165,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
             source_pool_size=_int_at_least(m.get("source_pool_size", 128), 1,
                                            f"methods[{i}].source_pool_size"),
             memory_view=_int_at_least(m.get("memory_view", 64), 1, f"methods[{i}].memory_view"),
-            select_by_raw=select_by_raw,
         )
         if name == "leon":
             try:  # building an engine sends no request

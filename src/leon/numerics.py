@@ -21,7 +21,7 @@ from .core import NumericError
 _ACTIVATIONS = ("relu", "id")
 
 
-@dataclass
+@dataclass(eq=False)
 class Layer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
@@ -48,7 +48,7 @@ def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseNet:
     """Feed-forward net whose parameters are one contiguous float64 vector,
     `params`, in `layer_views` order. Each layer's `weights` and `biases`
@@ -59,8 +59,8 @@ class DenseNet:
     in place, never rebound."""
 
     layers: list[Layer]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    shapes: tuple = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
+    shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -125,10 +125,6 @@ def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
         z = a @ layer.weights.T + layer.biases
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return a[:, 0] if a.shape[1] == 1 else a
-
-
-def net_forward(net: DenseNet, x) -> float:
-    return float(net_forward_batch(net, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 class NetWorkspace:
@@ -446,7 +442,6 @@ __all__ = [
     "Layer",
     "DenseNet",
     "init_net",
-    "net_forward",
     "net_forward_batch",
     "net_gradient",
     "net_weighted_gradient",

@@ -95,7 +95,6 @@ class RunConfig:
     source_pool_size: int = 128
     memory_view: int = 64
     knowledge_budget: int = 5
-    select_by_raw: bool = False
 
     @property
     def label(self) -> str:
@@ -162,15 +161,14 @@ def build_surrogate(task: Task, cfg: RunConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def select_final(memory: TrajectoryMemory, by_raw: bool = False) -> Design:
-    """Entry with maximum stored score; ties break to higher raw value, then
-    earliest step."""
+def select_final(memory: TrajectoryMemory) -> Design:
+    """The entry with the highest raw value (f + lambda * c as logged); ties
+    go to the earliest row. Every method returns this design: mu scales
+    only what the proposer sees, not the objective."""
     if len(memory) == 0:
         raise ValueError("empty memory")
     rows = memory.view()
-    first, second = (rows.raw, rows.score) if by_raw else (rows.score, rows.raw)
-    tied = np.flatnonzero(first == first.max())
-    return rows.design(int(tied[np.argmax(second[tied])]))  # argmax: earliest row of a tie
+    return rows.design(int(np.argmax(rows.raw)))  # argmax: earliest row of a tie
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         warnings.extend(engine.warnings)
         engine.warnings.clear()
 
-    final = select_final(memory, by_raw=cfg.select_by_raw)
+    final = select_final(memory)
     score = oracle_eval(task, final, ctx)
     return RunResult(
         task=task.name, method=cfg.label, seed=seed, patient_id=ctx.id,
@@ -421,7 +419,7 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     else:
         _surrogate_greedy(task, metered, ctx, rng, memory)
 
-    final = select_final(memory, by_raw=True)
+    final = select_final(memory)
     score = oracle_eval(task, final, ctx)
     return RunResult(
         task=task.name, method=variant, seed=seed, patient_id=ctx.id,

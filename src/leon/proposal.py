@@ -339,7 +339,7 @@ class HillClimbEngine(_MockEngineBase):
         view = state.memory_view
         if not view:
             return random_design(space, self.rng, b)
-        best = view.values[int(np.argmax(view.score))]  # first of the top scores
+        best = view.values[int(np.argmax(view.raw))]  # first of the top raw values
         return perturb_design(space, np.tile(best, (b, 1)), self.rng, np.full(b, self.step),
                               np.full(b, min(0.5, self.step)))
 

@@ -230,7 +230,7 @@ class AnalyticShiftSurrogate:
                 + self.beta * self.shift_weight(ctx) * self._bump(V))
 
 
-@dataclass
+@dataclass(eq=False)
 class LearnedSurrogate:
     """Regression net over encoded design concatenated with context,
     trained on source samples only."""

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ def _write(tmp_path, cfg):
 
 
 runner = CliRunner()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +44,15 @@ def test_parse_config_rejects_unknown_keys():
         parse_config(_config(extra_knob=1))
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config(_config(methods=[{"name": "leon", "llm": "x"}]))
+    with pytest.raises(ConfigError, match="unknown keys"):  # a removed option
+        parse_config(_config(methods=[{"name": "leon", "select_by_raw": True}]))
+
+
+def test_readme_configs_parse():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        parse_config(json.loads(block))
 
 
 def test_parse_config_validates_fields():
@@ -81,7 +93,6 @@ def test_config_error_exit_code(tmp_path):
                 _config(methods=[{"name": "leon", "memory_view": -1}]),
                 _config(methods=[{"name": "leon", "source_pool_size": 0}]),
                 _config(methods=[{"name": "leon", "knowledge_budget": -1}]),
-                _config(methods=[{"name": "leon", "select_by_raw": "no"}]),
                 # integer fields take JSON integers in range: no bool, float or string
                 _config(methods=[{"name": "leon", "source_pool_size": 12.9}]),
                 _config(methods=[{"name": "leon", "memory_view": True}]),

@@ -13,7 +13,7 @@ from leon.critic import (
     w1_estimate,
 )
 from leon.numerics import (DenseNet, Layer, NetWorkspace, layer_views, lipschitz_bound,
-                           net_forward, net_forward_batch, net_gradient)
+                           net_forward_batch, net_gradient)
 from leon.tasks import exact_w1_1d, make_regimen_task
 
 SPACE_1D = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
@@ -48,7 +48,7 @@ def test_critic_value_deterministic_and_composed():
     a = critic_values(critic, X)
     assert np.array_equal(a, critic_values(critic, X))
     for row, d in zip(a, _designs([42.0, 7.0, 99.0])):
-        assert row == pytest.approx(net_forward(critic, encode_batch(SPACE_1D, d[None])[0]),
+        assert row == pytest.approx(net_forward_batch(critic, encode_batch(SPACE_1D, d[None]))[0],
                                     rel=1e-12, abs=1e-15)
     assert critic_values(critic, X[:0]).shape == (0,)
 

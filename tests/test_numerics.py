@@ -18,7 +18,6 @@ from leon.numerics import (
     kmeans_assign,
     kmeans_fit,
     layer_views,
-    net_forward,
     net_forward_batch,
     net_gradient,
     net_weighted_gradient,
@@ -38,26 +37,25 @@ from leon.verify import check_backprop_fd
 def test_zero_net_outputs_zero():
     net = DenseNet([Layer(np.zeros((4, 2)), np.zeros(4), "relu"),
                     Layer(np.zeros((1, 4)), np.zeros(1), "id")])
-    for x in ([0.0, 0.0], [1.0, -3.0], [5.0, 5.0]):
-        assert net_forward(net, x) == 0.0
+    assert net_forward_batch(net, [[0.0, 0.0], [1.0, -3.0], [5.0, 5.0]]).tolist() == [0.0] * 3
 
 
 def test_affine_layer_by_hand():
     net = DenseNet([Layer(np.array([[2.0]]), np.array([1.0]), "id")])
-    assert net_forward(net, [3.0]) == 7.0
+    assert net_forward_batch(net, [[3.0]]).tolist() == [7.0]
 
 
 def test_rectifier_kills_negative_preactivation():
     # hidden unit sees -x, so a positive input contributes nothing
     net = DenseNet([Layer(np.array([[-1.0]]), np.array([0.0]), "relu"),
                     Layer(np.array([[3.0]]), np.array([0.5]), "id")])
-    assert net_forward(net, [2.0]) == 0.5
+    assert net_forward_batch(net, [[2.0]]).tolist() == [0.5]
 
 
 def test_forward_shape_mismatch():
     net = init_net((3, 4, 1), seed=0)
     with pytest.raises(ValueError):
-        net_forward(net, [1.0, 2.0])
+        net_forward_batch(net, [[1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +110,12 @@ def test_copy_and_pickle_both_carry_the_vector():
         _assert_owns_its_views(twin)
         assert np.array_equal(twin.params, net.params)
         assert np.array_equal(twin.layers[0].weights, layer_views(net, net.params)[0][0])
+
+
+def test_nets_compare_by_identity():
+    net, twin = init_net((2, 3, 1), seed=0), init_net((2, 3, 1), seed=0)
+    assert net == net and net != twin
+    assert net.layers[0] == net.layers[0] and net.layers[0] != twin.layers[0]
 
 
 # ---------------------------------------------------------------------------

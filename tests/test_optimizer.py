@@ -56,8 +56,9 @@ def test_select_single_entry():
     assert select_final(mem).values == (10.0,)
 
 
-def test_select_argmax_score():
-    mem = _mem([(1, 1.0, 0.0, 0.1), (1, 2.0, 0.0, 0.9), (1, 3.0, 0.0, 0.3)])
+def test_select_argmax_raw():
+    # the stored scores rank the rows the other way round: they are ignored
+    mem = _mem([(1, 1.0, 0.1, 0.9), (1, 2.0, 0.9, 0.1), (1, 3.0, 0.3, 0.5)])
     assert select_final(mem).values == (2.0,)
 
 
@@ -68,39 +69,41 @@ def test_select_tie_breaks_by_raw_then_step():
     assert select_final(mem).values == (1.0,)  # earliest step on a full tie
 
 
-def test_select_by_raw_flag():
-    mem = _mem([(1, 1.0, 5.0, 0.0), (1, 2.0, 3.0, 4.0)])
-    assert select_final(mem).values == (2.0,)
-    assert select_final(mem, by_raw=True).values == (1.0,)
-
-
 def test_select_empty_memory():
     with pytest.raises(ValueError):
         select_final(TrajectoryMemory(LINE, budget=1))
 
 
-def _select_by_loop(entries, by_raw):
+def _select_by_loop(entries):
     """The rule as a loop over entries, the reference for `select_final`."""
-    best, best_key = None, None
+    best = None
     for e in entries:
-        key = (e.raw_value, e.score) if by_raw else (e.score, e.raw_value)
-        if best_key is None or key > best_key:  # strict: first occurrence wins ties
-            best, best_key = e, key
+        if best is None or e.raw_value > best.raw_value:  # strict: first occurrence wins ties
+            best = e
     return best.design
 
 
 TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
 
 
-@given(st.lists(st.tuples(st.integers(0, 2), TIED, TIED), min_size=1, max_size=24),
-       st.booleans())
-def test_select_matches_the_loop_on_exact_ties(rows, by_raw):
+@given(st.lists(st.tuples(st.integers(0, 2), TIED, TIED), min_size=1, max_size=24))
+def test_select_matches_the_loop_on_exact_ties(rows):
     mem = TrajectoryMemory(LINE, budget=len(rows))
     step = 0
     for i, (advance, raw, score) in enumerate(rows):
         step += advance
         mem.append_batch(step, np.array([[float(i)]]), [raw], [score], [0])  # the row's own dose
-    assert select_final(mem, by_raw=by_raw) == _select_by_loop(mem.entries, by_raw)
+    assert select_final(mem) == _select_by_loop(mem.entries)
+
+
+@pytest.mark.parametrize("make_task", [make_dose_task, make_regimen_task])
+@pytest.mark.parametrize("method", ["leon", *BASELINES])
+def test_every_method_returns_its_best_raw_row(make_task, method):
+    # at seed 8 a leon run's best stored score is not its best raw value, on both tasks
+    res = run_method(make_task(0), RunConfig(method=method, hp=HP_SMALL), seed=8)
+    rows = res.memory.view()
+    assert len(rows) == HP_SMALL.budget
+    assert res.final_design == rows.design(int(np.argmax(rows.raw)))
 
 
 # ---------------------------------------------------------------------------

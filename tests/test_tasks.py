@@ -144,6 +144,14 @@ def test_learned_surrogate_fits_source_degrades_on_target(learned_dose):
     assert tgt_rmse > src_rmse
 
 
+def test_learned_surrogates_compare_by_identity():
+    space = make_dose_task(0).space
+    net = init_net((3, 4, 1), seed=0)
+    sur, twin = (tasks.LearnedSurrogate(n, space, np.zeros(3), np.ones(3), 0.0, 1.0)
+                 for n in (net, net.copy()))
+    assert sur == sur and sur != twin
+
+
 def test_learned_surrogate_shift_premise_regimen():
     task = make_regimen_task(0)
     sur = make_learned_surrogate(task, seed=1, iters=1500)
