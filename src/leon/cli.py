@@ -1,11 +1,11 @@
 """Command-line harness.
 
-`leon run` executes a cohort experiment from a strict JSON config, `leon
-ablate-shift` sweeps surrogate mixture weights, `leon verify` runs the
-brute-force verification checks, and `leon dump-task` prints task
-constants. Exit codes: 0 success, 1 runtime failure, 2 configuration
-error. With mock engines and a fixed seed, outputs are byte-identical
-across reruns.
+`leon run` executes a cohort experiment from a strict JSON config, one
+cohort per surrogate mixture weight when the config lists `weights`;
+`leon verify` runs the brute-force verification checks, and `leon
+dump-task` prints task constants. Exit codes: 0 success, 1 runtime
+failure, 2 configuration error. With mock engines and a fixed seed,
+outputs are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _METHOD_KEYS = {"name", "engine", "engine_params", "partition", "critic_hidden",
                 "source_pool_size", "memory_view"}
 _HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"}
 _HP_KEYS = _HP_FLOATS | {"batch_size", "budget"}
-_SURROGATE_KEYS = {"variant", "beta", "radius", "mixture_w"}
+_SURROGATE_KEYS = {"variant", "beta", "radius"}
 
 
 @dataclass
@@ -56,14 +56,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _coerce(kind, value, where: str):
-    """`kind(value)`, with a failed coercion reported as a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}") from exc
 
 
 def _int_at_least(value, lo: int, where: str) -> int:
@@ -131,9 +123,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     surrogate_variant = sur_spec.get("variant", "analytic-shift")
     if surrogate_variant not in SURROGATES:
         raise ConfigError(f"surrogate.variant must be one of {SURROGATES}")
-    mixture_w = sur_spec.get("mixture_w")
-    if mixture_w is not None:
-        mixture_w = _finite(mixture_w, "surrogate.mixture_w", 0.0, 1.0)
 
     methods = []
     for i, m in enumerate(methods_spec):
@@ -158,7 +147,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
             surrogate_variant=surrogate_variant,
             beta=beta,
             radius=radius,
-            mixture_w=mixture_w,
             hp=hp,
             critic_hidden=_hidden_sizes(m.get("critic_hidden", [64, 64]),
                                         f"methods[{i}].critic_hidden"),
@@ -175,8 +163,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     weights = obj.get("weights")
     if weights is not None:
-        if not isinstance(weights, list):
-            raise ConfigError(f"weights must be a list of numbers, got {weights!r}")
+        if not isinstance(weights, list) or not weights:
+            raise ConfigError(f"weights must be a non-empty list of numbers, got {weights!r}")
         weights = [_finite(w, f"weights[{j}]", 0.0, 1.0) for j, w in enumerate(weights)]
     return ExperimentConfig(
         task=task, methods=methods, n_patients=n_patients, seed=seed,
@@ -266,51 +254,17 @@ def main():
 @main.command("run")
 @click.option("-c", "--config", "config_path", required=True, type=click.Path())
 def cmd_run(config_path):
-    """Run every configured method over a cohort of target contexts."""
+    """Run every configured method over a cohort of target contexts, once
+    per mixture weight in the config's `weights`."""
     try:
         cfg = load_config(config_path)
-        if cfg.weights is not None:
-            raise ConfigError("weights (mixture weights) are read only by `leon ablate-shift`; "
-                              "`leon run` runs one cohort on the configured surrogate")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        task = make_task({"name": cfg.task, "seed": cfg.task_seed})
-        cohort = evaluate_cohort(task, cfg.methods, cfg.n_patients, cfg.seed, jobs=cfg.jobs)
-        cohorts = [(None, cohort)]
-        _write_outputs(cfg, cohorts)
-        _print_ranking(cohorts)
-    except Exception as exc:  # noqa: BLE001
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(1)
-    sys.exit(0)
-
-
-@main.command("ablate-shift")
-@click.option("-c", "--config", "config_path", required=True, type=click.Path())
-@click.option("--weights", "weights_arg", default=None,
-              help="comma-separated mixture weights in [0,1]")
-def cmd_ablate_shift(config_path, weights_arg):
-    """Repeat the cohort per surrogate mixture weight."""
-    try:
-        cfg = load_config(config_path)
-        if weights_arg is not None:
-            weights = [_coerce(float, w, "--weights") for w in weights_arg.split(",")
-                       if w.strip() != ""]
-        else:
-            weights = cfg.weights
-        if not weights:
-            raise ConfigError("no mixture weights given (config 'weights' or --weights)")
-        if any(not 0.0 <= w <= 1.0 for w in weights):
-            raise ConfigError("weights must lie in [0, 1]")
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
         task = make_task({"name": cfg.task, "seed": cfg.task_seed})
         cohorts = []
-        for w in weights:
+        for w in cfg.weights or [None]:
             methods = [replace(m, mixture_w=w) for m in cfg.methods]
             cohorts.append((w, evaluate_cohort(task, methods, cfg.n_patients,
                                                cfg.seed, jobs=cfg.jobs)))

@@ -184,15 +184,6 @@ class MemoryEntry:
     class_id: int
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    step: int
-    lam: float
-    mu_hat: float
-    w1_estimate: float
-    reflection: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class MemoryView:
     """Consecutive rows of a `TrajectoryMemory` as read-only array views.
@@ -247,7 +238,6 @@ class TrajectoryMemory:
         self._raw = np.zeros(budget)
         self._score = np.zeros(budget)
         self._class_id = np.zeros(budget, dtype=np.int64)
-        self.traces: list[StepTrace] = []
 
     def append_batch(self, step, values, raw_values, scores, class_ids):
         """Log a batch's `(n, d)` value rows with their raw values, scores
@@ -286,9 +276,6 @@ class TrajectoryMemory:
     def entries(self) -> list[MemoryEntry]:
         """Every row as a `MemoryEntry`, built on each read."""
         return self.view().entries
-
-    def add_trace(self, trace: StepTrace) -> None:
-        self.traces.append(trace)
 
     def __len__(self) -> int:
         return self._n
@@ -395,7 +382,6 @@ __all__ = [
     "Hyperparams",
     "MemoryEntry",
     "MemoryView",
-    "StepTrace",
     "TrajectoryMemory",
     "encode_batch",
     "scale_values",

@@ -21,7 +21,7 @@ from .certainty import (
     score_designs,
     update_lambda,
 )
-from .core import Context, Design, Hyperparams, TrajectoryMemory, StepTrace
+from .core import Context, Design, Hyperparams, TrajectoryMemory
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
 from .equivalence import fit_partition
 from .proposal import (
@@ -104,7 +104,9 @@ class RunConfig:
 @dataclass
 class RunResult:
     """One run's outcome. `surrogate_calls` counts the designs the metered
-    surrogate scored, not its calls: one call scores a batch."""
+    surrogate scored, not its calls: one call scores a batch. A leon run
+    keeps each step's reflection in `reflections` ("" on the last step);
+    `to_json` leaves them out."""
 
     task: str
     method: str
@@ -118,6 +120,7 @@ class RunResult:
     warnings: list[str]
     memory: TrajectoryMemory | None = None
     surrogate_calls: int = 0
+    reflections: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -225,7 +228,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     prompt_state.knowledge = knowledge
 
     n_steps = int(np.ceil(hp.budget / hp.batch_size))
-    lambda_trace, mu_trace, w1_trace = [], [], []
+    lambda_trace, mu_trace, w1_trace, reflections = [], [], [], []
     reflection = ""
 
     for t in range(1, n_steps + 1):
@@ -257,10 +260,8 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         scores = score_designs(raw, mu_hat)
         memory.append_batch(t, values, raw, scores, assignments)
 
-        if t < n_steps:
-            reflection = reflect(engine, values, scores, task.description)
-        memory.add_trace(StepTrace(step=t, lam=lam, mu_hat=mu_hat,
-                                   w1_estimate=w1_now, reflection=reflection if t < n_steps else ""))
+        reflection = reflect(engine, values, scores, task.description) if t < n_steps else ""
+        reflections.append(reflection)
 
         lam = update_lambda(lam, grad, hp.eta_lambda, t)
         warnings.extend(engine.warnings)
@@ -272,7 +273,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         task=task.name, method=cfg.label, seed=seed, patient_id=ctx.id,
         final_design=final, oracle_score=score, lambda_trace=lambda_trace,
         mu_trace=mu_trace, w1_trace=w1_trace, warnings=warnings, memory=memory,
-        surrogate_calls=metered.calls,
+        surrogate_calls=metered.calls, reflections=reflections,
     )
 
 

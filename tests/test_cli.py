@@ -7,6 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from leon.cli import ConfigError, main, parse_config
+from leon.core import Hyperparams
+from leon.optimizer import RunConfig, evaluate_cohort
+from leon.tasks import make_task
 from leon.verify import check_boltzmann_closed_form
 
 
@@ -55,6 +58,14 @@ def test_readme_configs_parse():
         parse_config(json.loads(block))
 
 
+def test_readme_names_registered_commands():
+    """Every `leon <command>` README.md shows, in a code line or inline
+    code, is a command `leon` has."""
+    named = set(re.findall(r"(?:^|`)leon ([\w-]+)", README.read_text(encoding="utf-8"), re.M))
+    assert {"run", "verify", "dump-task"} <= named
+    assert named <= set(main.commands), sorted(named - set(main.commands))
+
+
 def test_parse_config_validates_fields():
     with pytest.raises(ConfigError):
         parse_config(_config(task="warfarin"))
@@ -82,7 +93,6 @@ def test_config_error_exit_code(tmp_path):
     # too, caught before any run starts
     for bad in (_config(jobs="abc"),
                 _config(methods=[{"name": "leon", "source_pool_size": "x"}]),
-                _config(surrogate={"variant": "analytic-shift", "mixture_w": 2}),
                 _config(methods=[{"name": "leon", "engine": "bogus"}]),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0}),
                 _config(methods=[{"name": "leon", "critic_hidden": "ab"}]),
@@ -113,7 +123,6 @@ def test_config_error_exit_code(tmp_path):
                 _config(surrogate={"variant": "analytic-shift", "beta": True}),
                 _config(surrogate={"variant": "analytic-shift", "beta": float("nan")}),
                 _config(surrogate={"variant": "analytic-shift", "radius": "2"}),
-                _config(surrogate={"variant": "analytic-shift", "mixture_w": float("inf")}),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": True}),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "w0": float("nan")}),
                 # the engines' own `temp` / `temperature` are the only temperature
@@ -137,21 +146,6 @@ def test_config_error_exit_code(tmp_path):
         assert "config error" in result.output
 
 
-def test_weights_key_belongs_to_ablate_shift(tmp_path, monkeypatch):
-    """`leon run` has no mixture weights to sweep, so it rejects the key;
-    `leon ablate-shift` reads it."""
-    monkeypatch.chdir(tmp_path)
-    path = _write(tmp_path, _config(weights=[0.0, 1.0]))
-    result = runner.invoke(main, ["run", "-c", path])
-    assert result.exit_code == 2, result.output
-    assert "config error" in result.output and "ablate-shift" in result.output
-    assert not (tmp_path / "out").exists()
-    result = runner.invoke(main, ["ablate-shift", "-c", path])
-    assert result.exit_code == 0, result.output
-    payload = json.loads((tmp_path / "out" / "results.json").read_text())
-    assert [g["mixture_w"] for g in payload["groups"]] == [0.0, 1.0]
-
-
 def test_run_has_no_jobs_flag(tmp_path):
     """The config's validated `jobs` is the only parallelism setting."""
     result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config()), "--jobs", "2"])
@@ -170,6 +164,7 @@ def test_run_minimal_config(tmp_path, monkeypatch):
     result = runner.invoke(main, ["run", "-c", path])
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert [g["mixture_w"] for g in payload["groups"]] == [None]  # no `weights`: one cohort
     assert len(payload["groups"][0]["records"]) == 2
     csv_lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert csv_lines[0] == "task,method,w,patient,seed,oracle_score,step,lambda,mu,w1"
@@ -211,43 +206,81 @@ def test_leon_records_have_traces(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ablate-shift
+# mixture-weight sweep
 # ---------------------------------------------------------------------------
 
 
-def test_ablate_two_weights(tmp_path, monkeypatch):
+def _mean_by_weight(tmp_path):
+    """Each results.json group's mixture weight, in order, with the mean of
+    its first method."""
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    return {g["mixture_w"]: g["summary"][0]["mean"] for g in payload["groups"]}
+
+
+def test_run_sweeps_weights(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _config(methods=[{"name": "random-search"}])
-    result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, cfg),
-                                  "--weights", "0,1"])
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config(weights=[0, 1]))])
+    assert result.exit_code == 0, result.output
+    assert list(_mean_by_weight(tmp_path)) == [0.0, 1.0]
+    csv_w = {line.split(",")[2] for line in
+             (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]}
+    assert csv_w == {"0.0", "1.0"}
+
+
+def test_run_reads_weights_key(tmp_path, monkeypatch):
+    """Adding `weights` to a config turns its one `null` group into one full
+    cohort per weight, and each weight reaches its cohort's surrogate."""
+    monkeypatch.chdir(tmp_path)
+    assert runner.invoke(main, ["run", "-c", _write(tmp_path, _config())]).exit_code == 0
+    assert list(_mean_by_weight(tmp_path)) == [None]
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config(weights=[0.0, 1.0]))])
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "out" / "results.json").read_text())
-    assert [g["mixture_w"] for g in payload["groups"]] == [0.0, 1.0]
+    assert [len(g["records"]) for g in payload["groups"]] == [2, 2]
+    by_w = _mean_by_weight(tmp_path)
+    assert list(by_w) == [0.0, 1.0]
+    assert by_w[0.0] != by_w[1.0]
 
 
-def test_ablate_no_shift_helps_greedy(tmp_path, monkeypatch):
+def test_run_single_weight_matches_api(tmp_path, monkeypatch):
+    """A one-entry sweep is the cohort the Python API runs with that
+    `mixture_w`, and the group records the weight it ran."""
     monkeypatch.chdir(tmp_path)
-    cfg = _config(methods=[{"name": "surrogate-greedy"}], n_patients=4,
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config(weights=[1.0]))])
+    assert result.exit_code == 0, result.output
+    by_w = _mean_by_weight(tmp_path)
+    task = make_task({"name": "dose", "seed": 7})
+    hp = Hyperparams(budget=64, batch_size=32)
+
+    def api_mean(w):
+        cfg = RunConfig(method="random-search", hp=hp, mixture_w=w)
+        return evaluate_cohort(task, [cfg], 2, 7).summaries[0].mean
+
+    assert list(by_w) == [1.0]
+    assert by_w[1.0] == api_mean(1.0)
+    assert by_w[1.0] != api_mean(None)  # the weight reached the surrogate
+
+
+def test_run_no_shift_helps_greedy(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(methods=[{"name": "surrogate-greedy"}], n_patients=4, weights=[0, 1],
                   hyperparams={"budget": 512, "batch_size": 32})
-    result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, cfg),
-                                  "--weights", "0,1"])
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, cfg)])
     assert result.exit_code == 0, result.output
-    payload = json.loads((tmp_path / "out" / "results.json").read_text())
-    by_w = {g["mixture_w"]: g["summary"][0]["mean"] for g in payload["groups"]}
+    by_w = _mean_by_weight(tmp_path)
     assert by_w[1.0] >= by_w[0.0]  # less shift helps the greedy baseline
 
 
-def test_ablate_requires_weights(tmp_path):
-    result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, _config())])
-    assert result.exit_code == 2
-
-
-def test_ablate_rejects_bad_weights(tmp_path):
-    for weights in ("0,2", "abc"):
-        result = runner.invoke(main, ["ablate-shift", "-c", _write(tmp_path, _config()),
-                                      "--weights", weights])
-        assert result.exit_code == 2, (weights, result.output)
+def test_run_rejects_bad_weights(tmp_path, monkeypatch):
+    """An empty sweep, a weight outside [0, 1] and the removed
+    `surrogate.mixture_w` key are config errors, caught before any run."""
+    monkeypatch.chdir(tmp_path)
+    for bad in (_config(weights=[]), _config(weights=[0, 2]),
+                _config(surrogate={"variant": "analytic-shift", "mixture_w": 1.0})):
+        result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
+        assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -200,9 +200,12 @@ def test_run_is_deterministic(dose_task):
 def test_memory_scores_are_mu_times_raw(dose_task):
     cfg = RunConfig(method="leon", hp=Hyperparams(budget=96, batch_size=32))
     result = run_leon(dose_task, cfg, seed=3)
-    mu_by_step = {t.step: t.mu_hat for t in result.memory.traces}
+    mu_by_step = dict(enumerate(result.mu_trace, start=1))
     for e in result.memory.entries:
         assert e.score == mu_by_step[e.step] * e.raw_value
+    # one reflection per step, none after the last, and none in the output
+    assert [bool(r) for r in result.reflections] == [True, True, False]
+    assert "reflections" not in result.to_json()
 
 
 def test_lambda_nonnegative_and_w1_finite(dose_task):
@@ -309,7 +312,7 @@ def test_default_run_builds_no_memory_entries(dose_task, monkeypatch):
 
 def test_finished_run_memory_is_small(dose_task, regimen_task):
     """A finished default run's memory holds its columns, not an object per
-    entry: at most 64 bytes per dose entry, traces included. The regimen's
+    entry: at most 64 bytes per dose entry. The regimen's
     sixteen boolean values take one byte each, so its 48 bytes of columns
     fit in 80 (as float64 they took 160)."""
     for task, bound in ((dose_task, 64), (regimen_task, 80)):

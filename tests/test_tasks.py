@@ -305,6 +305,19 @@ def test_exact_w1_unequal_sizes():
     assert exact_w1_1d([0.0], [0.0, 1.0]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("sizes", [(25, 7), (7, 25), (1, 59)])
+def test_exact_w1_matches_scipy(sizes):
+    """Sizes whose quantile grids meet at a float product such as
+    7/25 * 25 = 7.000000000000001, which an order-statistic index taken
+    by rounding up reads one place too far."""
+    from scipy.stats import wasserstein_distance
+
+    rng = np.random.default_rng(sum(sizes))
+    for _ in range(20):
+        a, b = rng.normal(0, 1, sizes[0]), rng.normal(0.5, 2, sizes[1])
+        assert exact_w1_1d(a, b) == pytest.approx(wasserstein_distance(a, b), abs=1e-12)
+
+
 def test_risk_bound_zero_for_perfect_surrogate():
     f = lambda x: 3.0 * x  # noqa: E731
     res = theorem_s1_check(f, f, [(x, f(x)) for x in np.linspace(0, 1, 8)],
