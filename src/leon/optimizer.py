@@ -105,8 +105,9 @@ class RunConfig:
 class RunResult:
     """One run's outcome. `surrogate_calls` counts the designs the metered
     surrogate scored, not its calls: one call scores a batch. A leon run
-    keeps each step's reflection in `reflections` ("" on the last step);
-    `to_json` leaves them out."""
+    keeps the engine's reflection after each step in `reflections`: the
+    chat engine's replies, "" on the last step, and "" throughout for the
+    mock engines, which do not reflect. `to_json` leaves them out."""
 
     task: str
     method: str
@@ -222,7 +223,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     prompt_state = PromptState(
         knowledge="", reflection="", memory_view=memory.view(cfg.memory_view), context=ctx,
-        task_description=task.description, task_name=task.name, space=space,
+        task_description=task.description, space=space,
     )
     knowledge = generate_knowledge(engine, list(sources), prompt_state, cfg.knowledge_budget)
     prompt_state.knowledge = knowledge

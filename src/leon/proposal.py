@@ -16,6 +16,10 @@ Engine protocol (duck-typed):
     knowledge_action(history, sources, state) -> (source_index | None, query, stop)
     synthesize_knowledge(history, state) -> str
     warnings: list[str]                                # drained by the runner
+
+Reflection and knowledge are text written for a language model, so only the
+chat engine produces them. The mock engines only propose: `reflect` and
+`synthesize_knowledge` return "" and `knowledge_action` stops at once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .core import (
     render_context,
     scale_values,
 )
-from .numerics import shannon_entropy, stable_softmax
+from .numerics import stable_softmax
 
 
 class DesignParseError(ValueError):
@@ -71,7 +75,6 @@ class PromptState:
     memory_view: MemoryView  # the memory's last rows, as arrays
     context: Context
     task_description: str
-    task_name: str
     space: DesignSpace
 
 
@@ -187,18 +190,6 @@ def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
     return out
 
 
-def _batch_summary(values: np.ndarray, scores: np.ndarray) -> str:
-    """Deterministic one-line reflection for mock engines: best/worst score
-    plus the entropy of the batch's design histogram."""
-    _, first, counts = np.unique(values, axis=0, return_index=True, return_counts=True)
-    p = counts[np.argsort(first)].astype(float)  # first-seen order, as the tally ran
-    ent = shannon_entropy(p / p.sum())
-    return (
-        f"Round summary: best score {scores.max():.4f}, worst score {scores.min():.4f}, "
-        f"proposal entropy {ent:.4f} nats over {len(counts)} distinct designs."
-    )
-
-
 def _is_number(value, integer: bool = False) -> bool:
     """A finite number (an integer when `integer`), not a bool or string."""
     if isinstance(value, bool):
@@ -218,31 +209,23 @@ def _check_params(engine, rules) -> None:
 
 @dataclass
 class _MockEngineBase:
-    """Shared seeded plumbing for the offline engines."""
+    """Shared seeded plumbing for the offline engines, which only propose:
+    they neither reflect nor retrieve knowledge."""
 
     seed: int = 0
-    knowledge_stop_after: int | None = None
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
         self.warnings: list[str] = []
-        self._knowledge_round = 0
 
     def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
-        if len(values) == 0:
-            raise ValueError("empty batch")
-        return _batch_summary(values, np.asarray(scores, dtype=float))
+        return ""
 
     def knowledge_action(self, history, sources, state):
-        if self.knowledge_stop_after is not None and self._knowledge_round >= self.knowledge_stop_after:
-            return None, "", True
-        idx = self._knowledge_round % max(len(sources), 1)
-        self._knowledge_round += 1
-        return idx, state.task_description, False
+        return None, "", True
 
     def synthesize_knowledge(self, history, state) -> str:
-        passages = [r for _, _, r in history if r]
-        return "\n\n".join(passages)
+        return ""
 
 
 @dataclass
@@ -377,8 +360,11 @@ class ChatApiEngine:
 
     POSTs {"model", "temperature", "messages"} and reads the first choice's
     message content. Endpoint and key default to CHAT_API_BASE /
-    CHAT_API_KEY. Parsing failures are retried up to `max_retries` times;
-    remaining slots are filled with random designs and a warning recorded.
+    CHAT_API_KEY. A request that fails, or whose content is not a string
+    (APIs send null for refusals and tool calls), is a failed attempt; after
+    `max_retries` of them `_chat` raises TransportError. Parsing failures
+    are retried up to `max_retries` times; remaining slots are filled with
+    random designs and a warning recorded.
     """
 
     model: str
@@ -410,7 +396,10 @@ class ChatApiEngine:
             try:
                 resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is {type(content).__name__}, not a string")
+                return content
             except Exception as exc:  # noqa: BLE001
                 last = exc
                 if attempt < self.max_retries - 1:
@@ -471,6 +460,8 @@ class ChatApiEngine:
         try:
             raw = self._chat([{"role": "user", "content": prompt}])
             obj = json.loads(_FENCE_RE.sub("", raw).strip())
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             if obj.get("stop") or obj.get("source") is None:
                 return None, "", True
             for i, s in enumerate(sources):
@@ -509,15 +500,6 @@ class StaticFactsSource:
 
     def query(self, q: str) -> str:
         return self.text
-
-
-@dataclass
-class ScriptedSource:
-    name: str
-    mapping: dict[str, str]
-
-    def query(self, q: str) -> str:
-        return self.mapping.get(q, "")
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -560,9 +542,6 @@ class FileCorpusSource:
                 scored.append((-overlap, order, passage))
         scored.sort()
         return "\n\n".join(p for _, _, p in scored[: self.top_k])
-
-
-KnowledgeSource = StaticFactsSource | ScriptedSource | FileCorpusSource
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +610,7 @@ __all__ = [
     "SYSTEM_PROMPT",
     "output_contract",
     "StaticFactsSource",
-    "ScriptedSource",
     "FileCorpusSource",
-    "KnowledgeSource",
     "propose",
     "reflect",
     "generate_knowledge",

@@ -33,7 +33,6 @@ class Task:
     space: DesignSpace
     ctx_dim: int
     description: str
-    maximize: bool = True
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -96,7 +95,6 @@ class Task:
             "name": self.name,
             "kind": self.kind,
             "ctx_dim": self.ctx_dim,
-            "maximize": self.maximize,
             "description": self.description,
             "dims": [
                 {"name": d.name, "type": type(d).__name__,

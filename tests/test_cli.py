@@ -139,6 +139,8 @@ def test_config_error_exit_code(tmp_path):
                 _config(methods=[{"name": "leon", "engine_params": {"explore_frac": 1.5}}]),
                 _config(methods=[{"name": "leon", "engine": "hill-climb",
                                   "engine_params": {"step": 0}}]),
+                # mock engines retrieve no knowledge, so they take no knowledge knob
+                _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
                 _config(methods=[{"name": "leon", "knowledge_budget": 3}])):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
@@ -318,6 +320,7 @@ def test_dump_task_emits_constants():
     assert payload["name"] == "dose"
     assert payload["dims"][0]["name"] == "Dose"
     assert "g_weights" in payload["params"]
+    assert "maximize" not in payload  # every method maximizes
 
 
 def test_dump_task_rejects_unknown():

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from leon.optimizer import (
     run_method,
     select_final,
 )
+from leon.proposal import ChatApiEngine, StaticFactsSource
 from leon.tasks import AnalyticShiftSurrogate, make_dose_task, make_regimen_task, oracle_eval
 
 HP_SMALL = Hyperparams(budget=64, batch_size=32)
@@ -203,9 +205,8 @@ def test_memory_scores_are_mu_times_raw(dose_task):
     mu_by_step = dict(enumerate(result.mu_trace, start=1))
     for e in result.memory.entries:
         assert e.score == mu_by_step[e.step] * e.raw_value
-    # one reflection per step, none after the last, and none in the output
-    assert [bool(r) for r in result.reflections] == [True, True, False]
-    assert "reflections" not in result.to_json()
+    # a mock engine does not reflect: one empty reflection per step
+    assert result.reflections == ["", "", ""]
 
 
 def test_lambda_nonnegative_and_w1_finite(dose_task):
@@ -583,14 +584,60 @@ def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
     assert rows and set(rows) == {600 + 32}
 
 
-def test_run_with_knowledge_sources(dose_task):
-    from leon.proposal import StaticFactsSource
+class ScriptedChat:
+    """A deterministic stand-in for a chat API: it answers each kind of
+    prompt the chat engine sends under that prompt's output contract, and
+    records every prompt by kind."""
 
+    def __init__(self):
+        self.prompts = {"action": [], "synthesis": [], "proposal": [], "reflection": []}
+
+    def __call__(self, messages):
+        text = messages[-1]["content"]
+        if "Available knowledge sources" in text:
+            self.prompts["action"].append(text)
+            first = "Queries so far:\n(none)" in text
+            return json.dumps({"source": "facts" if first else None,
+                               "query": "dose rule", "stop": not first})
+        if "Retrieved material:" in text:
+            self.prompts["synthesis"].append(text)
+            material = text.split("Retrieved material:\n")[1].split("\n\n")[0]
+            return "Synthesized: " + material.splitlines()[-1]  # the source's answer
+        if "### Scores of the last batch" in text:
+            self.prompts["reflection"].append(text)
+            return f"Reflection {len(self.prompts['reflection'])}: explore higher doses."
+        need = int(re.search(r"Propose exactly (\d+) new designs", text).group(1))
+        k = len(self.prompts["proposal"])
+        self.prompts["proposal"].append(text)
+        return json.dumps([{"Dose": (17.0 + 7.0 * (k * need + i)) % 100} for i in range(need)])
+
+
+def _chat_run(task):
+    chat = ScriptedChat()
+    engine = ChatApiEngine(model="stub", seed=0)
+    engine._chat = chat
+    cfg = RunConfig(method="leon", engine="chat-api", hp=HP_SMALL, knowledge_budget=2)
     sources = [StaticFactsSource("facts", "higher context sums need higher doses")]
-    cfg = RunConfig(method="leon", hp=HP_SMALL, knowledge_budget=2)
-    a = run_leon(dose_task, cfg, seed=6, sources=sources)
-    b = run_leon(dose_task, cfg, seed=6, sources=sources)
-    assert a.to_json() == b.to_json()
+    return run_leon(task, cfg, seed=6, sources=sources, engine=engine), chat
+
+
+def test_run_with_knowledge_sources(dose_task):
+    """One offline run through the chat path: the synthesized knowledge and
+    each step's reflection reach the next proposal prompt."""
+    result, chat = _chat_run(dose_task)
+    assert len(chat.prompts["action"]) == 2 and len(chat.prompts["synthesis"]) == 1
+    knowledge = "Synthesized: higher context sums need higher doses"
+    proposals = chat.prompts["proposal"]
+    assert len(proposals) == 2
+    for prompt in proposals:
+        assert f"### Prior Knowledge\n{knowledge}\n\n### Subject" in prompt
+    assert result.reflections == ["Reflection 1: explore higher doses.", ""]
+    assert "### Reflection\n\n\n### Task" in proposals[0]
+    assert f"### Reflection\n{result.reflections[0]}\n\n### Task" in proposals[1]
+    assert "reflections" not in result.to_json()
+    assert not any("filled" in w for w in result.warnings)
+    again, chat_again = _chat_run(dose_task)
+    assert again.to_json() == result.to_json() and chat_again.prompts == chat.prompts
 
 
 def test_chat_engine_degrades_to_random_in_full_run(dose_task):

@@ -13,6 +13,7 @@ from leon.core import (
     ContinuousDim,
     Design,
     DesignSpace,
+    Hyperparams,
     MemoryEntry,
     SchemaError,
     TrajectoryMemory,
@@ -20,6 +21,7 @@ from leon.core import (
     render_context,
 )
 from leon.numerics import shannon_entropy, stable_softmax
+from leon.optimizer import RunConfig, run_leon
 from leon.proposal import (
     BoltzmannMemoryEngine,
     ChatApiEngine,
@@ -29,7 +31,6 @@ from leon.proposal import (
     PROMPT_HEADERS,
     PromptState,
     RandomEngine,
-    ScriptedSource,
     StaticFactsSource,
     build_prompt,
     generate_knowledge,
@@ -59,8 +60,7 @@ def _state(entries=(), knowledge="", reflection="", space=SPACE):
                             [e.score], [e.class_id])
     return PromptState(
         knowledge=knowledge, reflection=reflection, memory_view=memory.view(),
-        context=CTX, task_description="maximize the response", task_name="demo",
-        space=space,
+        context=CTX, task_description="maximize the response", space=space,
     )
 
 
@@ -377,19 +377,6 @@ def test_hill_climb_perturbs_best():
 # ---------------------------------------------------------------------------
 
 
-def test_mock_reflection_contains_best_score():
-    engine = RandomEngine(seed=0)
-    values, scores = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), np.array([0.25, -1.5])
-    text = reflect(engine, values, scores, "desc")
-    assert "0.2500" in text and "-1.5000" in text
-    assert text == reflect(engine, values, scores, "desc")
-
-
-def test_reflection_empty_batch_raises():
-    with pytest.raises(ValueError):
-        reflect(RandomEngine(seed=0), np.empty((0, 3)), np.empty(0), "desc")
-
-
 # ---------------------------------------------------------------------------
 # knowledge sources
 # ---------------------------------------------------------------------------
@@ -398,12 +385,6 @@ def test_reflection_empty_batch_raises():
 def test_static_source_verbatim():
     src = StaticFactsSource("facts", "response rises with dose up to a threshold")
     assert src.query("anything") == "response rises with dose up to a threshold"
-
-
-def test_scripted_source_lookup():
-    src = ScriptedSource("scripted", {"q1": "a1"})
-    assert src.query("q1") == "a1"
-    assert src.query("unknown") == ""
 
 
 def test_file_corpus_ranking(tmp_path):
@@ -445,26 +426,51 @@ class CountingSource:
         return self.answer
 
 
+def _chat_engine(replies):
+    """A chat engine whose `_chat` replays `replies` in order and records
+    the prompt of every request in `engine.prompts`."""
+    engine = ChatApiEngine(model="stub", seed=0)
+    engine.prompts = []
+    queue = list(replies)
+
+    def chat(messages):
+        engine.prompts.append(messages[-1]["content"])
+        return queue.pop(0)
+
+    engine._chat = chat
+    return engine
+
+
+def _action(source=None):
+    """A knowledge-action reply: query `source`, or stop when it is None."""
+    return json.dumps({"source": source, "query": f"about {source}", "stop": source is None})
+
+
 def test_generate_knowledge_zero_budget():
-    engine = RandomEngine(seed=0)
+    engine = _chat_engine(["synthesized"])
     out = generate_knowledge(engine, [StaticFactsSource("s", "text")], _state(), budget=0)
-    assert out == ""
+    assert out == "synthesized"
+    assert len(engine.prompts) == 1 and "Retrieved material:\n(none)" in engine.prompts[0]
 
 
 def test_generate_knowledge_stop_after_one():
-    engine = RandomEngine(seed=0, knowledge_stop_after=1)
+    engine = _chat_engine([_action("a"), _action(None), "synthesized"])
     sources = [CountingSource("a", "ans-a"), CountingSource("b", "ans-b")]
     out = generate_knowledge(engine, sources, _state(), budget=5)
     assert sources[0].calls == 1 and sources[1].calls == 0
-    assert out == "ans-a"
+    assert out == "synthesized"
+    assert "[a] query: about a\nans-a" in engine.prompts[-1]
+    assert "ans-b" not in engine.prompts[-1]
 
 
 def test_generate_knowledge_round_robin():
-    engine = RandomEngine(seed=0)
+    engine = _chat_engine([_action("a"), _action("b"), _action("a"), _action("b"), "synthesized"])
     sources = [CountingSource("a", "ans-a"), CountingSource("b", "ans-b")]
     out = generate_knowledge(engine, sources, _state(), budget=4)
     assert sources[0].calls == 2 and sources[1].calls == 2
-    assert out == "ans-a\n\nans-b\n\nans-a\n\nans-b"
+    assert out == "synthesized"
+    transcript = "\n\n".join(f"[{k}] query: about {k}\nans-{k}" for k in "abab")
+    assert f"Retrieved material:\n{transcript}\n\n" in engine.prompts[-1]
 
 
 def test_generate_knowledge_source_failure_skipped():
@@ -474,17 +480,39 @@ def test_generate_knowledge_source_failure_skipped():
         def query(self, q):
             raise OSError("disk on fire")
 
-    engine = RandomEngine(seed=0)
+    engine = _chat_engine([_action("bad")] * 3 + ["synthesized"])
     out = generate_knowledge(engine, [FailingSource()], _state(), budget=3)
-    assert out == ""
+    assert out == "synthesized"
+    assert "Retrieved material:\n(none)" in engine.prompts[-1]
     assert any("knowledge source failed" in w for w in engine.warnings)
 
 
 def test_generate_knowledge_respects_budget():
-    engine = RandomEngine(seed=0)
+    engine = _chat_engine([_action("a")] * 3 + ["synthesized"])
     sources = [CountingSource("a", "x")]
-    generate_knowledge(engine, sources, _state(), budget=3)
-    assert sources[0].calls == 3
+    assert generate_knowledge(engine, sources, _state(), budget=3) == "synthesized"
+    assert sources[0].calls == 3 and len(engine.prompts) == 4
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "just text", None])
+def test_knowledge_action_non_object_reply_keeps_retrieved_material(payload):
+    """A knowledge-action reply that is JSON but not an object stops the
+    rounds with a warning, like malformed JSON; what was already retrieved
+    still reaches the synthesis."""
+    engine = _chat_engine([_action("facts"), json.dumps(payload), "synthesized"])
+    out = generate_knowledge(engine, [StaticFactsSource("facts", "the facts")], _state(),
+                             budget=3)
+    assert out == "synthesized"
+    assert "the facts" in engine.prompts[-1]
+    assert any("knowledge action failed" in w for w in engine.warnings)
+
+
+def test_mock_engines_neither_reflect_nor_retrieve():
+    sources = [CountingSource("a", "ans-a")]
+    for engine in (RandomEngine(seed=0), BoltzmannMemoryEngine(seed=0), HillClimbEngine(seed=0)):
+        assert reflect(engine, np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc") == ""
+        assert generate_knowledge(engine, sources, _state(), budget=3) == ""
+    assert sources[0].calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +588,21 @@ def test_chat_engine_reflect_degrades_to_empty():
     out = engine.reflect(np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc")
     assert out == ""
     assert any("reflection failed" in w for w in engine.warnings)
+
+
+def test_chat_run_survives_null_replies(stub_server, dose_task):
+    """An API that answers every request with null content, as for a
+    refusal, leaves the run to random fallback designs instead of crashing."""
+    _StubHandler.responses = [None] * 4  # synthesis, two proposals, one reflection
+    cfg = RunConfig(method="leon", engine="chat-api", hp=Hyperparams(budget=64, batch_size=32),
+                    engine_params={"model": "stub", "endpoint": stub_server,
+                                   "max_retries": 1, "retry_wait": 0.0})
+    result = run_leon(dose_task, cfg, seed=2)
+    assert len(result.memory) == 64
+    assert _StubHandler.responses == [] and len(_StubHandler.requests) == 4
+    assert sum("filled 32 slots with random designs" in w for w in result.warnings) == 2
+    assert any("reflection failed" in w and "NoneType" in w for w in result.warnings)
+    assert result.reflections == ["", ""]
 
 
 def test_chat_engine_knowledge_action(stub_server):
