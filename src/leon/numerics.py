@@ -1,8 +1,9 @@
 """Minimal numeric kernel.
 
-Dense feed-forward nets with hand-rolled backprop (no autodiff dependency),
-simple-regression slope, seeded euclidean k-means, and entropy/softmax
-helpers. Everything here is pure given explicit inputs and seeds.
+Dense feed-forward nets of ReLU hidden layers and one linear output unit,
+with hand-rolled backprop (no autodiff dependency), simple-regression
+slope, seeded euclidean k-means, and entropy/softmax helpers. Everything
+here is pure given explicit inputs and seeds.
 """
 
 from __future__ import annotations
@@ -18,22 +19,16 @@ from .core import NumericError
 # Dense networks
 # ---------------------------------------------------------------------------
 
-_ACTIVATIONS = ("relu", "id")
-
-
 @dataclass(eq=False)
 class Layer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
-    activation: str = "relu"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.biases = np.asarray(self.biases, dtype=float)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ValueError("layer shape mismatch")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
@@ -50,13 +45,13 @@ def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
 
 @dataclass(eq=False)
 class DenseNet:
-    """Feed-forward net whose parameters are one contiguous float64 vector,
-    `params`, in `layer_views` order. Each layer's `weights` and `biases`
-    are views of it: writing them writes `params` and the reverse, so a
-    step over all parameters is one operation on `params`. Construction
-    copies the given layers' arrays into a new vector. `params` is the net:
-    steps, copies and pickles all read it, so a layer's arrays are written
-    in place, never rebound."""
+    """Feed-forward net (ReLU hidden layers, one linear output unit) whose
+    parameters are one contiguous float64 vector, `params`, in `layer_views`
+    order. Each layer's `weights` and `biases` are views of it: writing them
+    writes `params` and the reverse, so a step over all parameters is one
+    operation on `params`. Construction copies the given layers' arrays into
+    a new vector. `params` is the net: steps, copies and pickles all read
+    it, so a layer's arrays are written in place, never rebound."""
 
     layers: list[Layer]
     params: np.ndarray = field(init=False, repr=False)
@@ -66,73 +61,78 @@ class DenseNet:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError("consecutive layer shapes incompatible")
+        if self.layers[-1].weights.shape[0] != 1:
+            raise ValueError("the output layer must have one unit")
         self.shapes = tuple(l.weights.shape for l in self.layers)
         self._bind(np.concatenate([np.concatenate([l.weights.ravel(), l.biases])
-                                   for l in self.layers]),
-                   [l.activation for l in self.layers])
+                                   for l in self.layers]))
 
-    def _bind(self, params: np.ndarray, activations) -> None:
+    def _bind(self, params: np.ndarray) -> None:
         self.params = params
-        self.layers = [Layer(w, b, act)
-                       for (w, b), act in zip(layer_views(self, params), activations)]
+        self.layers = [Layer(w, b) for w, b in layer_views(self, params)]
 
     @property
     def input_dim(self) -> int:
         return self.shapes[0][1]
 
     def copy(self) -> "DenseNet":
-        return _net_on(self.params.copy(), self.shapes, [l.activation for l in self.layers])
+        return _net_on(self.params.copy(), self.shapes)
 
     def __reduce__(self):
         # pickled as its vector, like `copy`; the layers are rebuilt as views
-        return _net_on, (self.params, self.shapes, [l.activation for l in self.layers])
+        return _net_on, (self.params, self.shapes)
 
 
-def _net_on(params: np.ndarray, shapes: tuple, activations) -> DenseNet:
+def _net_on(params: np.ndarray, shapes: tuple) -> DenseNet:
     """A net whose layers are views of `params` (owned by the new net)."""
     net = object.__new__(DenseNet)
     net.shapes = shapes
-    net._bind(params, activations)
+    net._bind(params)
     return net
 
 
-def init_net(sizes, seed, activation="relu", scale=None) -> DenseNet:
-    """Scalar-output net with hidden `activation` and identity output.
+def init_net(sizes, seed, scale=None) -> DenseNet:
+    """Net of ReLU hidden layers and one linear output unit.
 
-    `sizes` is (input, hidden..., output). Weights are He-scaled unless a
+    `sizes` is (input, hidden..., 1). Weights are He-scaled unless a
     uniform `scale` is given, in which case params are uniform(-scale, scale).
     """
     rng = np.random.default_rng(seed)
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        act = activation if i < len(sizes) - 2 else "id"
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
         if scale is None:
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
             b = np.zeros(fan_out)
         else:
             w = rng.uniform(-scale, scale, size=(fan_out, fan_in))
             b = rng.uniform(-scale, scale, size=fan_out)
-        layers.append(Layer(w, b, act))
+        layers.append(Layer(w, b))
     return DenseNet(layers)
+
+
+def net_hidden(net: DenseNet, X: np.ndarray) -> np.ndarray:
+    """The last hidden layer's rectified activations on the rows of X (X
+    itself for a net without hidden layers): the output unit's inputs."""
+    a = X
+    for layer in net.layers[:-1]:
+        a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
+    return a
 
 
 def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != net input {net.input_dim}")
-    a = X
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return a[:, 0] if a.shape[1] == 1 else a
+    out = net.layers[-1]
+    return (net_hidden(net, X) @ out.weights.T + out.biases)[:, 0]
 
 
 class NetWorkspace:
     """Buffers for gradient passes of nets shaped like `net` on batches of
     exactly `n` rows: input rows, each layer's activations (which backprop
-    overwrites with the layer's deltas), a rectifier mask (one buffer,
-    viewed per layer, as each mask is used only where it is made), the flat
-    gradient (in `params` layout, with per-layer views `grads`) and the
+    overwrites with the layer's deltas), a rectifier mask per hidden layer
+    (views of one buffer, as each mask is used only where it is made), the
+    flat gradient (in `params` layout, with per-layer views `grads`) and the
     +-1/n weights of `net_gradient`. A training loop allocates one and
     passes it to every pass, which overwrites them all."""
 
@@ -142,8 +142,8 @@ class NetWorkspace:
         self.rows = n
         self.X = np.empty((n, net.input_dim))
         self.acts = [np.empty((n, w)) for w in widths]
-        mask = np.empty(n * max(widths), dtype=bool)
-        self.masks = [mask[:n * w].reshape(n, w) for w in widths]
+        mask = np.empty(n * max(widths[:-1], default=0), dtype=bool)
+        self.masks = [mask[:n * w].reshape(n, w) for w in widths[:-1]]
         self.grad = np.empty_like(net.params)
         self.grads = layer_views(net, self.grad)
         self.weights = np.empty(n)
@@ -175,14 +175,15 @@ def _forward(net: DenseNet, X: np.ndarray, workspace: NetWorkspace) -> np.ndarra
     """The net's outputs on X, with every layer's activations left in the
     workspace."""
     a = X
-    for layer, act in zip(net.layers, workspace.acts):
-        # z = a @ W.T + b, then relu, all in the layer's buffer
+    last = len(net.layers) - 1
+    for li, (layer, act) in enumerate(zip(net.layers, workspace.acts)):
+        # z = a @ W.T + b, then relu on a hidden layer, all in the layer's buffer
         np.matmul(a, layer.weights.T, out=act)
         act += layer.biases
-        if layer.activation == "relu":
+        if li < last:
             np.maximum(act, 0.0, out=act)
         a = act
-    return a[:, 0] if a.shape[1] == 1 else a
+    return a[:, 0]
 
 
 def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
@@ -191,26 +192,18 @@ def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
     returns the workspace's flat gradient. Each layer's delta overwrites
     its activations once they are used up."""
     layers, acts, masks = net.layers, workspace.acts, workspace.masks
-    # relu(z) > 0 exactly where z > 0, so backprop masks on the activation
     delta = acts[-1]
-    if layers[-1].activation == "relu":
-        np.greater(delta, 0.0, out=masks[-1])
-        delta[...] = weights[:, None]
-        np.multiply(delta, masks[-1], out=delta)
-    else:
-        delta[...] = weights[:, None]
+    delta[...] = weights[:, None]  # the output unit is linear
     for li in range(len(layers) - 1, -1, -1):
         a = acts[li - 1] if li > 0 else X
         dW, db = workspace.grads[li]
         np.matmul(delta.T, a, out=dW)
         np.add.reduce(delta, axis=0, out=db)
         if li > 0:
-            relu = layers[li - 1].activation == "relu"
-            if relu:
-                np.greater(a, 0.0, out=masks[li - 1])
+            # a is a hidden layer's relu(z), > 0 exactly where z > 0
+            np.greater(a, 0.0, out=masks[li - 1])
             delta = np.matmul(delta, layers[li].weights, out=a)
-            if relu:
-                np.multiply(delta, masks[li - 1], out=delta)
+            np.multiply(delta, masks[li - 1], out=delta)
     return workspace.grad
 
 
@@ -442,6 +435,7 @@ __all__ = [
     "Layer",
     "DenseNet",
     "init_net",
+    "net_hidden",
     "net_forward_batch",
     "net_gradient",
     "net_weighted_gradient",

@@ -377,6 +377,15 @@ class ChatApiEngine:
     seed: int = 0
 
     def __post_init__(self):
+        _check_params(self, (
+            ("temperature", _is_number(self.temperature) and self.temperature >= 0,
+             "a finite number >= 0"),
+            ("max_retries", _is_number(self.max_retries, integer=True) and self.max_retries >= 1,
+             "an integer >= 1"),
+            ("retry_wait", _is_number(self.retry_wait) and self.retry_wait >= 0,
+             "a finite number >= 0"),
+            ("timeout", _is_number(self.timeout) and self.timeout > 0, "a finite number > 0"),
+        ))
         self.rng = np.random.default_rng(self.seed)
         self.warnings: list[str] = []
 
@@ -584,7 +593,7 @@ def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:
             try:
                 response = source.query(query)
             except Exception as exc:  # noqa: BLE001 - skip the round
-                getattr(engine, "warnings", []).append(f"knowledge source failed: {exc}")
+                engine.warnings.append(f"knowledge source failed: {exc}")
                 continue
             history.append((source.name, query, response))
     try:

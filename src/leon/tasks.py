@@ -23,7 +23,7 @@ from .core import (
     NumericError,
     encode_batch,
 )
-from .numerics import NetWorkspace, init_net, net_forward_batch, net_weighted_gradient
+from .numerics import NetWorkspace, init_net, net_forward_batch, net_hidden, net_weighted_gradient
 
 
 @dataclass
@@ -274,12 +274,10 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
         net.params += np.multiply(velocity, step, out=grad)  # grad is used up
     del workspace  # free the step buffers before the ridge solve allocates its own
 
-    a = X
-    for layer in net.layers[:-1]:
-        a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
+    a = net_hidden(net, X)
     H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
     coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)
-    out = net.layers[-1]  # an identity layer already; its arrays are views of net.params
+    out = net.layers[-1]  # the linear output unit; its arrays are views of net.params
     out.weights[0] = coef[:-1]
     out.biases[:] = coef[-1:]
     return net

@@ -311,13 +311,10 @@ def _min_abs_preactivation(net, X) -> float:
     only valid when every rectifier input clears the step size."""
     a = np.atleast_2d(X)
     smallest = np.inf
-    for layer in net.layers:
+    for layer in net.layers[:-1]:
         z = a @ layer.weights.T + layer.biases
-        if layer.activation == "relu":
-            smallest = min(smallest, float(np.abs(z).min()))
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
+        smallest = min(smallest, float(np.abs(z).min()))
+        a = np.maximum(z, 0.0)
     return smallest
 
 

@@ -81,7 +81,8 @@ def test_parse_config_validates_fields():
         parse_config(_config(hyperparams={"budget": 8, "batch_size": 32}))
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, _config(extra_knob=1))
     result = runner.invoke(main, ["run", "-c", path])
     assert result.exit_code == 2
@@ -139,6 +140,16 @@ def test_config_error_exit_code(tmp_path):
                 _config(methods=[{"name": "leon", "engine_params": {"explore_frac": 1.5}}]),
                 _config(methods=[{"name": "leon", "engine": "hill-climb",
                                   "engine_params": {"step": 0}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"retry_wait": -1}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"max_retries": 2.5}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"max_retries": 0}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"temperature": "hot"}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"timeout": 0}}]),
                 # mock engines retrieve no knowledge, so they take no knowledge knob
                 _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
@@ -146,6 +157,7 @@ def test_config_error_exit_code(tmp_path):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_jobs_flag(tmp_path):

@@ -33,12 +33,12 @@ def _w1(critic, src_enc, gen_enc):
 
 def _identity_critic():
     # single identity layer undoes the [0,1] encoding: c(encode(x)) == x
-    return DenseNet([Layer(np.array([[100.0]]), np.array([0.0]), "id")])
+    return DenseNet([Layer(np.array([[100.0]]), np.array([0.0]))])
 
 
 def test_zero_critic_value():
-    critic = DenseNet([Layer(np.zeros((8, 1)), np.zeros(8), "relu"),
-                       Layer(np.zeros((1, 8)), np.zeros(1), "id")])
+    critic = DenseNet([Layer(np.zeros((8, 1)), np.zeros(8)),
+                       Layer(np.zeros((1, 8)), np.zeros(1))])
     assert critic_values(critic, _enc([0.0, 33.3, 100.0])).tolist() == [0.0, 0.0, 0.0]
 
 
@@ -142,8 +142,7 @@ def _three_call_train(critic, src_enc, gen_enc, lr, tol=1e-4, max_iters=500):
         grad, _ = net_gradient(net, src_enc, gen_enc,
                                NetWorkspace(net, len(src_enc) + len(gen_enc)))
         net = DenseNet([Layer(np.clip(l.weights + lr * dW, -CLIP, CLIP),
-                              np.clip(l.biases + lr * db, -CLIP, CLIP),
-                              l.activation)
+                              np.clip(l.biases + lr * db, -CLIP, CLIP))
                         for l, (dW, db) in zip(net.layers, layer_views(net, grad))])
         steps += 1
         est = _w1(net, src_enc, gen_enc)
@@ -245,7 +244,7 @@ def test_train_without_iterations_is_one_forward_pass(monkeypatch):
 
 
 def test_train_aborts_on_nonfinite():
-    bad = DenseNet([Layer(np.array([[np.nan]]), np.array([0.0]), "id")])
+    bad = DenseNet([Layer(np.array([[np.nan]]), np.array([0.0]))])
     with pytest.raises(NumericError):
         critic_train(bad, _enc([10, 20]), _enc([80]), lr=0.001)
 

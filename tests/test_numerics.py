@@ -35,21 +35,30 @@ from leon.verify import check_backprop_fd
 
 
 def test_zero_net_outputs_zero():
-    net = DenseNet([Layer(np.zeros((4, 2)), np.zeros(4), "relu"),
-                    Layer(np.zeros((1, 4)), np.zeros(1), "id")])
+    net = DenseNet([Layer(np.zeros((4, 2)), np.zeros(4)),
+                    Layer(np.zeros((1, 4)), np.zeros(1))])
     assert net_forward_batch(net, [[0.0, 0.0], [1.0, -3.0], [5.0, 5.0]]).tolist() == [0.0] * 3
 
 
 def test_affine_layer_by_hand():
-    net = DenseNet([Layer(np.array([[2.0]]), np.array([1.0]), "id")])
+    net = DenseNet([Layer(np.array([[2.0]]), np.array([1.0]))])
     assert net_forward_batch(net, [[3.0]]).tolist() == [7.0]
 
 
 def test_rectifier_kills_negative_preactivation():
     # hidden unit sees -x, so a positive input contributes nothing
-    net = DenseNet([Layer(np.array([[-1.0]]), np.array([0.0]), "relu"),
-                    Layer(np.array([[3.0]]), np.array([0.5]), "id")])
+    net = DenseNet([Layer(np.array([[-1.0]]), np.array([0.0])),
+                    Layer(np.array([[3.0]]), np.array([0.5]))])
     assert net_forward_batch(net, [[2.0]]).tolist() == [0.5]
+
+
+def test_output_layer_has_one_unit():
+    """The output unit is one linear unit: a wider last layer is refused
+    rather than read by its first column."""
+    with pytest.raises(ValueError, match="one unit"):
+        DenseNet([Layer(np.zeros((4, 2)), np.zeros(4)), Layer(np.zeros((2, 4)), np.zeros(2))])
+    with pytest.raises(ValueError, match="one unit"):
+        init_net((3, 4, 2), seed=0)
 
 
 def test_forward_shape_mismatch():
@@ -89,13 +98,11 @@ def test_copies_own_their_vector(how):
     holds its own vector with its layers' arrays views of it again;
     stepping it leaves the original unchanged."""
     net = init_net((2, 6, 4, 1), seed=1, scale=0.01)
-    net.layers[-1].activation = "relu"
     before = net.params.copy()
     twin = net.copy() if how == "copy" else pickle.loads(pickle.dumps(net))
     _assert_owns_its_views(twin)
     assert not np.shares_memory(twin.params, net.params)
     assert np.array_equal(twin.params, net.params)
-    assert [l.activation for l in twin.layers] == ["relu", "relu", "relu"]
     sgd_step(twin, np.ones_like(twin.params), 0.001, 0.01)
     assert np.array_equal(net.params, before)
     assert not np.array_equal(twin.params, before)
@@ -199,9 +206,7 @@ def test_callable_weights_match_array_weights():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(24, 3))
     y = rng.normal(size=24)
-    relu_out = init_net((3, 6, 5, 1), seed=2)
-    relu_out.layers[-1].activation = "relu"
-    nets = [init_net((3, 6, 5, 1), seed=0), init_net((3, 6, 5, 1), seed=1), relu_out]
+    nets = [init_net((3, 6, 5, 1), seed=0), init_net((3, 6, 5, 1), seed=1)]
     loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
     workspace = NetWorkspace(nets[0], len(X))
     for net in nets:
@@ -233,26 +238,24 @@ def test_gradient_matches_finite_differences():
 
 
 def _reference_weighted_gradient(net, X, weights):
-    """Per-layer forward plus backprop into fresh arrays: a list of
-    (dW, db), one per layer."""
+    """Per-layer forward plus backprop into fresh arrays, every layer but
+    the last rectified: a list of (dW, db), one per layer."""
+    last = len(net.layers) - 1
     activations = [X]
     a = X
-    for layer in net.layers:
+    for li, layer in enumerate(net.layers):
         z = a @ layer.weights.T + layer.biases
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if li < last else z
         activations.append(a)
-    w = np.asarray(weights(a[:, 0] if a.shape[1] == 1 else a), dtype=float)
+    w = np.asarray(weights(a[:, 0]), dtype=float)
     grads = [None] * len(net.layers)
     delta = np.empty_like(a)
     delta[...] = w[:, None]
-    if net.layers[-1].activation == "relu":
-        delta = delta * (activations[-1] > 0)
-    for li in range(len(net.layers) - 1, -1, -1):
+    for li in range(last, -1, -1):
         grads[li] = (delta.T @ activations[li], delta.sum(axis=0))
         if li > 0:
             delta = delta @ net.layers[li].weights
-            if net.layers[li - 1].activation == "relu":
-                delta = delta * (activations[li] > 0)
+            delta = delta * (activations[li] > 0)
     return grads
 
 
@@ -273,17 +276,15 @@ def _flat(grads):
 
 
 def _kernel_nets():
-    relu_out = init_net((16, 64, 64, 1), seed=7, scale=0.01)
-    relu_out.layers[-1].activation = "relu"
     return [init_net((1, 64, 64, 1), seed=5, scale=0.01),
-            init_net((16, 64, 64, 1), seed=6, scale=0.01), relu_out]
+            init_net((16, 64, 64, 1), seed=6, scale=0.01)]
 
 
 @pytest.mark.parametrize("lr", [1e-3, 0.5])
 def test_flat_kernel_matches_per_layer_reference(lr):
     """Critic-shaped passes (128 source plus 32 generated rows, widths 1
-    and 16, and a relu output) give the per-layer kernel's gradient and
-    stepped parameters bit for bit, over several steps."""
+    and 16) give the per-layer kernel's gradient and stepped parameters bit
+    for bit, over several steps."""
     rng = np.random.default_rng(8)
     for net in _kernel_nets():
         d = net.input_dim
@@ -344,7 +345,7 @@ def test_flat_regression_training_matches_per_layer_reference():
 
 
 def test_sgd_clip_exact():
-    net = DenseNet([Layer(np.array([[0.009]]), np.array([0.0]), "id")])
+    net = DenseNet([Layer(np.array([[0.009]]), np.array([0.0]))])
     grads = [(np.array([[1.0]]), np.array([0.0]))]
     sgd_step(net, _flat(grads), 0.001, 0.01)
     w = net.layers[0].weights[0, 0]

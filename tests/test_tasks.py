@@ -185,7 +185,7 @@ def _two_pass_train(X, y, hidden=(128, 128), seed=0, lr=0.05, iters=4000, moment
         a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
     H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
     coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)
-    net.layers[-1] = Layer(coef[:-1][None, :], coef[-1:], "id")
+    net.layers[-1] = Layer(coef[:-1][None, :], coef[-1:])
     return net
 
 
