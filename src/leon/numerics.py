@@ -4,6 +4,9 @@ Dense feed-forward nets of ReLU hidden layers and one linear output unit,
 with hand-rolled backprop (no autodiff dependency), simple-regression
 slope, seeded euclidean k-means, and entropy/softmax helpers. Everything
 here is pure given explicit inputs and seeds.
+
+A net's dtype is its parameter vector's, float64 or float32: its forward
+and gradient passes cast their inputs to it and compute in it.
 """
 
 from __future__ import annotations
@@ -19,14 +22,23 @@ from .core import NumericError
 # Dense networks
 # ---------------------------------------------------------------------------
 
+_NET_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _float_array(a) -> np.ndarray:
+    """`a` itself when it is a float32 or float64 array, else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype in _NET_DTYPES else a.astype(float)
+
+
 @dataclass(eq=False)
 class Layer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.biases = np.asarray(self.biases, dtype=float)
+        self.weights = _float_array(self.weights)
+        self.biases = _float_array(self.biases)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ValueError("layer shape mismatch")
 
@@ -46,11 +58,12 @@ def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
 @dataclass(eq=False)
 class DenseNet:
     """Feed-forward net (ReLU hidden layers, one linear output unit) whose
-    parameters are one contiguous float64 vector, `params`, in `layer_views`
-    order. Each layer's `weights` and `biases` are views of it: writing them
-    writes `params` and the reverse, so a step over all parameters is one
-    operation on `params`. Construction copies the given layers' arrays into
-    a new vector. `params` is the net: steps, copies and pickles all read
+    parameters are one contiguous float64 or float32 vector, `params`, in
+    `layer_views` order; the net's dtype is the vector's. Each layer's
+    `weights` and `biases` are views of it: writing them writes `params` and
+    the reverse, so a step over all parameters is one operation on
+    `params`. Construction copies the given layers' arrays into a new
+    vector. `params` is the net: steps, copies and pickles all read
     it, so a layer's arrays are written in place, never rebound."""
 
     layers: list[Layer]
@@ -77,6 +90,10 @@ class DenseNet:
 
     def copy(self) -> "DenseNet":
         return _net_on(self.params.copy(), self.shapes)
+
+    def astype(self, dtype) -> "DenseNet":
+        """A copy whose vector has the given dtype."""
+        return _net_on(self.params.astype(dtype), self.shapes)
 
     def __reduce__(self):
         # pickled as its vector, like `copy`; the layers are rebuilt as views
@@ -120,7 +137,7 @@ def net_hidden(net: DenseNet, X: np.ndarray) -> np.ndarray:
 
 
 def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=net.params.dtype))
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != net input {net.input_dim}")
     out = net.layers[-1]
@@ -133,20 +150,21 @@ class NetWorkspace:
     overwrites with the layer's deltas), a rectifier mask per hidden layer
     (views of one buffer, as each mask is used only where it is made), the
     flat gradient (in `params` layout, with per-layer views `grads`) and the
-    +-1/n weights of `net_gradient`. A training loop allocates one and
-    passes it to every pass, which overwrites them all."""
+    +-1/n weights of `net_gradient`, all in the net's dtype. A training loop
+    allocates one and passes it to every pass, which overwrites them all."""
 
     def __init__(self, net: DenseNet, n: int):
         widths = [out for out, _ in net.shapes]
         self.shapes = net.shapes
         self.rows = n
-        self.X = np.empty((n, net.input_dim))
-        self.acts = [np.empty((n, w)) for w in widths]
+        self.dtype = dtype = net.params.dtype
+        self.X = np.empty((n, net.input_dim), dtype=dtype)
+        self.acts = [np.empty((n, w), dtype=dtype) for w in widths]
         mask = np.empty(n * max(widths[:-1], default=0), dtype=bool)
         self.masks = [mask[:n * w].reshape(n, w) for w in widths[:-1]]
         self.grad = np.empty_like(net.params)
         self.grads = layer_views(net, self.grad)
-        self.weights = np.empty(n)
+        self.weights = np.empty(n, dtype=dtype)
 
     def load(self, pos, neg) -> int:
         """Copy two row batches into the input rows and set `weights` to
@@ -167,8 +185,20 @@ class NetWorkspace:
 
 
 def _check_workspace(net: DenseNet, workspace: NetWorkspace, n: int) -> None:
-    if workspace.shapes != net.shapes or workspace.rows != n:
+    # a dtype mismatch would not fail: `out=` casts, so the pass would run
+    # in the workspace's precision instead of the net's
+    if (workspace.shapes != net.shapes or workspace.rows != n
+            or workspace.dtype != net.params.dtype):
         raise ValueError("workspace does not match the net and batch")
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into `out`. With inner dimension 1 (an input layer of width 1,
+    or the delta through the output unit) each entry is one rounded
+    multiply, so a broadcast gives matmul's bits without a BLAS call."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
 def _forward(net: DenseNet, X: np.ndarray, workspace: NetWorkspace) -> np.ndarray:
@@ -178,7 +208,7 @@ def _forward(net: DenseNet, X: np.ndarray, workspace: NetWorkspace) -> np.ndarra
     last = len(net.layers) - 1
     for li, (layer, act) in enumerate(zip(net.layers, workspace.acts)):
         # z = a @ W.T + b, then relu on a hidden layer, all in the layer's buffer
-        np.matmul(a, layer.weights.T, out=act)
+        _product(a, layer.weights.T, act)
         act += layer.biases
         if li < last:
             np.maximum(act, 0.0, out=act)
@@ -202,7 +232,7 @@ def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
         if li > 0:
             # a is a hidden layer's relu(z), > 0 exactly where z > 0
             np.greater(a, 0.0, out=masks[li - 1])
-            delta = np.matmul(delta, layers[li].weights, out=a)
+            delta = _product(delta, layers[li].weights, a)
             np.multiply(delta, masks[li - 1], out=delta)
     return workspace.grad
 
@@ -216,15 +246,16 @@ def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights,
     returns them) that gives the (n,) vector w, so a loss, or an estimate
     read off the same outputs, needs no second forward pass. `workspace`
     (a `NetWorkspace` for the net and n rows) holds the pass's buffers.
-    Returns the workspace's flat gradient, in `net.params` layout, which
-    the next pass overwrites.
+    X and w are cast to the net's dtype. Returns the workspace's flat
+    gradient, in `net.params` layout, which the next pass overwrites.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dtype = net.params.dtype
+    X = np.atleast_2d(np.asarray(X, dtype=dtype))
     if len(X) == 0:
         raise ValueError("empty batch")
     _check_workspace(net, workspace, len(X))
     out = _forward(net, X, workspace)
-    return _backward(net, X, np.asarray(weights(out), dtype=float), workspace)
+    return _backward(net, X, np.asarray(weights(out), dtype=dtype), workspace)
 
 
 def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,

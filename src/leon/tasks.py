@@ -250,16 +250,18 @@ class LearnedSurrogate:
 def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: int = 0,
                          lr: float = 0.05, iters: int = 4000, momentum: float = 0.9,
                          ridge: float = 1e-6):
-    """Squared-loss regression: full-batch heavy-ball gradient descent to
-    shape the hidden features, then an exact ridge least-squares solve for
-    the output layer."""
-    net = init_net((X.shape[1], *hidden, 1), seed=seed)
+    """Squared-loss regression: full-batch heavy-ball gradient descent in
+    float32 to shape the hidden features, then, on the net cast to float64,
+    an exact ridge least-squares solve for the output layer. Raises
+    `NumericError` when the descent diverges."""
+    net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     n = X.shape[0]
+    X32, y32 = X.astype(np.float32), y.astype(np.float32)
     velocity = np.zeros_like(net.params)
     workspace = NetWorkspace(net, n)
 
     def loss_weights(out):
-        resid = out - y
+        resid = out - y32
         loss = float((resid ** 2).mean())
         if not np.isfinite(loss):
             raise NumericError("surrogate training diverged")
@@ -268,12 +270,16 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     stage = max(1, iters // 5)
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
-        grad = net_weighted_gradient(net, X, loss_weights, workspace)
+        grad = net_weighted_gradient(net, X32, loss_weights, workspace)
         velocity *= momentum
         velocity += grad
         net.params += np.multiply(velocity, step, out=grad)  # grad is used up
     del workspace  # free the step buffers before the ridge solve allocates its own
+    # the loss is checked before each step, so this catches the last one
+    if not np.isfinite(net.params).all():
+        raise NumericError("surrogate training diverged")
 
+    net = net.astype(float)
     a = net_hidden(net, X)
     H = np.concatenate([a, np.ones((len(a), 1))], axis=1)
     coef = np.linalg.solve(H.T @ H + ridge * np.eye(H.shape[1]), H.T @ y)

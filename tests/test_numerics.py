@@ -119,6 +119,29 @@ def test_copy_and_pickle_both_carry_the_vector():
         assert np.array_equal(twin.layers[0].weights, layer_views(net, net.params)[0][0])
 
 
+def test_float32_nets_keep_their_dtype():
+    """A layer keeps float32 and float64 arrays as they are and makes
+    anything else float64; a float32 net's layers are views of its float32
+    vector, and `astype`, `copy` and pickling give nets of their own."""
+    w32, b32 = np.ones((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32)
+    layer = Layer(w32, b32)
+    assert layer.weights is w32 and layer.biases is b32
+    assert Layer([[1, 2]], [0]).weights.dtype == np.float64
+    assert Layer(np.ones((1, 2), dtype=np.float16), np.zeros(1)).weights.dtype == np.float64
+    net = init_net((2, 6, 4, 1), seed=1, scale=0.5)
+    net32 = net.astype(np.float32)
+    assert net.params.dtype == np.float64 and net32.params.dtype == np.float32
+    assert not np.shares_memory(net32.params, net.params)
+    assert np.array_equal(net32.params, net.params.astype(np.float32))
+    for twin in (net32, net32.copy(), pickle.loads(pickle.dumps(net32)), copy.deepcopy(net32),
+                 DenseNet([Layer(l.weights, l.biases) for l in net32.layers])):
+        _assert_owns_its_views(twin)
+        assert all(l.weights.dtype == l.biases.dtype == np.float32 for l in twin.layers)
+        assert np.array_equal(twin.params, net32.params)
+    back = net32.astype(float)
+    assert back.params.dtype == np.float64 and not np.shares_memory(back.params, net32.params)
+
+
 def test_nets_compare_by_identity():
     net, twin = init_net((2, 3, 1), seed=0), init_net((2, 3, 1), seed=0)
     assert net == net and net != twin
@@ -227,6 +250,19 @@ def test_workspace_shape_mismatch():
             net_gradient(net, X[:3], X[3:], bad)
 
 
+def test_workspace_dtype_mismatch():
+    """A workspace of the other dtype is refused, as `out=` would silently
+    run the pass in the workspace's precision."""
+    X = np.zeros((5, 3))
+    net = init_net((3, 4, 1), seed=0)
+    for a, b in ((net, net.astype(np.float32)), (net.astype(np.float32), net)):
+        bad = NetWorkspace(b, 5)
+        with pytest.raises(ValueError):
+            net_weighted_gradient(a, X, lambda out: np.ones(5), bad)
+        with pytest.raises(ValueError):
+            net_gradient(a, X[:3], X[3:], bad)
+
+
 def test_gradient_matches_finite_differences():
     result = check_backprop_fd(seed=3, nets=6)
     assert result.passed, result.detail
@@ -307,10 +343,25 @@ def test_flat_kernel_matches_per_layer_reference(lr):
             assert np.array_equal(net.params, _flat((l.weights, l.biases) for l in ref.layers))
 
 
+def test_float32_kernel_matches_per_layer_reference():
+    """On a float32 net the pass runs in float32, X and the weights cast to
+    it, and gives the per-layer kernel's float32 gradient bit for bit."""
+    rng = np.random.default_rng(10)
+    for net in _kernel_nets():
+        net32 = net.astype(np.float32)
+        X = rng.normal(size=(160, net.input_dim))
+        y = rng.normal(size=160)
+        loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
+        got = net_weighted_gradient(net32, X, loss_weights, NetWorkspace(net32, len(X)))
+        want = _reference_weighted_gradient(net32, X.astype(np.float32), loss_weights)
+        assert got.dtype == np.float32 and np.array_equal(got, _flat(want))
+
+
 def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
-    """`train_regression_net`'s descent with per-layer gradients and
-    velocities (its ridge solve for the output layer left out)."""
-    net = init_net((X.shape[1], *hidden, 1), seed=seed)
+    """`train_regression_net`'s float32 descent with per-layer gradients
+    and velocities (its ridge solve for the output layer left out)."""
+    net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
+    X, y = X.astype(np.float32), y.astype(np.float32)
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
     stage = max(1, iters // 5)
     for it in range(iters):
@@ -327,8 +378,8 @@ def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
 
 
 def test_flat_regression_training_matches_per_layer_reference():
-    """Five heavy-ball steps on one flat velocity move every hidden weight
-    and bias as the per-layer loop does, bit for bit."""
+    """Five float32 heavy-ball steps on one flat velocity move every hidden
+    weight and bias as the per-layer loop does, bit for bit."""
     rng = np.random.default_rng(9)
     X = rng.normal(size=(96, 5))
     y = np.sin(X).sum(axis=1)
