@@ -6,6 +6,11 @@ cohort per surrogate mixture weight when the config lists `weights`;
 dump-task` prints task constants. Exit codes: 0 success, 1 runtime
 failure, 2 configuration error. With mock engines and a fixed seed,
 outputs are byte-identical across reruns.
+
+`parse_config` checks only the JSON's shape (unknown keys, an object or a
+list where one is expected) and maps it onto `Hyperparams`, `RunConfig`
+and `ExperimentConfig`, which check their own values; their errors
+become a `ConfigError` that names the config's place, `methods[1]: ...`.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from pathlib import Path
 
 import click
 
-from .core import Hyperparams
-from .optimizer import BASELINES, ENGINES, RunConfig, evaluate_cohort, make_engine
-from .tasks import SURROGATES, TASKS, make_task
+from .core import Hyperparams, read_int
+from .optimizer import RunConfig, evaluate_cohort
+from .tasks import TASKS, make_task
 from .verify import run_all_checks
 
 
@@ -31,15 +36,22 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
-_METHOD_KEYS = {"name", "engine", "engine_params", "partition", "critic_hidden",
-                "source_pool_size", "memory_view"}
-_HP_FLOATS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"}
-_HP_KEYS = _HP_FLOATS | {"batch_size", "budget"}
-_SURROGATE_KEYS = {"variant", "beta", "radius"}
+_HP_KEYS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max", "batch_size", "budget"}
+# JSON key -> RunConfig field
+_METHOD_FIELDS = {"name": "method", "engine": "engine", "engine_params": "engine_params",
+                  "partition": "partition", "critic_hidden": "critic_hidden",
+                  "source_pool_size": "source_pool_size", "memory_view": "memory_view"}
+_SURROGATE_FIELDS = {"variant": "surrogate_variant", "beta": "beta", "radius": "radius"}
 
 
 @dataclass
 class ExperimentConfig:
+    """A cohort experiment, checked at construction: `task` one of TASKS,
+    at least one method, integer `n_patients` and `jobs` of at least 1 and
+    `seed` and `task_seed` of at least 0, a string or path `output_dir`,
+    and `weights` None or a non-empty list, each weight one that RunConfig
+    takes as its `mixture_w`."""
+
     task: str
     methods: list[RunConfig]
     n_patients: int
@@ -49,129 +61,71 @@ class ExperimentConfig:
     weights: list[float] | None
     jobs: int
 
+    def __post_init__(self):
+        if self.task not in sorted(TASKS):
+            raise ValueError(f"task must be one of {sorted(TASKS)}, got {self.task!r}")
+        if not self.methods:
+            raise ValueError("methods must be a non-empty list")
+        self.n_patients = read_int(self.n_patients, "n_patients", 1)
+        self.seed = read_int(self.seed, "seed", 0)
+        self.task_seed = read_int(self.task_seed, "task_seed", 0)
+        self.jobs = read_int(self.jobs, "jobs", 1)
+        if not isinstance(self.output_dir, (str, Path)):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        self.output_dir = Path(self.output_dir)
+        if self.weights is not None:
+            if not isinstance(self.weights, list) or not self.weights:
+                raise ValueError(f"weights must be a non-empty list of numbers, "
+                                 f"got {self.weights!r}")
+            try:  # each weight is its cohort's `mixture_w`, which RunConfig reads
+                self.weights = [replace(self.methods[0], mixture_w=w).mixture_w
+                                for w in self.weights]
+            except ValueError as exc:
+                raise ValueError(f"weights: {exc}") from exc
 
-def _reject_unknown(obj: dict, allowed: set, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - allowed
+
+def _object(value, where: str, allowed=None) -> dict:
+    """`value`, a JSON object with no key outside `allowed` when given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    unknown = value.keys() - allowed if allowed is not None else ()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _int_at_least(value, lo: int, where: str) -> int:
-    """A JSON integer (not a bool, float or string) no less than `lo`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if value < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {value!r}")
     return value
 
 
-def _finite(value, where: str, lo: float | None = None, hi: float | None = None) -> float:
-    """A finite JSON number (an int or float, not a bool or string), within
-    [lo, hi] where a bound is given."""
-    # `abs(value) <= max float` is False for NaN, the infinities and
-    # integers too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise ConfigError(f"{where} must lie in [{lo}, {hi}], got {value!r}")
-    return float(value)
-
-
-def _hidden_sizes(value, where: str) -> tuple:
-    """A non-empty list of positive layer widths."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a non-empty list of positive integers, got {value!r}")
-    return tuple(_int_at_least(h, 1, f"{where}[{j}]") for j, h in enumerate(value))
-
-
-def parse_config(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(obj, _TOP_KEYS, "config")
-    task = obj.get("task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {sorted(TASKS)}, got {task!r}")
-    methods_spec = obj.get("methods")
-    if not isinstance(methods_spec, list) or not methods_spec:
-        raise ConfigError("methods must be a non-empty list")
-    n_patients = _int_at_least(obj.get("n_patients", 1), 1, "n_patients")
-    seed = _int_at_least(obj.get("seed", 0), 0, "seed")
-    output_dir = obj.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-
-    hp_spec = obj.get("hyperparams", {})
-    _reject_unknown(hp_spec, _HP_KEYS, "hyperparams")
-    hp_spec = dict(hp_spec)
-    for key in hp_spec:
-        if key in _HP_FLOATS:
-            hp_spec[key] = _finite(hp_spec[key], f"hyperparams.{key}")
-        else:
-            hp_spec[key] = _int_at_least(hp_spec[key], 1, f"hyperparams.{key}")
+def _build(where: str | None, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, its ValueError or TypeError raised as a
+    ConfigError that names `where`."""
     try:
-        hp = Hyperparams(**hp_spec)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparams: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
-    sur_spec = obj.get("surrogate", {})
-    _reject_unknown(sur_spec, _SURROGATE_KEYS, "surrogate")
-    beta = _finite(sur_spec.get("beta", 0.5), "surrogate.beta")
-    radius = _finite(sur_spec.get("radius", 1.0), "surrogate.radius")
-    surrogate_variant = sur_spec.get("variant", "analytic-shift")
-    if surrogate_variant not in SURROGATES:
-        raise ConfigError(f"surrogate.variant must be one of {SURROGATES}")
 
+def parse_config(obj) -> ExperimentConfig:
+    _object(obj, "config", _TOP_KEYS)
+    hp = _build("hyperparams", Hyperparams,
+                **_object(obj.get("hyperparams", {}), "hyperparams", _HP_KEYS))
+    surrogate = _object(obj.get("surrogate", {}), "surrogate", _SURROGATE_FIELDS)
+    # every method shares the surrogate keys, so they are checked once, as such
+    shared = _build("surrogate", RunConfig, hp=hp,
+                    **{_SURROGATE_FIELDS[k]: v for k, v in surrogate.items()})
+    methods_spec = obj.get("methods")
+    if not isinstance(methods_spec, list):
+        raise ConfigError(f"methods must be a non-empty list, got {methods_spec!r}")
     methods = []
     for i, m in enumerate(methods_spec):
-        _reject_unknown(m, _METHOD_KEYS, f"methods[{i}]")
-        name = m.get("name")
-        if name != "leon" and name not in BASELINES:
-            raise ConfigError(f"methods[{i}].name must be 'leon' or one of {BASELINES}")
-        partition = m.get("partition", "kmeans")
-        if partition not in ("kmeans", "random", "score"):
-            raise ConfigError(f"methods[{i}].partition must be kmeans|random|score")
-        engine = m.get("engine", "boltzmann-memory")
-        if engine not in ENGINES:
-            raise ConfigError(f"methods[{i}].engine must be one of {ENGINES}")
-        engine_params = m.get("engine_params", {})
-        if not isinstance(engine_params, dict):
-            raise ConfigError(f"methods[{i}].engine_params must be a JSON object")
-        cfg = RunConfig(
-            method=name,
-            engine=engine,
-            engine_params=engine_params,
-            partition=partition,
-            surrogate_variant=surrogate_variant,
-            beta=beta,
-            radius=radius,
-            hp=hp,
-            critic_hidden=_hidden_sizes(m.get("critic_hidden", [64, 64]),
-                                        f"methods[{i}].critic_hidden"),
-            source_pool_size=_int_at_least(m.get("source_pool_size", 128), 1,
-                                           f"methods[{i}].source_pool_size"),
-            memory_view=_int_at_least(m.get("memory_view", 64), 1, f"methods[{i}].memory_view"),
-        )
-        if name == "leon":
-            try:  # building an engine sends no request
-                make_engine(cfg, seed=0)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"methods[{i}].engine_params: {exc}") from exc
-        methods.append(cfg)
-
-    weights = obj.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or not weights:
-            raise ConfigError(f"weights must be a non-empty list of numbers, got {weights!r}")
-        weights = [_finite(w, f"weights[{j}]", 0.0, 1.0) for j, w in enumerate(weights)]
-    return ExperimentConfig(
-        task=task, methods=methods, n_patients=n_patients, seed=seed,
-        task_seed=_int_at_least(obj.get("task_seed", seed), 0, "task_seed"),
-        output_dir=Path(output_dir),
-        weights=weights, jobs=_int_at_least(obj.get("jobs", 1), 1, "jobs"),
-    )
+        where = f"methods[{i}]"
+        _object(m, where, _METHOD_FIELDS)
+        _object(m.get("engine_params", {}), f"{where}.engine_params")
+        spec = {_METHOD_FIELDS[k]: v for k, v in m.items()}
+        methods.append(_build(where, replace, shared, **{"method": None, **spec}))
+    seed = obj.get("seed", 0)
+    return _build(None, ExperimentConfig, task=obj.get("task"), methods=methods,
+                  n_patients=obj.get("n_patients", 1), seed=seed,
+                  task_seed=obj.get("task_seed", seed), output_dir=obj.get("output_dir", "."),
+                  weights=obj.get("weights"), jobs=obj.get("jobs", 1))
 
 
 def load_config(path: str) -> ExperimentConfig:

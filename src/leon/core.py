@@ -21,6 +21,7 @@ design.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,12 +133,49 @@ def _plain(v):
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameters
+# Number readers and hyperparameters
 # ---------------------------------------------------------------------------
+
+
+def read_float(value, name: str, lo: float | None = None, hi: float | None = None, *,
+               lo_open: bool = False) -> float:
+    """`value` as a float: a finite number, Python's or numpy's, not a bool
+    or a string, no less than `lo` (greater, when `lo_open`) and no more
+    than `hi` where a bound is given. Raises ValueError naming `name`."""
+    if isinstance(value, np.generic):  # numpy's scalars as Python's
+        value = value.item()
+    # `abs(value) <= max float` is False for NaN, the infinities and
+    # integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if lo is not None and not (value > lo if lo_open else value >= lo):
+        raise ValueError(f"{name} must be {'>' if lo_open else '>='} {lo}, got {value!r}")
+    if hi is not None and not value <= hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value!r}")
+    return float(value)
+
+
+def read_int(value, name: str, lo: int) -> int:
+    """`value` as an int: an integer, Python's or numpy's, not a bool, a
+    float or a string, no less than `lo`. Raises ValueError naming `name`."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The loop's knobs, read by `read_float` and `read_int` at
+    construction: the floats finite, `eta_critic` and `mu_max` above 0 and
+    the rest at least 0; `batch_size` an integer of at least 2 and
+    `budget` one of at least `batch_size` (memory preallocates `budget`
+    rows)."""
+
     lambda0: float = 0.0
     w0: float = 1.0
     eta_lambda: float = 0.1
@@ -148,26 +186,10 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("batch_size", "budget"):  # memory preallocates `budget` rows
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be >= 0")
-        if self.w0 < 0:
-            raise ValueError("w0 must be >= 0")
-        if self.eta_lambda < 0:
-            raise ValueError("eta_lambda must be >= 0")
-        if self.eta_critic <= 0:
-            raise ValueError("eta_critic must be > 0")
-        if self.batch_size <= 1:
-            raise ValueError("batch_size must be > 1")
-        if self.budget < self.batch_size:
-            raise ValueError("budget must be >= batch_size")
-        if self.mu_max <= 0:
-            raise ValueError("mu_max must be > 0")
+            object.__setattr__(self, name, read_float(
+                getattr(self, name), name, 0.0, lo_open=name in ("eta_critic", "mu_max")))
+        object.__setattr__(self, "batch_size", read_int(self.batch_size, "batch_size", 2))
+        object.__setattr__(self, "budget", read_int(self.budget, "budget", self.batch_size))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +401,8 @@ __all__ = [
     "DesignSpace",
     "Design",
     "Context",
+    "read_float",
+    "read_int",
     "Hyperparams",
     "MemoryEntry",
     "MemoryView",

@@ -30,6 +30,7 @@ from .critic import SourcePool
 from .numerics import KMeansModel, elbow_select_k, kmeans_assign, kmeans_fit
 
 
+PARTITIONS = ("kmeans", "random", "score")  # the variants `fit_partition` takes
 KMIN, KMAX = 2, 20  # range of k searched by the elbow rule
 N_RANDOM_CLASSES = 10
 
@@ -92,9 +93,9 @@ Partition = KMeansPartition | RandomPartition | ScoreBinnedPartition
 def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Partition:
     """Fit an equivalence relation on the source designs.
 
-    `variant` is "kmeans", "random" or "score". The k-means variant picks k
-    by the elbow rule and fits euclidean k-means on the encoded source pool.
-    The score variant needs `src_raw`, the surrogate-plus-critic value of
+    `variant` is one of `PARTITIONS`. The k-means variant picks k by the
+    elbow rule and fits euclidean k-means on the encoded source pool. The
+    score variant needs `src_raw`, the surrogate-plus-critic value of
     each source design, to compute source mean and spread.
     """
     if variant == "random":
@@ -107,7 +108,7 @@ def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Par
         return ScoreBinnedPartition(mu_src=float(vals.mean()), sigma_src=float(vals.std()))
 
     if variant != "kmeans":
-        raise ValueError(f"unknown partition variant {variant!r}")
+        raise ValueError(f"unknown partition variant {variant!r}; known: {PARTITIONS}")
 
     kmax = KMAX
     if len(src) < kmax:
@@ -133,6 +134,7 @@ def occupancies(assignments, n_classes: int) -> np.ndarray:
 
 
 __all__ = [
+    "PARTITIONS",
     "KMeansPartition",
     "RandomPartition",
     "ScoreBinnedPartition",

@@ -21,9 +21,9 @@ from .certainty import (
     score_designs,
     update_lambda,
 )
-from .core import Context, Design, Hyperparams, TrajectoryMemory
+from .core import Context, Design, Hyperparams, TrajectoryMemory, read_float, read_int
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
-from .equivalence import fit_partition
+from .equivalence import PARTITIONS, fit_partition
 from .proposal import (
     BoltzmannMemoryEngine,
     ChatApiEngine,
@@ -35,7 +35,7 @@ from .proposal import (
     random_design,
     reflect,
 )
-from .tasks import MixtureSurrogate, OracleSurrogate, Task, make_surrogate, oracle_eval
+from .tasks import SURROGATES, MixtureSurrogate, OracleSurrogate, Task, make_surrogate, oracle_eval
 from .tasks import make_task  # noqa: F401 - perfbench's tracer wraps optimizer.make_task
 from .core import decode_design
 
@@ -77,16 +77,23 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 BASELINES = ("random-search", "simulated-annealing", "surrogate-greedy")
-ENGINES = ("random", "boltzmann-memory", "hill-climb", "chat-api")
+ENGINES = {"random": RandomEngine, "boltzmann-memory": BoltzmannMemoryEngine,
+           "hill-climb": HillClimbEngine, "chat-api": ChatApiEngine}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One method's settings, checked at construction: each name one of its
+    known values, `hp` a `Hyperparams`, each number read by `read_float` or
+    `read_int` and stored as a float or an int (`critic_hidden` as a
+    tuple), and a leon method's `engine_params` by building its engine
+    once."""
+
     method: str = "leon"  # "leon" or one of BASELINES
-    engine: str = "boltzmann-memory"
+    engine: str = "boltzmann-memory"  # one of ENGINES
     engine_params: dict = field(default_factory=dict)
-    partition: str = "kmeans"  # "kmeans" | "random" | "score"
-    surrogate_variant: str = "analytic-shift"
+    partition: str = "kmeans"  # one of PARTITIONS
+    surrogate_variant: str = "analytic-shift"  # one of SURROGATES
     beta: float = 0.5
     radius: float = 1.0
     mixture_w: float | None = None  # None = pure surrogate; w in [0,1] mixes in the oracle
@@ -95,6 +102,33 @@ class RunConfig:
     source_pool_size: int = 128
     memory_view: int = 64
     knowledge_budget: int = 5
+
+    def __post_init__(self):
+        for name, known in (("method", ("leon", *BASELINES)), ("engine", tuple(ENGINES)),
+                            ("partition", PARTITIONS), ("surrogate_variant", SURROGATES)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {list(known)}, "
+                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.hp, Hyperparams):
+            raise ValueError(f"hp must be a Hyperparams, got {self.hp!r}")
+        hidden = self.critic_hidden
+        if not isinstance(hidden, (list, tuple)) or not hidden:
+            raise ValueError(f"critic_hidden must be a non-empty list of positive integers, "
+                             f"got {hidden!r}")
+        for name, value in (
+            ("beta", read_float(self.beta, "beta")),
+            ("radius", read_float(self.radius, "radius")),
+            ("mixture_w", None if self.mixture_w is None
+             else read_float(self.mixture_w, "mixture_w", 0.0, 1.0)),
+            ("critic_hidden", tuple(read_int(h, f"critic_hidden[{j}]", 1)
+                                    for j, h in enumerate(hidden))),
+            ("source_pool_size", read_int(self.source_pool_size, "source_pool_size", 1)),
+            ("memory_view", read_int(self.memory_view, "memory_view", 1)),
+            ("knowledge_budget", read_int(self.knowledge_budget, "knowledge_budget", 0)),
+        ):
+            object.__setattr__(self, name, value)
+        if self.method == "leon":
+            make_engine(self, seed=0)  # building an engine sends no request
 
     @property
     def label(self) -> str:
@@ -115,10 +149,10 @@ class RunResult:
     patient_id: str
     final_design: Design
     oracle_score: float
-    lambda_trace: list[float]
-    mu_trace: list[float]
-    w1_trace: list[float]
-    warnings: list[str]
+    lambda_trace: list[float] = field(default_factory=list)
+    mu_trace: list[float] = field(default_factory=list)
+    w1_trace: list[float] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
     memory: TrajectoryMemory | None = None
     surrogate_calls: int = 0
     reflections: list[str] = field(default_factory=list)
@@ -139,17 +173,7 @@ class RunResult:
 
 
 def make_engine(cfg: RunConfig, seed: int):
-    params = dict(cfg.engine_params)
-    if cfg.engine == "random":
-        return RandomEngine(seed=seed, **params)
-    if cfg.engine == "boltzmann-memory":
-        return BoltzmannMemoryEngine(seed=seed, **params)
-    if cfg.engine == "hill-climb":
-        return HillClimbEngine(seed=seed, **params)
-    if cfg.engine == "chat-api":
-        params.setdefault("model", "default")
-        return ChatApiEngine(seed=seed, **params)
-    raise ValueError(f"unknown engine {cfg.engine!r}; known: {ENGINES}")
+    return ENGINES[cfg.engine](seed=seed, **cfg.engine_params)
 
 
 def build_surrogate(task: Task, cfg: RunConfig, seed: int):
@@ -175,6 +199,27 @@ def select_final(memory: TrajectoryMemory) -> Design:
     return rows.design(int(np.argmax(rows.raw)))  # argmax: earliest row of a tie
 
 
+def _start(task: Task, cfg: RunConfig, seed: int, ctx, surrogate):
+    """A run's context, drawn from `[seed, 1]` unless given; its surrogate,
+    built from `derive_seed(seed, 4)` unless given; the surrogate metered to
+    the budget; and an empty memory of the budget's rows."""
+    if ctx is None:
+        ctx = task.sample_context(np.random.default_rng([seed, 1]), "target", id=f"t{seed}")
+    if surrogate is None:
+        surrogate = build_surrogate(task, cfg, derive_seed(seed, 4))
+    return (ctx, surrogate, MeteredSurrogate(surrogate, cfg.hp.budget),
+            TrajectoryMemory(task.space, cfg.hp.budget))
+
+
+def _finish(task: Task, method: str, seed: int, ctx: Context, metered: MeteredSurrogate,
+            memory: TrajectoryMemory, **traces) -> RunResult:
+    """The run's result: its final design, scored by the oracle once."""
+    final = select_final(memory)
+    return RunResult(task=task.name, method=method, seed=seed, patient_id=ctx.id,
+                     final_design=final, oracle_score=oracle_eval(task, final, ctx),
+                     memory=memory, surrogate_calls=metered.calls, **traces)
+
+
 # ---------------------------------------------------------------------------
 # Main loop
 # ---------------------------------------------------------------------------
@@ -198,20 +243,14 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     """
     hp = cfg.hp
     space = task.space
-    rng_ctx = np.random.default_rng([seed, 1])
-    if ctx is None:
-        ctx = task.sample_context(rng_ctx, "target", id=f"t{seed}")
+    ctx, surrogate, metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if source_pool is None:
         rng_src = np.random.default_rng([seed, 2])
         source_pool = SourcePool(space, task.source_designs(rng_src, cfg.source_pool_size))
     if engine is None:
         engine = make_engine(cfg, derive_seed(seed, 3))
-    if surrogate is None:
-        surrogate = build_surrogate(task, cfg, derive_seed(seed, 4))
-    metered = MeteredSurrogate(surrogate, hp.budget)
     critic = init_critic(space, hidden=cfg.critic_hidden, seed=derive_seed(seed, 5))
     lam, mu_hat = hp.lambda0, DEFAULT_MU
-    memory = TrajectoryMemory(space, hp.budget)
     warnings: list[str] = []
 
     src_raw = None
@@ -268,14 +307,9 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         warnings.extend(engine.warnings)
         engine.warnings.clear()
 
-    final = select_final(memory)
-    score = oracle_eval(task, final, ctx)
-    return RunResult(
-        task=task.name, method=cfg.label, seed=seed, patient_id=ctx.id,
-        final_design=final, oracle_score=score, lambda_trace=lambda_trace,
-        mu_trace=mu_trace, w1_trace=w1_trace, warnings=warnings, memory=memory,
-        surrogate_calls=metered.calls, reflections=reflections,
-    )
+    return _finish(task, cfg.label, seed, ctx, metered, memory, lambda_trace=lambda_trace,
+                   mu_trace=mu_trace, w1_trace=w1_trace, warnings=warnings,
+                   reflections=reflections)
 
 
 # ---------------------------------------------------------------------------
@@ -405,29 +439,15 @@ def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
     metered to the same budget and selecting the argmax-surrogate design."""
     if variant not in BASELINES:
         raise ValueError(f"unknown baseline {variant!r}; known: {BASELINES}")
-    hp = cfg.hp
     rng = np.random.default_rng([seed, 40])
-    if ctx is None:
-        ctx = task.sample_context(np.random.default_rng([seed, 1]), "target", id=f"t{seed}")
-    if surrogate is None:
-        surrogate = build_surrogate(task, cfg, derive_seed(seed, 4))
-    metered = MeteredSurrogate(surrogate, hp.budget)
-    memory = TrajectoryMemory(task.space, hp.budget)
-
+    ctx, _, metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if variant == "random-search":
-        _random_search(task, metered, ctx, rng, memory, hp.batch_size)
+        _random_search(task, metered, ctx, rng, memory, cfg.hp.batch_size)
     elif variant == "simulated-annealing":
         _simulated_annealing(task, metered, ctx, rng, memory)
     else:
         _surrogate_greedy(task, metered, ctx, rng, memory)
-
-    final = select_final(memory)
-    score = oracle_eval(task, final, ctx)
-    return RunResult(
-        task=task.name, method=variant, seed=seed, patient_id=ctx.id,
-        final_design=final, oracle_score=score, lambda_trace=[], mu_trace=[],
-        w1_trace=[], warnings=[], memory=memory, surrogate_calls=metered.calls,
-    )
+    return _finish(task, variant, seed, ctx, metered, memory)
 
 
 def run_method(task: Task, cfg: RunConfig, seed: int, *, ctx=None, sources=()) -> RunResult:
@@ -470,8 +490,7 @@ def evaluate_cohort(task: Task, cfgs, n_patients: int, seed: int, jobs: int = 1)
     shared across methods so comparisons are paired. SEM is reported as 0
     with a degenerate flag when n_patients == 1.
     """
-    if n_patients < 1:
-        raise ValueError("n_patients must be >= 1")
+    n_patients = read_int(n_patients, "n_patients", 1)
     rng = np.random.default_rng([seed, 0])
     contexts = [task.sample_context(rng, "target", id=f"p{i:03d}") for i in range(n_patients)]
     work = [

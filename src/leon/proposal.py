@@ -41,6 +41,8 @@ from .core import (
     MemoryView,
     design_cell,
     encode_batch,
+    read_float,
+    read_int,
     render_context,
     scale_values,
 )
@@ -190,23 +192,6 @@ def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
     return out
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """A finite number (an integer when `integer`), not a bool or string."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, np.integer)):
-        return True
-    return not integer and isinstance(value, (float, np.floating)) and bool(np.isfinite(value))
-
-
-def _check_params(engine, rules) -> None:
-    """Raise ValueError for the first (field, ok, rule) of `rules` whose
-    check failed."""
-    for name, ok, rule in rules:
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {getattr(engine, name)!r}")
-
-
 @dataclass
 class _MockEngineBase:
     """Shared seeded plumbing for the offline engines, which only propose:
@@ -254,15 +239,10 @@ class BoltzmannMemoryEngine(_MockEngineBase):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_params(self, (
-            ("temp", _is_number(self.temp) and self.temp >= 0, "a finite number >= 0"),
-            ("pool_size", _is_number(self.pool_size, integer=True) and self.pool_size >= 1,
-             "an integer >= 1"),
-            ("top_m", _is_number(self.top_m, integer=True) and self.top_m >= 1,
-             "an integer >= 1"),
-            ("explore_frac", _is_number(self.explore_frac) and 0 <= self.explore_frac <= 1,
-             "a number in [0, 1]"),
-        ))
+        self.temp = read_float(self.temp, "temp", 0.0)
+        self.pool_size = read_int(self.pool_size, "pool_size", 1)
+        self.top_m = read_int(self.top_m, "top_m", 1)
+        self.explore_frac = read_float(self.explore_frac, "explore_frac", 0.0, 1.0)
 
     def _build_pool(self, state: PromptState, space: DesignSpace):
         # Parents are ranked by raw value: the mu-scaled score can collapse
@@ -315,8 +295,7 @@ class HillClimbEngine(_MockEngineBase):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_params(self, (("step", _is_number(self.step) and self.step > 0,
-                              "a finite number > 0"),))
+        self.step = read_float(self.step, "step", 0.0, lo_open=True)
 
     def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
         view = state.memory_view
@@ -367,7 +346,7 @@ class ChatApiEngine:
     random designs and a warning recorded.
     """
 
-    model: str
+    model: str = "default"
     temperature: float = 1.0
     max_retries: int = 3
     endpoint: str | None = None
@@ -377,15 +356,10 @@ class ChatApiEngine:
     seed: int = 0
 
     def __post_init__(self):
-        _check_params(self, (
-            ("temperature", _is_number(self.temperature) and self.temperature >= 0,
-             "a finite number >= 0"),
-            ("max_retries", _is_number(self.max_retries, integer=True) and self.max_retries >= 1,
-             "an integer >= 1"),
-            ("retry_wait", _is_number(self.retry_wait) and self.retry_wait >= 0,
-             "a finite number >= 0"),
-            ("timeout", _is_number(self.timeout) and self.timeout > 0, "a finite number > 0"),
-        ))
+        self.temperature = read_float(self.temperature, "temperature", 0.0)
+        self.max_retries = read_int(self.max_retries, "max_retries", 1)
+        self.retry_wait = read_float(self.retry_wait, "retry_wait", 0.0)
+        self.timeout = read_float(self.timeout, "timeout", 0.0, lo_open=True)
         self.rng = np.random.default_rng(self.seed)
         self.warnings: list[str] = []
 

@@ -22,6 +22,7 @@ from .core import (
     DesignSpace,
     NumericError,
     encode_batch,
+    read_float,
 )
 from .numerics import NetWorkspace, init_net, net_forward_batch, net_hidden, net_weighted_gradient
 
@@ -332,8 +333,7 @@ class MixtureSurrogate:
     w: float
 
     def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
+        self.w = read_float(self.w, "mixture weight", 0.0, 1.0)
 
     def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
         return self.w * self.f.value(V, ctx) + (1.0 - self.w) * self.f_hat.value(V, ctx)

@@ -150,6 +150,11 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                                   "engine_params": {"temperature": "hot"}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
                                   "engine_params": {"timeout": 0}}]),
+                # a JSON integer too large for a float is no finite number,
+                # for the engines' parameters as for every other float
+                _config(methods=[{"name": "leon", "engine_params": {"temp": 10 ** 400}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"timeout": 10 ** 400}}]),
                 # mock engines retrieve no knowledge, so they take no knowledge knob
                 _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either

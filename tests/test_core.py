@@ -17,6 +17,8 @@ from leon.core import (
     TrajectoryMemory,
     decode_design,
     encode_batch,
+    read_float,
+    read_int,
     render_context,
     render_text,
 )
@@ -267,6 +269,27 @@ def test_hyperparam_defaults():
 def test_hyperparam_validation(kwargs):
     with pytest.raises(ValueError):
         Hyperparams(**kwargs)
+
+
+def test_number_readers():
+    """Python's and numpy's numbers are read, and stored as float or int;
+    a bool, a string, a non-finite float or an integer too large for a
+    float is not a finite number."""
+    assert type(read_float(np.float32(0.5), "x", 0.0, 1.0)) is float
+    assert type(read_float(3, "x")) is float and read_float(3, "x") == 3.0
+    assert type(read_int(np.int64(8), "n", 1)) is int
+    for bad in (True, "2", float("nan"), float("inf"), 10 ** 400, None):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            read_float(bad, "x")
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            read_int(bad, "n", 0)
+    with pytest.raises(ValueError, match=r"x must be > 0.0, got 0.0"):
+        read_float(0.0, "x", 0.0, lo_open=True)
+    with pytest.raises(ValueError, match=r"x must be <= 1.0, got 1.5"):
+        read_float(1.5, "x", 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"n must be >= 1, got 0"):
+        read_int(0, "n", 1)
 
 
 # ---------------------------------------------------------------------------

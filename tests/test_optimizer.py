@@ -564,6 +564,24 @@ def test_make_engine_rejects_unknown(dose_task):
         make_engine(RunConfig(engine="gradient-llm"), seed=0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RunConfig(memory_view=0),  # an empty memory view at every step
+    lambda: RunConfig(memory_view=-1),
+    lambda: RunConfig(critic_hidden=(0,)),  # a constant critic
+    lambda: RunConfig(beta=True),
+    lambda: RunConfig(hp={"budget": 64}),  # the run died on `hp.budget`
+    lambda: Hyperparams(w0=True),
+    lambda: Hyperparams(eta_lambda=True),
+    lambda: Hyperparams(mu_max="5"),
+], ids=["memory_view=0", "memory_view=-1", "critic_hidden=(0,)", "beta=True", "hp=dict",
+        "w0=True", "eta_lambda=True", "mu_max='5'"])
+def test_python_configs_follow_the_cli_rules(build):
+    """A Python caller's config is checked by the rules `leon run` applies:
+    each of these is a config error there and a ValueError here."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
     """Every critic gradient pass of a run sees the whole 600-row source
     pool and the whole batch."""
