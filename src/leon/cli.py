@@ -24,7 +24,7 @@ from pathlib import Path
 
 import click
 
-from .core import Hyperparams, read_int
+from .core import Hyperparams, read_int, short_repr
 from .optimizer import RunConfig, evaluate_cohort
 from .tasks import TASKS, make_task
 from .verify import run_all_checks
@@ -36,11 +36,11 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
-_HP_KEYS = {"lambda0", "w0", "eta_lambda", "eta_critic", "mu_max", "batch_size", "budget"}
+_HP_KEYS = {"lambda0", "w0", "eta_lambda", "mu_max", "batch_size", "budget"}
 # JSON key -> RunConfig field
 _METHOD_FIELDS = {"name": "method", "engine": "engine", "engine_params": "engine_params",
-                  "partition": "partition", "critic_hidden": "critic_hidden",
-                  "source_pool_size": "source_pool_size", "memory_view": "memory_view"}
+                  "partition": "partition", "source_pool_size": "source_pool_size",
+                  "memory_view": "memory_view"}
 _SURROGATE_FIELDS = {"variant": "surrogate_variant", "beta": "beta", "radius": "radius"}
 
 
@@ -63,7 +63,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.task not in sorted(TASKS):
-            raise ValueError(f"task must be one of {sorted(TASKS)}, got {self.task!r}")
+            raise ValueError(f"task must be one of {sorted(TASKS)}, got {short_repr(self.task)}")
         if not self.methods:
             raise ValueError("methods must be a non-empty list")
         self.n_patients = read_int(self.n_patients, "n_patients", 1)
@@ -71,12 +71,12 @@ class ExperimentConfig:
         self.task_seed = read_int(self.task_seed, "task_seed", 0)
         self.jobs = read_int(self.jobs, "jobs", 1)
         if not isinstance(self.output_dir, (str, Path)):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+            raise ValueError(f"output_dir must be a string, got {short_repr(self.output_dir)}")
         self.output_dir = Path(self.output_dir)
         if self.weights is not None:
             if not isinstance(self.weights, list) or not self.weights:
                 raise ValueError(f"weights must be a non-empty list of numbers, "
-                                 f"got {self.weights!r}")
+                                 f"got {short_repr(self.weights)}")
             try:  # each weight is its cohort's `mixture_w`, which RunConfig reads
                 self.weights = [replace(self.methods[0], mixture_w=w).mixture_w
                                 for w in self.weights]
@@ -87,7 +87,7 @@ class ExperimentConfig:
 def _object(value, where: str, allowed=None) -> dict:
     """`value`, a JSON object with no key outside `allowed` when given."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {short_repr(value)}")
     unknown = value.keys() - allowed if allowed is not None else ()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -113,7 +113,7 @@ def parse_config(obj) -> ExperimentConfig:
                     **{_SURROGATE_FIELDS[k]: v for k, v in surrogate.items()})
     methods_spec = obj.get("methods")
     if not isinstance(methods_spec, list):
-        raise ConfigError(f"methods must be a non-empty list, got {methods_spec!r}")
+        raise ConfigError(f"methods must be a non-empty list, got {short_repr(methods_spec)}")
     methods = []
     for i, m in enumerate(methods_spec):
         where = f"methods[{i}]"
@@ -131,7 +131,7 @@ def parse_config(obj) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer of over 4,300 digits
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(obj)
 

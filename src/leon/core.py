@@ -137,6 +137,14 @@ def _plain(v):
 # ---------------------------------------------------------------------------
 
 
+def short_repr(value, limit: int = 40) -> str:
+    """`repr(value)` for an error message, cut to `limit` characters."""
+    if isinstance(value, int) and value.bit_length() > 4 * limit:  # repr fails past 4,300 digits
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def read_float(value, name: str, lo: float | None = None, hi: float | None = None, *,
                lo_open: bool = False) -> float:
     """`value` as a float: a finite number, Python's or numpy's, not a bool
@@ -148,11 +156,11 @@ def read_float(value, name: str, lo: float | None = None, hi: float | None = Non
     # integers too large for a float
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {short_repr(value)}")
     if lo is not None and not (value > lo if lo_open else value >= lo):
-        raise ValueError(f"{name} must be {'>' if lo_open else '>='} {lo}, got {value!r}")
+        raise ValueError(f"{name} must be {'>' if lo_open else '>='} {lo}, got {short_repr(value)}")
     if hi is not None and not value <= hi:
-        raise ValueError(f"{name} must be <= {hi}, got {value!r}")
+        raise ValueError(f"{name} must be <= {hi}, got {short_repr(value)}")
     return float(value)
 
 
@@ -162,32 +170,31 @@ def read_int(value, name: str, lo: int) -> int:
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {short_repr(value)}")
     if value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+        raise ValueError(f"{name} must be >= {lo}, got {short_repr(value)}")
     return int(value)
 
 
 @dataclass(frozen=True)
 class Hyperparams:
     """The loop's knobs, read by `read_float` and `read_int` at
-    construction: the floats finite, `eta_critic` and `mu_max` above 0 and
-    the rest at least 0; `batch_size` an integer of at least 2 and
-    `budget` one of at least `batch_size` (memory preallocates `budget`
-    rows)."""
+    construction: the floats finite, `mu_max` above 0 and the rest at
+    least 0; `batch_size` an integer of at least 2 and `budget` one of at
+    least `batch_size` (memory preallocates `budget` rows). `w0` is a
+    fraction of the encoded cube's diameter (`critic`)."""
 
     lambda0: float = 0.0
     w0: float = 1.0
     eta_lambda: float = 0.1
-    eta_critic: float = 0.001
     batch_size: int = 32
     budget: int = 2048
     mu_max: float = 100.0
 
     def __post_init__(self):
-        for name in ("lambda0", "w0", "eta_lambda", "eta_critic", "mu_max"):
+        for name in ("lambda0", "w0", "eta_lambda", "mu_max"):
             object.__setattr__(self, name, read_float(
-                getattr(self, name), name, 0.0, lo_open=name in ("eta_critic", "mu_max")))
+                getattr(self, name), name, 0.0, lo_open=name == "mu_max"))
         object.__setattr__(self, "batch_size", read_int(self.batch_size, "batch_size", 2))
         object.__setattr__(self, "budget", read_int(self.budget, "budget", self.batch_size))
 
@@ -401,6 +408,7 @@ __all__ = [
     "DesignSpace",
     "Design",
     "Context",
+    "short_repr",
     "read_float",
     "read_int",
     "Hyperparams",

@@ -294,15 +294,6 @@ def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, clip: float) -> None:
     np.clip(params, -clip, clip, out=params)
 
 
-def lipschitz_bound(net: DenseNet) -> float:
-    """Upper bound on the net's Lipschitz constant: product of layer
-    spectral norms (relu and identity are 1-Lipschitz)."""
-    bound = 1.0
-    for layer in net.layers:
-        bound *= float(np.linalg.norm(layer.weights, ord=2))
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # Regression
 # ---------------------------------------------------------------------------
@@ -473,7 +464,6 @@ __all__ = [
     "NetWorkspace",
     "layer_views",
     "sgd_step",
-    "lipschitz_bound",
     "regression_slope",
     "KMeansModel",
     "kmeans_fit",

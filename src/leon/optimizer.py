@@ -21,7 +21,7 @@ from .certainty import (
     score_designs,
     update_lambda,
 )
-from .core import Context, Design, Hyperparams, TrajectoryMemory, read_float, read_int
+from .core import Context, Design, Hyperparams, TrajectoryMemory, read_float, read_int, short_repr
 from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
 from .equivalence import PARTITIONS, fit_partition
 from .proposal import (
@@ -85,9 +85,8 @@ ENGINES = {"random": RandomEngine, "boltzmann-memory": BoltzmannMemoryEngine,
 class RunConfig:
     """One method's settings, checked at construction: each name one of its
     known values, `hp` a `Hyperparams`, each number read by `read_float` or
-    `read_int` and stored as a float or an int (`critic_hidden` as a
-    tuple), and a leon method's `engine_params` by building its engine
-    once."""
+    `read_int` and stored as a float or an int, and a leon method's
+    `engine_params` by building its engine once."""
 
     method: str = "leon"  # "leon" or one of BASELINES
     engine: str = "boltzmann-memory"  # one of ENGINES
@@ -98,7 +97,6 @@ class RunConfig:
     radius: float = 1.0
     mixture_w: float | None = None  # None = pure surrogate; w in [0,1] mixes in the oracle
     hp: Hyperparams = field(default_factory=Hyperparams)
-    critic_hidden: tuple = (64, 64)
     source_pool_size: int = 128
     memory_view: int = 64
     knowledge_budget: int = 5
@@ -108,20 +106,14 @@ class RunConfig:
                             ("partition", PARTITIONS), ("surrogate_variant", SURROGATES)):
             if getattr(self, name) not in known:
                 raise ValueError(f"{name} must be one of {list(known)}, "
-                                 f"got {getattr(self, name)!r}")
+                                 f"got {short_repr(getattr(self, name))}")
         if not isinstance(self.hp, Hyperparams):
-            raise ValueError(f"hp must be a Hyperparams, got {self.hp!r}")
-        hidden = self.critic_hidden
-        if not isinstance(hidden, (list, tuple)) or not hidden:
-            raise ValueError(f"critic_hidden must be a non-empty list of positive integers, "
-                             f"got {hidden!r}")
+            raise ValueError(f"hp must be a Hyperparams, got {short_repr(self.hp)}")
         for name, value in (
             ("beta", read_float(self.beta, "beta")),
             ("radius", read_float(self.radius, "radius")),
             ("mixture_w", None if self.mixture_w is None
              else read_float(self.mixture_w, "mixture_w", 0.0, 1.0)),
-            ("critic_hidden", tuple(read_int(h, f"critic_hidden[{j}]", 1)
-                                    for j, h in enumerate(hidden))),
             ("source_pool_size", read_int(self.source_pool_size, "source_pool_size", 1)),
             ("memory_view", read_int(self.memory_view, "memory_view", 1)),
             ("knowledge_budget", read_int(self.knowledge_budget, "knowledge_budget", 0)),
@@ -231,7 +223,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     ceil(budget / batch) acquisition steps of: propose, evaluate the
     critic-regularized surrogate, assign classes, reduce to per-class
-    optima, re-estimate mu, retrain the critic on the fresh batch, step
+    optima, re-estimate mu, refit the critic to the fresh batch, step
     lambda along the dual gradient, score and log the batch, reflect.
     Deterministic under mock engines and a fixed seed. The keyword
     overrides exist for controlled experiments and tests.
@@ -249,7 +241,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         source_pool = SourcePool(space, task.source_designs(rng_src, cfg.source_pool_size))
     if engine is None:
         engine = make_engine(cfg, derive_seed(seed, 3))
-    critic = init_critic(space, hidden=cfg.critic_hidden, seed=derive_seed(seed, 5))
+    critic = init_critic(source_pool.encoded)
     lam, mu_hat = hp.lambda0, DEFAULT_MU
     warnings: list[str] = []
 
@@ -285,10 +277,9 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         stats = class_optima(raw, assignments, partition.n_classes)
         mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
 
-        critic, src_c, batch_c = critic_train(critic, source_pool.encoded, batch_enc,
-                                              lr=hp.eta_critic)
+        critic, src_c, batch_c = critic_train(critic, batch_enc)
 
-        # the dual gradient reads the trained critic at each class's best row
+        # the dual gradient reads the refit critic at each class's best row
         qbar = boltzmann_weights(stats, mu_hat)
         grad = dual_gradient(hp.w0, float(src_c.mean()), batch_c[stats.best_rows], qbar)
         w1_now = w1_estimate(src_c, batch_c)

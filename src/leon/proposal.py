@@ -339,7 +339,8 @@ class ChatApiEngine:
 
     POSTs {"model", "temperature", "messages"} and reads the first choice's
     message content. Endpoint and key default to CHAT_API_BASE /
-    CHAT_API_KEY. A request that fails, or whose content is not a string
+    CHAT_API_KEY; with no endpoint at all, construction raises ValueError.
+    A request that fails, or whose content is not a string
     (APIs send null for refusals and tool calls), is a failed attempt; after
     `max_retries` of them `_chat` raises TransportError. Parsing failures
     are retried up to `max_retries` times; remaining slots are filled with
@@ -360,15 +361,15 @@ class ChatApiEngine:
         self.max_retries = read_int(self.max_retries, "max_retries", 1)
         self.retry_wait = read_float(self.retry_wait, "retry_wait", 0.0)
         self.timeout = read_float(self.timeout, "timeout", 0.0, lo_open=True)
+        self.endpoint = self.endpoint or os.environ.get("CHAT_API_BASE")
+        if not self.endpoint:
+            raise ValueError("chat-api needs an endpoint (engine_params.endpoint or CHAT_API_BASE)")
         self.rng = np.random.default_rng(self.seed)
         self.warnings: list[str] = []
 
     def _chat(self, messages) -> str:
         import requests
 
-        url = self.endpoint or os.environ.get("CHAT_API_BASE")
-        if not url:
-            raise TransportError("no chat endpoint configured (CHAT_API_BASE)")
         key = self.api_key or os.environ.get("CHAT_API_KEY", "")
         headers = {"Content-Type": "application/json"}
         if key:
@@ -377,7 +378,8 @@ class ChatApiEngine:
         last = None
         for attempt in range(self.max_retries):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = requests.post(self.endpoint, json=body, headers=headers,
+                                     timeout=self.timeout)
                 resp.raise_for_status()
                 content = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(content, str):

@@ -34,6 +34,7 @@ def _write(tmp_path, cfg):
 
 
 runner = CliRunner()
+NO_SERVER = "http://127.0.0.1:1"  # a local port that refuses connections
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -83,6 +84,7 @@ def test_parse_config_validates_fields():
 
 def test_config_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CHAT_API_BASE", raising=False)
     path = _write(tmp_path, _config(extra_knob=1))
     result = runner.invoke(main, ["run", "-c", path])
     assert result.exit_code == 2
@@ -96,10 +98,9 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(methods=[{"name": "leon", "source_pool_size": "x"}]),
                 _config(methods=[{"name": "leon", "engine": "bogus"}]),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0}),
-                _config(methods=[{"name": "leon", "critic_hidden": "ab"}]),
-                _config(methods=[{"name": "leon", "critic_hidden": [0]}]),
-                _config(methods=[{"name": "leon", "critic_hidden": [-3, 4]}]),
-                _config(methods=[{"name": "leon", "critic_hidden": []}]),
+                # the critic is a transport potential: it has no net or learning rate
+                _config(methods=[{"name": "leon", "critic_hidden": [64, 64]}]),
+                _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": 0.001}),
                 _config(methods=[{"name": "leon", "memory_view": 0}]),
                 _config(methods=[{"name": "leon", "memory_view": -1}]),
                 _config(methods=[{"name": "leon", "source_pool_size": 0}]),
@@ -124,7 +125,6 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(surrogate={"variant": "analytic-shift", "beta": True}),
                 _config(surrogate={"variant": "analytic-shift", "beta": float("nan")}),
                 _config(surrogate={"variant": "analytic-shift", "radius": "2"}),
-                _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": True}),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "w0": float("nan")}),
                 # the engines' own `temp` / `temperature` are the only temperature
                 _config(hyperparams={"budget": 64, "batch_size": 32, "temperature": 0.5}),
@@ -141,20 +141,22 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(methods=[{"name": "leon", "engine": "hill-climb",
                                   "engine_params": {"step": 0}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"retry_wait": -1}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "retry_wait": -1}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"max_retries": 2.5}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "max_retries": 2.5}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"max_retries": 0}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "max_retries": 0}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"temperature": "hot"}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "temperature": "hot"}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"timeout": 0}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "timeout": 0}}]),
                 # a JSON integer too large for a float is no finite number,
                 # for the engines' parameters as for every other float
                 _config(methods=[{"name": "leon", "engine_params": {"temp": 10 ** 400}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
-                                  "engine_params": {"timeout": 10 ** 400}}]),
+                                  "engine_params": {"endpoint": NO_SERVER, "timeout": 10 ** 400}}]),
+                # a chat engine with no endpoint would fill every proposal at random
+                _config(methods=[{"name": "leon", "engine": "chat-api"}]),
                 # mock engines retrieve no knowledge, so they take no knowledge knob
                 _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
@@ -162,7 +164,16 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+        assert len(result.output) < 400, result.output  # no value is echoed in full
     assert not (tmp_path / "out").exists()
+
+    # an integer past Python's 4,300-digit limit fails JSON decoding itself
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_config()).replace('"n_patients": 2', '"n_patients": ' + "1" * 5000),
+                    encoding="utf-8")
+    result = runner.invoke(main, ["run", "-c", str(huge)])
+    assert result.exit_code == 2 and "config error" in result.output
+    assert len(result.output) < 400, result.output
 
 
 def test_run_has_no_jobs_flag(tmp_path):
@@ -299,7 +310,16 @@ def test_run_rejects_bad_weights(tmp_path, monkeypatch):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
+        assert len(result.output) < 400, result.output  # no value is echoed in full
     assert not (tmp_path / "out").exists()
+
+    # an integer past Python's 4,300-digit limit fails JSON decoding itself
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_config()).replace('"n_patients": 2', '"n_patients": ' + "1" * 5000),
+                    encoding="utf-8")
+    result = runner.invoke(main, ["run", "-c", str(huge)])
+    assert result.exit_code == 2 and "config error" in result.output
+    assert len(result.output) < 400, result.output
 
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,14 @@ def test_render_context_in_render_text(mixed_space):
 
 def test_hyperparam_defaults():
     hp = Hyperparams()
-    assert (hp.lambda0, hp.w0, hp.eta_lambda, hp.eta_critic) == (0.0, 1.0, 0.1, 0.001)
+    assert (hp.lambda0, hp.w0, hp.eta_lambda) == (0.0, 1.0, 0.1)
     assert (hp.batch_size, hp.budget, hp.mu_max) == (32, 2048, 100.0)
     assert Hyperparams(budget=np.int64(64), batch_size=np.int64(32)).budget == 64
 
 
 @pytest.mark.parametrize("kwargs", [
     {"lambda0": -0.1},
-    {"eta_critic": 0.0},
+    {"eta_lambda": -1.0},
     {"batch_size": 1},
     {"budget": 16, "batch_size": 32},
     {"mu_max": 0.0},

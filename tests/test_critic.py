@@ -1,19 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 import leon.critic
 from leon.core import ContinuousDim, DesignSpace, NumericError, encode_batch
 from leon.critic import (
-    CLIP,
+    EPS_SCALE,
+    ITERS,
+    Critic,
     SourcePool,
+    cost_matrix,
     critic_train,
     critic_values,
     init_critic,
     w1_estimate,
 )
-from leon.numerics import (DenseNet, Layer, NetWorkspace, layer_views, lipschitz_bound,
-                           net_forward_batch, net_gradient)
 from leon.tasks import exact_w1_1d, make_regimen_task
 
 SPACE_1D = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
@@ -31,41 +36,62 @@ def _w1(critic, src_enc, gen_enc):
     return w1_estimate(critic_values(critic, src_enc), critic_values(critic, gen_enc))
 
 
-def _identity_critic():
-    # single identity layer undoes the [0,1] encoding: c(encode(x)) == x
-    return DenseNet([Layer(np.array([[100.0]]), np.array([0.0]))])
+def _slope(critic, xs):
+    """Largest slope of a 1-D critic between neighbouring sorted points,
+    which in 1-D is the largest over all pairs."""
+    xs = np.unique(xs)
+    return float(np.max(np.abs(np.diff(critic_values(critic, xs[:, None]))) / np.diff(xs)))
+
+
+def _with_potentials(critic, f):
+    return Critic(critic.pool, np.asarray(f, dtype=float), critic.pool_cost)
 
 
 def test_zero_critic_value():
-    critic = DenseNet([Layer(np.zeros((8, 1)), np.zeros(8)),
-                       Layer(np.zeros((1, 8)), np.zeros(1))])
-    assert critic_values(critic, _enc([0.0, 33.3, 100.0])).tolist() == [0.0, 0.0, 0.0]
+    """A fresh critic has f = 0: it reads 0 on its pool rows and minus the
+    distance to the nearest pool row elsewhere."""
+    critic = init_critic(_enc([20.0, 60.0]))
+    assert critic_values(critic, _enc([20.0, 60.0, 30.0, 100.0])).tolist() == pytest.approx(
+        [0.0, 0.0, -0.1, -0.4], abs=1e-15)
 
 
 def test_critic_value_deterministic_and_composed():
-    critic = init_critic(SPACE_1D, hidden=(16, 16), seed=5)
+    rng = np.random.default_rng(5)
+    critic = _with_potentials(init_critic(_enc(rng.uniform(0, 100, 16))), rng.normal(size=16))
     X = _enc([42.0, 7.0, 99.0])
     a = critic_values(critic, X)
     assert np.array_equal(a, critic_values(critic, X))
-    for row, d in zip(a, _designs([42.0, 7.0, 99.0])):
-        assert row == pytest.approx(net_forward_batch(critic, encode_batch(SPACE_1D, d[None]))[0],
-                                    rel=1e-12, abs=1e-15)
+    for row, x in zip(a, X):
+        assert row == max(f - abs(x[0] - s[0]) for f, s in zip(critic.f, critic.pool))
     assert critic_values(critic, X[:0]).shape == (0,)
 
 
+def test_cost_is_normalized_euclidean():
+    """c(x, y) = ||x - y|| / sqrt(d): the encoded cube has diameter 1, and
+    equal rows cost exactly 0."""
+    space = make_regimen_task(0).space
+    d = space.encoded_width
+    X = np.array([np.zeros(d), np.ones(d), np.r_[np.ones(4), np.zeros(d - 4)]])
+    C = cost_matrix(X, X)
+    assert np.diag(C).tolist() == [0.0, 0.0, 0.0]
+    assert C[0, 1] == 1.0
+    assert C[0, 2] == pytest.approx(np.sqrt(4 / d), rel=1e-15)
+
+
 def test_w1_identical_batches():
-    critic = init_critic(SPACE_1D, seed=0)
     batch = _enc([10, 20, 30])
-    assert _w1(critic, batch, batch) == 0.0
+    _, *values = critic_train(init_critic(batch), batch)
+    assert w1_estimate(*values) == 0.0
 
 
 def test_w1_hand_arithmetic():
-    critic = _identity_critic()
-    assert _w1(critic, _enc([1, 3]), _enc([0, 2])) == pytest.approx(1.0)
+    # pool at encoded 0 and 1 with f = 0: phi(0.25) = -0.25, phi(0.5) = -0.5
+    critic = init_critic(_enc([0, 100]))
+    assert _w1(critic, _enc([0, 100]), _enc([25, 50])) == pytest.approx(0.375, abs=1e-15)
 
 
 def test_w1_antisymmetric():
-    critic = init_critic(SPACE_1D, seed=3)
+    critic = _with_potentials(init_critic(_enc([5, 15, 25])), [0.1, -0.2, 0.05])
     src, gen = _enc([5, 15, 25]), _enc([60, 80])
     assert _w1(critic, src, gen) == pytest.approx(-_w1(critic, gen, src))
 
@@ -82,44 +108,39 @@ def test_w1_empty_batch():
 # ---------------------------------------------------------------------------
 
 
-def test_train_keeps_clip_exactly():
-    critic = init_critic(SPACE_1D, seed=1)
-    trained, *_ = critic_train(critic, _enc(np.linspace(10, 30, 16)),
-                               _enc(np.linspace(70, 90, 8)), lr=0.01, max_iters=50)
-    assert np.abs(trained.params).max() <= CLIP
-
-
 def test_train_same_distribution_stays_flat():
     pts = _enc(np.linspace(20, 80, 32))
-    _, *values = critic_train(init_critic(SPACE_1D, seed=2), pts, pts, lr=0.001)
-    assert abs(w1_estimate(*values)) <= 0.05
+    _, *values = critic_train(init_critic(pts), pts)
+    assert abs(w1_estimate(*values)) <= 1e-12
 
 
 def test_train_separates_and_respects_exact_w1():
     src = _enc(np.linspace(0, 20, 24))
     gen = _enc(np.linspace(80, 100, 24))
-    _, *values = critic_train(init_critic(SPACE_1D, seed=4), src, gen,
-                              lr=0.001, max_iters=500)
+    _, *values = critic_train(init_critic(src), gen)
     est = w1_estimate(*values)
     # encoded units: sorted-sample transport distance is the oracle
     true_w1 = exact_w1_1d(src[:, 0], gen[:, 0])
-    assert est > 0
-    assert est <= true_w1 + 0.05
+    assert 0.9 * true_w1 <= est <= true_w1 + 1e-12
 
 
 def test_dual_estimate_bounded_by_lipschitz_times_w1():
+    """The refit critic is 1-Lipschitz in the cost (finite differences on a
+    2,001-point grid), so its estimate is at most the exact W1."""
     rng = np.random.default_rng(7)
     src = _designs(rng.uniform(0, 40, size=16))
     gen = _designs(rng.uniform(55, 100, size=16))
-    trained, *values = critic_train(init_critic(SPACE_1D, seed=6), encode_batch(SPACE_1D, src),
-                                    encode_batch(SPACE_1D, gen), lr=0.005, max_iters=300)
+    trained, *values = critic_train(init_critic(encode_batch(SPACE_1D, src)),
+                                    encode_batch(SPACE_1D, gen))
     est = w1_estimate(*values)
-    lip = lipschitz_bound(trained)
-    assert lip > 0
+    grid = np.concatenate([np.linspace(0.0, 1.0, 2001), src[:, 0] / 100.0, gen[:, 0] / 100.0])
+    lip = _slope(trained, grid)
+    assert 0 < lip <= 1 + 1e-9
 
     # 1-D oracle by sorting
     w1_sorted = exact_w1_1d(src[:, 0] / 100.0, gen[:, 0] / 100.0)
-    assert est / lip <= w1_sorted + 1e-9
+    assert est <= lip * w1_sorted + 1e-12
+    assert est >= 0.9 * w1_sorted
 
     # small-instance matching oracle agrees with the sorted computation
     a = np.sort(src[:, 0] / 100.0)
@@ -130,31 +151,40 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
     assert w1_matched == pytest.approx(w1_sorted, abs=1e-12)
 
 
-def _three_call_train(critic, src_enc, gen_enc, lr, tol=1e-4, max_iters=500):
-    """Reference loop: a gradient pass over every row into fresh buffers, a
-    clipped step into a fresh net, then a separate W1 estimate of the
-    stepped net. Returns the net and the number of steps taken."""
-    net = critic.copy()
-    prev = None
-    calm = 0
-    steps = 0
-    for _ in range(max_iters):
-        grad, _ = net_gradient(net, src_enc, gen_enc,
-                               NetWorkspace(net, len(src_enc) + len(gen_enc)))
-        net = DenseNet([Layer(np.clip(l.weights + lr * dW, -CLIP, CLIP),
-                              np.clip(l.biases + lr * db, -CLIP, CLIP))
-                        for l, (dW, db) in zip(net.layers, layer_views(net, grad))])
-        steps += 1
-        est = _w1(net, src_enc, gen_enc)
-        assert np.isfinite(est)
-        if prev is not None and abs(est - prev) < tol:
-            calm += 1
-            if calm >= 5:
-                break
-        else:
-            calm = 0
-        prev = est
-    return net, steps
+def test_regimen_estimate_is_a_lower_bound_on_exact_w1():
+    """On 16 boolean dims the estimate stays below the exact W1, found by
+    matching each batch row to 4 pool rows (128 = 4 x 32)."""
+    space = make_regimen_task(0).space
+    rng = np.random.default_rng(3)
+    src = encode_batch(space, rng.integers(0, 2, size=(128, 16)).astype(float))
+    gen = encode_batch(space, (rng.random((32, 16)) < 0.8).astype(float))
+    _, *values = critic_train(init_critic(src), gen)
+    cost = cost_matrix(src, np.repeat(gen, 4, axis=0))
+    rows, cols = linear_sum_assignment(cost)
+    exact = cost[rows, cols].mean()
+    assert 0.9 * exact <= w1_estimate(*values) <= exact + 1e-12
+
+
+def _log_domain_sinkhorn(C, f, eps):
+    """Reference: ITERS Sinkhorn iterations on potentials, every half step a
+    log-sum-exp."""
+    n, m = C.shape
+    for _ in range(ITERS):
+        g = -eps * (np.log(m) + logsumexp((f[:, None] - C) / eps, axis=0))
+        f = -eps * (np.log(n) + logsumexp((g[None, :] - C) / eps, axis=1))
+    return f
+
+
+def _three_call_train(critic, gen_enc):
+    """Reference: scipy's cost matrix, a log-domain Sinkhorn solve, then the
+    c-transform on each row set. Returns the potentials and both sets'
+    values."""
+    pool = critic.pool
+    d = pool.shape[1]
+    C = cdist(pool, gen_enc) / np.sqrt(d)
+    f = _log_domain_sinkhorn(C, critic.f, EPS_SCALE * C.mean())
+    return (f, np.max(f[:, None] - cdist(pool, pool) / np.sqrt(d), axis=0),
+            np.max(f[:, None] - C, axis=0))
 
 
 def _default_like_batches(seed):
@@ -162,100 +192,124 @@ def _default_like_batches(seed):
     return _enc(rng.uniform(30, 70, size=128)), _enc(rng.uniform(60, 100, size=32))
 
 
-@pytest.mark.parametrize("case", ["calm", "max_iters", "regimen", "large_pool"])
+@pytest.mark.parametrize("case", ["dose", "warm_start", "regimen", "large_pool"])
 def test_train_matches_three_call_reference(case):
-    """One pass per iteration, stepped in place, returns the net of the
-    reference loop bit for bit, whether training stops on the calm rule or
-    runs out of iterations, and on a 600-row source pool as on a small one,
-    and with it that net's values on both batches."""
+    """The exp-domain solve gives the log-domain Sinkhorn's potentials, on a
+    default-like dose pair, from the last step's potentials, on 16 boolean
+    dims and on a 600-row pool, and with them both sets' values."""
     if case == "regimen":
         space = make_regimen_task(0).space
         rng = np.random.default_rng(2)
-        src = rng.integers(0, 2, size=(128, len(space.dims))).astype(float)
-        gen = rng.integers(0, 2, size=(32, len(space.dims))).astype(float)
-        critic = init_critic(space, hidden=(64, 64), seed=5)
-        kwargs = dict(lr=0.001)
+        src = encode_batch(space, rng.integers(0, 2, size=(128, 16)).astype(float))
+        gen = encode_batch(space, rng.integers(0, 2, size=(32, 16)).astype(float))
     elif case == "large_pool":
         rng = np.random.default_rng(4)
         src, gen = _enc(rng.uniform(0, 60, size=600)), _enc(rng.uniform(40, 100, size=32))
-        critic = init_critic(SPACE_1D, hidden=(16, 16), seed=1)
-        kwargs = dict(lr=0.005, max_iters=60)
     else:
         src, gen = _default_like_batches(1)
-        critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
-        # tol 0 never counts an iteration as calm
-        kwargs = dict(lr=0.001) if case == "calm" else dict(lr=0.001, tol=0.0, max_iters=40)
-    initial = critic.params.copy()
-    trained, src_values, gen_values = critic_train(critic, src, gen, **kwargs)
-    assert np.array_equal(critic.params, initial)  # the input is not stepped
-    reference, steps = _three_call_train(critic, src, gen, **kwargs)
-    if case == "max_iters":
-        assert steps == 40
-    elif case != "large_pool":
-        assert steps < 500  # stopped on the calm rule
-    for got, want in zip(trained.layers, reference.layers):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.biases, want.biases)
+    critic = init_critic(src)
+    if case == "warm_start":
+        critic, *_ = critic_train(critic, _default_like_batches(2)[1])
+    f0 = critic.f.copy()
+    trained, src_values, gen_values = critic_train(critic, gen)
+    assert np.array_equal(critic.f, f0)  # the input critic is not changed
+    f, want_src, want_gen = _three_call_train(critic, gen)
+    scale = EPS_SCALE * cost_matrix(src, gen).mean()
+    assert np.allclose(trained.f, f, rtol=0, atol=1e-9 * scale)
+    assert np.allclose(src_values, want_src, rtol=0, atol=1e-9 * scale)
+    assert np.allclose(gen_values, want_gen, rtol=0, atol=1e-9 * scale)
     assert np.array_equal(src_values, critic_values(trained, src))
     assert np.array_equal(gen_values, critic_values(trained, gen))
 
 
-def _count_critic_calls(monkeypatch):
-    calls = {"gradient": [], "forward": 0}
+def test_train_builds_one_cost_matrix(monkeypatch):
+    """A refit builds one pool x batch cost matrix and runs one solve: the
+    pool's own costs come from `init_critic`."""
+    calls = []
 
-    def gradient(net, pos, neg, *args):
-        calls["gradient"].append((len(pos), len(neg)))
-        return net_gradient(net, pos, neg, *args)
+    def counted(X, Y):
+        calls.append((len(X), len(Y)))
+        return cost_matrix(X, Y)
 
-    def forward(*args):
-        calls["forward"] += 1
-        return net_forward_batch(*args)
-
-    monkeypatch.setattr(leon.critic, "net_gradient", gradient)
-    monkeypatch.setattr(leon.critic, "net_forward_batch", forward)
-    return calls
-
-
-def test_train_takes_one_gradient_pass_per_iteration(monkeypatch):
-    """Training makes only gradient passes: the estimate comes from each
-    pass's own outputs, with no separate forward pass."""
-    calls = _count_critic_calls(monkeypatch)
     src, gen = _default_like_batches(1)
-    critic = init_critic(SPACE_1D, hidden=(64, 64), seed=3)
-    critic_train(critic, src, gen, lr=0.001, tol=0.0, max_iters=40)
-    assert calls == {"gradient": [(128, 32)] * 41, "forward": 0}
+    critic = init_critic(src)
+    monkeypatch.setattr(leon.critic, "cost_matrix", counted)
+    critic_train(critic, gen)
+    assert calls == [(128, 32)]
 
 
 def test_train_without_iterations_is_one_forward_pass(monkeypatch):
-    """`max_iters=0` makes one pass, forward only, and no step: the net is
-    returned unchanged with its values."""
-    import leon.numerics
+    """A batch on the one point of a one-point pool has eps = 0: training
+    runs no solve and returns the critic's own potentials with its values."""
+    monkeypatch.setattr(leon.critic, "_sinkhorn", lambda *a: pytest.fail("solved"))
+    pool = _enc([40.0, 40.0, 40.0])
+    critic = _with_potentials(init_critic(pool), [0.25, -0.5, 0.0])
+    trained, src_values, gen_values = critic_train(critic, _enc([40.0, 40.0]))
+    assert np.array_equal(trained.f, critic.f)
+    assert src_values.tolist() == [0.25] * 3 and gen_values.tolist() == [0.25] * 2
 
-    calls = _count_critic_calls(monkeypatch)
-    backward = []
-    monkeypatch.setattr(leon.numerics, "_backward", lambda *a: backward.append(a))
-    src, gen = _default_like_batches(2)
-    critic = init_critic(SPACE_1D, hidden=(64, 64), seed=4)
-    trained, src_values, gen_values = critic_train(critic, src, gen, lr=0.001, max_iters=0)
-    assert calls == {"gradient": [(128, 32)], "forward": 0} and backward == []
-    assert np.array_equal(trained.params, critic.params)
-    assert np.array_equal(src_values, critic_values(critic, src))
-    assert np.array_equal(gen_values, critic_values(critic, gen))
+
+def _far_row_case():
+    rng = np.random.default_rng(0)
+    pool = rng.uniform(0.0, 0.001, size=(128, 1))
+    batch = rng.uniform(0.0, 0.001, size=(64, 1))
+    batch[-1] = 1.0
+    return pool, batch
+
+
+def test_train_stays_finite_where_the_kernel_underflows():
+    """One batch row far from a tight pool: max C / mean C is about 63, so
+    exp(-C / eps) underflows to 0 on that row's column, where the plain
+    exp-domain recipe divides by 0."""
+    pool, batch = _far_row_case()
+    C = cost_matrix(pool, batch)
+    assert np.exp(-C / (EPS_SCALE * C.mean()))[:, -1].max() == 0.0
+    exact = exact_w1_1d(pool[:, 0], batch[:, 0])
+    assert exact == pytest.approx(0.01563, abs=1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trained, *values = critic_train(init_critic(pool), batch)
+    assert np.isfinite(trained.f).all()
+    assert 0.9 * exact <= w1_estimate(*values) <= exact + 1e-12
+
+
+def test_train_stays_finite_from_a_warm_start_far_wider_than_eps():
+    """Potentials left by a step whose costs were large, refit to a batch
+    whose eps is 5 orders of magnitude smaller: exp(f / eps) overflows in
+    the plain recipe. The solve stays finite and matches the log-domain
+    reference."""
+    rng = np.random.default_rng(1)
+    pool = rng.uniform(0.0, 0.001, size=(128, 1))
+    batch = rng.uniform(0.0, 0.001, size=(64, 1))
+    critic = _with_potentials(init_critic(pool), rng.uniform(0.0, 1.0, size=128))
+    eps = EPS_SCALE * cost_matrix(pool, batch).mean()
+    assert np.ptp(critic.f) / eps > 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trained, *values = critic_train(critic, batch)
+    assert np.isfinite(trained.f).all()
+    f, want_src, want_gen = _three_call_train(critic, batch)
+    assert np.allclose(trained.f, f, rtol=0, atol=1e-9)
+    assert 0 < w1_estimate(*values) <= exact_w1_1d(pool[:, 0], batch[:, 0]) + 1e-12
 
 
 def test_train_aborts_on_nonfinite():
-    bad = DenseNet([Layer(np.array([[np.nan]]), np.array([0.0]))])
+    src = _enc([10, 20])
+    bad = _with_potentials(init_critic(src), [np.nan, 0.0])
     with pytest.raises(NumericError):
-        critic_train(bad, _enc([10, 20]), _enc([80]), lr=0.001)
+        critic_train(bad, _enc([80]))
+    with pytest.raises(NumericError):
+        critic_train(init_critic(src), np.array([[np.nan]]))
 
 
 def test_train_validates_inputs():
-    src = _enc([10])
-    critic = init_critic(SPACE_1D, seed=0)
+    critic = init_critic(_enc([10]))
     with pytest.raises(ValueError):
-        critic_train(critic, src, _enc([]), lr=0.001)
+        critic_train(critic, _enc([]))
     with pytest.raises(ValueError):
-        critic_train(critic, src, _enc([1]), lr=0.0)
+        critic_train(critic, np.zeros((3, 2)))  # the pool has one column
+    with pytest.raises(ValueError):
+        init_critic(np.zeros((0, 1)))
 
 
 def test_source_pool_non_empty():

@@ -26,6 +26,7 @@ from leon.proposal import ChatApiEngine, StaticFactsSource
 from leon.tasks import AnalyticShiftSurrogate, make_dose_task, make_regimen_task, oracle_eval
 
 HP_SMALL = Hyperparams(budget=64, batch_size=32)
+NO_SERVER = "http://127.0.0.1:1"  # a local port that refuses connections
 
 
 @pytest.fixture
@@ -249,53 +250,47 @@ def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
 
 
 def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
-    """After training, a step reads the critic's values from the pass that
-    ended training: one forward pass per step, before training. Designs are
-    checked by `encode_batch`, so only the harness's oracle call validates a
-    single design."""
+    """A step refits the critic with one Sinkhorn solve over the pool and the
+    batch, and reads the refit critic's values from that solve: besides it,
+    one evaluation per step, before the refit, plus one of the pool's own
+    costs per run. Designs are checked by `encode_batch`, so only the
+    harness's oracle call validates a single design."""
     import leon.core
     import leon.critic
 
-    calls = {"forward": 0, "gradient": 0, "validate": 0}
+    calls = {"cost": [], "solve": [], "validate": 0}
+    real_cost, real_solve = leon.critic.cost_matrix, leon.critic._sinkhorn
+    real_validate = leon.core.DesignSpace.validate
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def cost(X, Y):
+        calls["cost"].append((len(X), len(Y)))
+        return real_cost(X, Y)
 
-    monkeypatch.setattr(leon.critic, "net_forward_batch",
-                        counted("forward", leon.critic.net_forward_batch))
-    monkeypatch.setattr(leon.critic, "net_gradient", counted("gradient", leon.critic.net_gradient))
-    monkeypatch.setattr(leon.core.DesignSpace, "validate",
-                        counted("validate", leon.core.DesignSpace.validate))
+    def solve(C, f, eps):
+        calls["solve"].append(C.shape)
+        return real_solve(C, f, eps)
+
+    def validate(*args):
+        calls["validate"] += 1
+        return real_validate(*args)
+
+    monkeypatch.setattr(leon.critic, "cost_matrix", cost)
+    monkeypatch.setattr(leon.critic, "_sinkhorn", solve)
+    monkeypatch.setattr(leon.core.DesignSpace, "validate", validate)
     run_leon(dose_task, RunConfig(), 0)
-    assert calls == {"forward": 64, "gradient": 448, "validate": 1}
+    assert calls == {"cost": [(128, 128)] + [(128, 32)] * 128, "solve": [(128, 32)] * 64,
+                     "validate": 1}
 
 
 def test_default_run_takes_no_gradient_on_the_last_pass(dose_task, monkeypatch):
-    """The pass that ends each step's training runs forward only: a default
-    dose run makes 448 gradient passes but 384 backward passes and 384
-    steps, 64 steps of 6 iterations each."""
+    """The critic takes no gradient, on the last pass or any other: a default
+    dose run calls none of the net kernels that `leon.critic` still imports."""
     import leon.critic
 
-    calls = {"gradient": 0, "backward": 0, "step": 0}
-    real_gradient, real_step = leon.critic.net_gradient, leon.critic.sgd_step
-
-    def gradient(*args):
-        calls["gradient"] += 1
-        grad, value = real_gradient(*args)
-        calls["backward"] += grad is not None
-        return grad, value
-
-    def step(*args):
-        calls["step"] += 1
-        return real_step(*args)
-
-    monkeypatch.setattr(leon.critic, "net_gradient", gradient)
-    monkeypatch.setattr(leon.critic, "sgd_step", step)
-    run_leon(dose_task, RunConfig(), 0)
-    assert calls == {"gradient": 448, "backward": 384, "step": 384}
+    for name in ("net_gradient", "sgd_step", "net_forward_batch"):
+        monkeypatch.setattr(leon.critic, name, lambda *a, name=name: pytest.fail(name))
+    result = run_leon(dose_task, RunConfig(), 0)
+    assert len(result.w1_trace) == 64
 
 
 def test_default_run_builds_no_memory_entries(dose_task, monkeypatch):
@@ -567,13 +562,12 @@ def test_make_engine_rejects_unknown(dose_task):
 @pytest.mark.parametrize("build", [
     lambda: RunConfig(memory_view=0),  # an empty memory view at every step
     lambda: RunConfig(memory_view=-1),
-    lambda: RunConfig(critic_hidden=(0,)),  # a constant critic
     lambda: RunConfig(beta=True),
     lambda: RunConfig(hp={"budget": 64}),  # the run died on `hp.budget`
     lambda: Hyperparams(w0=True),
     lambda: Hyperparams(eta_lambda=True),
     lambda: Hyperparams(mu_max="5"),
-], ids=["memory_view=0", "memory_view=-1", "critic_hidden=(0,)", "beta=True", "hp=dict",
+], ids=["memory_view=0", "memory_view=-1", "beta=True", "hp=dict",
         "w0=True", "eta_lambda=True", "mu_max='5'"])
 def test_python_configs_follow_the_cli_rules(build):
     """A Python caller's config is checked by the rules `leon run` applies:
@@ -583,23 +577,23 @@ def test_python_configs_follow_the_cli_rules(build):
 
 
 def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
-    """Every critic gradient pass of a run sees the whole 600-row source
-    pool and the whole batch."""
+    """Every critic solve of a run has the whole 600-row source pool as its
+    rows and the whole batch as its columns."""
     import leon.critic
 
-    rows = []
-    real = leon.critic.net_gradient
+    shapes = []
+    real = leon.critic._sinkhorn
 
-    def gradient(net, pos, neg, *args):
-        rows.append(len(pos) + len(neg))
-        return real(net, pos, neg, *args)
+    def solve(C, f, eps):
+        shapes.append(C.shape)
+        return real(C, f, eps)
 
-    monkeypatch.setattr(leon.critic, "net_gradient", gradient)
+    monkeypatch.setattr(leon.critic, "_sinkhorn", solve)
     cfg = RunConfig(method="leon", hp=HP_SMALL, source_pool_size=600,
                     partition="random")
     result = run_leon(dose_task, cfg, seed=1)
     assert len(result.memory) == 64
-    assert rows and set(rows) == {600 + 32}
+    assert shapes == [(600, 32)] * 2
 
 
 class ScriptedChat:
@@ -632,9 +626,10 @@ class ScriptedChat:
 
 def _chat_run(task):
     chat = ScriptedChat()
-    engine = ChatApiEngine(model="stub", seed=0)
+    engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, seed=0)
     engine._chat = chat
-    cfg = RunConfig(method="leon", engine="chat-api", hp=HP_SMALL, knowledge_budget=2)
+    cfg = RunConfig(method="leon", engine="chat-api", engine_params={"endpoint": NO_SERVER},
+                    hp=HP_SMALL, knowledge_budget=2)
     sources = [StaticFactsSource("facts", "higher context sums need higher doses")]
     return run_leon(task, cfg, seed=6, sources=sources, engine=engine), chat
 
@@ -659,10 +654,11 @@ def test_run_with_knowledge_sources(dose_task):
 
 
 def test_chat_engine_degrades_to_random_in_full_run(dose_task):
-    # no endpoint configured: every proposal round fails fast and the run
-    # completes on random fallback designs with warnings recorded
+    # an endpoint that refuses connections: every proposal round fails fast
+    # and the run completes on random fallback designs with warnings recorded
     cfg = RunConfig(method="leon", engine="chat-api",
-                    engine_params={"model": "stub", "max_retries": 1, "retry_wait": 0.0},
+                    engine_params={"model": "stub", "endpoint": NO_SERVER, "max_retries": 1,
+                                   "retry_wait": 0.0},
                     hp=HP_SMALL)
     result = run_leon(dose_task, cfg, seed=2)
     assert len(result.memory) == 64

@@ -50,6 +50,7 @@ SPACE = DesignSpace((
 ))
 
 CTX = Context((0.1, -0.4), id="p7")
+NO_SERVER = "http://127.0.0.1:1"  # a local port that refuses connections
 
 
 def _state(entries=(), knowledge="", reflection="", space=SPACE):
@@ -429,7 +430,7 @@ class CountingSource:
 def _chat_engine(replies):
     """A chat engine whose `_chat` replays `replies` in order and records
     the prompt of every request in `engine.prompts`."""
-    engine = ChatApiEngine(model="stub", seed=0)
+    engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, seed=0)
     engine.prompts = []
     queue = list(replies)
 
@@ -553,6 +554,20 @@ def stub_server():
     assert not thread.is_alive()
 
 
+def test_chat_engine_needs_an_endpoint(monkeypatch):
+    """The endpoint is `endpoint`, else CHAT_API_BASE; with neither, the
+    engine is not built."""
+    monkeypatch.delenv("CHAT_API_BASE", raising=False)
+    with pytest.raises(ValueError, match="endpoint"):
+        ChatApiEngine(model="stub")
+    with pytest.raises(ValueError, match="endpoint"):
+        RunConfig(engine="chat-api")
+    monkeypatch.setenv("CHAT_API_BASE", NO_SERVER)
+    assert ChatApiEngine(model="stub").endpoint == NO_SERVER
+    assert ChatApiEngine(model="stub", endpoint="http://127.0.0.1:2").endpoint \
+        == "http://127.0.0.1:2"
+
+
 def test_chat_engine_parses_stub_batch(stub_server):
     _StubHandler.responses = [_payload(3)]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, retry_wait=0.0, seed=0)
@@ -574,7 +589,7 @@ def test_chat_engine_fills_random_after_garbage(stub_server):
 
 
 def test_chat_engine_retries_past_a_nan_element():
-    engine = ChatApiEngine(model="stub", retry_wait=0.0, seed=0)
+    engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, retry_wait=0.0, seed=0)
     items = [{"Dose": float("nan"), "Boost": True, "Taper": True}, *json.loads(_payload(3))]
     engine._chat = lambda messages: json.dumps(items)
     designs, X = propose(engine, _state(), SPACE, 3)
@@ -583,7 +598,7 @@ def test_chat_engine_retries_past_a_nan_element():
 
 
 def test_chat_engine_reflect_degrades_to_empty():
-    engine = ChatApiEngine(model="stub", endpoint="http://127.0.0.1:1",
+    engine = ChatApiEngine(model="stub", endpoint=NO_SERVER,
                            max_retries=1, retry_wait=0.0, timeout=0.2, seed=0)
     out = engine.reflect(np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc")
     assert out == ""
