@@ -108,6 +108,18 @@ def test_w1_empty_batch():
 # ---------------------------------------------------------------------------
 
 
+def test_train_keeps_clip_exactly():
+    """A refit critic stays in its class exactly: its values on any two rows
+    differ by at most their cost, and the values it returns are its own."""
+    src, gen = _enc(np.linspace(10, 30, 16)), _enc(np.linspace(70, 90, 8))
+    trained, src_values, gen_values = critic_train(init_critic(src), gen)
+    X = np.concatenate([src, gen, _enc(np.random.default_rng(1).uniform(0, 100, 64))])
+    phi = critic_values(trained, X)
+    assert np.all(np.abs(phi[:, None] - phi[None, :]) <= cost_matrix(X, X) + 1e-12)
+    assert np.array_equal(src_values, critic_values(trained, src))
+    assert np.array_equal(gen_values, critic_values(trained, gen))
+
+
 def test_train_same_distribution_stays_flat():
     pts = _enc(np.linspace(20, 80, 32))
     _, *values = critic_train(init_critic(pts), pts)
