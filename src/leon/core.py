@@ -1,8 +1,8 @@
 """Domain types for designs, contexts, and trajectory memory.
 
 A design lives in a mixed continuous/boolean search space, one encoded
-column per dimension. All numeric encoding maps into [0, 1]-scaled vectors
-so that downstream critic and surrogate networks see bounded inputs.
+column per dimension. All numeric encoding maps into [0, 1]-scaled vectors,
+so the critic's costs and the learned surrogate's net see bounded inputs.
 
 Inside a run a batch of designs is an `(n, d)` float array of design
 values, booleans as 0.0/1.0, checked by `encode_batch`: engines, baselines,

@@ -57,7 +57,10 @@ class Critic:
 def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """`(n, m)` matrix of c(x, y) = ||x - y||_2 / sqrt(d) between the rows
     of X `(n, d)` and Y `(m, d)`; exactly 0 between equal rows. Taken over
-    blocks of X's rows, so no more than about 2**15 differences are held."""
+    blocks of X's rows, so no more than about 2**15 differences are held.
+    Rows of another width raise ValueError, where a broadcast would not."""
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise ValueError("the cost needs two (n, d) arrays of rows of one width")
     out = np.empty((len(X), len(Y)))
     rows = max(1, 2**15 // max(1, Y.size))
     for i in range(0, len(X), rows):
@@ -69,9 +72,10 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def init_critic(pool_enc: np.ndarray) -> Critic:
     """Critic on the encoded pool rows with f = 0."""
-    if pool_enc.ndim != 2 or len(pool_enc) == 0:
-        raise ValueError("the pool must be a non-empty (n, d) array")
-    return Critic(pool_enc, np.zeros(len(pool_enc)), cost_matrix(pool_enc, pool_enc))
+    pool_cost = cost_matrix(pool_enc, pool_enc)
+    if len(pool_cost) == 0:
+        raise ValueError("the pool must be non-empty")
+    return Critic(pool_enc, np.zeros(len(pool_enc)), pool_cost)
 
 
 def critic_values(critic: Critic, X: np.ndarray) -> np.ndarray:
@@ -118,20 +122,23 @@ def _sinkhorn(C: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
     return f + eps * np.log(u)
 
 
-def critic_train(critic: Critic, gen_enc: np.ndarray) -> tuple[Critic, np.ndarray, np.ndarray]:
+def critic_train(critic: Critic,
+                 gen_enc: np.ndarray) -> tuple[Critic, np.ndarray, np.ndarray, np.ndarray]:
     """The critic refit to an encoded batch by one Sinkhorn solve over every
-    pool and batch row, with its values on the pool and on the batch. The
-    input is not changed; non-finite rows or potentials raise NumericError."""
-    if gen_enc.ndim != 2 or len(gen_enc) == 0 or gen_enc.shape[1] != critic.pool.shape[1]:
-        raise ValueError("the batch must be a non-empty array of rows as wide as the pool's")
+    pool and batch row, its values on the pool and on the batch, and the
+    batch's values under the given critic (`critic_values(critic, gen_enc)`),
+    all from one pool x batch cost. The input is not changed; non-finite
+    rows or potentials raise NumericError."""
     C = cost_matrix(critic.pool, gen_enc)
+    if len(gen_enc) == 0:
+        raise ValueError("empty batch")
     eps = EPS_SCALE * float(C.mean())
     if not (np.isfinite(eps) and np.isfinite(critic.f).all()):
         raise NumericError("critic training got a non-finite row or potential")
     # eps = 0: every row is one point, W1 = 0, and any f is optimal
     f = _sinkhorn(C, critic.f, eps) if eps > 0 else critic.f
     return (replace(critic, f=f), (f[:, None] - critic.pool_cost).max(axis=0),
-            (f[:, None] - C).max(axis=0))
+            (f[:, None] - C).max(axis=0), (critic.f[:, None] - C).max(axis=0))
 
 
 __all__ = ["SourcePool", "Critic", "cost_matrix", "init_critic", "critic_values", "w1_estimate",

@@ -95,8 +95,8 @@ def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Par
 
     `variant` is one of `PARTITIONS`. The k-means variant picks k by the
     elbow rule and fits euclidean k-means on the encoded source pool. The
-    score variant needs `src_raw`, the surrogate-plus-critic value of
-    each source design, to compute source mean and spread.
+    score variant needs `src_raw`, the raw value of each source design (its
+    surrogate value, as a fresh critic reads 0 on its pool), for their mean and spread.
     """
     if variant == "random":
         return RandomPartition(seed=seed)

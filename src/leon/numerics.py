@@ -1,9 +1,11 @@
 """Minimal numeric kernel.
 
 Dense feed-forward nets of ReLU hidden layers and one linear output unit,
-with hand-rolled backprop (no autodiff dependency), simple-regression
-slope, seeded euclidean k-means, and entropy/softmax helpers. Everything
-here is pure given explicit inputs and seeds.
+with one hand-rolled backprop pass (no autodiff dependency): the gradient
+of a weighted sum of a net's outputs, `net_weighted_gradient`, whose
++-1/n case is `net_gradient`. Also simple-regression slope, seeded
+euclidean k-means, and entropy/softmax helpers. Everything here is pure
+given explicit inputs and seeds.
 
 A net's dtype is its parameter vector's, float64 or float32: its forward
 and gradient passes cast their inputs to it and compute in it.
@@ -146,42 +148,23 @@ def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
 
 class NetWorkspace:
     """Buffers for gradient passes of nets shaped like `net` on batches of
-    exactly `n` rows: input rows, each layer's activations (which backprop
-    overwrites with the layer's deltas), a rectifier mask per hidden layer
-    (views of one buffer, as each mask is used only where it is made), the
-    flat gradient (in `params` layout, with per-layer views `grads`) and the
-    +-1/n weights of `net_gradient`, all in the net's dtype. A training loop
-    allocates one and passes it to every pass, which overwrites them all."""
+    exactly `n` rows: each layer's activations (which backprop overwrites
+    with the layer's deltas), a rectifier mask per hidden layer (views of
+    one buffer, as each mask is used only where it is made) and the flat
+    gradient (in `params` layout, with per-layer views `grads`), all in the
+    net's dtype. A training loop allocates one and passes it to every pass,
+    which overwrites them all."""
 
     def __init__(self, net: DenseNet, n: int):
         widths = [out for out, _ in net.shapes]
         self.shapes = net.shapes
         self.rows = n
         self.dtype = dtype = net.params.dtype
-        self.X = np.empty((n, net.input_dim), dtype=dtype)
         self.acts = [np.empty((n, w), dtype=dtype) for w in widths]
         mask = np.empty(n * max(widths[:-1], default=0), dtype=bool)
         self.masks = [mask[:n * w].reshape(n, w) for w in widths[:-1]]
         self.grad = np.empty_like(net.params)
         self.grads = layer_views(net, self.grad)
-        self.weights = np.empty(n, dtype=dtype)
-
-    def load(self, pos, neg) -> int:
-        """Copy two row batches into the input rows and set `weights` to
-        their +-1/n; returns the number of `pos` rows."""
-        pos = np.atleast_2d(np.asarray(pos, dtype=float))
-        neg = np.atleast_2d(np.asarray(neg, dtype=float))
-        if len(pos) == 0 or len(neg) == 0:
-            raise ValueError("empty batch")
-        width = self.X.shape[1]
-        if len(pos) + len(neg) != self.rows or pos.shape[1] != width or neg.shape[1] != width:
-            raise ValueError("workspace does not match the batch")
-        n_pos = len(pos)
-        self.X[:n_pos] = pos
-        self.X[n_pos:] = neg
-        self.weights[:n_pos] = 1.0 / n_pos
-        self.weights[n_pos:] = -1.0 / len(neg)
-        return n_pos
 
 
 def _check_workspace(net: DenseNet, workspace: NetWorkspace, n: int) -> None:
@@ -259,24 +242,28 @@ def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights,
 
 
 def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,
-                 workspace: NetWorkspace, stop=None):
+                 workspace: NetWorkspace):
     """Gradient of mean(net(batch_pos)) - mean(net(batch_neg)) and that
-    difference itself, both from one pass: returns (grad, value), with grad
-    as `net_weighted_gradient` returns it.
-
-    The workspace holds `len(batch_pos) + len(batch_neg)` rows, which
-    `NetWorkspace.load` copies in. When `stop(value)` is true the pass ends
-    after the forward pass and returns (None, value).
+    difference itself: returns (grad, value), both from one
+    `net_weighted_gradient` pass over the stacked rows with weights +1/n
+    on each `batch_pos` row and -1/n on each `batch_neg` row, the workspace
+    holding `len(batch_pos) + len(batch_neg)` rows.
     """
-    n_pos = workspace.load(batch_pos, batch_neg)  # checks the row count
-    n_neg = workspace.rows - n_pos
-    _check_workspace(net, workspace, workspace.rows)
-    out = _forward(net, workspace.X, workspace)
-    # sum / count is how `mean` computes, bit for bit
-    value = float(np.add.reduce(out[:n_pos]) / n_pos - np.add.reduce(out[n_pos:]) / n_neg)
-    if stop is not None and stop(value):
-        return None, value
-    return _backward(net, workspace.X, workspace.weights, workspace), value
+    pos = np.atleast_2d(np.asarray(batch_pos, dtype=float))
+    neg = np.atleast_2d(np.asarray(batch_neg, dtype=float))
+    n_pos, n_neg = len(pos), len(neg)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("empty batch")
+    weights = np.concatenate([np.full(n_pos, 1.0 / n_pos), np.full(n_neg, -1.0 / n_neg)])
+    value = 0.0
+
+    def read_value(out):
+        nonlocal value  # sum / count is how `mean` computes, bit for bit
+        value = float(np.add.reduce(out[:n_pos]) / n_pos - np.add.reduce(out[n_pos:]) / n_neg)
+        return weights
+
+    grad = net_weighted_gradient(net, np.concatenate([pos, neg]), read_value, workspace)
+    return grad, value
 
 
 def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, clip: float) -> None:

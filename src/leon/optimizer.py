@@ -22,7 +22,8 @@ from .certainty import (
     update_lambda,
 )
 from .core import Context, Design, Hyperparams, TrajectoryMemory, read_float, read_int, short_repr
-from .critic import SourcePool, critic_train, critic_values, init_critic, w1_estimate
+from .critic import SourcePool, critic_train, init_critic, w1_estimate
+from .critic import critic_values  # noqa: F401 - perfbench's tracer wraps optimizer.critic_values
 from .equivalence import PARTITIONS, fit_partition
 from .proposal import (
     BoltzmannMemoryEngine,
@@ -222,16 +223,17 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     """One full optimization run for a single context.
 
     ceil(budget / batch) acquisition steps of: propose, evaluate the
-    critic-regularized surrogate, assign classes, reduce to per-class
-    optima, re-estimate mu, refit the critic to the fresh batch, step
-    lambda along the dual gradient, score and log the batch, reflect.
+    surrogate, refit the critic to the fresh batch, add lambda times the
+    batch's values under the critic before the refit, assign classes,
+    reduce to per-class optima, re-estimate mu, step lambda along the
+    refit critic's dual gradient, score and log the batch, reflect.
     Deterministic under mock engines and a fixed seed. The keyword
     overrides exist for controlled experiments and tests.
 
-    The `score` partition cuts its bins around the source pool's raw
-    values, so it scores the source pool in one surrogate call past the
-    meter: those designs lie outside the budget and `surrogate_calls` does
-    not count them.
+    The `score` partition cuts its bins around the surrogate's values of
+    the source pool (a fresh critic reads 0 on them), so it scores the
+    source pool in one surrogate call past the meter: those designs lie
+    outside the budget and `surrogate_calls` does not count them.
     """
     hp = cfg.hp
     space = task.space
@@ -247,8 +249,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     src_raw = None
     if cfg.partition == "score":  # bins are cut around the source raw values
-        src_raw = (surrogate.value(source_pool.values, ctx)
-                   + hp.lambda0 * critic_values(critic, source_pool.encoded))
+        src_raw = surrogate.value(source_pool.values, ctx)
     partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
                               src_raw=src_raw)
 
@@ -270,14 +271,12 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         values, batch_enc = propose(engine, prompt_state, space, b)
 
         f_vals = metered.value(values, ctx)
-        c_vals = critic_values(critic, batch_enc)
+        critic, src_c, batch_c, c_vals = critic_train(critic, batch_enc)
         raw = f_vals + lam * c_vals
         assignments = partition.assign(batch_enc, raw)
 
         stats = class_optima(raw, assignments, partition.n_classes)
         mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
-
-        critic, src_c, batch_c = critic_train(critic, batch_enc)
 
         # the dual gradient reads the refit critic at each class's best row
         qbar = boltzmann_weights(stats, mu_hat)

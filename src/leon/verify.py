@@ -19,8 +19,8 @@ from .critic import critic_train, critic_values, init_critic, w1_estimate
 from .numerics import (
     NetWorkspace,
     init_net,
-    net_gradient,
     net_forward_batch,
+    net_weighted_gradient,
     shannon_entropy,
     stable_softmax,
 )
@@ -235,11 +235,11 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
     t0 = time.time()
     space = DesignSpace((ContinuousDim("x", 0.0, 1.0),))
     same = encode_batch(space, np.random.default_rng(seed).uniform(0.2, 0.8, size=(32, 1)))
-    same_critic, *same_values = critic_train(init_critic(same), same)
+    same_critic, *same_values, _ = critic_train(init_critic(same), same)
     est_same = w1_estimate(*same_values)
     src, gen = np.linspace(0.0, 0.2, 24), np.linspace(0.8, 1.0, 24)
-    critic, *values = critic_train(init_critic(encode_batch(space, src[:, None])),
-                                   encode_batch(space, gen[:, None]))
+    critic, *values, _ = critic_train(init_critic(encode_batch(space, src[:, None])),
+                                      encode_batch(space, gen[:, None]))
     est, true_w1 = w1_estimate(*values), exact_w1_1d(src, gen)
     xs = np.union1d(np.linspace(0.0, 1.0, 2001), np.concatenate([src, gen, same[:, 0]]))
     slope = max(float(np.max(np.abs(np.diff(critic_values(c, xs[:, None]))) / np.diff(xs)))
@@ -313,6 +313,8 @@ def _min_abs_preactivation(net, X) -> float:
 
 
 def check_backprop_fd(seed: int = 0, nets: int = 20, h: float = 1e-5) -> CheckResult:
+    """`net_weighted_gradient`, the one backprop pass, against central
+    finite differences of sum_j w[j] * net(X[j]) with random-sign weights."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -320,14 +322,14 @@ def check_backprop_fd(seed: int = 0, nets: int = 20, h: float = 1e-5) -> CheckRe
         for attempt in range(100):
             dims = [int(rng.integers(1, 5)), int(rng.integers(2, 8)), int(rng.integers(2, 8)), 1]
             net = init_net(dims, seed=seed * 10007 + i * 101 + attempt)
-            pos = rng.normal(0, 1, size=(int(rng.integers(2, 6)), dims[0]))
-            neg = rng.normal(0, 1, size=(int(rng.integers(2, 6)), dims[0]))
-            if _min_abs_preactivation(net, np.concatenate([pos, neg])) > 100 * h:
+            X = rng.normal(0, 1, size=(int(rng.integers(4, 12)), dims[0]))
+            if _min_abs_preactivation(net, X) > 100 * h:
                 break
-        analytic, _ = net_gradient(net, pos, neg, NetWorkspace(net, len(pos) + len(neg)))
+        w = rng.choice([-1.0, 1.0], size=len(X)) * rng.uniform(0.5, 1.5, size=len(X)) / len(X)
+        analytic = net_weighted_gradient(net, X, lambda out: w, NetWorkspace(net, len(X)))
 
         def objective(n):
-            return float(net_forward_batch(n, pos).mean() - net_forward_batch(n, neg).mean())
+            return float(w @ net_forward_batch(n, X))
 
         fd = np.zeros_like(analytic)
         params = net.params  # every layer's arrays are views of it

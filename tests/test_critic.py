@@ -19,7 +19,7 @@ from leon.critic import (
     init_critic,
     w1_estimate,
 )
-from leon.tasks import exact_w1_1d, make_regimen_task
+from leon.tasks import exact_w1_1d, make_dose_task, make_regimen_task
 
 SPACE_1D = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
 
@@ -66,6 +66,31 @@ def test_critic_value_deterministic_and_composed():
     assert critic_values(critic, X[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("make_task", [make_dose_task, make_regimen_task], ids=["dose", "regimen"])
+def test_fresh_critic_reads_positive_zero_on_its_pool(make_task):
+    """With f = 0 the value on a pool row is 0 - c(x, x) = +0.0, no sign bit,
+    so a run's score partition adds nothing to the pool's raw values."""
+    task = make_task(0)
+    for seed in range(3):
+        pool = SourcePool(task.space, task.source_designs(np.random.default_rng([seed, 2]), 128))
+        values = critic_values(init_critic(pool.encoded), pool.encoded)
+        assert np.all(values == 0.0) and not np.signbit(values).any()
+
+
+def test_critic_refuses_rows_of_another_width():
+    """A (32, 1) batch against a 16-dim pool would broadcast to 32 values;
+    every entry point refuses it through the cost."""
+    critic = init_critic(np.random.default_rng(0).integers(0, 2, size=(128, 16)).astype(float))
+    for call in (lambda X: critic_values(critic, X), lambda X: critic_train(critic, X),
+                 lambda X: cost_matrix(critic.pool, X)):
+        with pytest.raises(ValueError):
+            call(np.zeros((32, 1)))
+        with pytest.raises(ValueError):
+            call(np.zeros(16))  # one row, not a batch
+    with pytest.raises(ValueError):
+        init_critic(np.zeros(16))
+
+
 def test_cost_is_normalized_euclidean():
     """c(x, y) = ||x - y|| / sqrt(d): the encoded cube has diameter 1, and
     equal rows cost exactly 0."""
@@ -80,7 +105,7 @@ def test_cost_is_normalized_euclidean():
 
 def test_w1_identical_batches():
     batch = _enc([10, 20, 30])
-    _, *values = critic_train(init_critic(batch), batch)
+    _, *values, _ = critic_train(init_critic(batch), batch)
     assert w1_estimate(*values) == 0.0
 
 
@@ -112,7 +137,7 @@ def test_train_keeps_clip_exactly():
     """A refit critic stays in its class exactly: its values on any two rows
     differ by at most their cost, and the values it returns are its own."""
     src, gen = _enc(np.linspace(10, 30, 16)), _enc(np.linspace(70, 90, 8))
-    trained, src_values, gen_values = critic_train(init_critic(src), gen)
+    trained, src_values, gen_values, _ = critic_train(init_critic(src), gen)
     X = np.concatenate([src, gen, _enc(np.random.default_rng(1).uniform(0, 100, 64))])
     phi = critic_values(trained, X)
     assert np.all(np.abs(phi[:, None] - phi[None, :]) <= cost_matrix(X, X) + 1e-12)
@@ -122,14 +147,14 @@ def test_train_keeps_clip_exactly():
 
 def test_train_same_distribution_stays_flat():
     pts = _enc(np.linspace(20, 80, 32))
-    _, *values = critic_train(init_critic(pts), pts)
+    _, *values, _ = critic_train(init_critic(pts), pts)
     assert abs(w1_estimate(*values)) <= 1e-12
 
 
 def test_train_separates_and_respects_exact_w1():
     src = _enc(np.linspace(0, 20, 24))
     gen = _enc(np.linspace(80, 100, 24))
-    _, *values = critic_train(init_critic(src), gen)
+    _, *values, _ = critic_train(init_critic(src), gen)
     est = w1_estimate(*values)
     # encoded units: sorted-sample transport distance is the oracle
     true_w1 = exact_w1_1d(src[:, 0], gen[:, 0])
@@ -142,8 +167,8 @@ def test_dual_estimate_bounded_by_lipschitz_times_w1():
     rng = np.random.default_rng(7)
     src = _designs(rng.uniform(0, 40, size=16))
     gen = _designs(rng.uniform(55, 100, size=16))
-    trained, *values = critic_train(init_critic(encode_batch(SPACE_1D, src)),
-                                    encode_batch(SPACE_1D, gen))
+    trained, *values, _ = critic_train(init_critic(encode_batch(SPACE_1D, src)),
+                                       encode_batch(SPACE_1D, gen))
     est = w1_estimate(*values)
     grid = np.concatenate([np.linspace(0.0, 1.0, 2001), src[:, 0] / 100.0, gen[:, 0] / 100.0])
     lip = _slope(trained, grid)
@@ -170,7 +195,7 @@ def test_regimen_estimate_is_a_lower_bound_on_exact_w1():
     rng = np.random.default_rng(3)
     src = encode_batch(space, rng.integers(0, 2, size=(128, 16)).astype(float))
     gen = encode_batch(space, (rng.random((32, 16)) < 0.8).astype(float))
-    _, *values = critic_train(init_critic(src), gen)
+    _, *values, _ = critic_train(init_critic(src), gen)
     cost = cost_matrix(src, np.repeat(gen, 4, axis=0))
     rows, cols = linear_sum_assignment(cost)
     exact = cost[rows, cols].mean()
@@ -223,8 +248,10 @@ def test_train_matches_three_call_reference(case):
     if case == "warm_start":
         critic, *_ = critic_train(critic, _default_like_batches(2)[1])
     f0 = critic.f.copy()
-    trained, src_values, gen_values = critic_train(critic, gen)
+    trained, src_values, gen_values, prior_values = critic_train(critic, gen)
     assert np.array_equal(critic.f, f0)  # the input critic is not changed
+    # the batch's values under the input critic, as a step scores them
+    assert np.array_equal(prior_values, critic_values(critic, gen))
     f, want_src, want_gen = _three_call_train(critic, gen)
     scale = EPS_SCALE * cost_matrix(src, gen).mean()
     assert np.allclose(trained.f, f, rtol=0, atol=1e-9 * scale)
@@ -256,9 +283,10 @@ def test_train_without_iterations_is_one_forward_pass(monkeypatch):
     monkeypatch.setattr(leon.critic, "_sinkhorn", lambda *a: pytest.fail("solved"))
     pool = _enc([40.0, 40.0, 40.0])
     critic = _with_potentials(init_critic(pool), [0.25, -0.5, 0.0])
-    trained, src_values, gen_values = critic_train(critic, _enc([40.0, 40.0]))
+    trained, src_values, gen_values, prior_values = critic_train(critic, _enc([40.0, 40.0]))
     assert np.array_equal(trained.f, critic.f)
     assert src_values.tolist() == [0.25] * 3 and gen_values.tolist() == [0.25] * 2
+    assert prior_values.tolist() == [0.25] * 2
 
 
 def _far_row_case():
@@ -280,7 +308,7 @@ def test_train_stays_finite_where_the_kernel_underflows():
     assert exact == pytest.approx(0.01563, abs=1e-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trained, *values = critic_train(init_critic(pool), batch)
+        trained, *values, _ = critic_train(init_critic(pool), batch)
     assert np.isfinite(trained.f).all()
     assert 0.9 * exact <= w1_estimate(*values) <= exact + 1e-12
 
@@ -298,7 +326,7 @@ def test_train_stays_finite_from_a_warm_start_far_wider_than_eps():
     assert np.ptp(critic.f) / eps > 1e4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trained, *values = critic_train(critic, batch)
+        trained, *values, _ = critic_train(critic, batch)
     assert np.isfinite(trained.f).all()
     f, want_src, want_gen = _three_call_train(critic, batch)
     assert np.allclose(trained.f, f, rtol=0, atol=1e-9)

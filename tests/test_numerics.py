@@ -192,34 +192,18 @@ def test_gradient_empty_batch():
         net_gradient(net, np.zeros((0, 2)), np.ones((1, 2)), NetWorkspace(net, 1))
 
 
-def test_gradient_stop_skips_backprop():
-    """`stop` sees the pass's value; when it says stop, the pass returns no
-    gradient and leaves the workspace's gradient as it was."""
-    rng = np.random.default_rng(6)
-    net = init_net((2, 5, 1), seed=4, scale=0.5)
-    pos, neg = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
-    workspace = NetWorkspace(net, 5)
-    workspace.grad[:] = 42.0
-    seen = []
-    grad, value = net_gradient(net, pos, neg, workspace, lambda v: seen.append(v) or True)
-    assert grad is None and seen == [value] and np.all(workspace.grad == 42.0)
-    grad, again = net_gradient(net, pos, neg, workspace, lambda v: False)
-    assert again == value and grad is workspace.grad
-    assert np.array_equal(grad, _gradient(net, pos, neg)[0])
-
-
 def test_workspace_reloads_rows_on_every_pass():
-    """Each pass copies its batches into the workspace, so one workspace
-    serves any batches of its row count in turn."""
+    """One workspace serves any batches of its row count in turn: each pass
+    overwrites all its buffers."""
     rng = np.random.default_rng(7)
     net = init_net((2, 5, 1), seed=5, scale=0.5)
     pos, neg = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
     workspace = NetWorkspace(net, 5)
-    _, value = net_gradient(net, pos, neg, workspace)
-    assert value == _gradient(net, pos, neg)[1]
-    assert np.array_equal(workspace.X, np.concatenate([pos, neg]))
-    _, swapped = net_gradient(net, neg, pos, workspace)
-    assert swapped == -value and np.array_equal(workspace.X, np.concatenate([neg, pos]))
+    grad, value = net_gradient(net, pos, neg, workspace)
+    fresh, want = _gradient(net, pos, neg)
+    assert value == want and np.array_equal(grad, fresh)
+    grad, swapped = net_gradient(net, neg, pos, workspace)
+    assert swapped == -value and np.array_equal(grad, _gradient(net, neg, pos)[0])
 
 
 def test_callable_weights_match_array_weights():
@@ -248,6 +232,12 @@ def test_workspace_shape_mismatch():
             net_weighted_gradient(net, X, lambda out: np.ones(5), bad)
         with pytest.raises(ValueError):
             net_gradient(net, X[:3], X[3:], bad)
+    # the net takes 3 columns; the first layer's gradient has no room for others
+    for rows in (np.zeros((3, 1)), np.zeros((3, 4))):
+        with pytest.raises(ValueError):
+            net_weighted_gradient(net, rows, lambda out: np.ones(3), NetWorkspace(net, 3))
+        with pytest.raises(ValueError):
+            net_gradient(net, rows[:2], rows[2:], NetWorkspace(net, 3))
 
 
 def test_workspace_dtype_mismatch():

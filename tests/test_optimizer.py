@@ -249,12 +249,9 @@ def test_default_run_encodes_each_design_about_once(dose_task, monkeypatch):
     assert rows == {"proposal": hp.budget, "critic": 128}
 
 
-def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
-    """A step refits the critic with one Sinkhorn solve over the pool and the
-    batch, and reads the refit critic's values from that solve: besides it,
-    one evaluation per step, before the refit, plus one of the pool's own
-    costs per run. Designs are checked by `encode_batch`, so only the
-    harness's oracle call validates a single design."""
+def _count_critic_work(monkeypatch):
+    """Record the shapes of every cost matrix and Sinkhorn solve the critic
+    builds, and count single-design validations."""
     import leon.core
     import leon.critic
 
@@ -277,9 +274,30 @@ def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
     monkeypatch.setattr(leon.critic, "cost_matrix", cost)
     monkeypatch.setattr(leon.critic, "_sinkhorn", solve)
     monkeypatch.setattr(leon.core.DesignSpace, "validate", validate)
+    return calls
+
+
+def test_default_run_critic_and_validation_counts(dose_task, monkeypatch):
+    """A step builds one pool x batch cost matrix, which gives one Sinkhorn
+    solve, the refit critic's values and the values the batch is scored
+    with; a run adds one of the pool's own costs. Designs are checked by
+    `encode_batch`, so only the harness's oracle call validates a single
+    design."""
+    calls = _count_critic_work(monkeypatch)
     run_leon(dose_task, RunConfig(), 0)
-    assert calls == {"cost": [(128, 128)] + [(128, 32)] * 128, "solve": [(128, 32)] * 64,
+    assert calls == {"cost": [(128, 128)] + [(128, 32)] * 64, "solve": [(128, 32)] * 64,
                      "validate": 1}
+
+
+def test_score_partition_builds_no_cost_for_the_pool_raw_values(regimen_task, monkeypatch):
+    """The score partition cuts its bins around the surrogate's values of
+    the pool alone, as a fresh critic reads +0.0 there: no cost matrix
+    beyond the pool's own and one per step."""
+    calls = _count_critic_work(monkeypatch)
+    cfg = RunConfig(partition="score", hp=Hyperparams(budget=128, batch_size=32))
+    run_leon(regimen_task, cfg, 0)
+    assert calls["cost"] == [(128, 128)] + [(128, 32)] * 4
+    assert calls["solve"] == [(128, 32)] * 4
 
 
 def test_default_run_takes_no_gradient_on_the_last_pass(dose_task, monkeypatch):
