@@ -138,10 +138,19 @@ def net_hidden(net: DenseNet, X: np.ndarray) -> np.ndarray:
     return a
 
 
-def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
+def _net_rows(net: DenseNet, X) -> np.ndarray:
+    """X as 2-D rows of the net's dtype, checked to be as wide as its input.
+    Checked up front: a width-1 X would broadcast through the first layer
+    (see `_product`), and a pass whose first layer is dead skips the one
+    product that would refuse it."""
     X = np.atleast_2d(np.asarray(X, dtype=net.params.dtype))
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != net input {net.input_dim}")
+    return X
+
+
+def net_forward_batch(net: DenseNet, X: np.ndarray) -> np.ndarray:
+    X = _net_rows(net, X)
     out = net.layers[-1]
     return (net_hidden(net, X) @ out.weights.T + out.biases)[:, 0]
 
@@ -153,7 +162,8 @@ class NetWorkspace:
     one buffer, as each mask is used only where it is made) and the flat
     gradient (in `params` layout, with per-layer views `grads`), all in the
     net's dtype. A training loop allocates one and passes it to every pass,
-    which overwrites them all."""
+    which overwrites them all, the gradient of a layer below a wholly dead
+    one (see `_backward`) by a zero fill."""
 
     def __init__(self, net: DenseNet, n: int):
         widths = [out for out, _ in net.shapes]
@@ -203,20 +213,39 @@ def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
               workspace: NetWorkspace) -> np.ndarray:
     """Backprop of sum_j weights[j] * net(X[j]) after `_forward` on X;
     returns the workspace's flat gradient. Each layer's delta overwrites
-    its activations once they are used up."""
-    layers, acts, masks = net.layers, workspace.acts, workspace.masks
+    its activations once they are used up.
+
+    Only live units carry delta down: a hidden unit that is positive on no
+    row has an all-zero delta column, so the next delta is `delta[:, live]
+    @ W[live]`, the dense product less its exact-zero terms: bit for bit
+    the dense result wherever BLAS adds the remaining terms in the same
+    order, as OpenBLAS 0.3.31 does (the tests check it). Below a layer
+    with no live unit every delta, and so every gradient, is zero: those
+    layers are zero-filled and their products skipped. Each layer's own
+    `dW` product stays dense, as OpenBLAS's small-matrix kernel would
+    round `delta[:, live].T @ a` differently."""
+    layers, acts, masks, grads = net.layers, workspace.acts, workspace.masks, workspace.grads
     delta = acts[-1]
     delta[...] = weights[:, None]  # the output unit is linear
+    live = slice(None)  # the units of the layer that `delta` belongs to
     for li in range(len(layers) - 1, -1, -1):
         a = acts[li - 1] if li > 0 else X
-        dW, db = workspace.grads[li]
+        dW, db = grads[li]
         np.matmul(delta.T, a, out=dW)
         np.add.reduce(delta, axis=0, out=db)
-        if li > 0:
-            # a is a hidden layer's relu(z), > 0 exactly where z > 0
-            np.greater(a, 0.0, out=masks[li - 1])
-            delta = _product(delta, layers[li].weights, a)
-            np.multiply(delta, masks[li - 1], out=delta)
+        if li == 0:
+            break
+        # a is a hidden layer's relu(z), > 0 exactly where z > 0
+        mask = np.greater(a, 0.0, out=masks[li - 1])
+        below = mask.any(axis=0)
+        if not below.any():
+            for dW, db in grads[:li]:
+                dW.fill(0.0)
+                db.fill(0.0)
+            break
+        delta = _product(delta[:, live], layers[li].weights[live], a)
+        np.multiply(delta, mask, out=delta)
+        live = slice(None) if below.all() else below
     return workspace.grad
 
 
@@ -226,19 +255,21 @@ def net_weighted_gradient(net: DenseNet, X: np.ndarray, weights,
     forward-plus-backprop pass.
 
     `weights` is a function of the net's outputs on X (as `net_forward_batch`
-    returns them) that gives the (n,) vector w, so a loss, or an estimate
-    read off the same outputs, needs no second forward pass. `workspace`
+    returns them) that gives the (n,) vector w (any other shape raises
+    `ValueError`), so a loss, or an estimate read off the same outputs,
+    needs no second forward pass. `workspace`
     (a `NetWorkspace` for the net and n rows) holds the pass's buffers.
     X and w are cast to the net's dtype. Returns the workspace's flat
     gradient, in `net.params` layout, which the next pass overwrites.
     """
-    dtype = net.params.dtype
-    X = np.atleast_2d(np.asarray(X, dtype=dtype))
+    X = _net_rows(net, X)
     if len(X) == 0:
         raise ValueError("empty batch")
     _check_workspace(net, workspace, len(X))
-    out = _forward(net, X, workspace)
-    return _backward(net, X, np.asarray(weights(out), dtype=dtype), workspace)
+    w = np.asarray(weights(_forward(net, X, workspace)), dtype=net.params.dtype)
+    if w.shape != (len(X),):  # a (1,) vector would broadcast over every row
+        raise ValueError(f"weights of shape {w.shape} for {len(X)} rows")
+    return _backward(net, X, w, workspace)
 
 
 def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,

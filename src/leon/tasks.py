@@ -254,11 +254,23 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     """Squared-loss regression: full-batch heavy-ball gradient descent in
     float32 to shape the hidden features, then, on the net cast to float64,
     an exact ridge least-squares solve for the output layer. Raises
-    `NumericError` when the descent diverges."""
+    `NumericError` when the descent diverges.
+
+    Each step's gradient pass carries delta through live units only (see
+    `numerics._backward`), so hidden units that have died cost no backprop.
+    Velocity entries below float32's smallest normal, 2**-126, are set to
+    0: a dead unit's velocity would otherwise decay to a subnormal that
+    momentum never rounds to 0, and subnormal arithmetic is slow. The flush
+    changes no bit of a net whose parameters exceed lr * 2**-102 and whose
+    nonzero gradient entries exceed 2**-102 in size: a flushed step * v is
+    under lr * 2**-126, and a flushed momentum * v under 2**-126, each
+    under half an ulp of what it would have been added to."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     n = X.shape[0]
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
     velocity = np.zeros_like(net.params)
+    tiny = np.finfo(np.float32).tiny
+    subnormal = np.empty(velocity.shape, dtype=bool)
     workspace = NetWorkspace(net, n)
 
     def loss_weights(out):
@@ -274,7 +286,9 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
         grad = net_weighted_gradient(net, X32, loss_weights, workspace)
         velocity *= momentum
         velocity += grad
-        net.params += np.multiply(velocity, step, out=grad)  # grad is used up
+        np.less(np.abs(velocity, out=grad), tiny, out=subnormal)  # grad is used up
+        np.copyto(velocity, 0.0, where=subnormal)
+        net.params += np.multiply(velocity, step, out=grad)
     del workspace  # free the step buffers before the ridge solve allocates its own
     # the loss is checked before each step, so this catches the last one
     if not np.isfinite(net.params).all():

@@ -347,9 +347,72 @@ def test_float32_kernel_matches_per_layer_reference():
         assert got.dtype == np.float32 and np.array_equal(got, _flat(want))
 
 
+def _hidden_dead_counts(net, X):
+    """Per hidden layer, the number of units positive on no row of X."""
+    counts, a = [], X
+    for layer in net.layers[:-1]:
+        a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
+        counts.append(int((~(a > 0).any(axis=0)).sum()))
+    return counts
+
+
+def _dead_unit_cases():
+    """(net, X, its dead-unit count per hidden layer): nets whose chosen
+    units have a bias so low that they are dead on every row."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(40, 3))
+    some = init_net((3, 8, 6, 1), seed=7, scale=0.5)
+    some.layers[0].biases[[1]] = -1e3
+    some.layers[1].biases[[0, 2, 5]] = -1e3
+    second = init_net((3, 8, 6, 1), seed=7, scale=0.5)
+    second.layers[1].biases[:] = -1e3
+    first = init_net((3, 8, 6, 1), seed=8, scale=0.5)
+    first.layers[0].biases[:] = -1e3
+    train = init_net((5, 128, 128, 1), seed=3)
+    train.layers[1].biases[9:] = -1e3  # 9 live units, as a collapsed surrogate keeps
+    return [(some, X, [1, 3]), (second, X, [0, 6]), (first, X, [8, 2]),
+            (init_net((3, 1), seed=9), X, []),
+            (train, rng.normal(size=(768, 5)), [0, 119])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", range(5))
+def test_kernel_with_dead_units_matches_per_layer_reference(dtype, case):
+    """Nets with some or all units of a hidden layer dead on every row, a
+    net without hidden layers, and one pass at the surrogate's training
+    shape with most second-layer units dead: the pass, which carries delta
+    through live units only and zero-fills below a wholly dead layer,
+    gives the dense per-layer gradient bit for bit, in a workspace whose
+    buffers all start as NaN."""
+    net, X, dead = _dead_unit_cases()[case]
+    net, X = net.astype(dtype), X.astype(dtype)
+    assert _hidden_dead_counts(net, X) == dead
+    y = np.random.default_rng(case).normal(size=len(X))
+    loss_weights = lambda out: -2.0 * (out - y) / len(y)  # noqa: E731
+    workspace = NetWorkspace(net, len(X))
+    for buf in (workspace.grad, *workspace.acts):
+        buf.fill(np.nan)  # what a pass does not overwrite shows
+    got = net_weighted_gradient(net, X, loss_weights, workspace)
+    want = _reference_weighted_gradient(net, X, loss_weights)
+    assert got.dtype == dtype and np.array_equal(got, _flat(want))
+
+
+def test_weights_of_another_shape_are_refused():
+    """The pass takes one weight per row: a (1,) vector, which would
+    broadcast over every row, and any other shape raise."""
+    net = init_net((3, 4, 1), seed=0)
+    X = np.random.default_rng(0).normal(size=(5, 3))
+    workspace = NetWorkspace(net, 5)
+    for bad in (np.array([0.2]), np.full(4, 0.2), np.full((5, 1), 0.2), 0.2):
+        with pytest.raises(ValueError, match="weights"):
+            net_weighted_gradient(net, X, lambda out: bad, workspace)
+
+
 def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
     """`train_regression_net`'s float32 descent with per-layer gradients
-    and velocities (its ridge solve for the output layer left out)."""
+    and velocities (its ridge solve for the output layer left out), dense
+    backprop and no flush of subnormal velocity: the net and the final
+    per-layer velocities."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     X, y = X.astype(np.float32), y.astype(np.float32)
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
@@ -364,7 +427,12 @@ def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
             vb += gb
             layer.weights += step * vw
             layer.biases += step * vb
-    return net
+    return net, velocity
+
+
+def _assert_same_hidden_layers(got, want):
+    for g, w in zip(got.layers[:-1], want.layers[:-1]):
+        assert np.array_equal(g.weights, w.weights) and np.array_equal(g.biases, w.biases)
 
 
 def test_flat_regression_training_matches_per_layer_reference():
@@ -374,10 +442,28 @@ def test_flat_regression_training_matches_per_layer_reference():
     X = rng.normal(size=(96, 5))
     y = np.sin(X).sum(axis=1)
     got = train_regression_net(X, y, hidden=(32, 32), seed=2, iters=5)
-    want = _reference_train(X, y, hidden=(32, 32), seed=2, iters=5)
-    for g, w in zip(got.layers[:-1], want.layers[:-1]):
-        assert np.array_equal(g.weights, w.weights) and np.array_equal(g.biases, w.biases)
+    want, _ = _reference_train(X, y, hidden=(32, 32), seed=2, iters=5)
+    _assert_same_hidden_layers(got, want)
     _assert_owns_its_views(got)  # the ridge solve writes the output layer in place
+
+
+@pytest.mark.parametrize("lr, wholly", [(0.05, False), (0.2, True)])
+def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly):
+    """A descent long enough that second-layer units die (some at lr 0.05,
+    all 32 at 0.2) and their velocity decays to subnormal values: skipping
+    dead units in backprop and flushing subnormal velocity to 0 leave every
+    hidden weight and bias as the dense, unflushed per-layer loop leaves
+    them, bit for bit."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(96, 5))
+    y = np.sin(X).sum(axis=1)
+    kwargs = dict(hidden=(32, 32), seed=2, iters=1000, lr=lr)
+    want, velocity = _reference_train(X, y, **kwargs)
+    dead = _hidden_dead_counts(want, X.astype(np.float32))[1]
+    assert dead > 0 and (dead == 32) == wholly
+    tiny = np.finfo(np.float32).tiny
+    assert any(((v != 0) & (np.abs(v) < tiny)).any() for v in velocity[1])
+    _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
 
 
 # ---------------------------------------------------------------------------
