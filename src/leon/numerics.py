@@ -163,7 +163,12 @@ class NetWorkspace:
     gradient (in `params` layout, with per-layer views `grads`), all in the
     net's dtype. A training loop allocates one and passes it to every pass,
     which overwrites them all, the gradient of a layer below a wholly dead
-    one (see `_backward`) by a zero fill."""
+    one (see `_backward`) by a zero fill.
+
+    Each pass also sets `last_hidden_dead`: True when the last hidden layer
+    has no unit positive on any row, so that the output unit's inputs are
+    all 0 and every hidden gradient is 0; False when some unit of it is
+    live, and for a net without hidden layers."""
 
     def __init__(self, net: DenseNet, n: int):
         widths = [out for out, _ in net.shapes]
@@ -175,6 +180,7 @@ class NetWorkspace:
         self.masks = [mask[:n * w].reshape(n, w) for w in widths[:-1]]
         self.grad = np.empty_like(net.params)
         self.grads = layer_views(net, self.grad)
+        self.last_hidden_dead = False
 
 
 def _check_workspace(net: DenseNet, workspace: NetWorkspace, n: int) -> None:
@@ -223,8 +229,10 @@ def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
     with no live unit every delta, and so every gradient, is zero: those
     layers are zero-filled and their products skipped. Each layer's own
     `dW` product stays dense, as OpenBLAS's small-matrix kernel would
-    round `delta[:, live].T @ a` differently."""
+    round `delta[:, live].T @ a` differently. Records on the workspace
+    whether the first layer found wholly dead is the last hidden one."""
     layers, acts, masks, grads = net.layers, workspace.acts, workspace.masks, workspace.grads
+    workspace.last_hidden_dead = False
     delta = acts[-1]
     delta[...] = weights[:, None]  # the output unit is linear
     live = slice(None)  # the units of the layer that `delta` belongs to
@@ -239,6 +247,7 @@ def _backward(net: DenseNet, X: np.ndarray, weights: np.ndarray,
         mask = np.greater(a, 0.0, out=masks[li - 1])
         below = mask.any(axis=0)
         if not below.any():
+            workspace.last_hidden_dead = li == len(layers) - 1
             for dW, db in grads[:li]:
                 dW.fill(0.0)
                 db.fill(0.0)

@@ -264,7 +264,23 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     changes no bit of a net whose parameters exceed lr * 2**-102 and whose
     nonzero gradient entries exceed 2**-102 in size: a flushed step * v is
     under lr * 2**-126, and a flushed momentum * v under 2**-126, each
-    under half an ulp of what it would have been added to."""
+    under half an ulp of what it would have been added to.
+
+    The descent stops early, and exactly, once a step's pass finds no unit
+    of the last hidden layer live on any row (`NetWorkspace.
+    last_hidden_dead`) and the step leaves every hidden velocity entry at
+    0. Every later pass would then zero-fill every hidden gradient, so
+    hidden velocity would stay 0 and the hidden layers, and with them the
+    dead layer's activations, would stay as they are bit for bit: the
+    skipped steps move only the output layer, which the ridge solve
+    overwrites. Nor could they raise: the output weights' gradient is 0,
+    so their velocity only decays, and the output unit reads its bias b
+    on every row, so the loss is the 1-D quadratic mean((b - y)**2), on
+    which heavy ball is stable for |momentum| < 1 and 0 <= step <
+    1 + momentum. The stop is taken only when momentum and lr (the
+    largest step) are in that range. A wholly dead layer below the last
+    one is no fixed point: the last hidden layer's biases still get a
+    gradient."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     n = X.shape[0]
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
@@ -280,6 +296,8 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
             raise NumericError("surrogate training diverged")
         return -2.0 * resid / n  # ascent on -loss
 
+    hidden_velocity = velocity[:velocity.size - net.layers[-1].weights.size - 1]
+    can_stop = abs(momentum) < 1.0 and 0.0 <= lr < 1.0 + momentum
     stage = max(1, iters // 5)
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
@@ -289,6 +307,8 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
         np.less(np.abs(velocity, out=grad), tiny, out=subnormal)  # grad is used up
         np.copyto(velocity, 0.0, where=subnormal)
         net.params += np.multiply(velocity, step, out=grad)
+        if can_stop and workspace.last_hidden_dead and not hidden_velocity.any():
+            break  # the hidden layers are a fixed point
     del workspace  # free the step buffers before the ridge solve allocates its own
     # the loss is checked before each step, so this catches the last one
     if not np.isfinite(net.params).all():

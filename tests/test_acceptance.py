@@ -188,8 +188,9 @@ CRITERION_11_CONFIG = {
 }
 CRITERION_11_SHA256 = "323b8e3975502de4f5e78ddd6b3233d0f11d86110e65a600f855d522f76ad31c"
 
-# the benchmark's dose-kmeans and regimen-score configs, methods in a fixed
-# order: together they run leon and every baseline's continuous and boolean paths
+# the benchmark's dose-kmeans, regimen-score and dose-learned configs, methods
+# in a fixed order: together they run leon and every baseline's continuous and
+# boolean paths, and one training of the learned surrogate
 _BENCHMARK_BASELINES = [{"name": "random-search"}, {"name": "simulated-annealing"},
                         {"name": "surrogate-greedy"}]
 _BENCHMARK_RUN = {"n_patients": 4, "seed": 2024,
@@ -207,6 +208,11 @@ PINNED_RESULTS = {
                                          "partition": "score"}, *_BENCHMARK_BASELINES],
          **_BENCHMARK_RUN},
         "8c85c06cb1ced257e95f3f8e5d8596f1905dab590cb1f222fff759aa11530c04"),
+    "dose-learned": (
+        {"task": "dose", "methods": [{"name": "leon", "engine": "boltzmann-memory",
+                                      "partition": "kmeans"}],
+         **_BENCHMARK_RUN, "n_patients": 1, "surrogate": {"variant": "learned"}},
+        "be5608325d42196e146298d7cbcf44fa533f5a6c6e3288f15280f68596edb41d"),
 }
 
 
@@ -240,7 +246,7 @@ def test_criterion_11_cli_determinism(tmp_path):
 @pytest.mark.parametrize("name", list(PINNED_RESULTS))
 def test_criterion_11_results_are_pinned(tmp_path, name):
     """Mock-engine configs keep byte-identical output: criterion 11's config
-    and two benchmark configs, run in-process, write the `results.json`
+    and the three benchmark configs, run in-process, write the `results.json`
     whose sha256 is pinned here. A change that alters this output on
     purpose updates the pin and states why in CHANGES.md."""
     config, sha256 = PINNED_RESULTS[name]

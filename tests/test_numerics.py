@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leon import tasks
 from leon.core import NumericError
 from leon.numerics import (
     DenseNet,
@@ -383,7 +384,8 @@ def test_kernel_with_dead_units_matches_per_layer_reference(dtype, case):
     shape with most second-layer units dead: the pass, which carries delta
     through live units only and zero-fills below a wholly dead layer,
     gives the dense per-layer gradient bit for bit, in a workspace whose
-    buffers all start as NaN."""
+    buffers all start as NaN. The pass flags the workspace exactly when the
+    last hidden layer is the wholly dead one."""
     net, X, dead = _dead_unit_cases()[case]
     net, X = net.astype(dtype), X.astype(dtype)
     assert _hidden_dead_counts(net, X) == dead
@@ -392,9 +394,11 @@ def test_kernel_with_dead_units_matches_per_layer_reference(dtype, case):
     workspace = NetWorkspace(net, len(X))
     for buf in (workspace.grad, *workspace.acts):
         buf.fill(np.nan)  # what a pass does not overwrite shows
+    workspace.last_hidden_dead = None
     got = net_weighted_gradient(net, X, loss_weights, workspace)
     want = _reference_weighted_gradient(net, X, loss_weights)
     assert got.dtype == dtype and np.array_equal(got, _flat(want))
+    assert workspace.last_hidden_dead is (case == 1)  # the one wholly dead second layer
 
 
 def test_weights_of_another_shape_are_refused():
@@ -411,9 +415,10 @@ def test_weights_of_another_shape_are_refused():
 def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
     """`train_regression_net`'s float32 descent with per-layer gradients
     and velocities (its ridge solve for the output layer left out), dense
-    backprop and no flush of subnormal velocity: the net and the final
-    per-layer velocities."""
-    net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
+    backprop, no flush of subnormal velocity and no early stop: the net and
+    the final per-layer velocities. It starts from `tasks.init_net`, so a
+    patched init (`_init_with_biases`) starts both loops alike."""
+    net = tasks.init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     X, y = X.astype(np.float32), y.astype(np.float32)
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
     stage = max(1, iters // 5)
@@ -435,35 +440,101 @@ def _assert_same_hidden_layers(got, want):
         assert np.array_equal(g.weights, w.weights) and np.array_equal(g.biases, w.biases)
 
 
+def _training_data():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(96, 5))
+    return X, np.sin(X).sum(axis=1)
+
+
 def test_flat_regression_training_matches_per_layer_reference():
     """Five float32 heavy-ball steps on one flat velocity move every hidden
     weight and bias as the per-layer loop does, bit for bit."""
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(96, 5))
-    y = np.sin(X).sum(axis=1)
+    X, y = _training_data()
     got = train_regression_net(X, y, hidden=(32, 32), seed=2, iters=5)
     want, _ = _reference_train(X, y, hidden=(32, 32), seed=2, iters=5)
     _assert_same_hidden_layers(got, want)
     _assert_owns_its_views(got)  # the ridge solve writes the output layer in place
 
 
+def _count_gradient_passes(monkeypatch) -> list:
+    """A one-entry list counting `tasks.net_weighted_gradient` calls."""
+    calls = [0]
+
+    def gradient(*args):
+        calls[0] += 1
+        return net_weighted_gradient(*args)
+
+    monkeypatch.setattr(tasks, "net_weighted_gradient", gradient)
+    return calls
+
+
+def _init_with_biases(monkeypatch, biases: dict) -> None:
+    """Patch `tasks.init_net` to set every bias of layer i to biases[i]."""
+    def init(sizes, seed, scale=None):
+        net = init_net(sizes, seed, scale)
+        for i, value in biases.items():
+            net.layers[i].biases[:] = value
+        return net
+
+    monkeypatch.setattr(tasks, "init_net", init)
+
+
 @pytest.mark.parametrize("lr, wholly", [(0.05, False), (0.2, True)])
-def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly):
+def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly, monkeypatch):
     """A descent long enough that second-layer units die (some at lr 0.05,
     all 32 at 0.2) and their velocity decays to subnormal values: skipping
     dead units in backprop and flushing subnormal velocity to 0 leave every
     hidden weight and bias as the dense, unflushed per-layer loop leaves
-    them, bit for bit."""
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(96, 5))
-    y = np.sin(X).sum(axis=1)
+    them, bit for bit. Where the last hidden layer dies whole, training
+    stops early, once the flush has zeroed the hidden velocity; where some
+    of its units live, it takes every step."""
+    X, y = _training_data()
     kwargs = dict(hidden=(32, 32), seed=2, iters=1000, lr=lr)
     want, velocity = _reference_train(X, y, **kwargs)
     dead = _hidden_dead_counts(want, X.astype(np.float32))[1]
     assert dead > 0 and (dead == 32) == wholly
     tiny = np.finfo(np.float32).tiny
     assert any(((v != 0) & (np.abs(v) < tiny)).any() for v in velocity[1])
+    calls = _count_gradient_passes(monkeypatch)
     _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
+    assert calls[0] < kwargs["iters"] if wholly else calls[0] == kwargs["iters"]
+
+
+def test_training_with_a_dead_first_layer_takes_every_step(monkeypatch):
+    """A wholly dead first hidden layer under a live second one is no
+    fixed point: every hidden gradient but the second layer's biases' is
+    0, and those keep moving. Training takes every step and matches the
+    per-layer loop bit for bit."""
+    _init_with_biases(monkeypatch, {0: -1e3, 1: 0.5})
+    X, y = _training_data()
+    kwargs = dict(hidden=(32, 32), seed=2, iters=300)
+    want, velocity = _reference_train(X, y, **kwargs)
+    assert _hidden_dead_counts(want, X.astype(np.float32)) == [32, 0]
+    (v0w, v0b), (v1w, v1b) = velocity[:2]
+    assert not (v0w.any() or v0b.any() or v1w.any()) and v1b.all()
+    calls = _count_gradient_passes(monkeypatch)
+    _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
+    assert calls[0] == kwargs["iters"]
+
+
+def test_training_on_a_dead_last_layer_stops_at_once_unless_it_would_diverge(monkeypatch):
+    """A last hidden layer dead from the start leaves every hidden gradient
+    and velocity entry 0, so training stops after its first step, with the
+    per-layer loop's hidden layers. With momentum 1.5 the skipped steps
+    would diverge, as the output bias's heavy-ball is unstable: there
+    training takes every step and raises, as it would without the stop."""
+    _init_with_biases(monkeypatch, {1: -1e3})
+    X, y = _training_data()
+    kwargs = dict(hidden=(32, 32), seed=2, iters=300)
+    want, _ = _reference_train(X, y, **kwargs)
+    assert _hidden_dead_counts(want, X.astype(np.float32)) == [0, 32]
+    calls = _count_gradient_passes(monkeypatch)
+    _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
+    assert calls[0] == 1
+    calls[0] = 0
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged"):
+        train_regression_net(X, y, momentum=1.5, **kwargs)
+    assert calls[0] > 1
 
 
 # ---------------------------------------------------------------------------
