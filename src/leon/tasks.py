@@ -268,19 +268,28 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
 
     The descent stops early, and exactly, once a step's pass finds no unit
     of the last hidden layer live on any row (`NetWorkspace.
-    last_hidden_dead`) and the step leaves every hidden velocity entry at
-    0. Every later pass would then zero-fill every hidden gradient, so
-    hidden velocity would stay 0 and the hidden layers, and with them the
-    dead layer's activations, would stay as they are bit for bit: the
-    skipped steps move only the output layer, which the ridge solve
-    overwrites. Nor could they raise: the output weights' gradient is 0,
-    so their velocity only decays, and the output unit reads its bias b
-    on every row, so the loss is the 1-D quadratic mean((b - y)**2), on
-    which heavy ball is stable for |momentum| < 1 and 0 <= step <
-    1 + momentum. The stop is taken only when momentum and lr (the
-    largest step) are in that range. A wholly dead layer below the last
-    one is no fixed point: the last hidden layer's biases still get a
-    gradient."""
+    last_hidden_dead`) and the step's update leaves every hidden weight and
+    bias as it was, bit for bit (bits, not values, so that a -0.0 turned
+    +0.0 counts as a move). The next pass then sees the same hidden layers,
+    so the layer is still dead and every hidden gradient is 0. For 0 <=
+    momentum < 1 each hidden velocity entry becomes momentum * v rounded,
+    or a flushed 0: of v's sign and no larger in size. The step size does
+    not grow, so neither does the update step * v, and as rounding is
+    monotone, a weight W plus it rounds to a value between W and W plus
+    the last update, which rounded to W. By induction no later step moves
+    a hidden bit. (The one bit rounding could still flip is the sign of a
+    -0.0 parameter, to +0.0. A sum is -0.0 only when both terms are, so
+    that needs `init_net` to draw a weight that rounds to -0.0 in float32,
+    of size under 2**-150.) The skipped steps move only the output layer,
+    which the ridge solve overwrites. Nor could they raise: the output
+    weights' gradient is 0, so their velocity only decays, and the output
+    unit reads its bias b on every row, so the loss is the 1-D quadratic
+    mean((b - y)**2), on which heavy ball is stable for |momentum| < 1 and
+    0 <= step < 1 + momentum. The stop is taken only when 0 <= momentum <
+    1 and 0 <= lr (the largest step) < 1 + momentum: a negative momentum
+    flips the velocity's sign every step, so a later update could round a
+    weight the other way. A wholly dead layer below the last one is no
+    fixed point: the last hidden layer's biases still get a gradient."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     n = X.shape[0]
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
@@ -296,8 +305,9 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
             raise NumericError("surrogate training diverged")
         return -2.0 * resid / n  # ascent on -loss
 
-    hidden_velocity = velocity[:velocity.size - net.layers[-1].weights.size - 1]
-    can_stop = abs(momentum) < 1.0 and 0.0 <= lr < 1.0 + momentum
+    hidden_bits = net.params[:net.params.size - net.layers[-1].weights.size - 1].view(np.uint32)
+    before = np.empty_like(hidden_bits)
+    can_stop = 0.0 <= momentum < 1.0 and 0.0 <= lr < 1.0 + momentum
     stage = max(1, iters // 5)
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
@@ -306,8 +316,11 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
         velocity += grad
         np.less(np.abs(velocity, out=grad), tiny, out=subnormal)  # grad is used up
         np.copyto(velocity, 0.0, where=subnormal)
+        dead = can_stop and workspace.last_hidden_dead
+        if dead:
+            np.copyto(before, hidden_bits)
         net.params += np.multiply(velocity, step, out=grad)
-        if can_stop and workspace.last_hidden_dead and not hidden_velocity.any():
+        if dead and np.array_equal(hidden_bits, before):
             break  # the hidden layers are a fixed point
     del workspace  # free the step buffers before the ridge solve allocates its own
     # the loss is checked before each step, so this catches the last one

@@ -412,17 +412,18 @@ def test_weights_of_another_shape_are_refused():
             net_weighted_gradient(net, X, lambda out: bad, workspace)
 
 
-def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
+def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9, steps=None):
     """`train_regression_net`'s float32 descent with per-layer gradients
     and velocities (its ridge solve for the output layer left out), dense
     backprop, no flush of subnormal velocity and no early stop: the net and
-    the final per-layer velocities. It starts from `tasks.init_net`, so a
-    patched init (`_init_with_biases`) starts both loops alike."""
+    the per-layer velocities after the first `steps` (default all `iters`)
+    steps of the `iters`-step schedule. It starts from `tasks.init_net`, so
+    a patched init (`_init_with_biases`) starts both loops alike."""
     net = tasks.init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     X, y = X.astype(np.float32), y.astype(np.float32)
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
     stage = max(1, iters // 5)
-    for it in range(iters):
+    for it in range(iters if steps is None else steps):
         step = lr * 0.5 ** (it // stage)
         grads = _reference_weighted_gradient(net, X, lambda out: -2.0 * (out - y) / len(y))
         for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
@@ -435,9 +436,15 @@ def _reference_train(X, y, hidden, seed, iters, lr=0.05, momentum=0.9):
     return net, velocity
 
 
+def _hidden_bits(net) -> np.ndarray:
+    """The hidden weights and biases as float32 bit patterns, so that -0.0
+    and +0.0 differ (a float64 net holds float32 values exactly)."""
+    flat = [a.ravel() for layer in net.layers[:-1] for a in (layer.weights, layer.biases)]
+    return np.concatenate(flat).astype(np.float32).view(np.uint32)
+
+
 def _assert_same_hidden_layers(got, want):
-    for g, w in zip(got.layers[:-1], want.layers[:-1]):
-        assert np.array_equal(g.weights, w.weights) and np.array_equal(g.biases, w.biases)
+    assert np.array_equal(_hidden_bits(got), _hidden_bits(want))
 
 
 def _training_data():
@@ -486,8 +493,9 @@ def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly, m
     dead units in backprop and flushing subnormal velocity to 0 leave every
     hidden weight and bias as the dense, unflushed per-layer loop leaves
     them, bit for bit. Where the last hidden layer dies whole, training
-    stops early, once the flush has zeroed the hidden velocity; where some
-    of its units live, it takes every step."""
+    stops after the first step that moves no hidden bit, well before the
+    flush could zero the hidden velocity (at pass 887); where some of its
+    units live, it takes every step."""
     X, y = _training_data()
     kwargs = dict(hidden=(32, 32), seed=2, iters=1000, lr=lr)
     want, velocity = _reference_train(X, y, **kwargs)
@@ -497,7 +505,13 @@ def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly, m
     assert any(((v != 0) & (np.abs(v) < tiny)).any() for v in velocity[1])
     calls = _count_gradient_passes(monkeypatch)
     _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
-    assert calls[0] < kwargs["iters"] if wholly else calls[0] == kwargs["iters"]
+    if not wholly:
+        assert calls[0] == kwargs["iters"]
+        return
+    assert calls[0] < 887
+    last, before, older = (_hidden_bits(_reference_train(X, y, steps=calls[0] - k, **kwargs)[0])
+                           for k in (0, 1, 2))
+    assert np.array_equal(last, before) and not np.array_equal(before, older)
 
 
 def test_training_with_a_dead_first_layer_takes_every_step(monkeypatch):
@@ -535,6 +549,22 @@ def test_training_on_a_dead_last_layer_stops_at_once_unless_it_would_diverge(mon
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged"):
         train_regression_net(X, y, momentum=1.5, **kwargs)
     assert calls[0] > 1
+
+
+def test_training_on_a_dead_last_layer_with_negative_momentum_takes_every_step(monkeypatch):
+    """A negative momentum flips the velocity's sign every step, so a step
+    that moved no hidden bit does not show that later ones move none: under
+    momentum -0.5 a last hidden layer dead from the start is no reason to
+    stop. Training takes every step and matches the per-layer loop bit for
+    bit."""
+    _init_with_biases(monkeypatch, {1: -1e3})
+    X, y = _training_data()
+    kwargs = dict(hidden=(32, 32), seed=2, iters=300, momentum=-0.5)
+    want, _ = _reference_train(X, y, **kwargs)
+    assert _hidden_dead_counts(want, X.astype(np.float32)) == [0, 32]
+    calls = _count_gradient_passes(monkeypatch)
+    _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
+    assert calls[0] == kwargs["iters"]
 
 
 # ---------------------------------------------------------------------------
