@@ -354,11 +354,69 @@ class KMeansModel:
     inertia_history: list | None = None
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # (n, k) squared euclidean distances
-    return np.maximum(
-        (X * X).sum(1)[:, None] - 2.0 * X @ C.T + (C * C).sum(1)[None, :], 0.0
-    )
+def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    # (n, k) squared euclidean distances; x2 is (X * X).sum(1)
+    return np.maximum(x2[:, None] - 2.0 * X @ C.T + (C * C).sum(1)[None, :], 0.0)
+
+
+def _kmeans_points(points, k: int) -> np.ndarray:
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("points must be 2-D")
+    if k < 1 or X.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
+    return X
+
+
+def _kmeanspp(X: np.ndarray, x2: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding: `(k, d)` initial centroids. The seeding for k is
+    the first k rows of the seeding for any larger k under the same seed."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    closest = _sq_dists(X, centroids[:1], x2).min(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=closest / total)
+        centroids[j] = X[idx]
+        closest = np.minimum(closest, _sq_dists(X, centroids[j : j + 1], x2).min(axis=1))
+    return centroids
+
+
+def _lloyd(X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iters: int) -> KMeansModel:
+    """Lloyd iterations from `centroids`, updated in place. Each centroid is
+    the `np.add.reduce` of its members' rows, in row order, over their
+    count: the arithmetic of `members.mean(axis=0)`."""
+    n, k = X.shape[0], centroids.shape[0]
+    rows = np.arange(n)
+    history = []
+    assign = None
+    for _ in range(max_iters):
+        d2 = _sq_dists(X, centroids, x2)
+        new_assign = d2.argmin(axis=1)
+        inertia = float(d2[rows, new_assign].sum())
+        history.append(inertia)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        members = X[np.argsort(assign, kind="stable")]  # each class's rows, in row order
+        counts = np.bincount(assign, minlength=k)
+        stops = np.cumsum(counts)
+        for j in range(k):
+            if counts[j] == 0:
+                farthest = int(d2[rows, assign].argmax())
+                centroids[j] = X[farthest]
+                continue
+            centroids[j] = np.add.reduce(members[stops[j] - counts[j]:stops[j]], axis=0) / counts[j]
+
+    d2 = _sq_dists(X, centroids, x2)
+    inertia = float(d2[rows, d2.argmin(axis=1)].sum())
+    history.append(inertia)
+    return KMeansModel(centroids=centroids, k=k, inertia=inertia, inertia_history=history)
 
 
 def kmeans_fit(points, k: int, seed: int = 0, max_iters: int = 100) -> KMeansModel:
@@ -367,49 +425,18 @@ def kmeans_fit(points, k: int, seed: int = 0, max_iters: int = 100) -> KMeansMod
     Empty clusters are re-seeded to the point farthest from its assigned
     centroid.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("points must be 2-D")
-    n = X.shape[0]
-    if k < 1 or n < k:
-        raise ValueError(f"need at least k={k} points, got {n}")
-    rng = np.random.default_rng(seed)
+    X = _kmeans_points(points, k)
+    x2 = (X * X).sum(1)
+    return _lloyd(X, x2, _kmeanspp(X, x2, k, seed), max_iters)
 
-    # k-means++ seeding
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    closest = _sq_dists(X, centroids[:1]).min(axis=1)
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=closest / total)
-        centroids[j] = X[idx]
-        closest = np.minimum(closest, _sq_dists(X, centroids[j : j + 1]).min(axis=1))
 
-    history = []
-    assign = None
-    for _ in range(max_iters):
-        d2 = _sq_dists(X, centroids)
-        new_assign = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), new_assign].sum())
-        history.append(inertia)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(k):
-            members = X[assign == j]
-            if len(members) == 0:
-                farthest = int(d2[np.arange(n), assign].argmax())
-                centroids[j] = X[farthest]
-                continue
-            centroids[j] = members.mean(axis=0)
-
-    d2 = _sq_dists(X, centroids)
-    inertia = float(d2[np.arange(n), d2.argmin(axis=1)].sum())
-    history.append(inertia)
-    return KMeansModel(centroids=centroids, k=k, inertia=inertia, inertia_history=history)
+def _elbow_fits(points, ks, seed: int = 0) -> list[KMeansModel]:
+    """`kmeans_fit(points, k, seed)` for each k in `ks`, from one k-means++
+    seeding at the largest k: each k starts from its first k rows."""
+    X = _kmeans_points(points, max(ks))
+    x2 = (X * X).sum(1)
+    init = _kmeanspp(X, x2, max(ks), seed)
+    return [_lloyd(X, x2, init[:k].copy(), 100) for k in ks]
 
 
 def kmeans_assign(model: KMeansModel, points) -> np.ndarray:
@@ -418,7 +445,7 @@ def kmeans_assign(model: KMeansModel, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.centroids.shape[1]:
         raise ValueError("dimension mismatch")
-    return _sq_dists(points, model.centroids).argmin(axis=1)
+    return _sq_dists(points, model.centroids, (points * points).sum(1)).argmin(axis=1)
 
 
 def chord_distances(ks, values) -> np.ndarray:
@@ -449,7 +476,7 @@ def elbow_select_k(points, kmin: int = 2, kmax: int = 20, seed: int = 0) -> int:
     if kmin == kmax:
         return kmin
     ks = list(range(kmin, kmax + 1))
-    wcss = [kmeans_fit(points, k, seed=seed).inertia for k in ks]
+    wcss = [model.inertia for model in _elbow_fits(points, ks, seed)]
     dists = chord_distances(ks, wcss)
     return ks[int(np.argmax(dists))]
 

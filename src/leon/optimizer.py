@@ -358,38 +358,48 @@ def _single_dim_move(space, row, rng):
 
 
 def _surrogate_greedy(task, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
+    """Greedy surrogate ascent from random starts, each given an equal share
+    of the budget: `restarts` of them, or as many as the budget can pay one
+    move of (2 probes per continuous dim, or 1 design on boolean dims), and
+    at least 1."""
     space = task.space
+    flips = space.is_bool.any()
+    cost = 1 if flips else 2 * len(space.dims)
+    restarts = max(1, min(restarts, metered.budget // cost))
     share = metered.budget // restarts
-    for _ in range(restarts):
-        allotment = min(share, metered.remaining)
-        if allotment <= 0:
-            break
-        if space.is_bool.any():
-            _greedy_flip(space, metered, ctx, rng, memory, allotment)
-        else:
-            _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step)
+    if flips:
+        for _ in range(restarts):
+            _greedy_flip(space, metered, ctx, rng, memory, share)
+    else:
+        _greedy_continuous(space, metered, ctx, rng, memory, restarts, share // cost, lr, fd_step)
 
 
-def _greedy_continuous(space, metered, ctx, rng, memory, allotment, lr, fd_step):
-    """Normalized-gradient ascent in encoded units with a 1/sqrt(k) decayed
-    step, via central finite differences on the surrogate."""
+def _greedy_continuous(space, metered, ctx, rng, memory, chains, steps, lr, fd_step):
+    """`chains` normalized-gradient ascents in encoded units with a
+    1/sqrt(k) decayed step, via central finite differences on the surrogate,
+    run side by side: step k scores every chain's probes in one call, chain
+    by chain. Each chain's arithmetic is that of a chain run alone. With no
+    step affordable, the one start is scored instead."""
     d = len(space.dims)
-    u = rng.uniform(0.0, 1.0, size=d)
+    u = rng.uniform(0.0, 1.0, size=(chains, d))  # the draws of one start after another
+    if steps == 0:
+        _score(metered, memory, decode_design(space, u), ctx)
+        return
     j = np.arange(d)
-    used = 0
-    k = 1
-    while used + 2 * d <= allotment and metered.remaining >= 2 * d:
-        U = np.repeat(u[None], 2 * d, axis=0)  # rows 2j and 2j + 1 probe dim j up and down
-        U[2 * j, j] = np.minimum(u + fd_step, 1.0)
-        U[2 * j + 1, j] = np.maximum(u - fd_step, 0.0)
-        vals = _score(metered, memory, decode_design(space, U), ctx)
-        denoms = U[2 * j, j] - U[2 * j + 1, j]
-        grad = np.divide(vals[2 * j] - vals[2 * j + 1], denoms, out=np.zeros(d), where=denoms > 0)
-        used += 2 * d
-        norm = np.linalg.norm(grad)
-        if norm > 0:
-            u = np.clip(u + (lr / np.sqrt(k)) * grad / norm, 0.0, 1.0)
-        k += 1
+    for k in range(1, steps + 1):
+        up, down = np.minimum(u + fd_step, 1.0), np.maximum(u - fd_step, 0.0)
+        U = np.repeat(u, 2 * d, axis=0).reshape(chains, 2 * d, d)
+        U[:, 2 * j, j] = up  # a chain's rows 2j and 2j + 1 probe dim j up and down
+        U[:, 2 * j + 1, j] = down
+        vals = _score(metered, memory, decode_design(space, U.reshape(-1, d)), ctx)
+        vals = vals.reshape(chains, 2 * d)
+        denoms = up - down
+        grad = np.divide(vals[:, 2 * j] - vals[:, 2 * j + 1], denoms, out=np.zeros((chains, d)),
+                         where=denoms > 0)
+        for r in range(chains):
+            norm = np.linalg.norm(grad[r])  # 1-D: an axis=1 norm sums differently
+            if norm > 0:
+                u[r] = np.clip(u[r] + (lr / np.sqrt(k)) * grad[r] / norm, 0.0, 1.0)
 
 
 def _greedy_flip(space, metered, ctx, rng, memory, allotment):

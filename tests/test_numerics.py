@@ -717,6 +717,70 @@ def test_kmeans_inertia_non_increasing(rng):
         assert np.all(np.diff(hist) <= 1e-9)
 
 
+def _reference_kmeans_fit(X, k, seed, max_iters=100):
+    """k-means++ seeding and Lloyd iterations with each centroid the
+    `.mean` of a boolean mask's members."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def sq_dists(C):
+        return np.maximum((X * X).sum(1)[:, None] - 2.0 * X @ C.T + (C * C).sum(1)[None, :], 0.0)
+
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    closest = sq_dists(centroids[:1]).min(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        idx = rng.integers(n) if total <= 0 else rng.choice(n, p=closest / total)
+        centroids[j] = X[idx]
+        closest = np.minimum(closest, sq_dists(centroids[j:j + 1]).min(axis=1))
+    history, assign = [], None
+    for _ in range(max_iters):
+        d2 = sq_dists(centroids)
+        new_assign = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), new_assign].sum()))
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = X[assign == j]
+            if len(members) == 0:
+                centroids[j] = X[int(d2[np.arange(n), assign].argmax())]
+                continue
+            centroids[j] = members.mean(axis=0)
+    d2 = sq_dists(centroids)
+    history.append(float(d2[np.arange(n), d2.argmin(axis=1)].sum()))
+    return centroids, history
+
+
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_elbow_fits_equal_kmeans_fit_bit_for_bit(task_name):
+    """The elbow seeds once at kmax and starts each k from the first k
+    seeds; every fit is byte-identical to `kmeans_fit` at that k, and both
+    to mask-and-mean Lloyd iterations."""
+    from leon.critic import SourcePool
+    from leon.numerics import _elbow_fits
+
+    task = tasks.make_task({"name": task_name})
+    ks = list(range(2, 21))
+    for seed in range(3):
+        pool = SourcePool(task.space, task.source_designs(np.random.default_rng([seed, 2]), 128))
+        for k, model in zip(ks, _elbow_fits(pool.encoded, ks, seed)):
+            direct = kmeans_fit(pool.encoded, k, seed=seed)
+            centroids, history = _reference_kmeans_fit(pool.encoded, k, seed)
+            assert model.centroids.tobytes() == direct.centroids.tobytes() == centroids.tobytes()
+            assert model.inertia_history == direct.inertia_history == history
+
+
+def test_kmeans_fit_with_empty_clusters_matches_reference():
+    pts = np.repeat([[0.0, 1.0], [1.0, 0.5], [3.0, 2.0]], 5, axis=0)  # 3 distinct points
+    for seed in range(4):
+        model = kmeans_fit(pts, 6, seed=seed)
+        centroids, history = _reference_kmeans_fit(pts, 6, seed)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia_history == history
+
+
 def test_assign_exact_centroid_match():
     model = kmeans_fit(np.array([[0.0, 0], [10, 0], [0, 10]]), 3, seed=0)
     assert kmeans_assign(model, model.centroids).tolist() == [0, 1, 2]

@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import leon.optimizer
-from leon.core import Context, ContinuousDim, Design, DesignSpace, Hyperparams, TrajectoryMemory
+from leon.core import (
+    Context,
+    ContinuousDim,
+    Design,
+    DesignSpace,
+    Hyperparams,
+    TrajectoryMemory,
+    decode_design,
+)
 from leon.optimizer import (
     BASELINES,
     BudgetExceededError,
@@ -478,19 +487,95 @@ def test_surrogate_greedy_discrete_flips(regimen_task):
     assert len(result.final_design.values) == 16
 
 
+def _restart_by_restart_greedy(space, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3,
+                               restarts=4):
+    """Continuous surrogate-greedy with its restarts run one after another:
+    each restart's whole ascent, one call of 2d probes per step."""
+    share = metered.budget // restarts
+    d = len(space.dims)
+    j = np.arange(d)
+    for _ in range(restarts):
+        allotment = min(share, metered.remaining)
+        u = rng.uniform(0.0, 1.0, size=d)
+        used, k = 0, 1
+        while used + 2 * d <= allotment and metered.remaining >= 2 * d:
+            U = np.repeat(u[None], 2 * d, axis=0)
+            U[2 * j, j] = np.minimum(u + fd_step, 1.0)
+            U[2 * j + 1, j] = np.maximum(u - fd_step, 0.0)
+            vals = leon.optimizer._score(metered, memory, decode_design(space, U), ctx)
+            denoms = U[2 * j, j] - U[2 * j + 1, j]
+            grad = np.divide(vals[2 * j] - vals[2 * j + 1], denoms, out=np.zeros(d),
+                             where=denoms > 0)
+            used += 2 * d
+            norm = np.linalg.norm(grad)
+            if norm > 0:
+                u = np.clip(u + (lr / np.sqrt(k)) * grad / norm, 0.0, 1.0)
+            k += 1
+
+
+def _sorted_rows(result):
+    rows = result.memory.view()
+    table = np.column_stack([rows.values, rows.raw])
+    return table[np.lexsort(table.T[::-1])]
+
+
+def test_side_by_side_greedy_matches_restart_by_restart(dose_task):
+    """Running the four continuous chains side by side changes only the
+    order of the memory rows: the same designs are scored and the same
+    final design is picked."""
+    rng = np.random.default_rng([11, 0])
+    contexts = [dose_task.sample_context(rng, "target", id=f"p{i:03d}") for i in range(20)]
+    for budget in (80, 333, 2048):
+        for mixture_w in (None, 1.0):
+            cfg = RunConfig(method="surrogate-greedy", mixture_w=mixture_w,
+                            hp=Hyperparams(budget=budget, batch_size=32))
+            for i, ctx in enumerate(contexts):
+                seed = leon.optimizer.derive_seed(11, i)
+                got = run_baseline(dose_task, "surrogate-greedy", cfg, seed, ctx=ctx)
+                ctx, _, metered, memory = leon.optimizer._start(dose_task, cfg, seed, ctx, None)
+                _restart_by_restart_greedy(dose_task.space, metered, ctx,
+                                           np.random.default_rng([seed, 40]), memory)
+                want = leon.optimizer._finish(dose_task, "surrogate-greedy", seed, ctx, metered,
+                                              memory)
+                assert got.final_design == want.final_design
+                assert got.oracle_score == want.oracle_score
+                assert got.surrogate_calls == want.surrogate_calls
+                assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+
+
+@pytest.mark.parametrize("make_task", [make_dose_task, make_regimen_task])
+def test_baselines_run_on_every_small_budget(make_task):
+    task = make_task(0)
+    for budget in range(2, 10):
+        hp = Hyperparams(budget=budget, batch_size=2)
+        for variant in BASELINES:
+            result = run_baseline(task, variant, RunConfig(method=variant, hp=hp), seed=0)
+            assert np.isfinite(result.oracle_score)
+            assert 1 <= result.surrogate_calls <= budget
+
+
+def test_greedy_scores_its_start_when_no_step_is_affordable():
+    space = DesignSpace(tuple(ContinuousDim(f"x{i}", 0.0, 1.0) for i in range(3)))
+    for budget, scored in ((2, 1), (5, 1), (6, 6), (12, 12)):
+        metered, memory = MeteredSurrogate(_Flat(), budget), TrajectoryMemory(space, budget)
+        leon.optimizer._surrogate_greedy(SimpleNamespace(space=space), metered, None,
+                                         np.random.default_rng(0), memory)
+        assert metered.calls == len(memory) == scored
+
+
 def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
     """Random search scores a batch at a time, annealing its 64 probes at
     once and then each move alone, greedy ascent each gradient step's two
-    probes per dim (or each flip sweep) at once; every scored design is one
-    memory row, and a batch's rows carry the step numbered by the memory
-    row of its first design."""
+    probes per dim for all four chains (or each flip sweep) at once; every
+    scored design is one memory row, and a batch's rows carry the step
+    numbered by the memory row of its first design."""
 
     def batch_steps(sizes):
         return np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
 
     cfg = RunConfig(hp=Hyperparams(budget=80, batch_size=32))
     expected = {"random-search": [32, 32, 16], "simulated-annealing": [64] + [1] * 16,
-                "surrogate-greedy": [2] * 40}
+                "surrogate-greedy": [8] * 10}
     for variant, sizes in expected.items():
         scored_batches.clear()
         result = run_baseline(dose_task, variant, cfg, seed=3)
