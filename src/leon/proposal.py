@@ -13,13 +13,12 @@ kind of dim, in the row-major order of per-design, per-dim scalar draws.
 Engine protocol (duck-typed):
     propose(state, space, b) -> (b, d) value array     # checked by `propose`
     reflect(values, scores, task_description) -> str   # never raises
-    knowledge_action(history, sources, state) -> (source_index | None, query, stop)
-    synthesize_knowledge(history, state) -> str
+    knowledge(sources, state, budget) -> str           # never raises
     warnings: list[str]                                # drained by the runner
 
 Reflection and knowledge are text written for a language model, so only the
 chat engine produces them. The mock engines only propose: `reflect` and
-`synthesize_knowledge` return "" and `knowledge_action` stops at once.
+`knowledge` return "" without querying a source.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
         raise DesignParseError("no JSON array found")
     try:
         payload = json.loads(text[start : end + 1])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
         raise DesignParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise DesignParseError("expected a JSON array")
@@ -206,10 +205,7 @@ class _MockEngineBase:
     def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
         return ""
 
-    def knowledge_action(self, history, sources, state):
-        return None, "", True
-
-    def synthesize_knowledge(self, history, state) -> str:
+    def knowledge(self, sources, state: PromptState, budget: int) -> str:
         return ""
 
 
@@ -342,9 +338,10 @@ class ChatApiEngine:
     CHAT_API_KEY; with no endpoint at all, construction raises ValueError.
     A request that fails, or whose content is not a string
     (APIs send null for refusals and tool calls), is a failed attempt; after
-    `max_retries` of them `_chat` raises TransportError. Parsing failures
-    are retried up to `max_retries` times; remaining slots are filled with
-    random designs and a warning recorded.
+    `max_retries` of them `_chat` raises TransportError. A proposal re-asks,
+    up to `max_retries` rounds, only while its replies parse into too few
+    designs; a TransportError ends the rounds. Remaining slots are filled
+    with random designs and a warning recorded.
     """
 
     model: str = "default"
@@ -391,6 +388,15 @@ class ChatApiEngine:
                     time.sleep(self.retry_wait * (2 ** attempt))
         raise TransportError(f"chat request failed after {self.max_retries} attempts: {last}")
 
+    def _ask(self, content: str, what: str) -> str | None:
+        """The reply to one user message; a TransportError becomes the
+        warning "<what> failed: ..." and None."""
+        try:
+            return self._chat([{"role": "user", "content": content}])
+        except TransportError as exc:
+            self.warnings.append(f"{what} failed: {exc}")
+            return None
+
     def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
         designs: list[Design] = []
         for _ in range(self.max_retries):
@@ -400,13 +406,16 @@ class ChatApiEngine:
                 {"role": "user", "content": build_prompt(state) + f"\n\nPropose exactly {need} new designs now."},
             ]
             try:
-                raw = self._chat(messages)
-                parsed, rejects = parse_designs(raw, space, need)
-                if rejects:
-                    self.warnings.append(f"rejected {rejects} malformed design elements")
-                designs.extend(parsed)
-            except (DesignParseError, TransportError) as exc:
+                parsed, rejects = parse_designs(self._chat(messages), space, need)
+            except TransportError as exc:  # every attempt failed: asking again would too
                 self.warnings.append(f"proposal round failed: {exc}")
+                break
+            except DesignParseError as exc:
+                self.warnings.append(f"proposal round failed: {exc}")
+                continue
+            if rejects:
+                self.warnings.append(f"rejected {rejects} malformed design elements")
+            designs.extend(parsed)
             if len(designs) >= b:
                 break
         values = np.array([d.values for d in designs], dtype=float).reshape(
@@ -427,50 +436,53 @@ class ChatApiEngine:
             "Analyze the scores and reflect on how to improve them. "
             "Do NOT propose a new design; respond only with your thinking."
         )
-        try:
-            return self._chat([{"role": "user", "content": prompt}])
-        except TransportError as exc:
-            self.warnings.append(f"reflection failed: {exc}")
-            return ""
+        return self._ask(prompt, "reflection") or ""
 
-    def knowledge_action(self, history, sources, state):
+    def knowledge(self, sources, state: PromptState, budget: int) -> str:
+        """Iterative retrieval, then one synthesis over the transcript. Each
+        of at most `budget` rounds asks the model for a source and a query;
+        a failed source query skips its round, and a stop, a failed request
+        or a reply that is not a valid action ends the rounds."""
+        preamble = (f"{render_context(state.context)}\n\n"
+                    f"Problem description: {state.task_description}\n\n")
         names = ", ".join(f'"{s.name}"' for s in sources)
-        transcript = "\n".join(f"[{k}] {q} -> {r[:400]}" for k, q, r in history)
-        prompt = (
-            f"{render_context(state.context)}\n\nProblem description: {state.task_description}\n\n"
-            f"Available knowledge sources: {names}.\nQueries so far:\n{transcript or '(none)'}\n\n"
-            'Respond ONLY with JSON: {"source": <source name or null>, '
-            '"query": <query string>, "stop": <true or false>}.'
-        )
-        try:
-            raw = self._chat([{"role": "user", "content": prompt}])
-            obj = json.loads(_FENCE_RE.sub("", raw).strip())
-            if not isinstance(obj, dict):
-                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-            if obj.get("stop") or obj.get("source") is None:
-                return None, "", True
-            for i, s in enumerate(sources):
-                if s.name == obj["source"]:
-                    return i, str(obj.get("query", "")), False
-            self.warnings.append(f"unknown knowledge source {obj['source']!r}")
-            return None, "", True
-        except (TransportError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            self.warnings.append(f"knowledge action failed: {exc}")
-            return None, "", True
-
-    def synthesize_knowledge(self, history, state) -> str:
+        history: list[tuple[str, str, str]] = []
+        for _ in range(budget if sources else 0):
+            transcript = "\n".join(f"[{k}] {q} -> {r[:400]}" for k, q, r in history)
+            raw = self._ask(
+                f"{preamble}Available knowledge sources: {names}.\n"
+                f"Queries so far:\n{transcript or '(none)'}\n\n"
+                'Respond ONLY with JSON: {"source": <source name or null>, '
+                '"query": <query string>, "stop": <true or false>}.',
+                "knowledge action")
+            if raw is None:
+                break
+            try:
+                action = json.loads(_FENCE_RE.sub("", raw).strip())
+                if not isinstance(action, dict):
+                    raise TypeError(f"expected a JSON object, got {type(action).__name__}")
+                query = str(action.get("query", ""))
+            except (ValueError, TypeError, RecursionError) as exc:
+                self.warnings.append(f"knowledge action failed: {exc}")
+                break
+            if action.get("stop") or action.get("source") is None:
+                break
+            source = next((s for s in sources if s.name == action["source"]), None)
+            if source is None:
+                self.warnings.append(f"unknown knowledge source {action['source']!r}")
+                break
+            try:
+                response = source.query(query)
+            except Exception as exc:  # noqa: BLE001 - skip the round
+                self.warnings.append(f"knowledge source failed: {exc}")
+                continue
+            history.append((source.name, query, response))
         transcript = "\n\n".join(f"[{k}] query: {q}\n{r}" for k, q, r in history)
-        prompt = (
-            f"{render_context(state.context)}\n\nProblem description: {state.task_description}\n\n"
-            f"Retrieved material:\n{transcript or '(none)'}\n\n"
+        return self._ask(
+            f"{preamble}Retrieved material:\n{transcript or '(none)'}\n\n"
             "Provide relevant factual information to help solve the problem. "
-            "Be specific, concise, and comprehensive."
-        )
-        try:
-            return self._chat([{"role": "user", "content": prompt}])
-        except TransportError as exc:
-            self.warnings.append(f"knowledge synthesis failed: {exc}")
-            return ""
+            "Be specific, concise, and comprehensive.",
+            "knowledge synthesis") or ""
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +563,10 @@ def reflect(engine, values: np.ndarray, scores: np.ndarray, task_description: st
 
 
 def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:
-    """Iterative retrieval: at most `budget` source round-trips, each chosen
-    by the engine, then one synthesis pass over the transcript. Source
-    failures skip the round; engine failures yield empty knowledge."""
+    """The engine's knowledge from at most `budget` source round-trips."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    history: list[tuple[str, str, str]] = []
-    if sources:
-        for _ in range(budget):
-            try:
-                idx, query, stop = engine.knowledge_action(history, sources, state)
-            except Exception:  # noqa: BLE001 - engine failure degrades to no knowledge
-                return ""
-            if stop or idx is None:
-                break
-            source = sources[idx]
-            try:
-                response = source.query(query)
-            except Exception as exc:  # noqa: BLE001 - skip the round
-                engine.warnings.append(f"knowledge source failed: {exc}")
-                continue
-            history.append((source.name, query, response))
-    try:
-        return engine.synthesize_knowledge(history, state)
-    except Exception:  # noqa: BLE001
-        return ""
+    return engine.knowledge(sources, state, budget)
 
 
 __all__ = [

@@ -407,7 +407,9 @@ def exact_w1_1d(a, b) -> float:
 
 def grid_lipschitz(fn, xs, grid_n: int = 2001) -> float:
     """Max difference quotient of a scalar function over a dense grid on the
-    hull of `xs`, including the sample points themselves."""
+    hull of `xs`, including the sample points themselves. The quotient
+    between any two grid points, sample points included, is a weighted mean
+    of the adjacent quotients between them, so the adjacent ones suffice."""
     xs = np.asarray(xs, dtype=float)
     lo, hi = float(xs.min()), float(xs.max())
     if hi <= lo:
@@ -415,14 +417,7 @@ def grid_lipschitz(fn, xs, grid_n: int = 2001) -> float:
     grid = np.union1d(np.linspace(lo, hi, grid_n), xs)
     vals = np.array([fn(x) for x in grid])
     quot = np.abs(np.diff(vals)) / np.diff(grid)
-    pairwise = 0.0
-    sample_vals = np.array([fn(x) for x in xs])
-    for i in range(len(xs)):
-        dx = np.abs(xs - xs[i])
-        mask = dx > 0
-        if mask.any():
-            pairwise = max(pairwise, float((np.abs(sample_vals - sample_vals[i])[mask] / dx[mask]).max()))
-    return max(float(np.nanmax(quot)) if len(quot) else 0.0, pairwise)
+    return float(np.nanmax(quot)) if len(quot) else 0.0
 
 
 def theorem_s1_check(f, f_hat, train_pairs, test_inputs, k_f: float, k_fhat: float) -> dict:

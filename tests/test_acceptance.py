@@ -141,10 +141,7 @@ class ForcedEngine:
     def reflect(self, values, scores, task_description):
         return "forced"
 
-    def knowledge_action(self, history, sources, state):
-        return None, "", True
-
-    def synthesize_knowledge(self, history, state):
+    def knowledge(self, sources, state, budget):
         return ""
 
 

@@ -496,7 +496,7 @@ def test_generate_knowledge_respects_budget():
 
 
 @pytest.mark.parametrize("payload", [[1, 2], "just text", None])
-def test_knowledge_action_non_object_reply_keeps_retrieved_material(payload):
+def test_non_object_action_reply_keeps_retrieved_material(payload):
     """A knowledge-action reply that is JSON but not an object stops the
     rounds with a warning, like malformed JSON; what was already retrieved
     still reaches the synthesis."""
@@ -505,6 +505,28 @@ def test_knowledge_action_non_object_reply_keeps_retrieved_material(payload):
                              budget=3)
     assert out == "synthesized"
     assert "the facts" in engine.prompts[-1]
+    assert any("knowledge action failed" in w for w in engine.warnings)
+
+
+# replies `json.loads` rejects with a plain ValueError (an integer over 4,300
+# digits) or a RecursionError (nesting deeper than the interpreter's limit)
+OVERLONG_INT = "1" + "0" * 5000
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reply", [
+    '{"source": "facts", "query": ' + OVERLONG_INT + ', "stop": false}',
+    '{"source": "facts", "query": ' + TOO_DEEP + ', "stop": false}',
+], ids=["overlong-int", "too-deep"])
+def test_unparsable_action_reply_keeps_retrieved_material(reply):
+    """A second action reply that `json.loads` cannot convert ends the
+    rounds with a warning; the first round's material still reaches the
+    synthesis request."""
+    engine = _chat_engine([_action("facts"), reply, "synthesized"])
+    out = generate_knowledge(engine, [StaticFactsSource("facts", "the facts")], _state(),
+                             budget=3)
+    assert out == "synthesized"
+    assert len(engine.prompts) == 3 and "the facts" in engine.prompts[-1]
     assert any("knowledge action failed" in w for w in engine.warnings)
 
 
@@ -524,13 +546,14 @@ def test_mock_engines_neither_reflect_nor_retrieve():
 class _StubHandler(BaseHTTPRequestHandler):
     responses = []
     requests = []
+    status = 200
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _StubHandler.requests.append(json.loads(self.rfile.read(length)))
         body = _StubHandler.responses.pop(0) if _StubHandler.responses else "[]"
         payload = json.dumps({"choices": [{"message": {"content": body}}]}).encode()
-        self.send_response(200)
+        self.send_response(_StubHandler.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -543,10 +566,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll lets `shutdown` return at once instead of after 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _StubHandler.responses = []
     _StubHandler.requests = []
+    _StubHandler.status = 200
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -588,6 +614,38 @@ def test_chat_engine_fills_random_after_garbage(stub_server):
     assert any("filled 4 slots with random designs" in w for w in engine.warnings)
 
 
+def test_chat_engine_failing_endpoint_ends_the_rounds(stub_server):
+    """A request that fails all its attempts is not re-asked as a new
+    round: an endpoint answering HTTP 500 costs `max_retries` requests per
+    proposal, not `max_retries` squared."""
+    _StubHandler.status = 500
+    engine = ChatApiEngine(model="stub", endpoint=stub_server, max_retries=2,
+                           retry_wait=0.0, seed=0)
+    designs, _ = propose(engine, _state(), SPACE, 3)
+    assert len(designs) == 3
+    assert len(_StubHandler.requests) == 2
+    assert sum("proposal round failed" in w for w in engine.warnings) == 1
+    assert any("filled 3 slots with random designs" in w for w in engine.warnings)
+
+
+@pytest.mark.parametrize("raw", [
+    '[{"Dose": ' + OVERLONG_INT + '}, {"Dose": 5.0}]',
+    '[{"Dose": 5.0}, ' + TOO_DEEP + ']',
+], ids=["overlong-int", "too-deep"])
+def test_unparsable_proposal_reply_falls_back_to_random(raw):
+    """A reply `json.loads` cannot convert is a parse failure, re-asked and
+    then random-filled."""
+    space = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
+    with pytest.raises(DesignParseError, match="malformed JSON"):
+        parse_designs(raw, space, 2)
+    engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, max_retries=2, seed=0)
+    engine._chat = lambda messages: raw
+    designs, X = propose(engine, _state(space=space), space, 2)
+    assert len(designs) == 2 and np.all(np.isfinite(X))
+    assert sum("proposal round failed: malformed JSON" in w for w in engine.warnings) == 2
+    assert any("filled 2 slots with random designs" in w for w in engine.warnings)
+
+
 def test_chat_engine_retries_past_a_nan_element():
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, retry_wait=0.0, seed=0)
     items = [{"Dose": float("nan"), "Boost": True, "Taper": True}, *json.loads(_payload(3))]
@@ -620,7 +678,7 @@ def test_chat_run_survives_null_replies(stub_server, dose_task):
     assert result.reflections == ["", ""]
 
 
-def test_chat_engine_knowledge_action(stub_server):
+def test_chat_engine_knowledge_round_trip(stub_server):
     _StubHandler.responses = [json.dumps({"source": "facts", "query": "dose info", "stop": False}),
                               "synthesized knowledge"]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, retry_wait=0.0, seed=0)

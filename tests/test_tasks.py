@@ -379,6 +379,25 @@ def test_grid_lipschitz_linear_function():
     assert grid_lipschitz(lambda x: 4.0 * x, np.array([0.0, 1.0])) == pytest.approx(4.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_grid_lipschitz_bounds_every_pairwise_quotient(seed):
+    """On a random piecewise-linear function, the grid estimate is at least
+    the difference quotient of every pair of sample points."""
+    rng = np.random.default_rng(seed)
+    knots = np.sort(rng.uniform(-1.0, 2.0, size=8))
+    heights = rng.normal(0.0, 3.0, size=8)
+
+    def fn(x):
+        return float(np.interp(x, knots, heights))
+
+    xs = rng.uniform(-1.5, 2.5, size=30)
+    ys = np.array([fn(x) for x in xs])
+    dx = np.abs(xs[:, None] - xs[None, :])
+    off = dx > 0
+    pairwise = (np.abs(ys[:, None] - ys[None, :])[off] / dx[off]).max()
+    assert grid_lipschitz(fn, xs, grid_n=11) >= pairwise
+
+
 # ---------------------------------------------------------------------------
 # the batch contract
 # ---------------------------------------------------------------------------
