@@ -118,7 +118,6 @@ def parse_config(obj) -> ExperimentConfig:
     for i, m in enumerate(methods_spec):
         where = f"methods[{i}]"
         _object(m, where, _METHOD_FIELDS)
-        _object(m.get("engine_params", {}), f"{where}.engine_params")
         spec = {_METHOD_FIELDS[k]: v for k, v in m.items()}
         methods.append(_build(where, replace, shared, **{"method": None, **spec}))
     seed = obj.get("seed", 0)

@@ -93,8 +93,10 @@ Partition = KMeansPartition | RandomPartition | ScoreBinnedPartition
 def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Partition:
     """Fit an equivalence relation on the source designs.
 
-    `variant` is one of `PARTITIONS`. The k-means variant picks k by the
-    elbow rule and fits euclidean k-means on the encoded source pool. The
+    `variant` is one of `PARTITIONS`. The k-means variant fits euclidean
+    k-means on the encoded source pool once for each k in KMIN..KMAX (kmax
+    shrunk to the pool size, with a warning, on a smaller pool), all from
+    one seeding, and keeps the fit whose k the elbow rule picks. The
     score variant needs `src_raw`, the raw value of each source design (its
     surrogate value, as a fresh critic reads 0 on its pool), for their mean and spread.
     """
@@ -117,9 +119,10 @@ def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Par
             stacklevel=2,
         )
         kmax = len(src)
-    kmin = min(KMIN, kmax)
-    k = elbow_select_k(src.encoded, kmin=kmin, kmax=kmax, seed=seed)
-    return KMeansPartition(model=kmeans_fit(src.encoded, k, seed=seed))
+    ks = range(min(KMIN, kmax), kmax + 1)
+    fits = kmeans_fit(src.encoded, ks, seed)
+    k = elbow_select_k(ks, [fit.inertia for fit in fits])
+    return KMeansPartition(model=fits[ks.index(k)])
 
 
 def occupancies(assignments, n_classes: int) -> np.ndarray:

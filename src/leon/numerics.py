@@ -4,8 +4,8 @@ Dense feed-forward nets of ReLU hidden layers and one linear output unit,
 with one hand-rolled backprop pass (no autodiff dependency): the gradient
 of a weighted sum of a net's outputs, `net_weighted_gradient`, whose
 +-1/n case is `net_gradient`. Also simple-regression slope, seeded
-euclidean k-means, and entropy/softmax helpers. Everything here is pure
-given explicit inputs and seeds.
+euclidean k-means with the elbow pick of k, and entropy/softmax helpers.
+Everything here is pure given explicit inputs and seeds.
 
 A net's dtype is its parameter vector's, float64 or float32: its forward
 and gradient passes cast their inputs to it and compute in it.
@@ -359,15 +359,6 @@ def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.maximum(x2[:, None] - 2.0 * X @ C.T + (C * C).sum(1)[None, :], 0.0)
 
 
-def _kmeans_points(points, k: int) -> np.ndarray:
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("points must be 2-D")
-    if k < 1 or X.shape[0] < k:
-        raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
-    return X
-
-
 def _kmeanspp(X: np.ndarray, x2: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means++ seeding: `(k, d)` initial centroids. The seeding for k is
     the first k rows of the seeding for any larger k under the same seed."""
@@ -387,15 +378,16 @@ def _kmeanspp(X: np.ndarray, x2: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
-def _lloyd(X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iters: int) -> KMeansModel:
-    """Lloyd iterations from `centroids`, updated in place. Each centroid is
-    the `np.add.reduce` of its members' rows, in row order, over their
-    count: the arithmetic of `members.mean(axis=0)`."""
+def _lloyd(X: np.ndarray, x2: np.ndarray, centroids: np.ndarray) -> KMeansModel:
+    """At most 100 Lloyd iterations from `centroids`, updated in place,
+    stopping once an iteration leaves every assignment as it was. Each
+    centroid is the `np.add.reduce` of its members' rows, in row order,
+    over their count: the arithmetic of `members.mean(axis=0)`."""
     n, k = X.shape[0], centroids.shape[0]
     rows = np.arange(n)
     history = []
     assign = None
-    for _ in range(max_iters):
+    for _ in range(100):
         d2 = _sq_dists(X, centroids, x2)
         new_assign = d2.argmin(axis=1)
         inertia = float(d2[rows, new_assign].sum())
@@ -419,24 +411,24 @@ def _lloyd(X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iters: int)
     return KMeansModel(centroids=centroids, k=k, inertia=inertia, inertia_history=history)
 
 
-def kmeans_fit(points, k: int, seed: int = 0, max_iters: int = 100) -> KMeansModel:
-    """Lloyd iterations with k-means++ seeding.
+def kmeans_fit(points, ks, seed: int) -> list[KMeansModel]:
+    """One k-means model per k in `ks`, from one k-means++ seeding at the
+    largest k: each k's Lloyd iterations start from the first k seeds,
+    which are the seeding for that k alone under the same seed, so each
+    model is the one a separate fit at its k would give.
 
     Empty clusters are re-seeded to the point farthest from its assigned
     centroid.
     """
-    X = _kmeans_points(points, k)
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("points must be 2-D")
+    kmax = max(ks)
+    if min(ks) < 1 or X.shape[0] < kmax:
+        raise ValueError(f"need at least k={kmax} points, got {X.shape[0]}")
     x2 = (X * X).sum(1)
-    return _lloyd(X, x2, _kmeanspp(X, x2, k, seed), max_iters)
-
-
-def _elbow_fits(points, ks, seed: int = 0) -> list[KMeansModel]:
-    """`kmeans_fit(points, k, seed)` for each k in `ks`, from one k-means++
-    seeding at the largest k: each k starts from its first k rows."""
-    X = _kmeans_points(points, max(ks))
-    x2 = (X * X).sum(1)
-    init = _kmeanspp(X, x2, max(ks), seed)
-    return [_lloyd(X, x2, init[:k].copy(), 100) for k in ks]
+    init = _kmeanspp(X, x2, kmax, seed)
+    return [_lloyd(X, x2, init[:k].copy()) for k in ks]
 
 
 def kmeans_assign(model: KMeansModel, points) -> np.ndarray:
@@ -464,21 +456,12 @@ def chord_distances(ks, values) -> np.ndarray:
     return cross / denom
 
 
-def elbow_select_k(points, kmin: int = 2, kmax: int = 20, seed: int = 0) -> int:
-    """Pick k in [kmin, kmax] maximizing the distance of the within-cluster
-    sum-of-squares curve from the straight chord between its endpoints.
-    Lowest k wins ties (a perfectly linear curve returns kmin)."""
-    points = np.asarray(points, dtype=float)
-    if kmin < 1 or kmax < kmin:
-        raise ValueError("need kmin >= 1 and kmax >= kmin")
-    if points.shape[0] < kmax:
-        raise ValueError(f"need at least kmax={kmax} points, got {points.shape[0]}")
-    if kmin == kmax:
-        return kmin
-    ks = list(range(kmin, kmax + 1))
-    wcss = [model.inertia for model in _elbow_fits(points, ks, seed)]
-    dists = chord_distances(ks, wcss)
-    return ks[int(np.argmax(dists))]
+def elbow_select_k(ks, wcss) -> int:
+    """The k of ascending `ks` whose within-cluster sum of squares `wcss`
+    lies farthest from the straight chord between the curve's endpoints.
+    Lowest k wins ties (a perfectly linear curve, or a single k, returns
+    the first)."""
+    return int(ks[int(np.argmax(chord_distances(ks, wcss)))])
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,15 @@ class RunConfig:
             ("knowledge_budget", read_int(self.knowledge_budget, "knowledge_budget", 0)),
         ):
             object.__setattr__(self, name, value)
+        if not isinstance(self.engine_params, dict):
+            raise ValueError(f"engine_params must be a dict, got {short_repr(self.engine_params)}")
+        if "seed" in self.engine_params:
+            raise ValueError("engine_params may not set seed: each run derives its engine's seed")
         if self.method == "leon":
-            make_engine(self, seed=0)  # building an engine sends no request
+            try:
+                make_engine(self, seed=0)  # building an engine sends no request
+            except TypeError as exc:  # a parameter the engine does not take
+                raise ValueError(f"engine_params: {exc}") from exc
 
     @property
     def label(self) -> str:

@@ -44,6 +44,7 @@ from .core import (
     read_int,
     render_context,
     scale_values,
+    short_repr,
 )
 from .numerics import stable_softmax
 
@@ -469,7 +470,7 @@ class ChatApiEngine:
                 break
             source = next((s for s in sources if s.name == action["source"]), None)
             if source is None:
-                self.warnings.append(f"unknown knowledge source {action['source']!r}")
+                self.warnings.append(f"unknown knowledge source {short_repr(action['source'])}")
                 break
             try:
                 response = source.query(query)
@@ -522,7 +523,7 @@ class FileCorpusSource:
         for path in self.paths:
             try:
                 text = Path(path).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 self.warnings.append(f"unreadable corpus file {path}: {exc}")
                 continue
             for block in re.split(r"\n\s*\n", text):

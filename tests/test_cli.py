@@ -133,6 +133,7 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 # engine parameters build the engine at parse time
                 _config(methods=[{"name": "leon", "engine_params": {"bogus": 1}}]),
                 _config(methods=[{"name": "leon", "engine_params": 5}]),
+                _config(methods=[{"name": "leon", "engine_params": {"seed": 5}}]),
                 # ... and the engine checks the parameters' values
                 _config(methods=[{"name": "leon", "engine_params": {"temp": "hot"}}]),
                 _config(methods=[{"name": "leon", "engine_params": {"pool_size": -1}}]),

@@ -10,7 +10,7 @@ from leon.core import BooleanDim, ContinuousDim, DesignSpace, encode_batch
 from leon.critic import SourcePool
 from leon.equivalence import RandomPartition, ScoreBinnedPartition, fit_partition, occupancies
 from leon.numerics import kmeans_assign, shannon_entropy
-from leon.optimizer import derive_seed
+from leon.optimizer import RunConfig, derive_seed, run_leon
 from leon.tasks import make_dose_task
 
 
@@ -81,6 +81,22 @@ def test_partition_stability_same_seed(rng):
     b = fit_partition("kmeans", src, seed=7)
     raw = np.zeros(len(designs))
     assert np.array_equal(a.assign(src.encoded, raw), b.assign(src.encoded, raw))
+
+
+def test_default_leon_run_fits_each_k_once(dose_task, monkeypatch):
+    """A default dose leon run seeds k-means once and runs Lloyd once per k
+    in KMIN..KMAX: the partition keeps the elbow's own fit at the picked k
+    instead of fitting it again."""
+    import leon.numerics
+
+    calls = {"_kmeanspp": 0, "_lloyd": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(leon.numerics, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(leon.numerics, name, counted)
+    run_leon(dose_task, RunConfig(), seed=0)
+    assert calls == {"_kmeanspp": 1, "_lloyd": 19}  # k = 2..20
 
 
 def test_default_kmeans_classes_are_dose_intervals():

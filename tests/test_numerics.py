@@ -684,13 +684,13 @@ def _blobs(rng, centers, n_per=20, scale=0.05):
 
 def test_kmeans_k1_is_mean(rng):
     pts = rng.normal(0, 1, size=(10, 3))
-    model = kmeans_fit(pts, 1, seed=0)
+    [model] = kmeans_fit(pts, [1], seed=0)
     assert np.allclose(model.centroids[0], pts.mean(axis=0))
 
 
 def test_kmeans_separated_blobs(rng):
     pts, labels = _blobs(rng, [(0, 0, 5), (5, 0, 0), (0, 5, 0)])
-    model = kmeans_fit(pts, 3, seed=1)
+    [model] = kmeans_fit(pts, [3], seed=1)
     assigned = kmeans_assign(model, pts)
     # each true blob maps to exactly one distinct cluster
     blob_clusters = [set(assigned[labels == i]) for i in range(3)]
@@ -700,19 +700,19 @@ def test_kmeans_separated_blobs(rng):
 
 def test_kmeans_duplicates_zero_inertia():
     pts = np.tile([1.0, 2.0], (8, 1))
-    model = kmeans_fit(pts, 1, seed=0)
+    [model] = kmeans_fit(pts, [1], seed=0)
     assert model.inertia == 0.0
 
 
 def test_kmeans_too_few_points():
     with pytest.raises(ValueError):
-        kmeans_fit(np.zeros((2, 2)), 3, seed=0)
+        kmeans_fit(np.zeros((2, 2)), [3], seed=0)
 
 
 def test_kmeans_inertia_non_increasing(rng):
     for trial in range(5):
         pts = rng.normal(0, 1, size=(40, 4))
-        model = kmeans_fit(pts, 4, seed=trial)
+        [model] = kmeans_fit(pts, [4], seed=trial)
         hist = np.array(model.inertia_history)
         assert np.all(np.diff(hist) <= 1e-9)
 
@@ -756,17 +756,16 @@ def _reference_kmeans_fit(X, k, seed, max_iters=100):
 @pytest.mark.parametrize("task_name", ["dose", "regimen"])
 def test_elbow_fits_equal_kmeans_fit_bit_for_bit(task_name):
     """The elbow seeds once at kmax and starts each k from the first k
-    seeds; every fit is byte-identical to `kmeans_fit` at that k, and both
-    to mask-and-mean Lloyd iterations."""
+    seeds; every fit is byte-identical to `kmeans_fit` at that k alone, and
+    both to mask-and-mean Lloyd iterations."""
     from leon.critic import SourcePool
-    from leon.numerics import _elbow_fits
 
     task = tasks.make_task({"name": task_name})
     ks = list(range(2, 21))
     for seed in range(3):
         pool = SourcePool(task.space, task.source_designs(np.random.default_rng([seed, 2]), 128))
-        for k, model in zip(ks, _elbow_fits(pool.encoded, ks, seed)):
-            direct = kmeans_fit(pool.encoded, k, seed=seed)
+        for k, model in zip(ks, kmeans_fit(pool.encoded, ks, seed)):
+            [direct] = kmeans_fit(pool.encoded, [k], seed=seed)
             centroids, history = _reference_kmeans_fit(pool.encoded, k, seed)
             assert model.centroids.tobytes() == direct.centroids.tobytes() == centroids.tobytes()
             assert model.inertia_history == direct.inertia_history == history
@@ -775,26 +774,26 @@ def test_elbow_fits_equal_kmeans_fit_bit_for_bit(task_name):
 def test_kmeans_fit_with_empty_clusters_matches_reference():
     pts = np.repeat([[0.0, 1.0], [1.0, 0.5], [3.0, 2.0]], 5, axis=0)  # 3 distinct points
     for seed in range(4):
-        model = kmeans_fit(pts, 6, seed=seed)
+        [model] = kmeans_fit(pts, [6], seed=seed)
         centroids, history = _reference_kmeans_fit(pts, 6, seed)
         assert model.centroids.tobytes() == centroids.tobytes()
         assert model.inertia_history == history
 
 
 def test_assign_exact_centroid_match():
-    model = kmeans_fit(np.array([[0.0, 0], [10, 0], [0, 10]]), 3, seed=0)
+    [model] = kmeans_fit(np.array([[0.0, 0], [10, 0], [0, 10]]), [3], seed=0)
     assert kmeans_assign(model, model.centroids).tolist() == [0, 1, 2]
 
 
 def test_assign_tie_breaks_low_index():
-    model = kmeans_fit(np.array([[-1.0], [1.0]]), 2, seed=0)
+    [model] = kmeans_fit(np.array([[-1.0], [1.0]]), [2], seed=0)
     # centroids at -1 and 1 in some order; 0 is equidistant
     assert kmeans_assign(model, np.array([[0.0]])).tolist() == [0]
 
 
 def test_assign_matches_linear_scan(rng):
     pts = rng.normal(0, 1, size=(30, 3))
-    model = kmeans_fit(pts, 4, seed=2)
+    [model] = kmeans_fit(pts, [4], seed=2)
     P = rng.normal(0, 1, size=(20, 3))
     expect = [int(np.argmin(((model.centroids - p) ** 2).sum(axis=1))) for p in P]
     assert kmeans_assign(model, P).tolist() == expect
@@ -809,12 +808,13 @@ def test_assign_matches_linear_scan(rng):
 
 def test_elbow_degenerate_range(rng):
     pts = rng.normal(0, 1, size=(30, 2))
-    assert elbow_select_k(pts, kmin=4, kmax=4, seed=0) == 4
+    assert elbow_select_k([4], [kmeans_fit(pts, [4], seed=0)[0].inertia]) == 4
 
 
 def test_elbow_finds_three_blobs(rng):
     pts, _ = _blobs(rng, [(0, 0), (8, 0), (0, 8)], n_per=30)
-    assert elbow_select_k(pts, kmin=2, kmax=8, seed=0) == 3
+    ks = range(2, 9)
+    assert elbow_select_k(ks, [model.inertia for model in kmeans_fit(pts, ks, seed=0)]) == 3
 
 
 def test_chord_distance_linear_curve_prefers_first():
@@ -823,11 +823,12 @@ def test_chord_distance_linear_curve_prefers_first():
     dists = chord_distances(ks, wcss)
     assert np.allclose(dists, 0.0)
     assert int(np.argmax(dists)) == 0  # lowest-k tie-break
+    assert elbow_select_k(ks, wcss) == 2
 
 
 def test_elbow_insufficient_points():
     with pytest.raises(ValueError):
-        elbow_select_k(np.zeros((5, 2)), kmin=2, kmax=10, seed=0)
+        kmeans_fit(np.zeros((5, 2)), range(2, 11), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,21 @@ def test_lambda_nonnegative_and_w1_finite(dose_task):
     assert all(np.isfinite(w) for w in result.w1_trace)
 
 
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+@pytest.mark.parametrize("engine", ["random", "boltzmann-memory", "hill-climb"])
+@pytest.mark.parametrize("partition", ["kmeans", "random", "score"])
+def test_lambda_never_rises_when_w0_is_the_diameter(task_name, engine, partition, request):
+    """With w0 = 1 the W1 bound cannot bind: the critic is 1-Lipschitz in a
+    cost of at most 1 on encoded rows, so the dual gradient is at least
+    w0 - 1 = 0, and even a large step size never raises lambda."""
+    task = request.getfixturevalue(f"{task_name}_task")
+    for lambda0 in (0.7, 0.0):
+        hp = Hyperparams(budget=128, w0=1.0, eta_lambda=10.0, lambda0=lambda0)
+        cfg = RunConfig(engine=engine, partition=partition, hp=hp)
+        trace = run_leon(task, cfg, seed=0).lambda_trace
+        assert trace[0] == lambda0 and trace == sorted(trace, reverse=True), trace
+
+
 def test_budget_not_divisible_truncates_last_batch(dose_task):
     cfg = RunConfig(method="leon", hp=Hyperparams(budget=80, batch_size=32))
     result = run_leon(dose_task, cfg, seed=2)
@@ -670,8 +685,12 @@ def test_make_engine_rejects_unknown(dose_task):
     lambda: Hyperparams(w0=True),
     lambda: Hyperparams(eta_lambda=True),
     lambda: Hyperparams(mu_max="5"),
+    lambda: RunConfig(engine_params={"nope": 1}),  # these raised TypeError
+    lambda: RunConfig(engine_params={"seed": 5}),  # the run derives the seed
+    lambda: RunConfig(engine_params="x"),
 ], ids=["memory_view=0", "memory_view=-1", "beta=True", "hp=dict",
-        "w0=True", "eta_lambda=True", "mu_max='5'"])
+        "w0=True", "eta_lambda=True", "mu_max='5'", "engine_params-unknown",
+        "engine_params-seed", "engine_params-str"])
 def test_python_configs_follow_the_cli_rules(build):
     """A Python caller's config is checked by the rules `leon run` applies:
     each of these is a config error there and a ValueError here."""

@@ -411,6 +411,16 @@ def test_file_corpus_unreadable_file(tmp_path):
     assert src.query("anything") == ""
 
 
+def test_file_corpus_undecodable_file_is_skipped(tmp_path):
+    """A file that is not UTF-8 is unreadable too: it adds one warning, and
+    the other files' passages are kept."""
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe quark lepton")
+    (tmp_path / "good.txt").write_text("quark lepton boson", encoding="utf-8")
+    src = FileCorpusSource("corpus", (str(tmp_path / "bad.txt"), str(tmp_path / "good.txt")))
+    assert src.passages == ["quark lepton boson"]
+    assert len(src.warnings) == 1 and src.warnings[0].startswith("unreadable corpus file")
+
+
 # ---------------------------------------------------------------------------
 # knowledge generation
 # ---------------------------------------------------------------------------
@@ -506,6 +516,15 @@ def test_non_object_action_reply_keeps_retrieved_material(payload):
     assert out == "synthesized"
     assert "the facts" in engine.prompts[-1]
     assert any("knowledge action failed" in w for w in engine.warnings)
+
+
+def test_unknown_source_warning_is_bounded():
+    """A model reply naming a long unknown source is echoed cut short."""
+    engine = _chat_engine([_action("x" * 100_000), "synthesized"])
+    assert generate_knowledge(engine, [StaticFactsSource("facts", "f")], _state(), budget=3) \
+        == "synthesized"
+    [warning] = engine.warnings
+    assert warning.startswith("unknown knowledge source 'xxx") and len(warning) < 100
 
 
 # replies `json.loads` rejects with a plain ValueError (an integer over 4,300
