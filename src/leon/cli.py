@@ -7,10 +7,12 @@ dump-task` prints task constants. Exit codes: 0 success, 1 runtime
 failure, 2 configuration error. With mock engines and a fixed seed,
 outputs are byte-identical across reruns.
 
-`parse_config` checks only the JSON's shape (unknown keys, an object or a
-list where one is expected) and maps it onto `Hyperparams`, `RunConfig`
-and `ExperimentConfig`, which check their own values; their errors
-become a `ConfigError` that names the config's place, `methods[1]: ...`.
+`parse_config` checks only the JSON's shape (unknown keys, keys that no
+run reads, an object or a list where one is expected) and maps it onto
+`Hyperparams`, `RunConfig` and `ExperimentConfig`, which check their own
+values; their errors become a `ConfigError` that names the config's
+place, `methods[1]: ...`. A baseline takes only `name`; only the
+`analytic-shift` surrogate reads `beta` and `radius`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import click
 
 from .core import Hyperparams, read_int, short_repr
-from .optimizer import RunConfig, evaluate_cohort
+from .optimizer import BASELINES, RunConfig, evaluate_cohort
 from .tasks import TASKS, make_task
 from .verify import run_all_checks
 
@@ -84,11 +86,11 @@ class ExperimentConfig:
                 raise ValueError(f"weights: {exc}") from exc
 
 
-def _object(value, where: str, allowed=None) -> dict:
-    """`value`, a JSON object with no key outside `allowed` when given."""
+def _object(value, where: str, allowed) -> dict:
+    """`value`, a JSON object with no key outside `allowed`."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {short_repr(value)}")
-    unknown = value.keys() - allowed if allowed is not None else ()
+    unknown = value.keys() - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     return value
@@ -111,6 +113,9 @@ def parse_config(obj) -> ExperimentConfig:
     # every method shares the surrogate keys, so they are checked once, as such
     shared = _build("surrogate", RunConfig, hp=hp,
                     **{_SURROGATE_FIELDS[k]: v for k, v in surrogate.items()})
+    if shared.surrogate_variant != "analytic-shift" and surrogate.keys() - {"variant"}:
+        raise ConfigError(f"surrogate: {shared.surrogate_variant} takes only variant, "
+                          f"got {sorted(surrogate)}")
     methods_spec = obj.get("methods")
     if not isinstance(methods_spec, list):
         raise ConfigError(f"methods must be a non-empty list, got {short_repr(methods_spec)}")
@@ -118,6 +123,8 @@ def parse_config(obj) -> ExperimentConfig:
     for i, m in enumerate(methods_spec):
         where = f"methods[{i}]"
         _object(m, where, _METHOD_FIELDS)
+        if m.get("name") in BASELINES and m.keys() - {"name"}:
+            raise ConfigError(f"{where}: {m['name']} takes only name, got {sorted(m)}")
         spec = {_METHOD_FIELDS[k]: v for k, v in m.items()}
         methods.append(_build(where, replace, shared, **{"method": None, **spec}))
     seed = obj.get("seed", 0)
@@ -157,7 +164,7 @@ def _results_payload(cfg: ExperimentConfig, cohorts: list) -> dict:
             "groups": groups}
 
 
-def _tidy_csv(cfg: ExperimentConfig, cohorts: list) -> str:
+def _tidy_csv(cohorts: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["task", "method", "w", "patient", "seed", "oracle_score",
@@ -182,7 +189,7 @@ def _write_outputs(cfg: ExperimentConfig, cohorts: list) -> None:
     payload = _results_payload(cfg, cohorts)
     (cfg.output_dir / "results.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    (cfg.output_dir / "summary.csv").write_text(_tidy_csv(cfg, cohorts), encoding="utf-8")
+    (cfg.output_dir / "summary.csv").write_text(_tidy_csv(cohorts), encoding="utf-8")
 
 
 def _print_ranking(cohorts: list) -> None:
@@ -230,7 +237,7 @@ def cmd_run(config_path):
 
 
 @main.command("verify")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def cmd_verify(seed):
     """Brute-force verification checks with fixed seeds."""
     results = run_all_checks(seed)
@@ -247,7 +254,7 @@ def cmd_verify(seed):
 
 @main.command("dump-task")
 @click.option("--task", "task_name", required=True, type=click.Choice(sorted(TASKS)))
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def cmd_dump_task(task_name, seed):
     """Print task constants as JSON for audit."""
     task = make_task({"name": task_name, "seed": seed})

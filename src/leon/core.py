@@ -6,10 +6,10 @@ so the critic's costs and the learned surrogate's net see bounded inputs.
 
 Inside a run a batch of designs is an `(n, d)` float array of design
 values, booleans as 0.0/1.0, checked by `encode_batch`: engines, baselines,
-surrogates, partitions, the critic's source pool and the memory pass only
-that. `Design` objects live at the boundaries: outside input (`validate`),
-the oracle, the final design and its JSON, the chat prompt and parser, and
-`TrajectoryMemory.entries`.
+surrogates, partitions, the critic's source pool, the memory and the chat
+engine's prompt table and parser pass only that. `Design` objects live at
+the boundaries: outside input (`validate`), the oracle, the final design
+and its JSON, and `TrajectoryMemory.entries`.
 
 Trajectory memory is a set of columns preallocated to the run's budget:
 step, the exact design values, raw value, score and class. The values
@@ -375,28 +375,21 @@ def render_context(ctx: Context) -> str:
     return f"Subject {ctx.id or 'anonymous'} with covariates: {feats}."
 
 
-def render_design(space: DesignSpace, design: Design) -> str:
-    space.validate(design)
-    return "\n".join(
-        f"{dim.name}: {format_value(dim, v)}" for dim, v in zip(space.dims, design.values)
-    )
-
-
 def render_text(task_name: str, space: DesignSpace, ctx: Context, design: Design) -> str:
     """Human-readable description of a (context, design) pair.
 
     Deterministic: identical inputs yield byte-identical text. Every dim
     name/value and every context feature appears in the output.
     """
-    return (
-        f"{render_context(ctx)}\n\n"
-        f"Proposed {task_name} design:\n{render_design(space, design)}"
-    )
+    space.validate(design)
+    lines = "\n".join(f"{dim.name}: {format_value(dim, v)}"
+                      for dim, v in zip(space.dims, design.values))
+    return f"{render_context(ctx)}\n\nProposed {task_name} design:\n{lines}"
 
 
-def design_cell(space: DesignSpace, design: Design) -> str:
-    """Single-line rendering used in memory tables."""
-    return ", ".join(format_value(dim, v) for dim, v in zip(space.dims, design.values))
+def design_cell(space: DesignSpace, row: np.ndarray) -> str:
+    """One design's value row on a single line, as in memory tables."""
+    return ", ".join(format_value(dim, v) for dim, v in zip(space.dims, row))
 
 
 __all__ = [
@@ -420,7 +413,6 @@ __all__ = [
     "decode_design",
     "format_value",
     "render_context",
-    "render_design",
     "render_text",
     "design_cell",
 ]

@@ -71,7 +71,7 @@ class ScoreBinnedPartition:
 
     mu_src: float
     sigma_src: float
-    edges: np.ndarray = field(default=None)
+    edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
         sigma = max(self.sigma_src, 1e-12)

@@ -87,7 +87,8 @@ class RunConfig:
     """One method's settings, checked at construction: each name one of its
     known values, `hp` a `Hyperparams`, each number read by `read_float` or
     `read_int` and stored as a float or an int, and a leon method's
-    `engine_params` by building its engine once."""
+    `engine_params` by building its engine once; a baseline has no engine,
+    so it takes no `engine_params`."""
 
     method: str = "leon"  # "leon" or one of BASELINES
     engine: str = "boltzmann-memory"  # one of ENGINES
@@ -129,6 +130,8 @@ class RunConfig:
                 make_engine(self, seed=0)  # building an engine sends no request
             except TypeError as exc:  # a parameter the engine does not take
                 raise ValueError(f"engine_params: {exc}") from exc
+        elif self.engine_params:
+            raise ValueError(f"engine_params: {self.method} has no engine")
 
     @property
     def label(self) -> str:
@@ -243,11 +246,10 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     outside the budget and `surrogate_calls` does not count them.
     """
     hp = cfg.hp
-    space = task.space
     ctx, surrogate, metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if source_pool is None:
         rng_src = np.random.default_rng([seed, 2])
-        source_pool = SourcePool(space, task.source_designs(rng_src, cfg.source_pool_size))
+        source_pool = SourcePool(task.space, task.source_designs(rng_src, cfg.source_pool_size))
     if engine is None:
         engine = make_engine(cfg, derive_seed(seed, 3))
     critic = init_critic(source_pool.encoded)
@@ -260,22 +262,18 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
                               src_raw=src_raw)
 
-    prompt_state = PromptState(
-        knowledge="", reflection="", memory_view=memory.view(cfg.memory_view), context=ctx,
-        task_description=task.description, space=space,
-    )
-    knowledge = generate_knowledge(engine, list(sources), prompt_state, cfg.knowledge_budget)
-    prompt_state.knowledge = knowledge
+    prompt_state = PromptState(knowledge="", reflection="", memory_view=memory.view(),
+                               context=ctx, task_description=task.description)
+    prompt_state.knowledge = generate_knowledge(engine, list(sources), prompt_state,
+                                                cfg.knowledge_budget)
 
     n_steps = int(np.ceil(hp.budget / hp.batch_size))
     lambda_trace, mu_trace, w1_trace, reflections = [], [], [], []
-    reflection = ""
 
     for t in range(1, n_steps + 1):
         b = min(hp.batch_size, metered.remaining)
-        prompt_state.reflection = reflection
         prompt_state.memory_view = memory.view(cfg.memory_view)
-        values, batch_enc = propose(engine, prompt_state, space, b)
+        values, batch_enc = propose(engine, prompt_state, b)
 
         f_vals = metered.value(values, ctx)
         critic, src_c, batch_c, c_vals = critic_train(critic, batch_enc)
@@ -297,8 +295,9 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         scores = score_designs(raw, mu_hat)
         memory.append_batch(t, values, raw, scores, assignments)
 
-        reflection = reflect(engine, values, scores, task.description) if t < n_steps else ""
-        reflections.append(reflection)
+        # the next proposal reads this step's reflection
+        prompt_state.reflection = reflect(engine, prompt_state, scores) if t < n_steps else ""
+        reflections.append(prompt_state.reflection)
 
         lam = update_lambda(lam, grad, hp.eta_lambda, t)
         warnings.extend(engine.warnings)
@@ -508,22 +507,21 @@ def evaluate_cohort(task: Task, cfgs, n_patients: int, seed: int, jobs: int = 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the executor starts all its workers at once: no more than the runs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             records = list(pool.map(_run_one, work))
     else:
         records = [_run_one(w) for w in work]
 
     summaries = []
-    means = []
     for mi, cfg in enumerate(cfgs):
         scores = np.array([r.oracle_score for r in records[mi * n_patients:(mi + 1) * n_patients]])
         mean = float(scores.mean())
         sem = float(scores.std(ddof=1) / np.sqrt(len(scores))) if len(scores) > 1 else 0.0
         summaries.append(MethodSummary(method=cfg.label, mean=mean, sem=sem, rank=0,
                                        n=n_patients, degenerate=n_patients == 1))
-        means.append(mean)
-    for s, m in zip(summaries, means):
-        s.rank = 1 + sum(1 for other in means if other > m)
+    for s in summaries:
+        s.rank = 1 + sum(1 for other in summaries if other.mean > s.mean)
     return CohortResult(task=task.name, summaries=summaries, records=records)
 
 

@@ -1,20 +1,20 @@
 """Proposal engines and knowledge sources.
 
-An engine turns a prompt state (knowledge, memory view, reflection, context,
-task description) into a batch of candidate designs. Mock engines are seeded
-and fully offline; the chat engine talks to an HTTP chat-completions
-endpoint with a strict JSON output contract and falls back to random designs
-when parsing keeps failing.
+An engine reads all it needs from one prompt state (knowledge, memory view
+and its space, reflection, context, task description) and turns it into a
+batch of candidate designs. Mock engines are seeded and fully offline; the
+chat engine talks to an HTTP chat-completions endpoint with a strict JSON
+output contract and falls back to random designs when parsing keeps failing.
 
 A batch is an `(n, d)` float array of design values, booleans as 0.0/1.0
 (see `core`); the mock engines draw each batch with one generator call per
 kind of dim, in the row-major order of per-design, per-dim scalar draws.
 
 Engine protocol (duck-typed):
-    propose(state, space, b) -> (b, d) value array     # checked by `propose`
-    reflect(values, scores, task_description) -> str   # never raises
-    knowledge(sources, state, budget) -> str           # never raises
-    warnings: list[str]                                # drained by the runner
+    propose(state, b) -> (b, d) value array     # checked by `propose`
+    reflect(state, scores) -> str               # never raises
+    knowledge(sources, state, budget) -> str    # never raises
+    warnings: list[str]                         # drained by the runner
 
 Reflection and knowledge are text written for a language model, so only the
 chat engine produces them. The mock engines only propose: `reflect` and
@@ -35,7 +35,6 @@ import numpy as np
 from .core import (
     Context,
     ContinuousDim,
-    Design,
     DesignSpace,
     MemoryView,
     design_cell,
@@ -77,13 +76,16 @@ class PromptState:
     memory_view: MemoryView  # the memory's last rows, as arrays
     context: Context
     task_description: str
-    space: DesignSpace
+
+    @property
+    def space(self) -> DesignSpace:
+        return self.memory_view.space
 
 
-def memory_table(space: DesignSpace, entries) -> str:
+def memory_table(view: MemoryView) -> str:
     lines = ["| index | design | score |", "|---|---|---|"]
-    for i, e in enumerate(entries):
-        lines.append(f"| {i} | {design_cell(space, e.design)} | {e.score:.4f} |")
+    for i, (row, score) in enumerate(zip(view.values, view.score)):
+        lines.append(f"| {i} | {design_cell(view.space, row)} | {score:.4f} |")
     return "\n".join(lines)
 
 
@@ -92,7 +94,7 @@ def build_prompt(state: PromptState) -> str:
     sections = [
         (PROMPT_HEADERS[0], state.knowledge),
         (PROMPT_HEADERS[1], render_context(state.context)),
-        (PROMPT_HEADERS[2], memory_table(state.space, state.memory_view.entries)),
+        (PROMPT_HEADERS[2], memory_table(state.memory_view)),
         (PROMPT_HEADERS[3], state.reflection),
         (PROMPT_HEADERS[4], state.task_description),
     ]
@@ -114,24 +116,22 @@ def _coerce_value(dim, v):
         if x != x:
             raise ValueError("NaN value")
         return min(max(x, dim.lo), dim.hi)  # out-of-range clamps to the bound
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, float)) and v in (0, 1):
-        return bool(v)
+    if isinstance(v, bool) or (isinstance(v, (int, float)) and v in (0, 1)):
+        return float(v)
     if isinstance(v, str) and v.lower() in ("true", "false", "yes", "no"):
-        return v.lower() in ("true", "yes")
+        return float(v.lower() in ("true", "yes"))
     raise ValueError(f"bad boolean {v!r}")
 
 
-def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], int]:
+def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[np.ndarray, int]:
     """Parse a JSON array of {dim name: value} objects.
 
-    Returns at most `b` designs plus the number of rejected elements: those
-    with a missing key or a malformed value, NaN, a number too large for a
-    float and a boolean or a string for a continuous dim included. A number
-    out of range, ±Infinity too, clamps to the dim's bound. Raises
-    DesignParseError when the payload is not a JSON array at all, so engine
-    retry logic can resample.
+    Returns at most `b` designs as `(k, d)` value rows, booleans as 0.0/1.0,
+    plus the number of rejected elements: those with a missing key or a
+    malformed value, NaN, a number too large for a float and a boolean or a
+    string for a continuous dim included. A number out of range, ±Infinity
+    too, clamps to the dim's bound. Raises DesignParseError when the payload
+    is not a JSON array at all, so engine retry logic can resample.
     """
     text = _FENCE_RE.sub("", raw).strip()
     start, end = text.find("["), text.rfind("]")
@@ -144,20 +144,18 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[list[Design], i
     if not isinstance(payload, list):
         raise DesignParseError("expected a JSON array")
 
-    designs, rejects = [], 0
+    rows, rejects = [], 0
     for item in payload:
-        if len(designs) >= b:
+        if len(rows) >= b:
             break
         if not isinstance(item, dict):
             rejects += 1
             continue
         try:
-            values = tuple(_coerce_value(dim, item[dim.name]) for dim in space.dims)
+            rows.append([_coerce_value(dim, item[dim.name]) for dim in space.dims])
         except (KeyError, ValueError, TypeError, OverflowError):
             rejects += 1
-            continue
-        designs.append(Design(values))
-    return designs, rejects
+    return np.array(rows, dtype=float).reshape(len(rows), space.encoded_width), rejects
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +190,15 @@ def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
     return out
 
 
+def _adaptive_scale(space: DesignSpace, parents: np.ndarray) -> tuple[float, float]:
+    """Perturbation scales from the spread of the parents' encoded rows;
+    the parents are memory rows, already checked when proposed."""
+    spread = 0.1 if len(parents) < 2 else float(scale_values(space, parents).std(axis=0).mean())
+    sigma = min(max(spread, 1e-3), 0.25)
+    flip = min(max(spread, 0.02), 0.25)
+    return sigma, flip
+
+
 @dataclass
 class _MockEngineBase:
     """Shared seeded plumbing for the offline engines, which only propose:
@@ -203,7 +210,7 @@ class _MockEngineBase:
         self.rng = np.random.default_rng(self.seed)
         self.warnings: list[str] = []
 
-    def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
+    def reflect(self, state: PromptState, scores: np.ndarray) -> str:
         return ""
 
     def knowledge(self, sources, state: PromptState, budget: int) -> str:
@@ -214,8 +221,8 @@ class _MockEngineBase:
 class RandomEngine(_MockEngineBase):
     """Uniform per-dim sampling."""
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
-        return random_design(space, self.rng, b)
+    def propose(self, state: PromptState, b: int) -> np.ndarray:
+        return random_design(state.space, self.rng, b)
 
 
 @dataclass
@@ -241,11 +248,11 @@ class BoltzmannMemoryEngine(_MockEngineBase):
         self.top_m = read_int(self.top_m, "top_m", 1)
         self.explore_frac = read_float(self.explore_frac, "explore_frac", 0.0, 1.0)
 
-    def _build_pool(self, state: PromptState, space: DesignSpace):
+    def _build_pool(self, state: PromptState):
         # Parents are ranked by raw value: the mu-scaled score can collapse
         # to all-zeros on a zero-certainty step, which would make the
         # ranking arbitrary. Sampling weights still use the stored scores.
-        view = state.memory_view
+        view, space = state.memory_view, state.space
         top = np.argsort(-view.raw, kind="stable")[: self.top_m]
         parents = view.values[top].astype(float)
         parent_scores = view.score[top]
@@ -254,7 +261,7 @@ class BoltzmannMemoryEngine(_MockEngineBase):
 
         n_explore = max(1, int(self.pool_size * self.explore_frac))
         explore = random_design(space, self.rng, n_explore)
-        sigma, flip = self._adaptive_scale(space, parents)
+        sigma, flip = _adaptive_scale(space, parents)
         i = np.arange(max(self.pool_size - n_explore - len(top), 0))
         # alternate coarse and fine jitter so proposals keep refining once
         # the memory has concentrated
@@ -268,16 +275,8 @@ class BoltzmannMemoryEngine(_MockEngineBase):
                                  parent_scores[k]])
         return pool, scores
 
-    def _adaptive_scale(self, space, values):
-        """Perturbation scales from the spread of the parents' encoded rows;
-        `values` are memory rows, already checked when proposed."""
-        spread = 0.1 if len(values) < 2 else float(scale_values(space, values).std(axis=0).mean())
-        sigma = min(max(spread, 1e-3), 0.25)
-        flip = min(max(spread, 0.02), 0.25)
-        return sigma, flip
-
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
-        pool, scores = self._build_pool(state, space)
+    def propose(self, state: PromptState, b: int) -> np.ndarray:
+        pool, scores = self._build_pool(state)
         if self.temp <= 1e-9:
             return np.repeat(pool[[int(np.argmax(scores))]], b, axis=0)
         probs = stable_softmax(scores / self.temp)
@@ -294,12 +293,12 @@ class HillClimbEngine(_MockEngineBase):
         super().__post_init__()
         self.step = read_float(self.step, "step", 0.0, lo_open=True)
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
+    def propose(self, state: PromptState, b: int) -> np.ndarray:
         view = state.memory_view
         if not view:
-            return random_design(space, self.rng, b)
+            return random_design(state.space, self.rng, b)
         best = view.values[int(np.argmax(view.raw))]  # first of the top raw values
-        return perturb_design(space, np.tile(best, (b, 1)), self.rng, np.full(b, self.step),
+        return perturb_design(state.space, np.tile(best, (b, 1)), self.rng, np.full(b, self.step),
                               np.full(b, min(0.5, self.step)))
 
 
@@ -398,10 +397,11 @@ class ChatApiEngine:
             self.warnings.append(f"{what} failed: {exc}")
             return None
 
-    def propose(self, state: PromptState, space: DesignSpace, b: int) -> np.ndarray:
-        designs: list[Design] = []
+    def propose(self, state: PromptState, b: int) -> np.ndarray:
+        space = state.space
+        values = np.empty((0, space.encoded_width))
         for _ in range(self.max_retries):
-            need = b - len(designs)
+            need = b - len(values)
             messages = [
                 {"role": "system", "content": SYSTEM_PROMPT + "\n\n" + output_contract(space, need)},
                 {"role": "user", "content": build_prompt(state) + f"\n\nPropose exactly {need} new designs now."},
@@ -416,23 +416,21 @@ class ChatApiEngine:
                 continue
             if rejects:
                 self.warnings.append(f"rejected {rejects} malformed design elements")
-            designs.extend(parsed)
-            if len(designs) >= b:
+            values = np.concatenate([values, parsed])
+            if len(values) >= b:
                 break
-        values = np.array([d.values for d in designs], dtype=float).reshape(
-            len(designs), space.encoded_width)
-        if len(designs) < b:
-            missing = b - len(designs)
+        if len(values) < b:
+            missing = b - len(values)
             self.warnings.append(f"filled {missing} slots with random designs after retries")
             values = np.concatenate([values, random_design(space, self.rng, missing)])
         return values
 
-    def reflect(self, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
-        if len(values) == 0:
+    def reflect(self, state: PromptState, scores: np.ndarray) -> str:
+        if len(scores) == 0:
             raise ValueError("empty batch")
         table = "\n".join(f"| {i} | {s:.4f} |" for i, s in enumerate(scores))
         prompt = (
-            f"### Task Description\n{task_description}\n\n### Scores of the last batch\n"
+            f"### Task Description\n{state.task_description}\n\n### Scores of the last batch\n"
             f"| index | score |\n|---|---|\n{table}\n\n"
             "Analyze the scores and reflect on how to improve them. "
             "Do NOT propose a new design; respond only with your thinking."
@@ -516,8 +514,8 @@ class FileCorpusSource:
     name: str
     paths: tuple[str, ...]
     top_k: int = 1
-    passages: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    passages: list[str] = field(init=False, default_factory=list)
+    warnings: list[str] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         for path in self.paths:
@@ -547,20 +545,20 @@ class FileCorpusSource:
 # ---------------------------------------------------------------------------
 
 
-def propose(engine, state: PromptState, space: DesignSpace, b: int) -> tuple[np.ndarray, np.ndarray]:
+def propose(engine, state: PromptState, b: int) -> tuple[np.ndarray, np.ndarray]:
     """The engine's `(b, d)` value rows and their encoding, checked by
     `encode_batch`."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    values = engine.propose(state, space, b)
+    values = engine.propose(state, b)
     if not isinstance(values, np.ndarray) or len(values) != b:
         raise RuntimeError(f"engine returned {type(values).__name__} of length {len(values)}, "
-                           f"expected a ({b}, {space.encoded_width}) value array")
-    return values, encode_batch(space, values)
+                           f"expected a ({b}, {state.space.encoded_width}) value array")
+    return values, encode_batch(state.space, values)
 
 
-def reflect(engine, values: np.ndarray, scores: np.ndarray, task_description: str) -> str:
-    return engine.reflect(values, scores, task_description)
+def reflect(engine, state: PromptState, scores: np.ndarray) -> str:
+    return engine.reflect(state, scores)
 
 
 def generate_knowledge(engine, sources, state: PromptState, budget: int) -> str:

@@ -135,10 +135,10 @@ class ForcedEngine:
         self.rng = np.random.default_rng(self.seed)
         self.warnings = []
 
-    def propose(self, state, space, b):
+    def propose(self, state, b):
         return self.rng.uniform(self.lo, self.hi, size=(b, 1))
 
-    def reflect(self, values, scores, task_description):
+    def reflect(self, state, scores):
         return "forced"
 
     def knowledge(self, sources, state, budget):

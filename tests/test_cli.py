@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from leon.cli import ConfigError, main, parse_config
+from leon.cli import (
+    _HP_KEYS,
+    _METHOD_FIELDS,
+    _SURROGATE_FIELDS,
+    _TOP_KEYS,
+    ConfigError,
+    main,
+    parse_config,
+)
 from leon.core import Hyperparams
 from leon.optimizer import RunConfig, evaluate_cohort
 from leon.tasks import make_task
@@ -57,6 +65,16 @@ def test_readme_configs_parse():
     assert len(blocks) == 3
     for block in blocks:
         parse_config(json.loads(block))
+
+
+def test_readme_key_table_matches_the_parser():
+    """README's config table lists each key the parser takes, once, and
+    no other."""
+    documented = re.findall(r"^\| `([^`]+)` \|", README.read_text(encoding="utf-8"), re.M)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == (_TOP_KEYS | {f"methods[].{k}" for k in _METHOD_FIELDS}
+                               | {f"hyperparams.{k}" for k in _HP_KEYS}
+                               | {f"surrogate.{k}" for k in _SURROGATE_FIELDS})
 
 
 def test_readme_names_registered_commands():
@@ -161,7 +179,15 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 # mock engines retrieve no knowledge, so they take no knowledge knob
                 _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
-                _config(methods=[{"name": "leon", "knowledge_budget": 3}])):
+                _config(methods=[{"name": "leon", "knowledge_budget": 3}]),
+                # a baseline has no engine, partition or memory: it takes only `name`
+                _config(methods=[{"name": "random-search", "engine_params": {"nope": 1}}]),
+                _config(methods=[{"name": "random-search", "engine": "chat-api"}]),
+                _config(methods=[{"name": "surrogate-greedy", "partition": "score",
+                                  "memory_view": 5}]),
+                # only the analytic-shift surrogate reads beta and radius
+                _config(surrogate={"variant": "learned", "beta": 0.7}),
+                _config(surrogate={"variant": "oracle", "radius": 3.0})):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output
@@ -364,3 +390,15 @@ def test_dump_task_emits_constants():
 def test_dump_task_rejects_unknown():
     result = runner.invoke(main, ["dump-task", "--task", "warfarin"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("args", [
+    ["dump-task", "--task", "regimen", "--seed", "-1"],
+    ["dump-task", "--task", "dose", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+], ids=["dump-regimen", "dump-dose", "verify"])
+def test_negative_seed_is_a_usage_error(args):
+    """A seed is >= 0 on the command line, as in a config's `task_seed`."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output and "Traceback" not in result.output

@@ -135,6 +135,13 @@ def test_score_assignment_left_closed():
     assert got.tolist() == [5, 4, 3, 0, 9]
 
 
+def test_score_edges_are_not_a_constructor_input():
+    """The bins follow from the source mean and spread alone: edges passed
+    in would be overwritten, so the constructor does not take them."""
+    with pytest.raises(TypeError):
+        ScoreBinnedPartition(0.0, 1.0, edges=np.zeros(3))
+
+
 def test_kmeans_assignment_matches_kernel(rng):
     designs, _ = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)

@@ -648,6 +648,34 @@ def test_cohort_oracle_isolation(dose_task, oracle_ids):
         assert r.surrogate_calls <= HP_SMALL.budget
 
 
+def test_cohort_starts_no_more_workers_than_runs(dose_task, monkeypatch):
+    """The process pool starts every worker it is given at once, so a
+    2-run cohort with `jobs=8` asks for 2."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    cfg = RunConfig(method="random-search", hp=HP_SMALL)
+    res = evaluate_cohort(dose_task, [cfg], n_patients=2, seed=6, jobs=8)
+    assert started == [2]
+    serial = evaluate_cohort(dose_task, [cfg], n_patients=2, seed=6, jobs=1)
+    assert [r.to_json() for r in res.records] == [r.to_json() for r in serial.records]
+
+
 def test_cohort_parallel_matches_serial(dose_task):
     cfg = RunConfig(method="random-search", hp=HP_SMALL)
     serial = evaluate_cohort(dose_task, [cfg], n_patients=2, seed=6, jobs=1)
@@ -688,9 +716,10 @@ def test_make_engine_rejects_unknown(dose_task):
     lambda: RunConfig(engine_params={"nope": 1}),  # these raised TypeError
     lambda: RunConfig(engine_params={"seed": 5}),  # the run derives the seed
     lambda: RunConfig(engine_params="x"),
+    lambda: RunConfig(method="simulated-annealing", engine_params={"nope": 1}),  # no engine
 ], ids=["memory_view=0", "memory_view=-1", "beta=True", "hp=dict",
         "w0=True", "eta_lambda=True", "mu_max='5'", "engine_params-unknown",
-        "engine_params-seed", "engine_params-str"])
+        "engine_params-seed", "engine_params-str", "engine_params-baseline"])
 def test_python_configs_follow_the_cli_rules(build):
     """A Python caller's config is checked by the rules `leon run` applies:
     each of these is a config error there and a ValueError here."""
@@ -746,12 +775,12 @@ class ScriptedChat:
         return json.dumps([{"Dose": (17.0 + 7.0 * (k * need + i)) % 100} for i in range(need)])
 
 
-def _chat_run(task):
+def _chat_run(task, hp=HP_SMALL):
     chat = ScriptedChat()
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, seed=0)
     engine._chat = chat
     cfg = RunConfig(method="leon", engine="chat-api", engine_params={"endpoint": NO_SERVER},
-                    hp=HP_SMALL, knowledge_budget=2)
+                    hp=hp, knowledge_budget=2)
     sources = [StaticFactsSource("facts", "higher context sums need higher doses")]
     return run_leon(task, cfg, seed=6, sources=sources, engine=engine), chat
 
@@ -773,6 +802,24 @@ def test_run_with_knowledge_sources(dose_task):
     assert not any("filled" in w for w in result.warnings)
     again, chat_again = _chat_run(dose_task)
     assert again.to_json() == result.to_json() and chat_again.prompts == chat.prompts
+
+
+def test_chat_run_stays_in_value_rows(dose_task, monkeypatch):
+    """The chat engine parses replies into value rows and renders its
+    prompt table from the memory view's columns: a budget-256 run over 8
+    proposal prompts builds one `Design`, its final design, and no
+    `MemoryEntry`."""
+    import leon.core
+
+    designs, entries = [], []
+    real_post_init, real_entry = Design.__post_init__, leon.core.MemoryEntry
+    monkeypatch.setattr(Design, "__post_init__",
+                        lambda self: designs.append(self) or real_post_init(self))
+    monkeypatch.setattr(leon.core, "MemoryEntry", lambda *a: entries.append(a) or real_entry(*a))
+    result, chat = _chat_run(dose_task, Hyperparams(budget=256, batch_size=32))
+    assert len(result.memory) == 256 and len(chat.prompts["proposal"]) == 8
+    assert len(designs) == 1 and designs[0] is result.final_design
+    assert entries == []
 
 
 def test_chat_engine_degrades_to_random_in_full_run(dose_task):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import threading
@@ -41,6 +42,7 @@ from leon.proposal import (
     random_design,
     reflect,
 )
+from leon.proposal import _adaptive_scale
 from leon.tasks import make_dose_task, make_regimen_task
 
 SPACE = DesignSpace((
@@ -61,7 +63,7 @@ def _state(entries=(), knowledge="", reflection="", space=SPACE):
                             [e.score], [e.class_id])
     return PromptState(
         knowledge=knowledge, reflection=reflection, memory_view=memory.view(),
-        context=CTX, task_description="maximize the response", space=space,
+        context=CTX, task_description="maximize the response",
     )
 
 
@@ -85,16 +87,42 @@ def test_prompt_contains_context_rendering():
 
 
 def test_memory_table_row_count():
-    assert len(memory_table(SPACE, []).splitlines()) == 2  # header + separator
-    table = memory_table(SPACE, [_entry(1, 20.0, 1.0, 1.0)])
+    assert len(memory_table(_state().memory_view).splitlines()) == 2  # header + separator
+    table = memory_table(_state([_entry(1, 20.0, 1.0, 1.0)]).memory_view)
     assert len(table.splitlines()) == 3
     assert "20.0000" in table
-    # the chat prompt renders the memory view's rows exactly as the entries
+    # the chat prompt renders the memory view's value rows and scores
     entries = [_entry(1, 20.0, 1.0, 1.0), _entry(2, 1 / 3, -0.5, -0.25, boost=False, taper=True)]
     rows = "| 0 | 20.0000, yes, no | 1.0000 |\n| 1 | 0.3333, no, yes | -0.2500 |"
-    assert memory_table(SPACE, entries).endswith(rows)
-    assert f"### Previously Proposed Designs\n{memory_table(SPACE, entries)}\n\n" in \
-        build_prompt(_state(entries))
+    state = _state(entries)
+    assert memory_table(state.memory_view).endswith(rows)
+    assert f"### Previously Proposed Designs\n{memory_table(state.memory_view)}\n\n" in \
+        build_prompt(state)
+
+
+def _full_view_state(task):
+    """A prompt state on `task` whose memory view holds 64 random rows."""
+    rng = np.random.default_rng(5)
+    memory = TrajectoryMemory(task.space, budget=64)
+    for step in (1, 2):
+        V = random_design(task.space, rng, 32)
+        raw = rng.normal(size=32)
+        memory.append_batch(step, V, raw, 0.5 * raw, rng.integers(4, size=32))
+    ctx = task.sample_context(rng, "target", id="p000")
+    return PromptState(knowledge="Doses above 60 help.", reflection="Explore higher doses.",
+                       memory_view=memory.view(64), context=ctx,
+                       task_description=task.description)
+
+
+@pytest.mark.parametrize("task, digest", [
+    (make_dose_task(0), "4a21bb48dad097dabbe1d4fa15576d84e44bcfe2ac37d99626b6680adfd67fc6"),
+    (make_regimen_task(0), "dfd006aee0d5c2ad60df9397d455ed4c5a11df5a05e1c51554de7b9f9b0a258d"),
+], ids=["dose", "regimen"])
+def test_prompt_bytes_are_pinned(task, digest):
+    """The chat prompt over a full memory view, byte for byte: the dose
+    view's values are float64, the regimen's bool."""
+    text = build_prompt(_full_view_state(task))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_prompt_distinct_inputs_distinct_bytes():
@@ -115,15 +143,15 @@ def _payload(n, dose=10.0):
 
 def test_parse_well_formed():
     designs, rejects = parse_designs(_payload(4), SPACE, 4)
-    assert len(designs) == 4 and rejects == 0
-    assert designs[0].values == (10.0, True, True)
+    assert designs.shape == (4, 3) and designs.dtype == float and rejects == 0
+    assert designs[0].tolist() == [10.0, 1.0, 1.0]  # booleans as 0.0/1.0
 
 
 def test_parse_clamps_out_of_range():
     raw = json.dumps([{"Dose": 150.0, "Boost": False, "Taper": False}])
     designs, rejects = parse_designs(raw, SPACE, 1)
     assert rejects == 0
-    assert designs[0].values[0] == 100.0
+    assert designs[0, 0] == 100.0
 
 
 def test_parse_rejects_malformed_element():
@@ -139,7 +167,7 @@ def test_parse_rejects_malformed_element():
     assert len(designs) == 2 and rejects == 1
     items[1] = {"Dose": 55, "Boost": "yes", "Taper": "false"}  # boolean words stay booleans
     designs, rejects = parse_designs(json.dumps(items), SPACE, 3)
-    assert designs[1] == Design((55.0, True, False)) and rejects == 0
+    assert designs[1].tolist() == [55.0, 1.0, 0.0] and rejects == 0
 
 
 def test_parse_rejects_nan_and_oversized_numbers():
@@ -147,14 +175,14 @@ def test_parse_rejects_nan_and_oversized_numbers():
            '{"Dose": 1' + "0" * 400 + ', "Boost": true, "Taper": false}, '
            '{"Dose": 7.5, "Boost": false, "Taper": true}]')
     designs, rejects = parse_designs(raw, SPACE, 3)
-    assert designs == [Design((7.5, False, True))] and rejects == 2
+    assert designs.tolist() == [[7.5, 0.0, 1.0]] and rejects == 2
 
 
 def test_parse_clamps_infinities_to_the_bounds():
     raw = ('[{"Dose": Infinity, "Boost": true, "Taper": false}, '
            '{"Dose": -Infinity, "Boost": true, "Taper": false}]')
     designs, rejects = parse_designs(raw, SPACE, 2)
-    assert [d.values[0] for d in designs] == [100.0, 0.0] and rejects == 0
+    assert designs[:, 0].tolist() == [100.0, 0.0] and rejects == 0
 
 
 def test_parse_malformed_json_raises():
@@ -175,7 +203,12 @@ def test_parse_accepts_boolean_spellings():
                       {"Dose": 2.0, "Boost": 0, "Taper": False}])
     designs, rejects = parse_designs(raw, SPACE, 2)
     assert rejects == 0
-    assert designs[0].values[1] is True and designs[1].values[1] is False
+    assert designs[:, 1].tolist() == [1.0, 0.0]
+
+
+def test_parse_with_no_valid_element_gives_empty_rows():
+    designs, rejects = parse_designs('[{"Dose": 1.0}, 5]', SPACE, 2)
+    assert designs.shape == (0, 3) and rejects == 2
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +218,22 @@ def test_parse_accepts_boolean_spellings():
 
 def test_random_engine_reproducible():
     space = DesignSpace(tuple(BooleanDim(f"b{i}") for i in range(4)))
-    a, Xa = propose(RandomEngine(seed=11), _state(space=space), space, 8)
-    b, Xb = propose(RandomEngine(seed=11), _state(space=space), space, 8)
+    a, Xa = propose(RandomEngine(seed=11), _state(space=space), 8)
+    b, Xb = propose(RandomEngine(seed=11), _state(space=space), 8)
     assert np.array_equal(a, b) and np.array_equal(Xa, Xb)
     assert a.shape == (8, 4) and np.isin(a, (0.0, 1.0)).all()
 
 
 def test_propose_returns_exactly_b():
     for engine in (RandomEngine(seed=0), BoltzmannMemoryEngine(seed=0), HillClimbEngine(seed=0)):
-        designs, X = propose(engine, _state(), SPACE, 5)
+        designs, X = propose(engine, _state(), 5)
         assert len(designs) == 5
         assert np.array_equal(X, encode_batch(SPACE, designs))
 
 
 def test_propose_validates_b():
     with pytest.raises(ValueError):
-        propose(RandomEngine(seed=0), _state(), SPACE, 0)
+        propose(RandomEngine(seed=0), _state(), 0)
 
 
 class _FixedEngine(RandomEngine):
@@ -208,7 +241,7 @@ class _FixedEngine(RandomEngine):
         super().__init__(seed=0)
         self.designs = designs
 
-    def propose(self, state, space, b):
+    def propose(self, state, b):
         return np.array(self.designs, dtype=float)
 
 
@@ -217,22 +250,22 @@ class _FixedEngine(RandomEngine):
 def test_propose_rejects_an_invalid_design(bad):
     engine = _FixedEngine([(10.0, 1.0, 0.0), bad, (20.0, 0.0, 0.0)])
     with pytest.raises(SchemaError, match="row 1"):
-        propose(engine, _state(), SPACE, 3)
+        propose(engine, _state(), 3)
 
 
 def test_propose_rejects_a_short_batch():
     engine = _FixedEngine([(10.0, 1.0, 0.0)] * 3)
     with pytest.raises(RuntimeError):
-        propose(engine, _state(), SPACE, 4)
-    engine.propose = lambda state, space, b: [Design((10.0, True, False))] * b  # not an array
+        propose(engine, _state(), 4)
+    engine.propose = lambda state, b: [Design((10.0, True, False))] * b  # not an array
     with pytest.raises(RuntimeError, match=r"expected a \(3, 3\) value array"):
-        propose(engine, _state(), SPACE, 3)
+        propose(engine, _state(), 3)
 
 
 def test_boltzmann_temp_zero_collapses():
     entries = [_entry(1, 50.0, 10.0, 10.0)] + [_entry(1, float(i), -5.0, -5.0) for i in range(5)]
     engine = BoltzmannMemoryEngine(seed=3, temp=0.0)
-    designs = engine.propose(_state(entries), SPACE, 6)
+    designs = engine.propose(_state(entries), 6)
     assert len(np.unique(designs, axis=0)) == 1
     assert designs[0, 0] == 50.0  # the dominant-score member is the incumbent
 
@@ -240,7 +273,7 @@ def test_boltzmann_temp_zero_collapses():
 def test_boltzmann_high_temp_uniform_over_pool():
     entries = [_entry(1, float(10 * i), float(i), float(i)) for i in range(6)]
     probe = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
-    pool, _ = probe._build_pool(_state(entries), SPACE)
+    pool, _ = probe._build_pool(_state(entries))
     # duplicate pool members (e.g. perturbations clamped onto their parent)
     # form a cluster whose expected mass is its multiplicity
     multiplicity = {}
@@ -249,7 +282,7 @@ def test_boltzmann_high_temp_uniform_over_pool():
     clusters = list(multiplicity)
 
     engine = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
-    draws = list(map(tuple, engine.propose(_state(entries), SPACE, 512)))
+    draws = list(map(tuple, engine.propose(_state(entries), 512)))
     observed = np.array([sum(1 for d in draws if d == c) for c in clusters])
     expected = np.array([512 * multiplicity[c] / len(pool) for c in clusters])
     assert chisquare(observed, f_exp=expected).pvalue > 0.01
@@ -260,7 +293,7 @@ def test_boltzmann_entropy_monotone_in_inverse_temp():
     hs = []
     for temp in (10.0, 1.0, 0.1):  # decreasing temp, increasing 1/temp
         engine = BoltzmannMemoryEngine(seed=5, temp=temp, pool_size=32)
-        draws = engine.propose(_state(entries), SPACE, 512)
+        draws = engine.propose(_state(entries), 512)
         counts = {}
         for d in map(tuple, draws):
             counts[d] = counts.get(d, 0) + 1
@@ -303,7 +336,7 @@ def _scalar_pool(engine, space, view):
     n_explore = max(1, int(engine.pool_size * engine.explore_frac))
     pool = list(_scalar_random(space, engine.rng, n_explore)) + list(parents)
     scores = [min(parent_scores)] * n_explore + parent_scores
-    sigma, flip = engine._adaptive_scale(space, parents)
+    sigma, flip = _adaptive_scale(space, parents)
     i = 0
     while len(pool) < engine.pool_size:
         k, scale = i % len(parents), (1.0 if i % 2 == 0 else 0.1)
@@ -337,7 +370,7 @@ def test_batch_draws_equal_the_scalar_draws(name):
     state = _state(space=space)
     state.memory_view = memory.view()
     engine, reference = BoltzmannMemoryEngine(seed=9), BoltzmannMemoryEngine(seed=9)
-    proposed = engine.propose(state, space, 32)
+    proposed = engine.propose(state, 32)
     pool, scores = _scalar_pool(reference, space, memory.view())
     probs = stable_softmax(scores / reference.temp)
     assert np.array_equal(proposed, pool[reference.rng.choice(len(pool), size=32, p=probs)])
@@ -362,14 +395,14 @@ def test_engine_params_are_checked():
 
 def test_hill_climb_without_memory_is_random():
     engine = HillClimbEngine(seed=9)
-    designs, _ = propose(engine, _state(), SPACE, 4)
+    designs, _ = propose(engine, _state(), 4)
     assert len(designs) == 4
 
 
 def test_hill_climb_perturbs_best():
     entries = [_entry(1, 40.0, 3.0, 3.0), _entry(1, 90.0, -1.0, -1.0)]
     engine = HillClimbEngine(seed=2, step=0.01)
-    designs = engine.propose(_state(entries), SPACE, 16)
+    designs = engine.propose(_state(entries), 16)
     assert np.all(np.abs(designs[:, 0] - 40.0) < 10.0)
 
 
@@ -419,6 +452,12 @@ def test_file_corpus_undecodable_file_is_skipped(tmp_path):
     src = FileCorpusSource("corpus", (str(tmp_path / "bad.txt"), str(tmp_path / "good.txt")))
     assert src.passages == ["quark lepton boson"]
     assert len(src.warnings) == 1 and src.warnings[0].startswith("unreadable corpus file")
+
+
+def test_file_corpus_reads_its_passages_and_warnings_from_its_files():
+    for output in ("passages", "warnings"):
+        with pytest.raises(TypeError):
+            FileCorpusSource("corpus", (), **{output: ["given"]})
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +591,7 @@ def test_unparsable_action_reply_keeps_retrieved_material(reply):
 def test_mock_engines_neither_reflect_nor_retrieve():
     sources = [CountingSource("a", "ans-a")]
     for engine in (RandomEngine(seed=0), BoltzmannMemoryEngine(seed=0), HillClimbEngine(seed=0)):
-        assert reflect(engine, np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc") == ""
+        assert reflect(engine, _state(), np.array([0.5])) == ""
         assert generate_knowledge(engine, sources, _state(), budget=3) == ""
     assert sources[0].calls == 0
 
@@ -616,7 +655,7 @@ def test_chat_engine_needs_an_endpoint(monkeypatch):
 def test_chat_engine_parses_stub_batch(stub_server):
     _StubHandler.responses = [_payload(3)]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, retry_wait=0.0, seed=0)
-    designs, _ = propose(engine, _state(), SPACE, 3)
+    designs, _ = propose(engine, _state(), 3)
     assert len(designs) == 3
     assert not engine.warnings
     sent = _StubHandler.requests[0]
@@ -628,7 +667,7 @@ def test_chat_engine_fills_random_after_garbage(stub_server):
     _StubHandler.responses = ["no json here", "still not json", "nope"]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, max_retries=3,
                            retry_wait=0.0, seed=1)
-    designs, _ = propose(engine, _state(), SPACE, 4)
+    designs, _ = propose(engine, _state(), 4)
     assert len(designs) == 4
     assert any("filled 4 slots with random designs" in w for w in engine.warnings)
 
@@ -640,7 +679,7 @@ def test_chat_engine_failing_endpoint_ends_the_rounds(stub_server):
     _StubHandler.status = 500
     engine = ChatApiEngine(model="stub", endpoint=stub_server, max_retries=2,
                            retry_wait=0.0, seed=0)
-    designs, _ = propose(engine, _state(), SPACE, 3)
+    designs, _ = propose(engine, _state(), 3)
     assert len(designs) == 3
     assert len(_StubHandler.requests) == 2
     assert sum("proposal round failed" in w for w in engine.warnings) == 1
@@ -659,7 +698,7 @@ def test_unparsable_proposal_reply_falls_back_to_random(raw):
         parse_designs(raw, space, 2)
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, max_retries=2, seed=0)
     engine._chat = lambda messages: raw
-    designs, X = propose(engine, _state(space=space), space, 2)
+    designs, X = propose(engine, _state(space=space), 2)
     assert len(designs) == 2 and np.all(np.isfinite(X))
     assert sum("proposal round failed: malformed JSON" in w for w in engine.warnings) == 2
     assert any("filled 2 slots with random designs" in w for w in engine.warnings)
@@ -669,7 +708,7 @@ def test_chat_engine_retries_past_a_nan_element():
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, retry_wait=0.0, seed=0)
     items = [{"Dose": float("nan"), "Boost": True, "Taper": True}, *json.loads(_payload(3))]
     engine._chat = lambda messages: json.dumps(items)
-    designs, X = propose(engine, _state(), SPACE, 3)
+    designs, X = propose(engine, _state(), 3)
     assert len(designs) == 3 and np.all(np.isfinite(X))
     assert any("rejected 1 malformed design elements" in w for w in engine.warnings)
 
@@ -677,9 +716,11 @@ def test_chat_engine_retries_past_a_nan_element():
 def test_chat_engine_reflect_degrades_to_empty():
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER,
                            max_retries=1, retry_wait=0.0, timeout=0.2, seed=0)
-    out = engine.reflect(np.array([[1.0, 1.0, 0.0]]), np.array([0.5]), "desc")
+    out = engine.reflect(_state(), np.array([0.5]))
     assert out == ""
     assert any("reflection failed" in w for w in engine.warnings)
+    with pytest.raises(ValueError, match="empty batch"):
+        engine.reflect(_state(), np.array([]))
 
 
 def test_chat_run_survives_null_replies(stub_server, dose_task):
