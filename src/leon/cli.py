@@ -11,8 +11,9 @@ outputs are byte-identical across reruns.
 run reads, an object or a list where one is expected) and maps it onto
 `Hyperparams`, `RunConfig` and `ExperimentConfig`, which check their own
 values; their errors become a `ConfigError` that names the config's
-place, `methods[1]: ...`. A baseline takes only `name`; only the
-`analytic-shift` surrogate reads `beta` and `radius`.
+place, `methods[1]: ...`. A baseline takes only `name`, only leon reads
+`lambda0`, `w0`, `eta_lambda` and `mu_max`, and only the `analytic-shift`
+surrogate reads `beta` and `radius`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
-_HP_KEYS = {"lambda0", "w0", "eta_lambda", "mu_max", "batch_size", "budget"}
+_LEON_HP_KEYS = {"lambda0", "w0", "eta_lambda", "mu_max"}  # the rest are shared
+_HP_KEYS = _LEON_HP_KEYS | {"batch_size", "budget"}
 # JSON key -> RunConfig field
 _METHOD_FIELDS = {"name": "method", "engine": "engine", "engine_params": "engine_params",
                   "partition": "partition", "source_pool_size": "source_pool_size",
@@ -107,8 +109,8 @@ def _build(where: str | None, make, *args, **kwargs):
 
 def parse_config(obj) -> ExperimentConfig:
     _object(obj, "config", _TOP_KEYS)
-    hp = _build("hyperparams", Hyperparams,
-                **_object(obj.get("hyperparams", {}), "hyperparams", _HP_KEYS))
+    hp_spec = _object(obj.get("hyperparams", {}), "hyperparams", _HP_KEYS)
+    hp = _build("hyperparams", Hyperparams, **hp_spec)
     surrogate = _object(obj.get("surrogate", {}), "surrogate", _SURROGATE_FIELDS)
     # every method shares the surrogate keys, so they are checked once, as such
     shared = _build("surrogate", RunConfig, hp=hp,
@@ -127,6 +129,9 @@ def parse_config(obj) -> ExperimentConfig:
             raise ConfigError(f"{where}: {m['name']} takes only name, got {sorted(m)}")
         spec = {_METHOD_FIELDS[k]: v for k, v in m.items()}
         methods.append(_build(where, replace, shared, **{"method": None, **spec}))
+    unread = sorted(hp_spec.keys() & _LEON_HP_KEYS)
+    if unread and all(m.method != "leon" for m in methods):
+        raise ConfigError(f"hyperparams: no leon method reads {unread}")
     seed = obj.get("seed", 0)
     return _build(None, ExperimentConfig, task=obj.get("task"), methods=methods,
                   n_patients=obj.get("n_patients", 1), seed=seed,

@@ -1,9 +1,9 @@
 """The outer optimization loop, final-design selection, baselines, and
 cohort evaluation.
 
-Every method sees the surrogate only through a metered handle capped at the
-evaluation budget; the ground-truth oracle is called exactly once per run,
-by the harness, after the budget is exhausted.
+Every method sees the surrogate only through one handle that holds the run's
+context, meters the evaluation budget and checks its values; the ground-truth
+oracle is called once per run, by the harness, after the budget is exhausted.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .proposal import (
 )
 from .tasks import SURROGATES, MixtureSurrogate, OracleSurrogate, Task, make_surrogate, oracle_eval
 from .tasks import make_task  # noqa: F401 - perfbench's tracer wraps optimizer.make_task
-from .core import decode_design
+from .core import NumericError, decode_design
 
 
 class BudgetExceededError(RuntimeError):
@@ -46,26 +46,37 @@ class BudgetExceededError(RuntimeError):
 
 
 class MeteredSurrogate:
-    """Charges every scored design against the budget. `calls` counts
-    scored designs (value rows), not calls: one call scores a batch."""
+    """A run's one handle on its surrogate, for the run's context `ctx`. `calls`
+    counts the designs (value rows) charged against the budget, not calls."""
 
-    def __init__(self, inner, budget: int):
+    def __init__(self, inner, budget: int, ctx: Context):
         self.inner = inner
         self.budget = budget
+        self.ctx = ctx
         self.calls = 0
 
     @property
     def remaining(self) -> int:
         return self.budget - self.calls
 
-    def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
+    def value(self, V: np.ndarray) -> np.ndarray:
         """The inner surrogate's values of `(n, d)` value rows, charged `n`;
         a batch that would overflow the budget raises before any is scored."""
         if self.calls + len(V) > self.budget:
             raise BudgetExceededError(
                 f"surrogate budget {self.budget} exceeded ({self.calls} + {len(V)} designs)")
         self.calls += len(V)
-        return self.inner.value(V, ctx)
+        return self.unmetered(V)
+
+    def unmetered(self, V: np.ndarray) -> np.ndarray:
+        """The inner surrogate's values of `(n, d)` value rows, uncharged: `n`
+        finite numbers, else ValueError (a wrong shape) or NumericError."""
+        f = np.asarray(self.inner.value(V, self.ctx))
+        if f.shape != (len(V),):
+            raise ValueError(f"surrogate returned shape {f.shape} for {len(V)} rows")
+        if not np.isfinite(f).all():
+            raise NumericError(f"surrogate returned non-finite values for {len(V)} rows")
+        return f
 
 
 def derive_seed(*parts: int) -> int:
@@ -203,21 +214,21 @@ def select_final(memory: TrajectoryMemory) -> Design:
 
 
 def _start(task: Task, cfg: RunConfig, seed: int, ctx, surrogate):
-    """A run's context, drawn from `[seed, 1]` unless given; its surrogate,
-    built from `derive_seed(seed, 4)` unless given; the surrogate metered to
-    the budget; and an empty memory of the budget's rows."""
+    """A run's surrogate, built from `derive_seed(seed, 4)` unless given,
+    metered to the budget for the run's context, drawn from `[seed, 1]`
+    unless given; and an empty memory of the budget's rows."""
     if ctx is None:
         ctx = task.sample_context(np.random.default_rng([seed, 1]), "target", id=f"t{seed}")
     if surrogate is None:
         surrogate = build_surrogate(task, cfg, derive_seed(seed, 4))
-    return (ctx, surrogate, MeteredSurrogate(surrogate, cfg.hp.budget),
+    return (MeteredSurrogate(surrogate, cfg.hp.budget, ctx),
             TrajectoryMemory(task.space, cfg.hp.budget))
 
 
-def _finish(task: Task, method: str, seed: int, ctx: Context, metered: MeteredSurrogate,
+def _finish(task: Task, method: str, seed: int, metered: MeteredSurrogate,
             memory: TrajectoryMemory, **traces) -> RunResult:
     """The run's result: its final design, scored by the oracle once."""
-    final = select_final(memory)
+    final, ctx = select_final(memory), metered.ctx
     return RunResult(task=task.name, method=method, seed=seed, patient_id=ctx.id,
                      final_design=final, oracle_score=oracle_eval(task, final, ctx),
                      memory=memory, surrogate_calls=metered.calls, **traces)
@@ -242,11 +253,11 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     The `score` partition cuts its bins around the surrogate's values of
     the source pool (a fresh critic reads 0 on them), so it scores the
-    source pool in one surrogate call past the meter: those designs lie
-    outside the budget and `surrogate_calls` does not count them.
+    source pool in one unmetered call, checked as every call is: those
+    designs lie outside the budget and `surrogate_calls` does not count them.
     """
     hp = cfg.hp
-    ctx, surrogate, metered, memory = _start(task, cfg, seed, ctx, surrogate)
+    metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if source_pool is None:
         rng_src = np.random.default_rng([seed, 2])
         source_pool = SourcePool(task.space, task.source_designs(rng_src, cfg.source_pool_size))
@@ -256,14 +267,12 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     lam, mu_hat = hp.lambda0, DEFAULT_MU
     warnings: list[str] = []
 
-    src_raw = None
-    if cfg.partition == "score":  # bins are cut around the source raw values
-        src_raw = surrogate.value(source_pool.values, ctx)
+    src_raw = metered.unmetered(source_pool.values) if cfg.partition == "score" else None
     partition = fit_partition(cfg.partition, source_pool, seed=derive_seed(seed, 6),
                               src_raw=src_raw)
 
     prompt_state = PromptState(knowledge="", reflection="", memory_view=memory.view(),
-                               context=ctx, task_description=task.description)
+                               context=metered.ctx, task_description=task.description)
     prompt_state.knowledge = generate_knowledge(engine, list(sources), prompt_state,
                                                 cfg.knowledge_budget)
 
@@ -275,7 +284,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         prompt_state.memory_view = memory.view(cfg.memory_view)
         values, batch_enc = propose(engine, prompt_state, b)
 
-        f_vals = metered.value(values, ctx)
+        f_vals = metered.value(values)
         critic, src_c, batch_c, c_vals = critic_train(critic, batch_enc)
         raw = f_vals + lam * c_vals
         assignments = partition.assign(batch_enc, raw)
@@ -303,7 +312,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         warnings.extend(engine.warnings)
         engine.warnings.clear()
 
-    return _finish(task, cfg.label, seed, ctx, metered, memory, lambda_trace=lambda_trace,
+    return _finish(task, cfg.label, seed, metered, memory, lambda_trace=lambda_trace,
                    mu_trace=mu_trace, w1_trace=w1_trace, warnings=warnings,
                    reflections=reflections)
 
@@ -313,26 +322,25 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _score(metered, memory, V, ctx):
+def _score(metered, memory, V):
     """Score a batch of value rows and log it in one append, at the step
     numbered by the memory row of its first design; a baseline's raw value
     is its score."""
-    values = metered.value(V, ctx)
+    values = metered.value(V)
     memory.append_batch(len(memory), V, values, values, np.zeros(len(V), dtype=np.int64))
     return values
 
 
-def _random_search(task, metered, ctx, rng, memory, chunk):
+def _random_search(space, metered, rng, memory, chunk):
     while metered.remaining > 0:
-        _score(metered, memory, random_design(task.space, rng, min(chunk, metered.remaining)), ctx)
+        _score(metered, memory, random_design(space, rng, min(chunk, metered.remaining)))
 
 
-def _simulated_annealing(task, metered, ctx, rng, memory):
+def _simulated_annealing(space, metered, rng, memory):
     """Single chain with a geometric temperature schedule calibrated so the
     final temperature is 1% of the initial one."""
-    space = task.space
     probes = random_design(space, rng, min(64, metered.remaining))
-    vals = _score(metered, memory, probes, ctx)
+    vals = _score(metered, memory, probes)
     t0 = float(np.std(vals)) or 1.0
     n = metered.remaining
     if n == 0:
@@ -343,7 +351,7 @@ def _simulated_annealing(task, metered, ctx, rng, memory):
     temp = t0
     for _ in range(n):
         cand = _single_dim_move(space, current, rng)
-        cand_val = _score(metered, memory, cand[None], ctx)[0]
+        cand_val = _score(metered, memory, cand[None])[0]
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
@@ -363,24 +371,23 @@ def _single_dim_move(space, row, rng):
     return cand
 
 
-def _surrogate_greedy(task, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
+def _surrogate_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
     """Greedy surrogate ascent from random starts, each given an equal share
     of the budget: `restarts` of them, or as many as the budget can pay one
     move of (2 probes per continuous dim, or 1 design on boolean dims), and
     at least 1."""
-    space = task.space
     flips = space.is_bool.any()
     cost = 1 if flips else 2 * len(space.dims)
     restarts = max(1, min(restarts, metered.budget // cost))
     share = metered.budget // restarts
     if flips:
         for _ in range(restarts):
-            _greedy_flip(space, metered, ctx, rng, memory, share)
+            _greedy_flip(space, metered, rng, memory, share)
     else:
-        _greedy_continuous(space, metered, ctx, rng, memory, restarts, share // cost, lr, fd_step)
+        _greedy_continuous(space, metered, rng, memory, restarts, share // cost, lr, fd_step)
 
 
-def _greedy_continuous(space, metered, ctx, rng, memory, chains, steps, lr, fd_step):
+def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
     """`chains` normalized-gradient ascents in encoded units with a
     1/sqrt(k) decayed step, via central finite differences on the surrogate,
     run side by side: step k scores every chain's probes in one call, chain
@@ -389,7 +396,7 @@ def _greedy_continuous(space, metered, ctx, rng, memory, chains, steps, lr, fd_s
     d = len(space.dims)
     u = rng.uniform(0.0, 1.0, size=(chains, d))  # the draws of one start after another
     if steps == 0:
-        _score(metered, memory, decode_design(space, u), ctx)
+        _score(metered, memory, decode_design(space, u))
         return
     j = np.arange(d)
     for k in range(1, steps + 1):
@@ -397,7 +404,7 @@ def _greedy_continuous(space, metered, ctx, rng, memory, chains, steps, lr, fd_s
         U = np.repeat(u, 2 * d, axis=0).reshape(chains, 2 * d, d)
         U[:, 2 * j, j] = up  # a chain's rows 2j and 2j + 1 probe dim j up and down
         U[:, 2 * j + 1, j] = down
-        vals = _score(metered, memory, decode_design(space, U.reshape(-1, d)), ctx)
+        vals = _score(metered, memory, decode_design(space, U.reshape(-1, d)))
         vals = vals.reshape(chains, 2 * d)
         denoms = up - down
         grad = np.divide(vals[:, 2 * j] - vals[:, 2 * j + 1], denoms, out=np.zeros((chains, d)),
@@ -408,22 +415,22 @@ def _greedy_continuous(space, metered, ctx, rng, memory, chains, steps, lr, fd_s
                 u[r] = np.clip(u[r] + (lr / np.sqrt(k)) * grad[r] / norm, 0.0, 1.0)
 
 
-def _greedy_flip(space, metered, ctx, rng, memory, allotment):
+def _greedy_flip(space, metered, rng, memory, allotment):
     """Best-improvement single-flip hill climbing with random restarts."""
     current = random_design(space, rng, 1)[0]
-    cur_val = _score(metered, memory, current[None], ctx)[0]
+    cur_val = _score(metered, memory, current[None])[0]
     used = 1
     while used < allotment and metered.remaining > 0:
         n = min(len(space.dims), allotment - used, metered.remaining)
         cands = _flip_each_dim(space, current, n)
-        vals = _score(metered, memory, cands, ctx)
+        vals = _score(metered, memory, cands)
         used += n
         best = int(np.argmax(vals))  # first of the best flips
         if vals[best] <= cur_val:  # local optimum: restart
             if used >= allotment or metered.remaining == 0:
                 break
             current = random_design(space, rng, 1)[0]
-            cur_val = _score(metered, memory, current[None], ctx)[0]
+            cur_val = _score(metered, memory, current[None])[0]
             used += 1
         else:
             current, cur_val = cands[best], vals[best]
@@ -442,18 +449,19 @@ def _flip_each_dim(space, row, n):
 def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,
                  ctx: Context | None = None, surrogate=None) -> RunResult:
     """Random search, simulated annealing, or greedy surrogate ascent, all
-    metered to the same budget and selecting the argmax-surrogate design."""
-    if variant not in BASELINES:
-        raise ValueError(f"unknown baseline {variant!r}; known: {BASELINES}")
+    metered to the same budget and selecting the argmax-surrogate design.
+    `variant` must be the baseline that `cfg.method` names."""
+    if variant not in BASELINES or variant != cfg.method:
+        raise ValueError(f"variant {short_repr(variant)} is not cfg.method, a baseline")
     rng = np.random.default_rng([seed, 40])
-    ctx, _, metered, memory = _start(task, cfg, seed, ctx, surrogate)
+    metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if variant == "random-search":
-        _random_search(task, metered, ctx, rng, memory, cfg.hp.batch_size)
+        _random_search(task.space, metered, rng, memory, cfg.hp.batch_size)
     elif variant == "simulated-annealing":
-        _simulated_annealing(task, metered, ctx, rng, memory)
+        _simulated_annealing(task.space, metered, rng, memory)
     else:
-        _surrogate_greedy(task, metered, ctx, rng, memory)
-    return _finish(task, variant, seed, ctx, metered, memory)
+        _surrogate_greedy(task.space, metered, rng, memory)
+    return _finish(task, variant, seed, metered, memory)
 
 
 def run_method(task: Task, cfg: RunConfig, seed: int, *, ctx=None, sources=()) -> RunResult:

@@ -49,7 +49,7 @@ from .numerics import stable_softmax
 
 
 class DesignParseError(ValueError):
-    """The raw engine output could not be parsed into any designs."""
+    """A model reply holds no well-formed JSON value where one is expected."""
 
 
 class TransportError(RuntimeError):
@@ -105,7 +105,17 @@ def build_prompt(state: PromptState) -> str:
 # Structured output parsing
 # ---------------------------------------------------------------------------
 
-_FENCE_RE = re.compile(r"```(?:json)?", re.IGNORECASE)
+
+def _read_json(raw: str, opener: str):
+    """The JSON value at the reply's first `opener`, `[` (a list) or `{` (a
+    dict), ignoring the text around it; DesignParseError if none or malformed."""
+    start = raw.find(opener)
+    if start == -1:
+        raise DesignParseError(f"no JSON {'array' if opener == '[' else 'object'} found")
+    try:
+        return json.JSONDecoder().raw_decode(raw, start)[0]
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
+        raise DesignParseError(f"malformed JSON: {exc}") from exc
 
 
 def _coerce_value(dim, v):
@@ -124,28 +134,17 @@ def _coerce_value(dim, v):
 
 
 def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[np.ndarray, int]:
-    """Parse a JSON array of {dim name: value} objects.
+    """Parse the JSON array of {dim name: value} objects at the reply's first `[`.
 
     Returns at most `b` designs as `(k, d)` value rows, booleans as 0.0/1.0,
     plus the number of rejected elements: those with a missing key or a
     malformed value, NaN, a number too large for a float and a boolean or a
     string for a continuous dim included. A number out of range, ±Infinity
-    too, clamps to the dim's bound. Raises DesignParseError when the payload
-    is not a JSON array at all, so engine retry logic can resample.
+    too, clamps to the dim's bound. Raises DesignParseError when the reply
+    holds no such array, so engine retry logic can resample.
     """
-    text = _FENCE_RE.sub("", raw).strip()
-    start, end = text.find("["), text.rfind("]")
-    if start == -1 or end <= start:
-        raise DesignParseError("no JSON array found")
-    try:
-        payload = json.loads(text[start : end + 1])
-    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
-        raise DesignParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise DesignParseError("expected a JSON array")
-
     rows, rejects = [], 0
-    for item in payload:
+    for item in _read_json(raw, "["):
         if len(rows) >= b:
             break
         if not isinstance(item, dict):
@@ -457,13 +456,11 @@ class ChatApiEngine:
             if raw is None:
                 break
             try:
-                action = json.loads(_FENCE_RE.sub("", raw).strip())
-                if not isinstance(action, dict):
-                    raise TypeError(f"expected a JSON object, got {type(action).__name__}")
-                query = str(action.get("query", ""))
-            except (ValueError, TypeError, RecursionError) as exc:
+                action = _read_json(raw, "{")
+            except DesignParseError as exc:
                 self.warnings.append(f"knowledge action failed: {exc}")
                 break
+            query = str(action.get("query", ""))
             if action.get("stop") or action.get("source") is None:
                 break
             source = next((s for s in sources if s.name == action["source"]), None)

@@ -361,11 +361,11 @@ SURROGATES = ("analytic-shift", "learned", "oracle")
 
 
 def make_surrogate(task: Task, variant: str = "analytic-shift", seed: int = 0,
-                   beta: float = 0.5, radius: float = 1.0, **kwargs):
+                   beta: float = 0.5, radius: float = 1.0):
     if variant == "analytic-shift":
         return AnalyticShiftSurrogate(task=task, beta=beta, radius=radius)
     if variant == "learned":
-        return make_learned_surrogate(task, seed=seed, **kwargs)
+        return make_learned_surrogate(task, seed=seed)
     if variant == "oracle":
         return OracleSurrogate(task=task)
     raise ValueError(f"unknown surrogate variant {variant!r}; known: {SURROGATES}")

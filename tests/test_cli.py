@@ -100,6 +100,19 @@ def test_parse_config_validates_fields():
         parse_config(_config(hyperparams={"budget": 8, "batch_size": 32}))
 
 
+def test_leon_only_hyperparams_need_a_leon_method():
+    """`lambda0`, `w0`, `eta_lambda` and `mu_max` drive leon's loop only: a
+    config with no leon method does not read them. `batch_size` and
+    `budget` are shared."""
+    leon_only = {"lambda0": 5, "w0": 0.1, "eta_lambda": 3, "mu_max": 2}
+    with pytest.raises(ConfigError, match=re.escape(
+            "hyperparams: no leon method reads ['eta_lambda', 'lambda0', 'mu_max', 'w0']")):
+        parse_config(_config(hyperparams=leon_only))
+    parse_config(_config(methods=[{"name": "random-search"}, {"name": "leon"}],
+                         hyperparams=leon_only))
+    parse_config(_config(hyperparams={"budget": 64, "batch_size": 32}))
+
+
 def test_config_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CHAT_API_BASE", raising=False)
@@ -187,7 +200,9 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                                   "memory_view": 5}]),
                 # only the analytic-shift surrogate reads beta and radius
                 _config(surrogate={"variant": "learned", "beta": 0.7}),
-                _config(surrogate={"variant": "oracle", "radius": 3.0})):
+                _config(surrogate={"variant": "oracle", "radius": 3.0}),
+                # only leon reads lambda0, w0, eta_lambda and mu_max
+                _config(hyperparams={"budget": 64, "batch_size": 32, "w0": 0.1})):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)
         assert "config error" in result.output

@@ -2,7 +2,6 @@ import gc
 import json
 import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from leon.core import (
     Design,
     DesignSpace,
     Hyperparams,
+    NumericError,
     TrajectoryMemory,
     decode_design,
 )
@@ -135,27 +135,78 @@ class _Flat:
 
 
 def test_metered_surrogate_enforces_budget():
-    metered = MeteredSurrogate(_Flat(), budget=3)
-    ctx = Context((0.0,), id="c")
+    metered = MeteredSurrogate(_Flat(), budget=3, ctx=Context((0.0,), id="c"))
     for _ in range(3):
-        metered.value(np.ones((1, 1)), ctx)
+        metered.value(np.ones((1, 1)))
     with pytest.raises(BudgetExceededError):
-        metered.value(np.ones((1, 1)), ctx)
+        metered.value(np.ones((1, 1)))
     assert metered.calls == 3
 
 
 def test_metered_batch_charges_its_length_and_an_overflow_charges_nothing():
     inner = _Flat()
-    metered = MeteredSurrogate(inner, budget=5)
-    ctx = Context((0.0,), id="c")
-    assert metered.value(np.ones((3, 1)), ctx).shape == (3,)
+    metered = MeteredSurrogate(inner, budget=5, ctx=Context((0.0,), id="c"))
+    assert metered.value(np.ones((3, 1))).shape == (3,)
     assert (metered.calls, metered.remaining) == (3, 2)
     with pytest.raises(BudgetExceededError):
-        metered.value(np.ones((3, 1)), ctx)
+        metered.value(np.ones((3, 1)))
     assert metered.calls == 3
     assert inner.batches == [3]  # the overflowing batch never reached the surrogate
-    metered.value(np.ones((2, 1)), ctx)
+    metered.value(np.ones((2, 1)))
     assert (metered.calls, inner.batches) == (5, [3, 2])
+
+
+class _Spoiled:
+    """The analytic-shift surrogate with its values spoiled: NaN on rows 0,
+    7, 14, ... of every batch, or returned as an `(n, 1)` column."""
+
+    def __init__(self, task, spoil):
+        self.inner, self.spoil = AnalyticShiftSurrogate(task), spoil
+
+    def value(self, designs, ctx):
+        f = self.inner.value(designs, ctx)
+        if self.spoil == "column":
+            return f[:, None]
+        f[::7] = np.nan
+        return f
+
+
+def _run_on(task, cfg, surrogate):
+    if cfg.method == "leon":
+        return run_leon(task, cfg, seed=0, surrogate=surrogate)
+    return run_baseline(task, cfg.method, cfg, seed=0, surrogate=surrogate)
+
+
+SPOILED_RUNS = [("leon", "kmeans"), ("leon", "score"),
+                *((baseline, "kmeans") for baseline in BASELINES)]
+
+
+@pytest.mark.parametrize("method, partition", SPOILED_RUNS)
+def test_a_nan_surrogate_value_fails_the_run(dose_task, method, partition):
+    """A NaN value used to reach the memory unchecked: each baseline
+    finished on a NaN row, the first one `np.argmax` finds, and leon failed
+    later in its engine. The `score` partition's unmetered source-pool call
+    is checked too."""
+    cfg = RunConfig(method=method, partition=partition,
+                    hp=Hyperparams(budget=128, batch_size=32))
+    with pytest.raises(NumericError, match=r"non-finite values for \d+ rows"):
+        _run_on(dose_task, cfg, _Spoiled(dose_task, "nan"))
+
+
+@pytest.mark.parametrize("method, partition", SPOILED_RUNS)
+def test_a_surrogate_of_the_wrong_shape_fails_where_it_is_called(dose_task, method, partition):
+    """An `(n, 1)` column used to fail far from the surrogate, in
+    `class_optima` or in the memory's append."""
+    cfg = RunConfig(method=method, partition=partition,
+                    hp=Hyperparams(budget=128, batch_size=32))
+    with pytest.raises(ValueError, match=r"surrogate returned shape \((\d+), 1\) for \1 rows"):
+        _run_on(dose_task, cfg, _Spoiled(dose_task, "column"))
+
+
+def test_run_baseline_runs_only_the_baseline_its_config_names(dose_task):
+    for cfg in (RunConfig(hp=HP_SMALL), RunConfig(method="simulated-annealing", hp=HP_SMALL)):
+        with pytest.raises(ValueError, match="'random-search' is not cfg.method"):
+            run_baseline(dose_task, "random-search", cfg, seed=0)
 
 
 @pytest.fixture
@@ -502,8 +553,7 @@ def test_surrogate_greedy_discrete_flips(regimen_task):
     assert len(result.final_design.values) == 16
 
 
-def _restart_by_restart_greedy(space, metered, ctx, rng, memory, lr=0.05, fd_step=1e-3,
-                               restarts=4):
+def _restart_by_restart_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
     """Continuous surrogate-greedy with its restarts run one after another:
     each restart's whole ascent, one call of 2d probes per step."""
     share = metered.budget // restarts
@@ -517,7 +567,7 @@ def _restart_by_restart_greedy(space, metered, ctx, rng, memory, lr=0.05, fd_ste
             U = np.repeat(u[None], 2 * d, axis=0)
             U[2 * j, j] = np.minimum(u + fd_step, 1.0)
             U[2 * j + 1, j] = np.maximum(u - fd_step, 0.0)
-            vals = leon.optimizer._score(metered, memory, decode_design(space, U), ctx)
+            vals = leon.optimizer._score(metered, memory, decode_design(space, U))
             denoms = U[2 * j, j] - U[2 * j + 1, j]
             grad = np.divide(vals[2 * j] - vals[2 * j + 1], denoms, out=np.zeros(d),
                              where=denoms > 0)
@@ -547,11 +597,10 @@ def test_side_by_side_greedy_matches_restart_by_restart(dose_task):
             for i, ctx in enumerate(contexts):
                 seed = leon.optimizer.derive_seed(11, i)
                 got = run_baseline(dose_task, "surrogate-greedy", cfg, seed, ctx=ctx)
-                ctx, _, metered, memory = leon.optimizer._start(dose_task, cfg, seed, ctx, None)
-                _restart_by_restart_greedy(dose_task.space, metered, ctx,
+                metered, memory = leon.optimizer._start(dose_task, cfg, seed, ctx, None)
+                _restart_by_restart_greedy(dose_task.space, metered,
                                            np.random.default_rng([seed, 40]), memory)
-                want = leon.optimizer._finish(dose_task, "surrogate-greedy", seed, ctx, metered,
-                                              memory)
+                want = leon.optimizer._finish(dose_task, "surrogate-greedy", seed, metered, memory)
                 assert got.final_design == want.final_design
                 assert got.oracle_score == want.oracle_score
                 assert got.surrogate_calls == want.surrogate_calls
@@ -572,9 +621,9 @@ def test_baselines_run_on_every_small_budget(make_task):
 def test_greedy_scores_its_start_when_no_step_is_affordable():
     space = DesignSpace(tuple(ContinuousDim(f"x{i}", 0.0, 1.0) for i in range(3)))
     for budget, scored in ((2, 1), (5, 1), (6, 6), (12, 12)):
-        metered, memory = MeteredSurrogate(_Flat(), budget), TrajectoryMemory(space, budget)
-        leon.optimizer._surrogate_greedy(SimpleNamespace(space=space), metered, None,
-                                         np.random.default_rng(0), memory)
+        metered = MeteredSurrogate(_Flat(), budget, ctx=Context((0.0,), id="c"))
+        memory = TrajectoryMemory(space, budget)
+        leon.optimizer._surrogate_greedy(space, metered, np.random.default_rng(0), memory)
         assert metered.calls == len(memory) == scored
 
 
@@ -588,17 +637,18 @@ def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
     def batch_steps(sizes):
         return np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
 
-    cfg = RunConfig(hp=Hyperparams(budget=80, batch_size=32))
+    hp = Hyperparams(budget=80, batch_size=32)
     expected = {"random-search": [32, 32, 16], "simulated-annealing": [64] + [1] * 16,
                 "surrogate-greedy": [8] * 10}
     for variant, sizes in expected.items():
         scored_batches.clear()
-        result = run_baseline(dose_task, variant, cfg, seed=3)
+        result = run_baseline(dose_task, variant, RunConfig(method=variant, hp=hp), seed=3)
         assert scored_batches == sizes
         assert len(result.memory) == result.surrogate_calls == 80
         assert np.array_equal(result.memory.view().step, batch_steps(sizes))
     scored_batches.clear()
-    result = run_baseline(regimen_task, "surrogate-greedy", cfg, seed=3)
+    result = run_baseline(regimen_task, "surrogate-greedy",
+                          RunConfig(method="surrogate-greedy", hp=hp), seed=3)
     assert max(scored_batches) == 16  # one flip per dim
     assert sum(scored_batches) == len(result.memory) == 80
     assert np.array_equal(result.memory.view().step, batch_steps(scored_batches))

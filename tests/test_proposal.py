@@ -198,6 +198,17 @@ def test_parse_strips_code_fences():
     assert len(designs) == 2
 
 
+@pytest.mark.parametrize("raw", [
+    'Here: [{"Dose": 10}] (see note [1])',
+    '```json\n[{"Dose": 10}]\n```\nThis follows rule [a].',
+], ids=["prose", "fence"])
+def test_parse_reads_the_array_at_the_first_bracket(raw):
+    """A bracket after the array, in prose or past a code fence, is not
+    part of it: the reply used to be malformed JSON ("Extra data")."""
+    designs, rejects = parse_designs(raw, DesignSpace((ContinuousDim("Dose", 0.0, 100.0),)), 2)
+    assert designs.tolist() == [[10.0]] and rejects == 0
+
+
 def test_parse_accepts_boolean_spellings():
     raw = json.dumps([{"Dose": 1.0, "Boost": "yes", "Taper": False},
                       {"Dose": 2.0, "Boost": 0, "Taper": False}])
@@ -555,6 +566,22 @@ def test_non_object_action_reply_keeps_retrieved_material(payload):
     assert out == "synthesized"
     assert "the facts" in engine.prompts[-1]
     assert any("knowledge action failed" in w for w in engine.warnings)
+
+
+@pytest.mark.parametrize("reply", [
+    'Sure: {"source": "facts", "query": "dose", "stop": false}. Next I will ask {more}.',
+    '```json\n{"source": "facts", "query": "dose", "stop": false}\n```',
+    '[{"source": "facts", "query": "dose", "stop": false}]',
+], ids=["prose", "fence", "in-a-list"])
+def test_action_reply_is_read_from_its_first_brace(reply):
+    """The action is the JSON object at the reply's first `{`, whatever
+    text surrounds it; a list around it is ignored as well."""
+    engine = _chat_engine([reply, "synthesized"])
+    out = generate_knowledge(engine, [StaticFactsSource("facts", "the facts")], _state(),
+                             budget=1)
+    assert out == "synthesized"
+    assert "[facts] query: dose\nthe facts" in engine.prompts[-1]
+    assert engine.warnings == []
 
 
 def test_unknown_source_warning_is_bounded():
