@@ -1,10 +1,10 @@
 """Certainty-parameter machinery.
 
-Per-class optima of the critic-regularized surrogate, Boltzmann class
-weights, slope-regression estimation of the entropy multiplier mu, the
-dual gradient in lambda, and design scoring. These are the single-step
-updates of the optimization loop, on plain values: lambda and mu are
-floats the loop carries, and no convergence machinery lives here.
+Per-class optima and batch shares of the critic-regularized surrogate (a
+class is any integer label), Boltzmann class weights, slope-regression
+estimation of the entropy multiplier mu, the dual gradient in lambda, and
+design scoring. These are the single-step updates of the optimization
+loop, on plain values: lambda and mu are floats the loop carries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import occupancies
 from .numerics import regression_slope, stable_softmax
 
 DEFAULT_MU = 1.0
@@ -21,27 +20,27 @@ DEFAULT_MU = 1.0
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per observed class: occupancy, best member, and its value.
+    """Per observed class, in ascending label order: its share of the batch,
+    best member, and that member's value.
 
     `best_rows[i]` is the batch row of the class's best member, the max over
     class members of the raw value f_hat + lambda * critic; `best_values[i]`
-    is that max. Occupancies over observed classes sum to 1.
+    is that max. The shares `q_hat` sum to 1.
     """
 
-    class_ids: tuple[int, ...]
     q_hat: np.ndarray
     best_rows: np.ndarray
     best_values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.class_ids)
+        return len(self.best_rows)
 
 
-def class_optima(raw, assignments, n_classes: int) -> ClassStats:
+def class_optima(raw, assignments) -> ClassStats:
     """Reduce a scored batch to per-class optima.
 
     Row j of the batch has raw value `raw[j]` (f_hat + lambda * critic) and
-    class `assignments[j]`. Ties keep the first occurrence.
+    class label `assignments[j]`, any integer. Ties keep the first occurrence.
     """
     raw = np.asarray(raw, dtype=float)
     assignments = np.asarray(assignments, dtype=int)
@@ -49,17 +48,12 @@ def class_optima(raw, assignments, n_classes: int) -> ClassStats:
         raise ValueError("empty batch")
     if len(raw) != len(assignments):
         raise ValueError("batch and assignments misaligned")
-    q = occupancies(assignments, n_classes)
     order = np.lexsort((-raw, assignments))  # by class, then best first; stable on ties
     cls = assignments[order]
-    rows = order[np.r_[True, cls[1:] != cls[:-1]]]
-    ids = assignments[rows]
-    return ClassStats(
-        class_ids=tuple(int(i) for i in ids),
-        q_hat=q[ids],
-        best_rows=rows,
-        best_values=raw[rows],
-    )
+    starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]])  # each class's run
+    counts = np.diff(np.r_[starts, len(cls)])
+    rows = order[starts]
+    return ClassStats(q_hat=counts / len(raw), best_rows=rows, best_values=raw[rows])
 
 
 def boltzmann_weights(stats: ClassStats, mu: float) -> np.ndarray:

@@ -51,8 +51,9 @@ _SURROGATE_FIELDS = {"variant": "surrogate_variant", "beta": "beta", "radius": "
 @dataclass
 class ExperimentConfig:
     """A cohort experiment, checked at construction: `task` one of TASKS,
-    at least one method, integer `n_patients` and `jobs` of at least 1 and
-    `seed` and `task_seed` of at least 0, a string or path `output_dir`,
+    at least one method and no two with the same label (their results
+    could not be told apart), integer `n_patients` and `jobs` of at least 1
+    and `seed` and `task_seed` of at least 0, a string or path `output_dir`,
     and `weights` None or a non-empty list, each weight one that RunConfig
     takes as its `mixture_w`."""
 
@@ -70,6 +71,12 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {sorted(TASKS)}, got {short_repr(self.task)}")
         if not self.methods:
             raise ValueError("methods must be a non-empty list")
+        first: dict[str, int] = {}
+        for i, m in enumerate(self.methods):
+            j = first.setdefault(m.label, i)
+            if j != i:
+                raise ValueError(f"methods[{j}] and methods[{i}] share the label {m.label}, "
+                                 "so their results could not be told apart")
         self.n_patients = read_int(self.n_patients, "n_patients", 1)
         self.seed = read_int(self.seed, "seed", 0)
         self.task_seed = read_int(self.task_seed, "task_seed", 0)
@@ -190,7 +197,6 @@ def _tidy_csv(cohorts: list) -> str:
 
 
 def _write_outputs(cfg: ExperimentConfig, cohorts: list) -> None:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     payload = _results_payload(cfg, cohorts)
     (cfg.output_dir / "results.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -227,6 +233,7 @@ def cmd_run(config_path):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)  # fails before any run, not after
         task = make_task({"name": cfg.task, "seed": cfg.task_seed})
         cohorts = []
         for w in cfg.weights or [None]:

@@ -268,14 +268,14 @@ class TrajectoryMemory:
         self._score = np.zeros(budget)
         self._class_id = np.zeros(budget, dtype=np.int64)
 
-    def append_batch(self, step, values, raw_values, scores, class_ids):
+    def append_batch(self, step, values, raw_values, scores, labels):
         """Log a batch's `(n, d)` value rows with their raw values, scores
-        and class ids at one step."""
+        and class labels at one step."""
         width = self.space.encoded_width
         if np.ndim(values) != 2 or np.shape(values)[1] != width:
             raise SchemaError(f"expected value rows of shape (n, {width}), got {np.shape(values)}")
         n = len(values)
-        if not (n == len(raw_values) == len(scores) == len(class_ids)):
+        if not (n == len(raw_values) == len(scores) == len(labels)):
             raise ValueError("misaligned batch arrays")
         if self._n + n > self.budget:
             raise ValueError(
@@ -291,7 +291,7 @@ class TrajectoryMemory:
         self._values[rows] = values
         self._raw[rows] = raw_values
         self._score[rows] = scores
-        self._class_id[rows] = class_ids
+        self._class_id[rows] = labels
         self._n += n
 
     def view(self, last: int | None = None) -> MemoryView:

@@ -1,16 +1,16 @@
 """Equivalence relations over the design space.
 
 Three interchangeable partition variants: k-means over design encodings, a
-seeded random assignment into 10 classes, and score-binned classes cut at
-standard-deviation thresholds around the source mean. Fractional
-occupancies over classes feed the coarse-grained entropy and the
-certainty-parameter estimates.
+seeded random hash into 10 classes, and score-binned classes cut at
+standard-deviation thresholds around the source mean. A class is a label:
+each batch row's class feeds the per-class optima and batch shares of
+`certainty.class_optima`, which needs no label range.
 
 The k-means variant clusters the encoded source pool (euclidean, k by the
 elbow rule), so nearby designs share a class.
 
 Contract: assignment is per batch. Every partition has
-`assign(X, raw_values) -> class ids`, taking a step's `(n, d)` encoded rows
+`assign(X, raw_values) -> labels`, taking a step's `(n, d)` encoded rows
 (`core.encode_batch`) and raw values (`(n,)` array) and returning an `(n,)`
 integer array; the k-means variant makes one nearest-centroid matrix
 operation, the score variant one `searchsorted`, and the random variant
@@ -41,50 +41,38 @@ class KMeansPartition:
 
     model: KMeansModel
 
-    @property
-    def n_classes(self) -> int:
-        return self.model.k
-
     def assign(self, X, raw_values) -> np.ndarray:
         return kmeans_assign(self.model, X)
 
 
 @dataclass
 class RandomPartition:
-    """A seeded hash of each encoded row into `n_classes` classes."""
+    """A seeded hash of each encoded row into `N_RANDOM_CLASSES` classes."""
 
-    n_classes: int = N_RANDOM_CLASSES
     seed: int = 0
 
     def assign(self, X, raw_values) -> np.ndarray:
         key = str(self.seed).encode()
         digests = [hashlib.blake2b(row.tobytes(), digest_size=8, key=key).digest()
                    for row in np.asarray(X, dtype=float)]
-        return np.array([int.from_bytes(h, "little") % self.n_classes for h in digests])
+        return np.array([int.from_bytes(h, "little") % N_RANDOM_CLASSES for h in digests])
 
 
 @dataclass
 class ScoreBinnedPartition:
-    """Classes cut by raw-value thresholds at
-    {-inf, mu-4s, ..., mu-s, mu, mu+s, ..., mu+4s, +inf}; bins are
-    left-closed/right-open."""
+    """Ten classes cut by the nine raw-value thresholds
+    mu-4s, ..., mu-s, mu, mu+s, ..., mu+4s; bins are left-closed/right-open,
+    and the lowest and highest are unbounded."""
 
     mu_src: float
     sigma_src: float
-    edges: np.ndarray = field(init=False)
+    cuts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        sigma = max(self.sigma_src, 1e-12)
-        inner = self.mu_src + sigma * np.arange(-4, 5)  # mu-4s .. mu+4s
-        self.edges = np.concatenate([[-np.inf], inner, [np.inf]])
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.edges) - 1  # 10 bins from 11 thresholds
+        self.cuts = self.mu_src + max(self.sigma_src, 1e-12) * np.arange(-4, 5)
 
     def assign(self, X, raw_values) -> np.ndarray:
-        idx = np.searchsorted(self.edges, np.asarray(raw_values, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.n_classes - 1)
+        return np.searchsorted(self.cuts, np.asarray(raw_values, dtype=float), side="right")
 
 
 Partition = KMeansPartition | RandomPartition | ScoreBinnedPartition
@@ -125,17 +113,6 @@ def fit_partition(variant: str, src: SourcePool, seed: int, src_raw=None) -> Par
     return KMeansPartition(model=fits[ks.index(k)])
 
 
-def occupancies(assignments, n_classes: int) -> np.ndarray:
-    """Empirical class frequencies: counts / total."""
-    assignments = np.asarray(assignments, dtype=int)
-    if assignments.size == 0:
-        raise ValueError("no assignments")
-    if assignments.min() < 0 or assignments.max() >= n_classes:
-        raise ValueError("class id out of range")
-    counts = np.bincount(assignments, minlength=n_classes)
-    return counts / counts.sum()
-
-
 __all__ = [
     "PARTITIONS",
     "KMeansPartition",
@@ -143,5 +120,4 @@ __all__ = [
     "ScoreBinnedPartition",
     "Partition",
     "fit_partition",
-    "occupancies",
 ]

@@ -289,7 +289,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         raw = f_vals + lam * c_vals
         assignments = partition.assign(batch_enc, raw)
 
-        stats = class_optima(raw, assignments, partition.n_classes)
+        stats = class_optima(raw, assignments)
         mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
 
         # the dual gradient reads the refit critic at each class's best row

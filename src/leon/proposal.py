@@ -387,11 +387,11 @@ class ChatApiEngine:
                     time.sleep(self.retry_wait * (2 ** attempt))
         raise TransportError(f"chat request failed after {self.max_retries} attempts: {last}")
 
-    def _ask(self, content: str, what: str) -> str | None:
-        """The reply to one user message; a TransportError becomes the
-        warning "<what> failed: ..." and None."""
+    def _ask(self, messages, what: str) -> str | None:
+        """The reply to `messages`; a TransportError becomes the warning
+        "<what> failed: ..." and None."""
         try:
-            return self._chat([{"role": "user", "content": content}])
+            return self._chat(messages)
         except TransportError as exc:
             self.warnings.append(f"{what} failed: {exc}")
             return None
@@ -405,11 +405,11 @@ class ChatApiEngine:
                 {"role": "system", "content": SYSTEM_PROMPT + "\n\n" + output_contract(space, need)},
                 {"role": "user", "content": build_prompt(state) + f"\n\nPropose exactly {need} new designs now."},
             ]
-            try:
-                parsed, rejects = parse_designs(self._chat(messages), space, need)
-            except TransportError as exc:  # every attempt failed: asking again would too
-                self.warnings.append(f"proposal round failed: {exc}")
+            raw = self._ask(messages, "proposal round")
+            if raw is None:  # every attempt failed: asking again would too
                 break
+            try:
+                parsed, rejects = parse_designs(raw, space, need)
             except DesignParseError as exc:
                 self.warnings.append(f"proposal round failed: {exc}")
                 continue
@@ -434,7 +434,7 @@ class ChatApiEngine:
             "Analyze the scores and reflect on how to improve them. "
             "Do NOT propose a new design; respond only with your thinking."
         )
-        return self._ask(prompt, "reflection") or ""
+        return self._ask([{"role": "user", "content": prompt}], "reflection") or ""
 
     def knowledge(self, sources, state: PromptState, budget: int) -> str:
         """Iterative retrieval, then one synthesis over the transcript. Each
@@ -447,12 +447,11 @@ class ChatApiEngine:
         history: list[tuple[str, str, str]] = []
         for _ in range(budget if sources else 0):
             transcript = "\n".join(f"[{k}] {q} -> {r[:400]}" for k, q, r in history)
-            raw = self._ask(
-                f"{preamble}Available knowledge sources: {names}.\n"
-                f"Queries so far:\n{transcript or '(none)'}\n\n"
-                'Respond ONLY with JSON: {"source": <source name or null>, '
-                '"query": <query string>, "stop": <true or false>}.',
-                "knowledge action")
+            prompt = (f"{preamble}Available knowledge sources: {names}.\n"
+                      f"Queries so far:\n{transcript or '(none)'}\n\n"
+                      'Respond ONLY with JSON: {"source": <source name or null>, '
+                      '"query": <query string>, "stop": <true or false>}.')
+            raw = self._ask([{"role": "user", "content": prompt}], "knowledge action")
             if raw is None:
                 break
             try:
@@ -474,11 +473,10 @@ class ChatApiEngine:
                 continue
             history.append((source.name, query, response))
         transcript = "\n\n".join(f"[{k}] query: {q}\n{r}" for k, q, r in history)
-        return self._ask(
-            f"{preamble}Retrieved material:\n{transcript or '(none)'}\n\n"
-            "Provide relevant factual information to help solve the problem. "
-            "Be specific, concise, and comprehensive.",
-            "knowledge synthesis") or ""
+        prompt = (f"{preamble}Retrieved material:\n{transcript or '(none)'}\n\n"
+                  "Provide relevant factual information to help solve the problem. "
+                  "Be specific, concise, and comprehensive.")
+        return self._ask([{"role": "user", "content": prompt}], "knowledge synthesis") or ""
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +504,18 @@ def _tokenize(text: str) -> list[str]:
 @dataclass
 class FileCorpusSource:
     """Blank-line-separated passages from UTF-8 text files, ranked by token
-    overlap with the query (ties keep file order)."""
+    overlap with the query (ties keep file order). `paths` is one path, a
+    `str` or `os.PathLike`, or a sequence of them; it is stored as a tuple."""
 
     name: str
-    paths: tuple[str, ...]
+    paths: str | os.PathLike | tuple
     top_k: int = 1
     passages: list[str] = field(init=False, default_factory=list)
     warnings: list[str] = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        one = isinstance(self.paths, (str, os.PathLike))  # a path, not a sequence of characters
+        self.paths = (self.paths,) if one else tuple(self.paths)
         for path in self.paths:
             try:
                 text = Path(path).read_text(encoding="utf-8")

@@ -136,8 +136,7 @@ def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float 
         while np.min(np.abs(np.subtract.outer(s, s)[~np.eye(3, dtype=bool)])) < 0.1:
             s = rng.normal(0.0, 1.0, size=3)
         mu = float(rng.uniform(0.5, 2.5))
-        stats = ClassStats(class_ids=(0, 1, 2), q_hat=np.ones(3) / 3,
-                           best_rows=np.arange(3), best_values=s)
+        stats = ClassStats(q_hat=np.ones(3) / 3, best_rows=np.arange(3), best_values=s)
         closed = weights_fn(stats, mu)
 
         feasible = H >= shannon_entropy(closed) - 1e-12
@@ -176,8 +175,7 @@ def check_dual_gradient(seed: int = 0, instances: int = 100) -> CheckResult:
             return (l * (w0 - src_mean) + h0 / mu
                     + log_partition(f + l * c, mu) / mu)
 
-        stats = ClassStats(class_ids=tuple(range(n)), q_hat=np.ones(n) / n,
-                           best_rows=np.arange(n), best_values=f + lam * c)
+        stats = ClassStats(q_hat=np.ones(n) / n, best_rows=np.arange(n), best_values=f + lam * c)
         qbar = boltzmann_weights(stats, mu)
         analytic = dual_gradient(w0, src_mean, c, qbar)
         h = 1e-6 * max(1.0, abs(lam))
@@ -205,16 +203,15 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
     for mu_true, scale in _MU_SCALES.items():
         s = np.arange(4) * scale
         q = stable_softmax(mu_true * s)
-        stats = ClassStats(class_ids=(0, 1, 2, 3), q_hat=q, best_rows=np.arange(4),
-                           best_values=s)
+        stats = ClassStats(q_hat=q, best_rows=np.arange(4), best_values=s)
         mu_exact = estimate_mu(stats, prev_mu=1.0, mu_max=100.0)
         worst_exact = max(worst_exact, abs(mu_exact - mu_true))
 
         draws = rng.choice(4, size=n_samples, p=q)
         q_hat = np.bincount(draws, minlength=4) / n_samples
         keep = q_hat > 0
-        noisy = ClassStats(class_ids=tuple(np.where(keep)[0]), q_hat=q_hat[keep],
-                           best_rows=np.flatnonzero(keep), best_values=s[keep])
+        noisy = ClassStats(q_hat=q_hat[keep], best_rows=np.flatnonzero(keep),
+                           best_values=s[keep])
         mu_noisy = estimate_mu(noisy, prev_mu=1.0, mu_max=100.0)
         worst_noisy = max(worst_noisy, abs(mu_noisy - mu_true) / mu_true)
     passed = worst_exact <= 1e-9 and worst_noisy <= 0.10

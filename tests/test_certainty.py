@@ -21,7 +21,6 @@ from leon.numerics import stable_softmax
 def _stats(values, q=None):
     n = len(values)
     return ClassStats(
-        class_ids=tuple(range(n)),
         q_hat=np.array(q) if q is not None else np.ones(n) / n,
         best_rows=np.arange(n),
         best_values=np.array(values, dtype=float),
@@ -34,7 +33,7 @@ def _stats(values, q=None):
 
 
 def test_class_optima_single_class():
-    stats = class_optima([1.0, 3.0], [0, 0], n_classes=1)
+    stats = class_optima([1.0, 3.0], [0, 0])
     assert stats.best_values.tolist() == [3.0]
     assert stats.q_hat.tolist() == [1.0]
     assert stats.best_rows.tolist() == [1]
@@ -42,62 +41,85 @@ def test_class_optima_single_class():
 
 def test_class_optima_lambda_zero_is_argmax_f():
     f, c = np.array([2.0, 5.0, 1.0]), np.array([9.0, -9.0, 9.0])
-    stats = class_optima(f + 0.0 * c, [0, 0, 0], n_classes=1)
+    stats = class_optima(f + 0.0 * c, [0, 0, 0])
     assert stats.best_rows.tolist() == [1]  # index of f-max, critic ignored
 
 
 def test_class_optima_lambda_weighting():
     # lam=2: second design wins because 0 + 2*1 > 1 + 2*0
     f, c = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    stats = class_optima(f + 2.0 * c, [0, 0], n_classes=1)
+    stats = class_optima(f + 2.0 * c, [0, 0])
     assert stats.best_values.tolist() == [2.0]
     assert stats.best_rows.tolist() == [1]
     assert c[stats.best_rows].tolist() == [1.0]
 
 
 def test_class_optima_first_occurrence_on_tie():
-    stats = class_optima([1.0, 1.0], [0, 0], n_classes=1)
+    stats = class_optima([1.0, 1.0], [0, 0])
     assert stats.best_rows.tolist() == [0]
 
 
 def test_class_optima_misaligned():
     with pytest.raises(ValueError):
-        class_optima([1.0], [0, 1], n_classes=2)
+        class_optima([1.0], [0, 1])
     with pytest.raises(ValueError):
-        class_optima([], [], n_classes=2)
+        class_optima([], [])
 
 
 def _class_optima_loop(f_vals, c_vals, assignments, lam):
-    """Per-row reference: strict improvement, so the first of ties stays."""
-    best = {}
+    """Per-row reference: strict improvement, so the first of ties stays;
+    a class's share is its row count over the batch size."""
+    best, count = {}, {}
     for row, (f, c, cid) in enumerate(zip(f_vals, c_vals, assignments)):
         raw = float(f) + lam * float(c)
+        count[cid] = count.get(cid, 0) + 1
         if cid not in best or raw > best[cid][0]:
             best[cid] = (raw, row, float(c))
     ids = sorted(best)
-    return ids, [best[i][1] for i in ids], [best[i][0] for i in ids], [best[i][2] for i in ids]
+    shares = [count[i] / len(assignments) for i in ids]
+    return (ids, shares, [best[i][1] for i in ids], [best[i][0] for i in ids],
+            [best[i][2] for i in ids])
 
 
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 4)),
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 4)),
                 min_size=1, max_size=40),
        st.sampled_from([0.0, 0.5, 2.0]))
 def test_class_optima_matches_loop_reference(rows, lam):
-    # small integer values make ties between rows frequent
+    # small integer values make ties between rows frequent; labels may be negative
     f_vals, c_vals, assignments = (np.array(col, dtype=float) for col in zip(*rows))
     assignments = assignments.astype(int)
-    stats = class_optima(f_vals + lam * c_vals, assignments, n_classes=5)
-    ids, best_rows, best_values, best_critic = _class_optima_loop(f_vals, c_vals,
-                                                                  assignments, lam)
-    assert list(stats.class_ids) == ids
+    stats = class_optima(f_vals + lam * c_vals, assignments)
+    ids, shares, best_rows, best_values, best_critic = _class_optima_loop(
+        f_vals, c_vals, assignments, lam)
+    assert assignments[stats.best_rows].tolist() == ids
+    assert stats.q_hat.tolist() == shares  # exact: count / n
     assert stats.best_rows.tolist() == best_rows
     assert stats.best_values.tolist() == best_values
     assert c_vals[stats.best_rows].tolist() == best_critic
 
 
 def test_class_optima_occupancies_sum_to_one():
-    stats = class_optima([1.0, 2.0, 3.0, 4.0], [0, 0, 2, 2], n_classes=4)
-    assert stats.class_ids == (0, 2)
+    stats = class_optima([1.0, 2.0, 3.0, 4.0], [0, 0, 2, 2])
+    assert stats.best_rows.tolist() == [1, 3]  # one entry per observed class
     assert stats.q_hat.sum() == pytest.approx(1.0)
+
+
+def test_class_optima_shares_examples():
+    """Each observed class's share of the batch, in ascending label order;
+    classes with no row have no entry."""
+    for labels, shares in (([0, 0, 1, 1], [0.5, 0.5]),
+                           ([2, 2, 2], [1.0]),
+                           ([0, 1, 1, 2], [0.25, 0.5, 0.25])):
+        assert class_optima(np.zeros(len(labels)), labels).q_hat.tolist() == shares
+
+
+def test_class_optima_reads_any_integer_labels():
+    """A class is a label: only the order of labels matters, not their range."""
+    raw = [2.0, 5.0, 1.0]
+    got, ref = class_optima(raw, [7, 7, -3]), class_optima(raw, [1, 1, 0])
+    assert got.q_hat.tolist() == ref.q_hat.tolist() == [1 / 3, 2 / 3]
+    assert got.best_rows.tolist() == ref.best_rows.tolist() == [2, 1]
+    assert got.best_values.tolist() == ref.best_values.tolist() == [1.0, 5.0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import leon.cli
 from leon.cli import (
     _HP_KEYS,
     _METHOD_FIELDS,
@@ -113,6 +114,23 @@ def test_leon_only_hyperparams_need_a_leon_method():
     parse_config(_config(hyperparams={"budget": 64, "batch_size": 32}))
 
 
+def test_methods_with_one_label_are_a_config_error(tmp_path, monkeypatch):
+    """Two methods with the same label would write records and summaries
+    that cannot be told apart."""
+    monkeypatch.chdir(tmp_path)
+    for methods, clash in (([{"name": "leon", "partition": "kmeans"},
+                             {"name": "random-search"},
+                             {"name": "leon", "partition": "random"}],
+                            "methods[0] and methods[2] share the label leon[boltzmann-memory]"),
+                           ([{"name": "random-search"}, {"name": "random-search"}],
+                            "methods[0] and methods[1] share the label random-search")):
+        result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config(methods=methods))])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"config error: {clash}, "), result.output
+    assert not (tmp_path / "out").exists()
+    parse_config(_config(methods=[{"name": "leon"}, {"name": "leon", "engine": "hill-climb"}]))
+
+
 def test_config_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CHAT_API_BASE", raising=False)
@@ -216,6 +234,24 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
     result = runner.invoke(main, ["run", "-c", str(huge)])
     assert result.exit_code == 2 and "config error" in result.output
     assert len(result.output) < 400, result.output
+
+
+def test_output_dir_that_cannot_be_made_fails_before_any_run(tmp_path, monkeypatch):
+    """An `output_dir` that names a file is a runtime failure (exit 1)
+    found before the first cohort runs, not after the last."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_text("a file", encoding="utf-8")
+    calls = []
+
+    def cohort(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a cohort ran")
+
+    monkeypatch.setattr(leon.cli, "evaluate_cohort", cohort)
+    result = runner.invoke(main, ["run", "-c", _write(tmp_path, _config())])
+    assert result.exit_code == 1
+    assert result.output.startswith("run failed:")
+    assert calls == []
 
 
 def test_run_has_no_jobs_flag(tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from leon.core import BooleanDim, ContinuousDim, DesignSpace, encode_batch
 from leon.critic import SourcePool
-from leon.equivalence import RandomPartition, ScoreBinnedPartition, fit_partition, occupancies
+from leon.equivalence import (
+    N_RANDOM_CLASSES,
+    RandomPartition,
+    ScoreBinnedPartition,
+    fit_partition,
+)
 from leon.numerics import kmeans_assign, shannon_entropy
 from leon.optimizer import RunConfig, derive_seed, run_leon
 from leon.tasks import make_dose_task
@@ -41,7 +46,7 @@ def test_fit_kmeans_partition_recovers_blobs(rng):
     designs, labels = _blob_designs(rng)
     src = SourcePool(BLOB_SPACE, designs)
     part = fit_partition("kmeans", src, seed=0)
-    assert part.n_classes == 3
+    assert part.model.k == 3
     assigned = part.assign(src.encoded, np.zeros(len(designs))).tolist()
     by_blob = [set(a for a, l in zip(assigned, labels) if l == blob) for blob in range(3)]
     assert all(len(s) == 1 for s in by_blob)
@@ -52,8 +57,7 @@ def test_fit_random_partition():
     task = make_dose_task(0)
     src = SourcePool(task.space, np.arange(12.0)[:, None])
     part = fit_partition("random", src, seed=3)
-    assert isinstance(part, RandomPartition)
-    assert part.n_classes == 10
+    assert part == RandomPartition(seed=3)
 
 
 def test_fit_score_partition_bins():
@@ -62,8 +66,7 @@ def test_fit_score_partition_bins():
     part = fit_partition("score", src, seed=0, src_raw=np.linspace(10, 90, 24))
     assert isinstance(part, ScoreBinnedPartition)
     assert part.mu_src == pytest.approx(50.0)
-    assert len(part.edges) == 11
-    assert part.n_classes == 10
+    assert len(part.cuts) == 9  # ten bins
 
 
 def test_fit_shrinks_kmax_with_warning(rng):
@@ -71,7 +74,7 @@ def test_fit_shrinks_kmax_with_warning(rng):
     src = SourcePool(BLOB_SPACE, designs)
     with pytest.warns(UserWarning):
         part = fit_partition("kmeans", src, seed=0)
-    assert 1 <= part.n_classes <= 12
+    assert 1 <= part.model.k <= 12
 
 
 def test_partition_stability_same_seed(rng):
@@ -119,7 +122,7 @@ def test_default_kmeans_classes_are_dose_intervals():
 
 
 def test_random_assignment_deterministic():
-    part = RandomPartition(n_classes=10, seed=4)
+    part = RandomPartition(seed=4)
     X = np.array([[0.035]])
     assert part.assign(X, [1.0]) == part.assign(X, [-1.0])
     assert 0 <= part.assign(X, [0.0])[0] < 10
@@ -128,18 +131,18 @@ def test_random_assignment_deterministic():
 def test_score_assignment_left_closed():
     part = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
     raw = [10.0, 10.0 - 1e-12, 7.0, -1e9, 1e9]
-    # the bin [mu, mu+sigma) is index 5 of 10: thresholds are
-    # [-inf, mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s, +inf];
+    # the bin [mu, mu+sigma) is index 5 of 10: the cuts are
+    # [mu-4s, mu-3s, mu-2s, mu-s, mu, mu+s, mu+2s, mu+3s, mu+4s];
     # 7.0 is mu - 1.5 sigma
     got = part.assign(np.zeros((len(raw), 1)), raw)
     assert got.tolist() == [5, 4, 3, 0, 9]
 
 
 def test_score_edges_are_not_a_constructor_input():
-    """The bins follow from the source mean and spread alone: edges passed
+    """The bins follow from the source mean and spread alone: cuts passed
     in would be overwritten, so the constructor does not take them."""
     with pytest.raises(TypeError):
-        ScoreBinnedPartition(0.0, 1.0, edges=np.zeros(3))
+        ScoreBinnedPartition(0.0, 1.0, cuts=np.zeros(3))
 
 
 def test_kmeans_assignment_matches_kernel(rng):
@@ -164,12 +167,12 @@ def _random_one(part, values):
     """The seeded hash of one design's encoded row."""
     vec = encode_batch(BLOB_SPACE, [values])[0]
     h = hashlib.blake2b(vec.tobytes(), digest_size=8, key=str(part.seed).encode()).digest()
-    return int.from_bytes(h, "little") % part.n_classes
+    return int.from_bytes(h, "little") % N_RANDOM_CLASSES
 
 
 def _score_one(part, raw):
-    idx = int(np.searchsorted(part.edges, raw, side="right")) - 1
-    return min(max(idx, 0), part.n_classes - 1)
+    """The number of cuts at or below `raw`: left-closed bins."""
+    return sum(1 for cut in part.cuts if cut <= raw)
 
 
 def test_batch_assign_matches_per_design_reference(rng):
@@ -178,21 +181,22 @@ def test_batch_assign_matches_per_design_reference(rng):
     X = src.encoded
     kmeans = fit_partition("kmeans", src, seed=0)
     score = ScoreBinnedPartition(mu_src=10.0, sigma_src=2.0)
-    # every bin edge exactly, both infinities, and values between the edges
-    raw = np.concatenate([score.edges, rng.normal(10.0, 6.0, size=len(designs) - 11)])
+    # both infinities, every cut exactly, and values between the cuts
+    raw = np.concatenate([[-np.inf], score.cuts, [np.inf],
+                          rng.normal(10.0, 6.0, size=len(designs) - 11)])
     assert len(raw) == len(designs)
 
     got = kmeans.assign(X, raw)
     assert got.tolist() == [_kmeans_one(kmeans, d) for d in designs]
     assert len(set(got.tolist())) > 1
 
-    random = RandomPartition(n_classes=10, seed=4)
+    random = RandomPartition(seed=4)
     assert random.assign(X, raw).tolist() == [_random_one(random, d) for d in designs]
 
     got = score.assign(X, raw)
     assert got.tolist() == [_score_one(score, r) for r in raw]
-    # left-closed bins: each finite edge opens the bin above it; -inf is in
-    # the lowest bin and +inf in the highest
+    # left-closed bins: each cut opens the bin above it; -inf is in the
+    # lowest bin and +inf in the highest
     assert got[:11].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]
 
 
@@ -200,38 +204,16 @@ def test_batch_assign_matches_per_design_reference(rng):
 def test_assignment_total(design_seed):
     rng = np.random.default_rng(design_seed)
     X = rng.integers(2, size=(8, 2)).astype(float)
-    for part in (RandomPartition(n_classes=10, seed=0),
-                 ScoreBinnedPartition(mu_src=0.0, sigma_src=1.0)):
+    for part in (RandomPartition(seed=0),
+                 ScoreBinnedPartition(mu_src=0.0, sigma_src=1.0)):  # ten classes each
         cids = part.assign(X, rng.normal(size=8))
         assert cids.shape == (8,)
-        assert np.all((0 <= cids) & (cids < part.n_classes))
+        assert np.all((0 <= cids) & (cids < 10))
 
 
 # ---------------------------------------------------------------------------
-# occupancies and entropy
+# entropy
 # ---------------------------------------------------------------------------
-
-
-def test_occupancy_examples():
-    assert occupancies([0, 0, 1, 1], 2).tolist() == [0.5, 0.5]
-    assert occupancies([2, 2, 2], 3).tolist() == [0.0, 0.0, 1.0]
-    assert occupancies([0, 1, 1, 2], 4).tolist() == [0.25, 0.5, 0.25, 0.0]
-
-
-def test_occupancy_errors():
-    with pytest.raises(ValueError):
-        occupancies([], 2)
-    with pytest.raises(ValueError):
-        occupancies([0, 5], 2)
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
-def test_occupancy_properties(assignments):
-    q = occupancies(assignments, 6)
-    assert q.sum() == pytest.approx(1.0)
-    n = len(assignments)
-    for qi in q:
-        assert (qi * n) == pytest.approx(round(qi * n))  # multiples of 1/n
 
 
 def test_coarse_entropy_values():

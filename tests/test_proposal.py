@@ -449,6 +449,17 @@ def test_file_corpus_three_token_overlap(tmp_path):
     assert src.query("quark lepton boson please") == "quark lepton boson"
 
 
+def test_file_corpus_takes_one_path(tmp_path):
+    """A `str` or `os.PathLike` is one path, not a sequence of characters."""
+    doc = tmp_path / "notes.txt"
+    doc.write_text("quark lepton\n\nspin charge", encoding="utf-8")
+    for path in (str(doc), doc):
+        src = FileCorpusSource("corpus", path)
+        assert src.paths == (path,)
+        assert src.passages == ["quark lepton", "spin charge"]
+        assert src.warnings == []
+
+
 def test_file_corpus_unreadable_file(tmp_path):
     src = FileCorpusSource("corpus", (str(tmp_path / "missing.txt"),), top_k=1)
     assert src.warnings
