@@ -16,7 +16,8 @@ step, the exact design values, raw value, score and class. The values
 column is `bool` when every dim is boolean and float64 otherwise. A leon
 row's step is its acquisition step; a baseline logs each scored batch in
 one append, at the step numbered by the memory row of the batch's first
-design.
+design, and simulated annealing logs its chain of single moves in one
+append, each row at its own memory index.
 """
 
 from __future__ import annotations
@@ -270,7 +271,10 @@ class TrajectoryMemory:
 
     def append_batch(self, step, values, raw_values, scores, labels):
         """Log a batch's `(n, d)` value rows with their raw values, scores
-        and class labels at one step."""
+        and class labels, at one step or, given an `(n,)` integer array of
+        non-decreasing steps, each row at its own (annealing logs its chain
+        at the rows' memory indices). A step below the last logged one
+        raises."""
         width = self.space.encoded_width
         if np.ndim(values) != 2 or np.shape(values)[1] != width:
             raise SchemaError(f"expected value rows of shape (n, {width}), got {np.shape(values)}")
@@ -282,7 +286,15 @@ class TrajectoryMemory:
                 f"memory budget {self.budget} exceeded "
                 f"({self._n} + {n} entries)"
             )
-        if self._n and step < self._step[self._n - 1]:
+        steps = np.asarray(step)
+        if steps.ndim:
+            if steps.shape != (n,) or steps.dtype.kind not in "iu":
+                raise ValueError(f"a step array must hold {n} integers, "
+                                 f"got {steps.dtype} of shape {steps.shape}")
+            if (steps[1:] < steps[:-1]).any():
+                raise ValueError("steps must be non-decreasing")
+        # a non-decreasing batch starts at its least step
+        if self._n and steps.size and steps.flat[0] < self._step[self._n - 1]:
             raise ValueError("steps must be non-decreasing")
         if n == 0:
             return

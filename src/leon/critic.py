@@ -111,9 +111,9 @@ def _sinkhorn(C: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
     for _ in range(ITERS):
         if K is not None:
             s = u @ K
-            if s.min() >= _TINY:
+            if np.minimum.reduce(s) >= _TINY:  # s.min() without its Python wrapper
                 s = K @ ((1 / m) / s)
-                if s.min() >= _TINY:
+                if np.minimum.reduce(s) >= _TINY:
                     u = (1 / n) / s
                     continue
         g = _soft_transform(C, f + eps * np.log(u), eps)

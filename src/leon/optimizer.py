@@ -338,7 +338,11 @@ def _random_search(space, metered, rng, memory, chunk):
 
 def _simulated_annealing(space, metered, rng, memory):
     """Single chain with a geometric temperature schedule calibrated so the
-    final temperature is 1% of the initial one."""
+    final temperature is 1% of the initial one. After the 64 probes, each
+    move copies the current row with one random dim moved (a continuous dim
+    jittered by 0.1 of its width and clamped, a boolean flipped) and is
+    scored alone; the chain's rows are logged in one append once it ends,
+    each at its own memory index as its step."""
     probes = random_design(space, rng, min(64, metered.remaining))
     vals = _score(metered, memory, probes)
     t0 = float(np.std(vals)) or 1.0
@@ -349,26 +353,24 @@ def _simulated_annealing(space, metered, rng, memory):
     best_i = int(np.argmax(vals))
     current, cur_val = probes[best_i], vals[best_i]
     temp = t0
-    for _ in range(n):
-        cand = _single_dim_move(space, current, rng)
-        cand_val = _score(metered, memory, cand[None])[0]
+    is_bool, lo, hi = space.is_bool, space.lo, space.hi
+    width = 0.1 * (hi - lo)
+    rows, row_vals = np.empty((n, len(is_bool))), np.empty(n)
+    for t in range(n):
+        i = int(rng.integers(len(is_bool)))
+        cand = rows[t]
+        cand[:] = current
+        if is_bool[i]:
+            cand[i] = 1.0 - cand[i]
+        else:
+            cand[i] = min(max(float(cand[i]) + rng.normal(0.0, width[i]), lo[i]), hi[i])
+        cand_val = row_vals[t] = metered.value(rows[t:t + 1])[0]
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
             current, cur_val = cand, cand_val
-
-
-def _single_dim_move(space, row, rng):
-    """A copy of a value row with one random dim moved: a continuous dim
-    jittered by 0.1 of its width and clamped, a boolean flipped."""
-    i = int(rng.integers(len(space.dims)))
-    cand = row.copy()
-    if space.is_bool[i]:
-        cand[i] = 1.0 - cand[i]
-    else:
-        lo, hi = space.lo[i], space.hi[i]
-        cand[i] = min(max(float(cand[i]) + rng.normal(0.0, 0.1 * (hi - lo)), lo), hi)
-    return cand
+    memory.append_batch(np.arange(len(memory), len(memory) + n), rows, row_vals, row_vals,
+                        np.zeros(n, dtype=np.int64))
 
 
 def _surrogate_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
@@ -391,7 +393,8 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
     """`chains` normalized-gradient ascents in encoded units with a
     1/sqrt(k) decayed step, via central finite differences on the surrogate,
     run side by side: step k scores every chain's probes in one call, chain
-    by chain. Each chain's arithmetic is that of a chain run alone. With no
+    by chain, and moves every chain with a nonzero gradient in one array
+    update. Each chain's arithmetic is that of a chain run alone. With no
     step affordable, the one start is scored instead."""
     d = len(space.dims)
     u = rng.uniform(0.0, 1.0, size=(chains, d))  # the draws of one start after another
@@ -399,20 +402,21 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
         _score(metered, memory, decode_design(space, u))
         return
     j = np.arange(d)
+    j_up, j_down = 2 * j, 2 * j + 1  # a chain's rows 2j and 2j + 1 probe dim j up and down
     for k in range(1, steps + 1):
         up, down = np.minimum(u + fd_step, 1.0), np.maximum(u - fd_step, 0.0)
         U = np.repeat(u, 2 * d, axis=0).reshape(chains, 2 * d, d)
-        U[:, 2 * j, j] = up  # a chain's rows 2j and 2j + 1 probe dim j up and down
-        U[:, 2 * j + 1, j] = down
+        U[:, j_up, j] = up
+        U[:, j_down, j] = down
         vals = _score(metered, memory, decode_design(space, U.reshape(-1, d)))
         vals = vals.reshape(chains, 2 * d)
         denoms = up - down
-        grad = np.divide(vals[:, 2 * j] - vals[:, 2 * j + 1], denoms, out=np.zeros((chains, d)),
+        grad = np.divide(vals[:, j_up] - vals[:, j_down], denoms, out=np.zeros((chains, d)),
                          where=denoms > 0)
-        for r in range(chains):
-            norm = np.linalg.norm(grad[r])  # 1-D: an axis=1 norm sums differently
-            if norm > 0:
-                u[r] = np.clip(u[r] + (lr / np.sqrt(k)) * grad[r] / norm, 0.0, 1.0)
+        # vecdot is each row's BLAS dot, as a 1-D norm; an axis=1 norm sums differently
+        norm = np.sqrt(np.vecdot(grad, grad))
+        live = norm > 0
+        u[live] = np.clip(u[live] + (lr / np.sqrt(k)) * grad[live] / norm[live, None], 0.0, 1.0)
 
 
 def _greedy_flip(space, metered, rng, memory, allotment):

@@ -164,12 +164,15 @@ def parse_designs(raw: str, space: DesignSpace, b: int) -> tuple[np.ndarray, int
 
 def random_design(space: DesignSpace, rng: np.random.Generator, n: int) -> np.ndarray:
     """`n` uniform designs as `(n, d)` value rows: one `uniform` draw for
-    the continuous dims and one `integers(2)` draw for the booleans."""
+    the continuous dims and one `integers(2)` draw for the booleans, each
+    skipped when the space has no such dim (a size-0 draw takes no state)."""
     is_bool, lo, hi = space.is_bool, space.lo, space.hi
     cont = ~is_bool
     V = np.empty((n, len(is_bool)))
-    V[:, cont] = rng.uniform(lo[cont], hi[cont], size=(n, cont.sum()))
-    V[:, is_bool] = rng.integers(2, size=(n, is_bool.sum()))
+    if cont.any():
+        V[:, cont] = rng.uniform(lo[cont], hi[cont], size=(n, cont.sum()))
+    if is_bool.any():
+        V[:, is_bool] = rng.integers(2, size=(n, is_bool.sum()))
     return V
 
 
@@ -178,14 +181,16 @@ def perturb_design(space: DesignSpace, V: np.ndarray, rng: np.random.Generator,
     """Jitter each value row's continuous dims by its `sigma` (in encoded
     units, clamped to the bounds) and flip each of its booleans with its
     probability `flip`: one `normal` draw for the continuous dims and one
-    `random` draw for the booleans."""
+    `random` draw for the booleans, each skipped as in `random_design`."""
     is_bool, lo, hi = space.is_bool, space.lo, space.hi
     cont = ~is_bool
     out = np.array(V, dtype=float)
-    noise = rng.normal(0.0, sigma[:, None] * (hi - lo)[cont], size=(len(out), cont.sum()))
-    out[:, cont] = np.clip(out[:, cont] + noise, lo[cont], hi[cont])
-    flips = rng.random((len(out), is_bool.sum())) < flip[:, None]
-    out[:, is_bool] = np.where(flips, 1.0 - out[:, is_bool], out[:, is_bool])
+    if cont.any():
+        noise = rng.normal(0.0, sigma[:, None] * (hi - lo)[cont], size=(len(out), cont.sum()))
+        out[:, cont] = np.clip(out[:, cont] + noise, lo[cont], hi[cont])
+    if is_bool.any():
+        flips = rng.random((len(out), is_bool.sum())) < flip[:, None]
+        out[:, is_bool] = np.where(flips, 1.0 - out[:, is_bool], out[:, is_bool])
     return out
 
 
@@ -505,7 +510,9 @@ def _tokenize(text: str) -> list[str]:
 class FileCorpusSource:
     """Blank-line-separated passages from UTF-8 text files, ranked by token
     overlap with the query (ties keep file order). `paths` is one path, a
-    `str` or `os.PathLike`, or a sequence of them; it is stored as a tuple."""
+    `str` or `os.PathLike`, or a sequence of them; it is stored as a tuple.
+    `top_k`, the most passages a query returns, is read by `read_int`: an
+    integer of at least 1."""
 
     name: str
     paths: str | os.PathLike | tuple
@@ -514,6 +521,7 @@ class FileCorpusSource:
     warnings: list[str] = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        self.top_k = read_int(self.top_k, "top_k", 1)
         one = isinstance(self.paths, (str, os.PathLike))  # a path, not a sequence of characters
         self.paths = (self.paths,) if one else tuple(self.paths)
         for path in self.paths:

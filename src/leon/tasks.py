@@ -47,23 +47,36 @@ class Task:
             self._w0 = np.asarray(p["w_bias"], dtype=float)
             self._Q = np.asarray(p["q_matrix"], dtype=float)
             self._pattern = np.asarray(p["bump_pattern"], dtype=float)
+        # plain attributes, so that `==`, `repr` and field digests do not see them
+        self._term_ctx = self._term = None
 
     # -- oracle ---------------------------------------------------------
+
+    def _context_term(self, ctx: Context):
+        """The oracle's context term, `g_bias + g_w . z` on dose and
+        `W z + w0` on regimen, computed once for the last context asked
+        about. The memo is keyed on that object and holds it, so no later
+        object can take its id; an equal copy is computed afresh."""
+        if ctx is not self._term_ctx:
+            z = np.asarray(ctx.features, dtype=float)
+            if self.kind == "quadratic-dose":
+                term = self.params["g_bias"] + float(self._g_w @ z)
+            else:
+                term = self._W @ z + self._w0
+            self._term_ctx, self._term = ctx, term
+        return self._term
 
     def optimum_location(self, ctx: Context) -> float:
         """Closed-form argmax for the dose task (diagnostics only)."""
         if self.kind != "quadratic-dose":
             raise ValueError("only defined for the dose task")
-        return float(self.params["g_bias"] + self._g_w @ np.asarray(ctx.features))
+        return self._context_term(ctx)
 
     def oracle_values(self, V: np.ndarray, ctx: Context) -> np.ndarray:
         """Oracle values of `(n, d)` design value rows under one context."""
-        z = np.asarray(ctx.features, dtype=float)
         if self.kind == "quadratic-dose":
-            g = self.params["g_bias"] + float(self._g_w @ z)
-            return -np.square(V[:, 0] - g)
-        w = self._W @ z + self._w0
-        return V @ w + ((V @ self._Q) * V).sum(axis=1)
+            return -np.square(V[:, 0] - self._context_term(ctx))
+        return V @ self._context_term(ctx) + ((V @ self._Q) * V).sum(axis=1)
 
     def oracle(self, design: Design, ctx: Context) -> float:
         return float(self.oracle_values(np.array([design.values], dtype=float), ctx)[0])
@@ -212,6 +225,9 @@ class AnalyticShiftSurrogate:
     beta: float = 0.5
     radius: float = 1.0
 
+    def __post_init__(self):
+        self._dist_ctx = self._dist = None  # plain attributes, as in `Task`
+
     def _bump(self, V: np.ndarray) -> np.ndarray:
         p = self.task.params
         if self.task.kind == "quadratic-dose":
@@ -221,8 +237,13 @@ class AnalyticShiftSurrogate:
         return p["bump_amp"] * np.exp(-hamming / 2.0)
 
     def shift_weight(self, ctx: Context) -> float:
-        z = np.asarray(ctx.features, dtype=float)
-        return max(0.0, float(np.linalg.norm(z - self.task._m_src)) - self.radius)
+        """The bump's weight: the context's distance from the source mean
+        beyond `radius`, the distance computed once for the last context
+        asked about."""
+        if ctx is not self._dist_ctx:
+            z = np.asarray(ctx.features, dtype=float)
+            self._dist_ctx, self._dist = ctx, float(np.linalg.norm(z - self.task._m_src))
+        return max(0.0, self._dist - self.radius)
 
     def value(self, V: np.ndarray, ctx: Context) -> np.ndarray:
         return (self.task.oracle_values(V, ctx)

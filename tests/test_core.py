@@ -321,6 +321,26 @@ def test_memory_steps_monotone():
         mem.append_batch(*_entry_args(2, step=2))
 
 
+def test_memory_takes_a_step_per_row():
+    """A batch may carry one step per row, non-decreasing and not below the
+    last logged step; a rejected array writes nothing."""
+    mem = TrajectoryMemory(LINE, budget=8)
+    mem.append_batch(*_entry_args(2, step=3))
+    mem.append_batch(np.array([3, 4, 4]), *_entry_args(3)[1:])
+    assert mem.view().step.tolist() == [3, 3, 3, 4, 4]
+    for step, message in ((np.array([6, 5]), "non-decreasing"),
+                          (np.array([3, 5]), "non-decreasing"),  # below the last step, 4
+                          (np.array([5, 6, 7]), "2 integers"),
+                          (np.array([5.0, 6.0]), "2 integers"),
+                          (np.array([[5, 6]]), "2 integers")):
+        with pytest.raises(ValueError, match=message):
+            mem.append_batch(step, *_entry_args(2)[1:])
+    assert len(mem) == 5
+    mem.append_batch(np.array([], dtype=np.int64), *_entry_args(0)[1:])
+    mem.append_batch(np.arange(5, 8), *_entry_args(3)[1:])
+    assert mem.view().step.tolist() == [3, 3, 3, 4, 4, 5, 6, 7]
+
+
 def test_memory_scores_exact_product():
     mu = 0.37
     raws = np.array([1.5, -2.25, 0.0])

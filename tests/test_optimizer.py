@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import leon.optimizer
 from leon.core import (
+    BooleanDim,
     Context,
     ContinuousDim,
     Design,
@@ -553,6 +554,92 @@ def test_surrogate_greedy_discrete_flips(regimen_task):
     assert len(result.final_design.values) == 16
 
 
+def _single_dim_move(space, row, rng):
+    """A copy of a value row with one random dim moved: a continuous dim
+    jittered by 0.1 of its width and clamped, a boolean flipped."""
+    i = int(rng.integers(len(space.dims)))
+    cand = row.copy()
+    if space.is_bool[i]:
+        cand[i] = 1.0 - cand[i]
+    else:
+        lo, hi = space.lo[i], space.hi[i]
+        cand[i] = min(max(float(cand[i]) + rng.normal(0.0, 0.1 * (hi - lo)), lo), hi)
+    return cand
+
+
+def _move_by_move_annealing(space, metered, rng, memory):
+    """Simulated annealing with each move logged as soon as it is scored,
+    in its own append at its memory index."""
+    probes = leon.optimizer.random_design(space, rng, min(64, metered.remaining))
+    vals = leon.optimizer._score(metered, memory, probes)
+    t0 = float(np.std(vals)) or 1.0
+    n = metered.remaining
+    if n == 0:
+        return
+    alpha = 0.01 ** (1.0 / n)
+    best_i = int(np.argmax(vals))
+    current, cur_val = probes[best_i], vals[best_i]
+    temp = t0
+    for _ in range(n):
+        cand = _single_dim_move(space, current, rng)
+        cand_val = leon.optimizer._score(metered, memory, cand[None])[0]
+        delta = cand_val - cur_val
+        temp *= alpha
+        if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
+            current, cur_val = cand, cand_val
+
+
+class _Bowl:
+    """A smooth surrogate on a mixed space: a concave bowl in the continuous
+    dims, a bonus for each set boolean, and a ripple in every dim."""
+
+    def __init__(self, space, center):
+        self.is_bool, self.center = space.is_bool, np.asarray(center, dtype=float)
+
+    def value(self, V, ctx):
+        cont = ~self.is_bool
+        return (-np.square(V[:, cont] - self.center[cont]).sum(axis=1)
+                + 0.3 * V[:, self.is_bool].sum(axis=1) + np.sin(3.0 * V).sum(axis=1))
+
+
+MIXED = DesignSpace((ContinuousDim("x", -1.0, 2.0), BooleanDim("b"), ContinuousDim("y", 0.0, 5.0)))
+
+
+def _same_run(got_memory, got_calls, want_memory, want_calls):
+    got, want = got_memory.view(), want_memory.view()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.raw.tobytes() == want.raw.tobytes()
+    # the 64 probes at step 0, then each move at its memory index
+    assert got.step.tolist() == want.step.tolist() == [0] * 64 + list(range(64, len(want)))
+    assert select_final(got_memory) == select_final(want_memory)
+    assert got_calls == want_calls == len(want)
+
+
+@pytest.mark.parametrize("budget", [65, 80, 333, 2048])
+def test_annealing_matches_the_move_by_move_chain(dose_task, regimen_task, budget):
+    """Logging the chain in one append changes no bit of what annealing
+    scores, logs or picks, on dose, regimen and a mixed space."""
+    cfg = RunConfig(method="simulated-annealing", hp=Hyperparams(budget=budget, batch_size=32))
+    for task in (dose_task, regimen_task):
+        for seed in range(5):
+            got = run_baseline(task, "simulated-annealing", cfg, seed)
+            metered, memory = leon.optimizer._start(task, cfg, seed, None, None)
+            _move_by_move_annealing(task.space, metered, np.random.default_rng([seed, 40]),
+                                    memory)
+            want = leon.optimizer._finish(task, "simulated-annealing", seed, metered, memory)
+            _same_run(got.memory, got.surrogate_calls, want.memory, want.surrogate_calls)
+            assert got.oracle_score == want.oracle_score
+    ctx = Context((0.0,), id="c")
+    for seed in range(5):
+        runs = []
+        for anneal in (leon.optimizer._simulated_annealing, _move_by_move_annealing):
+            metered = MeteredSurrogate(_Bowl(MIXED, [1.2, 0.0, 3.1]), budget, ctx)
+            memory = TrajectoryMemory(MIXED, budget)
+            anneal(MIXED, metered, np.random.default_rng([seed, 40]), memory)
+            runs += [memory, metered.calls]
+        _same_run(*runs)
+
+
 def _restart_by_restart_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
     """Continuous surrogate-greedy with its restarts run one after another:
     each restart's whole ascent, one call of 2d probes per step."""
@@ -578,8 +665,8 @@ def _restart_by_restart_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-
             k += 1
 
 
-def _sorted_rows(result):
-    rows = result.memory.view()
+def _sorted_rows(memory):
+    rows = memory.view()
     table = np.column_stack([rows.values, rows.raw])
     return table[np.lexsort(table.T[::-1])]
 
@@ -604,7 +691,35 @@ def test_side_by_side_greedy_matches_restart_by_restart(dose_task):
                 assert got.final_design == want.final_design
                 assert got.oracle_score == want.oracle_score
                 assert got.surrogate_calls == want.surrogate_calls
-                assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+                assert np.array_equal(_sorted_rows(got.memory), _sorted_rows(want.memory))
+
+
+def test_side_by_side_greedy_matches_restart_by_restart_on_three_dims():
+    """On a 3-dim continuous space with a smooth surrogate the side-by-side
+    chains score the designs of the chains run one after another."""
+    space = DesignSpace(tuple(ContinuousDim(n, lo, hi)
+                              for n, lo, hi in (("x", -1.0, 2.0), ("y", 0.0, 5.0), ("z", 0.0, 1.0))))
+    ctx = Context((0.0,), id="c")
+    for budget in (80, 333, 2048):
+        for seed in range(5):
+            sur = _Bowl(space, np.random.default_rng(seed).uniform(0.0, 1.0, 3))
+            runs = []
+            for greedy in (leon.optimizer._surrogate_greedy, _restart_by_restart_greedy):
+                metered, memory = MeteredSurrogate(sur, budget, ctx), TrajectoryMemory(space, budget)
+                greedy(space, metered, np.random.default_rng([seed, 40]), memory)
+                runs.append((select_final(memory), metered.calls, _sorted_rows(memory)))
+            (got_final, got_calls, got_rows), (want_final, want_calls, want_rows) = runs
+            assert got_final == want_final
+            assert got_calls == want_calls
+            assert np.array_equal(got_rows, want_rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_a_row_dot_is_the_one_dim_norm(d):
+    """Greedy's per-row norm `sqrt(vecdot(g, g))` is each row's 1-D
+    `np.linalg.norm`, bit for bit."""
+    g = np.random.default_rng(d).normal(size=(64, d)) * np.logspace(-3, 3, 64)[:, None]
+    assert np.sqrt(np.vecdot(g, g)).tolist() == [np.linalg.norm(row) for row in g]
 
 
 @pytest.mark.parametrize("make_task", [make_dose_task, make_regimen_task])

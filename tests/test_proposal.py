@@ -388,6 +388,31 @@ def test_batch_draws_equal_the_scalar_draws(name):
     assert engine.rng.random() == reference.rng.random()
 
 
+def _draw_both_kinds(space, rng, n, V, sigma, flip):
+    """The draws of `random_design` then `perturb_design` with both kinds
+    of draw always taken, a size-0 one included: the generator state those
+    calls leave."""
+    is_bool, lo, hi = space.is_bool, space.lo, space.hi
+    cont = ~is_bool
+    rng.uniform(lo[cont], hi[cont], size=(n, cont.sum()))
+    rng.integers(2, size=(n, is_bool.sum()))
+    rng.normal(0.0, sigma[:, None] * (hi - lo)[cont], size=(len(V), cont.sum()))
+    rng.random((len(V), is_bool.sum()))
+
+
+@pytest.mark.parametrize("name", list(TASK_SPACES))
+def test_a_kind_of_dim_the_space_lacks_takes_no_draw(name):
+    """Skipping the size-0 draw of a kind of dim the space lacks leaves the
+    generator where the draw would have: a size-0 draw takes no state."""
+    space = TASK_SPACES[name]
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    sigmas, flips = np.full(5, 0.2), np.full(5, 0.3)
+    V = random_design(space, a, 5)
+    perturb_design(space, V, a, sigmas, flips)
+    _draw_both_kinds(space, b, 5, V, sigmas, flips)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_engine_params_are_checked():
     for kwargs in ({"temp": "hot"}, {"temp": -0.1}, {"temp": float("nan")},
                    {"temp": float("inf")}, {"pool_size": -1}, {"pool_size": 0},
@@ -458,6 +483,18 @@ def test_file_corpus_takes_one_path(tmp_path):
         assert src.paths == (path,)
         assert src.passages == ["quark lepton", "spin charge"]
         assert src.warnings == []
+
+
+def test_file_corpus_top_k_is_a_positive_integer(tmp_path):
+    """`top_k` is read at construction: a negative, zero, fractional or
+    boolean `top_k` raises there, not on the first query."""
+    doc = tmp_path / "notes.txt"
+    doc.write_text("quark one\n\nquark two\n\nquark three", encoding="utf-8")
+    for top_k in (-1, 0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="top_k must be"):
+            FileCorpusSource("corpus", doc, top_k=top_k)
+    assert FileCorpusSource("corpus", doc, top_k=np.int64(2)).query("quark") == \
+        "quark one\n\nquark two"
 
 
 def test_file_corpus_unreadable_file(tmp_path):

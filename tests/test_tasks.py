@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -452,3 +454,34 @@ def test_oracle_is_the_one_row_batch_of_the_closed_form(task_name):
             x = row
             closed = (task._W @ z + task._w0) @ x + x @ task._Q @ x
         assert task.oracle(d, ctx) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("make_task_fn", [make_dose_task, make_regimen_task])
+def test_context_memos_are_invisible(make_task_fn):
+    """A task and a surrogate keep the last context's terms: asked about
+    contexts A, B, A and an equal but distinct copy of A, each answers
+    bit for bit as a fresh object does, and the memo is in no field, so
+    `==`, `repr` and a pickled copy see no difference."""
+    task = make_task_fn(0)
+    sur = AnalyticShiftSurrogate(task)
+    rng = np.random.default_rng(9)
+    a, b = (task.sample_context(rng, "target", id=i) for i in ("a", "b"))
+    a_copy = Context(a.features, id="a")
+    V = task.source_designs(rng, 5)
+    for ctx in (a, b, a, a_copy, a_copy):
+        fresh = make_task_fn(0)
+        fresh_sur = AnalyticShiftSurrogate(fresh)
+        assert task.oracle_values(V, ctx).tobytes() == fresh.oracle_values(V, ctx).tobytes()
+        assert sur.value(V, ctx).tobytes() == fresh_sur.value(V, ctx).tobytes()
+        assert sur.shift_weight(ctx) == fresh_sur.shift_weight(ctx)
+        if task.kind == "quadratic-dose":
+            assert task.optimum_location(ctx) == fresh.optimum_location(ctx)
+    assert [f.name for f in dataclasses.fields(task)] == \
+        ["name", "kind", "space", "ctx_dim", "description", "params"]
+    assert [f.name for f in dataclasses.fields(sur)] == ["task", "beta", "radius"]
+    assert task == fresh and sur == fresh_sur
+    assert repr(task) == repr(fresh) and repr(sur) == repr(fresh_sur)
+    copy = pickle.loads(pickle.dumps(sur))
+    assert copy == fresh_sur
+    for ctx in (b, a):
+        assert copy.value(V, ctx).tobytes() == fresh_sur.value(V, ctx).tobytes()
