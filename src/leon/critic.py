@@ -5,7 +5,10 @@ row sets has a closed-form maximizer, so nothing is trained. A critic is
 the encoded pool rows s_i and a potential f_i on each; its value at a row x
 is the c-transform phi(x) = max_i (f_i - c(x, s_i)), 1-Lipschitz in the
 cost c(x, y) = ||x - y||_2 / sqrt(d), which is at most 1 on encoded rows
-(the unit cube), so `w0` is a fraction of the cube's diameter.
+(the unit cube), so `w0` is a fraction of the cube's diameter. On the
+boolean columns of the design space, where every entry is 0 or 1, the
+squared distance is a count of mismatches, taken by one matrix product;
+the continuous columns keep a blocked sum of squared differences.
 `critic_train` refits f to a batch by 20 Sinkhorn iterations (Cuturi 2013)
 with eps = 0.05 * mean cost, warm-started from the critic's f; `w1_estimate`
 of its values is a lower bound on the exact W1 of the pool and the batch.
@@ -47,40 +50,59 @@ class SourcePool:
 
 @dataclass(frozen=True)
 class Critic:
-    """Encoded pool rows `(n, d)`, their potentials `f` and `(n, n)` costs."""
+    """Encoded pool rows `(n, d)`, their columns' boolean mask `(d,)`, their
+    potentials `f` and `(n, n)` costs."""
 
     pool: np.ndarray
+    is_bool: np.ndarray
     f: np.ndarray
     pool_cost: np.ndarray
 
 
-def cost_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def cost_matrix(X: np.ndarray, Y: np.ndarray, is_bool: np.ndarray) -> np.ndarray:
     """`(n, m)` matrix of c(x, y) = ||x - y||_2 / sqrt(d) between the rows
-    of X `(n, d)` and Y `(m, d)`; exactly 0 between equal rows. Taken over
-    blocks of X's rows, so no more than about 2**15 differences are held.
-    Rows of another width raise ValueError, where a broadcast would not."""
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ValueError("the cost needs two (n, d) arrays of rows of one width")
-    out = np.empty((len(X), len(Y)))
-    rows = max(1, 2**15 // max(1, Y.size))
-    for i in range(0, len(X), rows):
-        diff = X[i:i + rows, None, :] - Y[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[i:i + rows])
-        del diff  # free this block before the next one is built
-    return np.sqrt(out / X.shape[1], out=out)
+    of X `(n, d)` and Y `(m, d)`, whose columns the `(d,)` bool array
+    `is_bool` marks as boolean; exactly 0 between equal rows. The squared
+    distance has two terms. On the boolean columns, each entry 0 or 1 as
+    `encode_batch` leaves it, it is the mismatch count
+    `X @ (1 - Y).T + (1 - X) @ Y.T`: an integer, so the exact bits of a sum
+    of squared differences. On the continuous columns it is that sum, taken
+    over blocks of X's rows so that no more than about 2**15 differences
+    are held. Rows of another width, or another mask, raise ValueError,
+    where a broadcast would not."""
+    if (X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]
+            or not isinstance(is_bool, np.ndarray) or is_bool.dtype != bool
+            or is_bool.shape != (X.shape[1],)):
+        raise ValueError("the cost needs two (n, d) arrays of rows of one width "
+                         "and a (d,) boolean mask of their columns")
+    n_bool, d = np.count_nonzero(is_bool), X.shape[1]
+    out = np.zeros((len(X), len(Y)))
+    if n_bool < d:
+        Xc, Yc = (X, Y) if n_bool == 0 else (X[:, ~is_bool], Y[:, ~is_bool])
+        rows = max(1, 2**15 // max(1, Yc.size))
+        for i in range(0, len(X), rows):
+            diff = Xc[i:i + rows, None, :] - Yc[None, :, :]
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[i:i + rows])
+            del diff  # free this block before the next one is built
+    if n_bool > 0:
+        Xb, Yb = (X, Y) if n_bool == d else (X[:, is_bool], Y[:, is_bool])
+        out += Xb @ (1.0 - Yb).T
+        out += (1.0 - Xb) @ Yb.T
+    return np.sqrt(out / d, out=out)
 
 
-def init_critic(pool_enc: np.ndarray) -> Critic:
-    """Critic on the encoded pool rows with f = 0."""
-    pool_cost = cost_matrix(pool_enc, pool_enc)
+def init_critic(pool_enc: np.ndarray, is_bool: np.ndarray) -> Critic:
+    """Critic with f = 0 on the encoded pool rows, whose columns `is_bool`
+    marks as boolean (`DesignSpace.is_bool`)."""
+    pool_cost = cost_matrix(pool_enc, pool_enc, is_bool)
     if len(pool_cost) == 0:
         raise ValueError("the pool must be non-empty")
-    return Critic(pool_enc, np.zeros(len(pool_enc)), pool_cost)
+    return Critic(pool_enc, is_bool, np.zeros(len(pool_enc)), pool_cost)
 
 
 def critic_values(critic: Critic, X: np.ndarray) -> np.ndarray:
     """Critic value of each row of an encoded `(n, d)` batch."""
-    return (critic.f[:, None] - cost_matrix(critic.pool, X)).max(axis=0)
+    return (critic.f[:, None] - cost_matrix(critic.pool, X, critic.is_bool)).max(axis=0)
 
 
 def w1_estimate(src_values: np.ndarray, gen_values: np.ndarray) -> float:
@@ -129,7 +151,7 @@ def critic_train(critic: Critic,
     batch's values under the given critic (`critic_values(critic, gen_enc)`),
     all from one pool x batch cost. The input is not changed; non-finite
     rows or potentials raise NumericError."""
-    C = cost_matrix(critic.pool, gen_enc)
+    C = cost_matrix(critic.pool, gen_enc, critic.is_bool)
     if len(gen_enc) == 0:
         raise ValueError("empty batch")
     eps = EPS_SCALE * float(C.mean())

@@ -59,13 +59,18 @@ class MeteredSurrogate:
     def remaining(self) -> int:
         return self.budget - self.calls
 
+    def charge(self, n: int) -> None:
+        """Charge `n` designs against the budget: the one budget check. A
+        charge that would overflow the budget raises and charges nothing."""
+        if self.calls + n > self.budget:
+            raise BudgetExceededError(
+                f"surrogate budget {self.budget} exceeded ({self.calls} + {n} designs)")
+        self.calls += n
+
     def value(self, V: np.ndarray) -> np.ndarray:
         """The inner surrogate's values of `(n, d)` value rows, charged `n`;
         a batch that would overflow the budget raises before any is scored."""
-        if self.calls + len(V) > self.budget:
-            raise BudgetExceededError(
-                f"surrogate budget {self.budget} exceeded ({self.calls} + {len(V)} designs)")
-        self.calls += len(V)
+        self.charge(len(V))
         return self.unmetered(V)
 
     def unmetered(self, V: np.ndarray) -> np.ndarray:
@@ -263,7 +268,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         source_pool = SourcePool(task.space, task.source_designs(rng_src, cfg.source_pool_size))
     if engine is None:
         engine = make_engine(cfg, derive_seed(seed, 3))
-    critic = init_critic(source_pool.encoded)
+    critic = init_critic(source_pool.encoded, source_pool.space.is_bool)
     lam, mu_hat = hp.lambda0, DEFAULT_MU
     warnings: list[str] = []
 
@@ -342,7 +347,11 @@ def _simulated_annealing(space, metered, rng, memory):
     move copies the current row with one random dim moved (a continuous dim
     jittered by 0.1 of its width and clamped, a boolean flipped) and is
     scored alone; the chain's rows are logged in one append once it ends,
-    each at its own memory index as its step."""
+    each at its own memory index as its step. A move onto a row an earlier
+    move already scored (a rejected flip undone, a clamp at a bound) reuses
+    that value and is charged through `metered.charge`, so the budget, the
+    chain and the log are those of scoring it again. A probe's value is not
+    reused: a batch call may differ from a single-row call in its last bit."""
     probes = random_design(space, rng, min(64, metered.remaining))
     vals = _score(metered, memory, probes)
     t0 = float(np.std(vals)) or 1.0
@@ -356,6 +365,7 @@ def _simulated_annealing(space, metered, rng, memory):
     is_bool, lo, hi = space.is_bool, space.lo, space.hi
     width = 0.1 * (hi - lo)
     rows, row_vals = np.empty((n, len(is_bool))), np.empty(n)
+    scored = {}  # a move-scored row's bytes -> its value
     for t in range(n):
         i = int(rng.integers(len(is_bool)))
         cand = rows[t]
@@ -364,7 +374,13 @@ def _simulated_annealing(space, metered, rng, memory):
             cand[i] = 1.0 - cand[i]
         else:
             cand[i] = min(max(float(cand[i]) + rng.normal(0.0, width[i]), lo[i]), hi[i])
-        cand_val = row_vals[t] = metered.value(rows[t:t + 1])[0]
+        key = cand.tobytes()
+        cand_val = scored.get(key)
+        if cand_val is None:
+            cand_val = scored[key] = metered.value(rows[t:t + 1])[0]
+        else:
+            metered.charge(1)
+        row_vals[t] = cand_val
         delta = cand_val - cur_val
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):

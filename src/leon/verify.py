@@ -232,11 +232,12 @@ def check_critic_contract(seed: int = 0) -> CheckResult:
     t0 = time.time()
     space = DesignSpace((ContinuousDim("x", 0.0, 1.0),))
     same = encode_batch(space, np.random.default_rng(seed).uniform(0.2, 0.8, size=(32, 1)))
-    same_critic, *same_values, _ = critic_train(init_critic(same), same)
+    same_critic, *same_values, _ = critic_train(init_critic(same, space.is_bool), same)
     est_same = w1_estimate(*same_values)
     src, gen = np.linspace(0.0, 0.2, 24), np.linspace(0.8, 1.0, 24)
-    critic, *values, _ = critic_train(init_critic(encode_batch(space, src[:, None])),
-                                      encode_batch(space, gen[:, None]))
+    critic, *values, _ = critic_train(
+        init_critic(encode_batch(space, src[:, None]), space.is_bool),
+        encode_batch(space, gen[:, None]))
     est, true_w1 = w1_estimate(*values), exact_w1_1d(src, gen)
     xs = np.union1d(np.linspace(0.0, 1.0, 2001), np.concatenate([src, gen, same[:, 0]]))
     slope = max(float(np.max(np.abs(np.diff(critic_values(c, xs[:, None]))) / np.diff(xs)))

@@ -157,6 +157,21 @@ def test_metered_batch_charges_its_length_and_an_overflow_charges_nothing():
     assert (metered.calls, inner.batches) == (5, [3, 2])
 
 
+def test_charge_past_the_budget_raises_and_charges_nothing():
+    """A reused value is charged through the one budget check: a revisit
+    past the budget raises and leaves `calls` as it was."""
+    inner = _Flat()
+    metered = MeteredSurrogate(inner, budget=3, ctx=Context((0.0,), id="c"))
+    metered.value(np.ones((2, 1)))
+    metered.charge(1)  # a revisit of a scored row
+    with pytest.raises(BudgetExceededError):
+        metered.charge(1)
+    assert (metered.calls, metered.remaining, inner.batches) == (3, 0, [2])
+    with pytest.raises(BudgetExceededError):
+        metered.value(np.ones((1, 1)))
+    assert metered.calls == 3
+
+
 class _Spoiled:
     """The analytic-shift surrogate with its values spoiled: NaN on rows 0,
     7, 14, ... of every batch, or returned as an `(n, 1)` column."""
@@ -335,9 +350,9 @@ def _count_critic_work(monkeypatch):
     real_cost, real_solve = leon.critic.cost_matrix, leon.critic._sinkhorn
     real_validate = leon.core.DesignSpace.validate
 
-    def cost(X, Y):
+    def cost(X, Y, is_bool):
         calls["cost"].append((len(X), len(Y)))
-        return real_cost(X, Y)
+        return real_cost(X, Y, is_bool)
 
     def solve(C, f, eps):
         calls["solve"].append(C.shape)
@@ -527,11 +542,45 @@ def test_simulated_annealing_metered_and_late_greedy(dose_task, oracle_ids):
                for e in result.memory.entries)
 
 
-def test_sa_zero_temperature_accepts_only_improvements():
-    # the acceptance rule at the temperature floor: exp(delta/temp) vanishes
-    # for any worsening move
-    assert float(np.exp(-0.1 / 1e-300)) == 0.0
-    assert float(np.exp(0.0 / 1e-300)) == 1.0
+class _NeverBelow:
+    """A generator whose `random()` is 1.0, which no acceptance probability
+    exceeds: annealing then takes only moves that do not worsen."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self):
+        return 1.0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_sa_zero_temperature_accepts_only_improvements(regimen_task):
+    """With every acceptance draw at 1.0, as at zero temperature, annealing
+    takes only moves that do not worsen: replaying the logged chain with
+    "accept iff the value does not fall" puts every move at most one dim
+    away from the replayed current row, on regimen and on a mixed space,
+    and the chains do propose worsening moves."""
+    cfg = RunConfig(method="simulated-annealing", hp=Hyperparams(budget=600, batch_size=32))
+    runs = []
+    for seed in range(3):
+        metered, memory = leon.optimizer._start(regimen_task, cfg, seed, None, None)
+        runs.append((regimen_task.space, metered, memory))
+        metered = MeteredSurrogate(_Bowl(MIXED, [1.2, 0.0, 3.1]), 600, Context((0.0,), id="c"))
+        runs.append((MIXED, metered, TrajectoryMemory(MIXED, 600)))
+    for seed, (space, metered, memory) in enumerate(runs):
+        leon.optimizer._simulated_annealing(space, metered, _NeverBelow(seed), memory)
+        rows = memory.view()
+        best = int(np.argmax(rows.raw[:64]))
+        current, cur_val, worse = rows.values[best], rows.raw[best], 0
+        for move, value in zip(rows.values[64:], rows.raw[64:]):
+            assert np.count_nonzero(move != current) <= 1
+            if value >= cur_val:
+                current, cur_val = move, value
+            else:
+                worse += 1
+        assert worse > 100
 
 
 def test_surrogate_greedy_converges_on_concave_1d(dose_task):
@@ -638,6 +687,64 @@ def test_annealing_matches_the_move_by_move_chain(dose_task, regimen_task, budge
             anneal(MIXED, metered, np.random.default_rng([seed, 40]), memory)
             runs += [memory, metered.calls]
         _same_run(*runs)
+
+
+class _Recorded:
+    """An inner surrogate that records the value rows of every call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def value(self, V, ctx):
+        self.calls.append(np.array(V))
+        return self.inner.value(V, ctx)
+
+
+def _recorded_annealing(space, inner, budget, seed, ctx):
+    recorded = _Recorded(inner)
+    metered = MeteredSurrogate(recorded, budget, ctx)
+    memory = TrajectoryMemory(space, budget)
+    leon.optimizer._simulated_annealing(space, metered, np.random.default_rng([seed, 40]), memory)
+    return recorded.calls, metered, memory
+
+
+@pytest.mark.parametrize("budget", [65, 80, 333, 2048])
+def test_annealing_scores_each_distinct_move_once(dose_task, regimen_task, budget):
+    """The surrogate runs once on the 64 probes and once on each distinct
+    row a move reaches, alone, however often the chain returns to it; every
+    move is still charged, so `surrogate_calls` is the budget on dose,
+    regimen and a mixed space."""
+    cfg = RunConfig(method="simulated-annealing", hp=Hyperparams(budget=budget, batch_size=32))
+    cases = []
+    for task in (dose_task, regimen_task):
+        for seed in range(3):
+            metered, _ = leon.optimizer._start(task, cfg, seed, None, None)
+            cases.append((task.space, metered.inner, seed, metered.ctx))
+            assert run_baseline(task, "simulated-annealing", cfg, seed).surrogate_calls == budget
+    for seed in range(3):
+        cases.append((MIXED, _Bowl(MIXED, [1.2, 0.0, 3.1]), seed, Context((0.0,), id="c")))
+    revisits = 0
+    for space, inner, seed, ctx in cases:
+        calls, metered, memory = _recorded_annealing(space, inner, budget, seed, ctx)
+        moves = memory.view().values[64:].astype(float)  # all-boolean memories hold bools
+        distinct = list(dict.fromkeys(row.tobytes() for row in moves))
+        assert len(calls[0]) == 64 and all(len(V) == 1 for V in calls[1:])
+        assert [V[0].tobytes() for V in calls[1:]] == distinct
+        assert metered.calls == len(memory) == budget
+        revisits += len(moves) - len(distinct)
+    assert revisits > 0 or budget == 65
+
+
+def test_annealing_scores_a_move_onto_a_probe_alone():
+    """On two boolean dims the 64 probes hold all four rows, so every move
+    lands on a probe row; each distinct one is still scored alone, once."""
+    space = DesignSpace((BooleanDim("a"), BooleanDim("b")))
+    calls, metered, memory = _recorded_annealing(space, _Bowl(space, [0.0, 0.0]), 200, 0,
+                                                 Context((0.0,), id="c"))
+    probes, moves = np.split(memory.view().values.astype(float), [64])
+    assert {row.tobytes() for row in probes} == {row.tobytes() for row in moves}
+    assert len(calls) == 1 + len({row.tobytes() for row in moves})
+    assert all(len(V) == 1 for V in calls[1:]) and metered.calls == 200
 
 
 def _restart_by_restart_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
