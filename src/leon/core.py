@@ -13,11 +13,10 @@ and its JSON, and `TrajectoryMemory.entries`.
 
 Trajectory memory is a set of columns preallocated to the run's budget:
 step, the exact design values, raw value, score and class. The values
-column is `bool` when every dim is boolean and float64 otherwise. A leon
-row's step is its acquisition step; a baseline logs each scored batch in
-one append, at the step numbered by the memory row of the batch's first
-design, and simulated annealing logs its chain of single moves in one
-append, each row at its own memory index.
+column is `bool` when every dim is boolean and float64 otherwise. The
+memory numbers its own steps: every row of the k-th append is at step k,
+so a leon row's step is its acquisition step and a baseline row's is the
+ordinal of its scored batch.
 """
 
 from __future__ import annotations
@@ -262,6 +261,7 @@ class TrajectoryMemory:
         self.space = space
         self.budget = budget
         self._n = 0
+        self._steps = 0  # appends taken
         self._step = np.zeros(budget, dtype=np.int64)
         self._values = np.zeros((budget, space.encoded_width),
                                 dtype=bool if space.is_bool.all() else float)
@@ -269,12 +269,10 @@ class TrajectoryMemory:
         self._score = np.zeros(budget)
         self._class_id = np.zeros(budget, dtype=np.int64)
 
-    def append_batch(self, step, values, raw_values, scores, labels):
+    def append_batch(self, values, raw_values, scores, labels):
         """Log a batch's `(n, d)` value rows with their raw values, scores
-        and class labels, at one step or, given an `(n,)` integer array of
-        non-decreasing steps, each row at its own (annealing logs its chain
-        at the rows' memory indices). A step below the last logged one
-        raises."""
+        and class labels as the next step: the k-th append is step k. A
+        rejected append writes nothing and takes no step."""
         width = self.space.encoded_width
         if np.ndim(values) != 2 or np.shape(values)[1] != width:
             raise SchemaError(f"expected value rows of shape (n, {width}), got {np.shape(values)}")
@@ -286,20 +284,9 @@ class TrajectoryMemory:
                 f"memory budget {self.budget} exceeded "
                 f"({self._n} + {n} entries)"
             )
-        steps = np.asarray(step)
-        if steps.ndim:
-            if steps.shape != (n,) or steps.dtype.kind not in "iu":
-                raise ValueError(f"a step array must hold {n} integers, "
-                                 f"got {steps.dtype} of shape {steps.shape}")
-            if (steps[1:] < steps[:-1]).any():
-                raise ValueError("steps must be non-decreasing")
-        # a non-decreasing batch starts at its least step
-        if self._n and steps.size and steps.flat[0] < self._step[self._n - 1]:
-            raise ValueError("steps must be non-decreasing")
-        if n == 0:
-            return
+        self._steps += 1
         rows = slice(self._n, self._n + n)
-        self._step[rows] = step
+        self._step[rows] = self._steps
         self._values[rows] = values
         self._raw[rows] = raw_values
         self._score[rows] = scores

@@ -307,7 +307,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         w1_trace.append(w1_now)
 
         scores = score_designs(raw, mu_hat)
-        memory.append_batch(t, values, raw, scores, assignments)
+        memory.append_batch(values, raw, scores, assignments)
 
         # the next proposal reads this step's reflection
         prompt_state.reflection = reflect(engine, prompt_state, scores) if t < n_steps else ""
@@ -328,11 +328,10 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
 
 def _score(metered, memory, V):
-    """Score a batch of value rows and log it in one append, at the step
-    numbered by the memory row of its first design; a baseline's raw value
-    is its score."""
+    """Score a batch of value rows and log it as one step; a baseline's raw
+    value is its score."""
     values = metered.value(V)
-    memory.append_batch(len(memory), V, values, values, np.zeros(len(V), dtype=np.int64))
+    memory.append_batch(V, values, values, np.zeros(len(V), dtype=np.int64))
     return values
 
 
@@ -346,12 +345,12 @@ def _simulated_annealing(space, metered, rng, memory):
     final temperature is 1% of the initial one. After the 64 probes, each
     move copies the current row with one random dim moved (a continuous dim
     jittered by 0.1 of its width and clamped, a boolean flipped) and is
-    scored alone; the chain's rows are logged in one append once it ends,
-    each at its own memory index as its step. A move onto a row an earlier
-    move already scored (a rejected flip undone, a clamp at a bound) reuses
-    that value and is charged through `metered.charge`, so the budget, the
-    chain and the log are those of scoring it again. A probe's value is not
-    reused: a batch call may differ from a single-row call in its last bit."""
+    scored alone; the probes are logged as step 1 and, once the chain ends,
+    its rows as step 2. A move onto a row an earlier move already scored (a
+    rejected flip undone, a clamp at a bound) reuses that value and is
+    charged through `metered.charge`, so the budget, the chain and the log
+    are those of scoring it again. A probe's value is not reused: a batch
+    call may differ from a single-row call in its last bit."""
     probes = random_design(space, rng, min(64, metered.remaining))
     vals = _score(metered, memory, probes)
     t0 = float(np.std(vals)) or 1.0
@@ -385,27 +384,34 @@ def _simulated_annealing(space, metered, rng, memory):
         temp *= alpha
         if delta >= 0 or rng.random() < np.exp(delta / max(temp, 1e-300)):
             current, cur_val = cand, cand_val
-    memory.append_batch(np.arange(len(memory), len(memory) + n), rows, row_vals, row_vals,
-                        np.zeros(n, dtype=np.int64))
+    memory.append_batch(rows, row_vals, row_vals, np.zeros(n, dtype=np.int64))
 
 
-def _surrogate_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
+GREEDY_RESTARTS = 4
+GREEDY_LR = 0.05  # ascent step in encoded units, decayed by 1/sqrt(k)
+GREEDY_FD_STEP = 1e-3  # central-difference half width in encoded units
+
+
+def _surrogate_greedy(space, metered, rng, memory):
     """Greedy surrogate ascent from random starts, each given an equal share
-    of the budget: `restarts` of them, or as many as the budget can pay one
-    move of (2 probes per continuous dim, or 1 design on boolean dims), and
-    at least 1."""
+    of the budget: `GREEDY_RESTARTS` of them, or as many as the budget can
+    pay one move of (2 probes per continuous dim, or 1 design on boolean
+    dims), and at least 1. Every dim must be boolean (single flips) or every
+    dim continuous (gradient steps); a mixed space raises before any charge."""
     flips = space.is_bool.any()
+    if flips and not space.is_bool.all():
+        raise ValueError("surrogate-greedy needs every dim boolean or every dim continuous")
     cost = 1 if flips else 2 * len(space.dims)
-    restarts = max(1, min(restarts, metered.budget // cost))
+    restarts = max(1, min(GREEDY_RESTARTS, metered.budget // cost))
     share = metered.budget // restarts
     if flips:
         for _ in range(restarts):
             _greedy_flip(space, metered, rng, memory, share)
     else:
-        _greedy_continuous(space, metered, rng, memory, restarts, share // cost, lr, fd_step)
+        _greedy_continuous(space, metered, rng, memory, restarts, share // cost)
 
 
-def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
+def _greedy_continuous(space, metered, rng, memory, chains, steps):
     """`chains` normalized-gradient ascents in encoded units with a
     1/sqrt(k) decayed step, via central finite differences on the surrogate,
     run side by side: step k scores every chain's probes in one call, chain
@@ -420,7 +426,7 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
     j = np.arange(d)
     j_up, j_down = 2 * j, 2 * j + 1  # a chain's rows 2j and 2j + 1 probe dim j up and down
     for k in range(1, steps + 1):
-        up, down = np.minimum(u + fd_step, 1.0), np.maximum(u - fd_step, 0.0)
+        up, down = np.minimum(u + GREEDY_FD_STEP, 1.0), np.maximum(u - GREEDY_FD_STEP, 0.0)
         U = np.repeat(u, 2 * d, axis=0).reshape(chains, 2 * d, d)
         U[:, j_up, j] = up
         U[:, j_down, j] = down
@@ -432,7 +438,8 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps, lr, fd_step):
         # vecdot is each row's BLAS dot, as a 1-D norm; an axis=1 norm sums differently
         norm = np.sqrt(np.vecdot(grad, grad))
         live = norm > 0
-        u[live] = np.clip(u[live] + (lr / np.sqrt(k)) * grad[live] / norm[live, None], 0.0, 1.0)
+        u[live] = np.clip(u[live] + (GREEDY_LR / np.sqrt(k)) * grad[live] / norm[live, None],
+                          0.0, 1.0)
 
 
 def _greedy_flip(space, metered, rng, memory, allotment):
@@ -442,7 +449,9 @@ def _greedy_flip(space, metered, rng, memory, allotment):
     used = 1
     while used < allotment and metered.remaining > 0:
         n = min(len(space.dims), allotment - used, metered.remaining)
-        cands = _flip_each_dim(space, current, n)
+        cands = np.tile(current, (n, 1))  # copy i flips dim i
+        i = np.arange(n)
+        cands[i, i] = 1.0 - cands[i, i]
         vals = _score(metered, memory, cands)
         used += n
         best = int(np.argmax(vals))  # first of the best flips
@@ -454,16 +463,6 @@ def _greedy_flip(space, metered, rng, memory, allotment):
             used += 1
         else:
             current, cur_val = cands[best], vals[best]
-
-
-def _flip_each_dim(space, row, n):
-    """`n` copies of a value row, copy i with boolean dim i flipped."""
-    if not space.is_bool[:n].all():
-        raise ValueError("flip move on a continuous dim")
-    cands = np.tile(row, (n, 1))
-    i = np.arange(n)
-    cands[i, i] = 1.0 - cands[i, i]
-    return cands
 
 
 def run_baseline(task: Task, variant: str, cfg: RunConfig, seed: int, *,

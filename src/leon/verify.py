@@ -106,8 +106,8 @@ def check_collapse_optimality(seed: int = 0, instances: int = 50, step: float = 
 # ---------------------------------------------------------------------------
 
 
-def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float = 1e-3,
-                                weights_fn=None) -> CheckResult:
+def check_boltzmann_closed_form(seed: int = 0, instances: int = 20,
+                                step: float = 1e-3) -> CheckResult:
     """Dense grid search over the 3-class simplex must recover the
     closed-form class weights within L-inf 5e-3.
 
@@ -119,8 +119,6 @@ def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float 
     entropy boundary by more than the grid step).
     """
     t0 = time.time()
-    if weights_fn is None:
-        weights_fn = lambda stats, mu: boltzmann_weights(stats, mu)  # noqa: E731
     rng = np.random.default_rng(seed)
     steps = int(round(1.0 / step))
     i_idx, j_idx = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
@@ -137,7 +135,7 @@ def check_boltzmann_closed_form(seed: int = 0, instances: int = 20, step: float 
             s = rng.normal(0.0, 1.0, size=3)
         mu = float(rng.uniform(0.5, 2.5))
         stats = ClassStats(q_hat=np.ones(3) / 3, best_rows=np.arange(3), best_values=s)
-        closed = weights_fn(stats, mu)
+        closed = boltzmann_weights(stats, mu)
 
         feasible = H >= shannon_entropy(closed) - 1e-12
         constrained_max = float((G[feasible] @ s).max())

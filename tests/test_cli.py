@@ -411,16 +411,17 @@ def test_verify_command_passes():
     assert result.output.count("[PASS]") == 7
 
 
-def test_verify_mutation_canary():
+def test_verify_mutation_canary(monkeypatch):
     # a shim that perturbs the class-weight formula must break the check
-    def shifted(stats, mu):
-        from leon.certainty import boltzmann_weights
+    from leon.certainty import boltzmann_weights
 
+    def shifted(stats, mu):
         w = boltzmann_weights(stats, mu) + 0.1
         return w / w.sum()
 
-    result = check_boltzmann_closed_form(seed=0, instances=5, weights_fn=shifted)
-    assert not result.passed
+    assert check_boltzmann_closed_form(seed=0, instances=5).passed
+    monkeypatch.setattr("leon.verify.boltzmann_weights", shifted)
+    assert not check_boltzmann_closed_form(seed=0, instances=5).passed
 
 
 # ---------------------------------------------------------------------------

@@ -300,52 +300,43 @@ def test_number_readers():
 LINE = DesignSpace((ContinuousDim("x", 0.0, 100.0),))
 
 
-def _entry_args(n, step=1):
+def _entry_args(n):
     designs = np.arange(n, dtype=float)[:, None]
     raws = [float(i) for i in range(n)]
     scores = [2.0 * i for i in range(n)]
-    return step, designs, raws, scores, [0] * n
+    return designs, raws, scores, [0] * n
 
 
 def test_memory_budget_enforced():
     mem = TrajectoryMemory(LINE, budget=4)
     mem.append_batch(*_entry_args(4))
     with pytest.raises(ValueError):
-        mem.append_batch(*_entry_args(1, step=2))
+        mem.append_batch(*_entry_args(1))
 
 
-def test_memory_steps_monotone():
-    mem = TrajectoryMemory(LINE, budget=8)
-    mem.append_batch(*_entry_args(2, step=3))
-    with pytest.raises(ValueError):
-        mem.append_batch(*_entry_args(2, step=2))
-
-
-def test_memory_takes_a_step_per_row():
-    """A batch may carry one step per row, non-decreasing and not below the
-    last logged step; a rejected array writes nothing."""
-    mem = TrajectoryMemory(LINE, budget=8)
-    mem.append_batch(*_entry_args(2, step=3))
-    mem.append_batch(np.array([3, 4, 4]), *_entry_args(3)[1:])
-    assert mem.view().step.tolist() == [3, 3, 3, 4, 4]
-    for step, message in ((np.array([6, 5]), "non-decreasing"),
-                          (np.array([3, 5]), "non-decreasing"),  # below the last step, 4
-                          (np.array([5, 6, 7]), "2 integers"),
-                          (np.array([5.0, 6.0]), "2 integers"),
-                          (np.array([[5, 6]]), "2 integers")):
-        with pytest.raises(ValueError, match=message):
-            mem.append_batch(step, *_entry_args(2)[1:])
-    assert len(mem) == 5
-    mem.append_batch(np.array([], dtype=np.int64), *_entry_args(0)[1:])
-    mem.append_batch(np.arange(5, 8), *_entry_args(3)[1:])
-    assert mem.view().step.tolist() == [3, 3, 3, 4, 4, 5, 6, 7]
+def test_memory_kth_append_is_step_k():
+    """Every row of the k-th append is at step k, an empty append included;
+    a rejected append writes nothing and takes no step."""
+    mem = TrajectoryMemory(LINE, budget=6)
+    mem.append_batch(*_entry_args(2))
+    mem.append_batch(*_entry_args(3))
+    designs, raws, scores, labels = _entry_args(2)
+    for args in ((designs, raws[:1], scores, labels),  # misaligned
+                 (designs[:, 0], raws, scores, labels),  # not (n, 1)
+                 (designs, raws, scores, labels)):  # over budget
+        with pytest.raises(ValueError):
+            mem.append_batch(*args)
+    assert mem.view().step.tolist() == [1, 1, 2, 2, 2]
+    mem.append_batch(*_entry_args(0))
+    mem.append_batch(*_entry_args(1))
+    assert mem.view().step.tolist() == [1, 1, 2, 2, 2, 4]
 
 
 def test_memory_scores_exact_product():
     mu = 0.37
     raws = np.array([1.5, -2.25, 0.0])
     mem = TrajectoryMemory(LINE, budget=3)
-    mem.append_batch(1, np.zeros((3, 1)), raws, mu * raws, [0, 1, 2])
+    mem.append_batch(np.zeros((3, 1)), raws, mu * raws, [0, 1, 2])
     for e, r in zip(mem.entries, raws):
         assert e.score == mu * r  # bitwise: same product
 
@@ -357,11 +348,11 @@ def test_memory_columns_give_back_what_was_appended(mixed_space):
     scores = [0.1 * r for r in raws]
     rows = np.array([d.values for d in designs], dtype=float)
     mem = TrajectoryMemory(mixed_space, budget=4)
-    mem.append_batch(2, rows[:2], np.array(raws[:2]), scores[:2], np.array([3, 0]))
-    mem.append_batch(5, rows[2:], raws[2:], scores[2:], [1])
+    mem.append_batch(rows[:2], np.array(raws[:2]), scores[:2], np.array([3, 0]))
+    mem.append_batch(rows[2:], raws[2:], scores[2:], [1])
     assert len(mem) == 3
     entries = mem.entries
-    assert [e.step for e in entries] == [2, 2, 5]
+    assert [e.step for e in entries] == [1, 1, 2]
     assert [e.class_id for e in entries] == [3, 0, 1]
     for e, d, r, s in zip(entries, designs, raws, scores):
         assert e.design == d
@@ -371,21 +362,20 @@ def test_memory_columns_give_back_what_was_appended(mixed_space):
             (np.float64(r).tobytes(), np.float64(s).tobytes())
     assert mem.view(last=2).entries == entries[1:]
     for args, message in (
-        ((6, rows[:1], raws[:2], scores[:1], [0]), "misaligned"),
-        ((6, rows[:2], raws[:2], scores[:2], [0, 0]), "budget 4 exceeded"),
-        ((4, rows[:1], raws[:1], scores[:1], [0]), "non-decreasing"),
-        ((6, np.ones((1, 1)), raws[:1], scores[:1], [0]), "shape"),  # would broadcast
-        ((6, rows[0], raws[:3], scores[:3], [0] * 3), "shape"),
+        ((rows[:1], raws[:2], scores[:1], [0]), "misaligned"),
+        ((rows[:2], raws[:2], scores[:2], [0, 0]), "budget 4 exceeded"),
+        ((np.ones((1, 1)), raws[:1], scores[:1], [0]), "shape"),  # would broadcast
+        ((rows[0], raws[:3], scores[:3], [0] * 3), "shape"),
     ):
         with pytest.raises(ValueError, match=message):
             mem.append_batch(*args)
     assert mem.entries == entries  # a rejected batch writes nothing
-    mem.append_batch(6, np.empty((0, 3)), [], [], [])
+    mem.append_batch(np.empty((0, 3)), [], [], [])
     assert len(mem) == 3
 
     # an all-boolean space keeps one byte per value and gives back bools
     bits = TrajectoryMemory(DesignSpace((BooleanDim("a"), BooleanDim("b"))), budget=2)
-    bits.append_batch(1, np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 1.5], [0.5, 1.5], [0, 1])
+    bits.append_batch(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 1.5], [0.5, 1.5], [0, 1])
     assert bits.view().values.dtype == bool
     assert [e.design.values for e in bits.entries] == [(True, False), (False, True)]
     assert [type(v) for v in bits.view().design(1).values] == [bool, bool]

@@ -53,9 +53,10 @@ LINE = DesignSpace((ContinuousDim("Dose", 0.0, 100.0),))
 
 
 def _mem(rows):
+    """One append, one step, per (dose, raw, score) row."""
     mem = TrajectoryMemory(LINE, budget=len(rows))
-    for step, dose, raw, score in rows:
-        mem.append_batch(step, np.array([[dose]]), [raw], [score], [0])
+    for dose, raw, score in rows:
+        mem.append_batch(np.array([[dose]]), [raw], [score], [0])
     return mem
 
 
@@ -65,20 +66,20 @@ def _mem(rows):
 
 
 def test_select_single_entry():
-    mem = _mem([(1, 10.0, 1.0, 0.5)])
+    mem = _mem([(10.0, 1.0, 0.5)])
     assert select_final(mem).values == (10.0,)
 
 
 def test_select_argmax_raw():
     # the stored scores rank the rows the other way round: they are ignored
-    mem = _mem([(1, 1.0, 0.1, 0.9), (1, 2.0, 0.9, 0.1), (1, 3.0, 0.3, 0.5)])
+    mem = _mem([(1.0, 0.1, 0.9), (2.0, 0.9, 0.1), (3.0, 0.3, 0.5)])
     assert select_final(mem).values == (2.0,)
 
 
 def test_select_tie_breaks_by_raw_then_step():
-    mem = _mem([(1, 1.0, 1.0, 0.5), (1, 2.0, 2.0, 0.5)])
+    mem = _mem([(1.0, 1.0, 0.5), (2.0, 2.0, 0.5)])
     assert select_final(mem).values == (2.0,)
-    mem = _mem([(1, 1.0, 2.0, 0.5), (2, 2.0, 2.0, 0.5)])
+    mem = _mem([(1.0, 2.0, 0.5), (2.0, 2.0, 0.5)])
     assert select_final(mem).values == (1.0,)  # earliest step on a full tie
 
 
@@ -99,13 +100,9 @@ def _select_by_loop(entries):
 TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
 
 
-@given(st.lists(st.tuples(st.integers(0, 2), TIED, TIED), min_size=1, max_size=24))
+@given(st.lists(st.tuples(TIED, TIED), min_size=1, max_size=24))
 def test_select_matches_the_loop_on_exact_ties(rows):
-    mem = TrajectoryMemory(LINE, budget=len(rows))
-    step = 0
-    for i, (advance, raw, score) in enumerate(rows):
-        step += advance
-        mem.append_batch(step, np.array([[float(i)]]), [raw], [score], [0])  # the row's own dose
+    mem = _mem([(float(i), raw, score) for i, (raw, score) in enumerate(rows)])  # own doses
     assert select_final(mem) == _select_by_loop(mem.entries)
 
 
@@ -603,6 +600,16 @@ def test_surrogate_greedy_discrete_flips(regimen_task):
     assert len(result.final_design.values) == 16
 
 
+def test_surrogate_greedy_rejects_a_mixed_space_before_any_charge():
+    """Greedy ascent flips booleans or follows the gradient of continuous
+    dims, never both: a mixed space raises with nothing charged or logged."""
+    metered = MeteredSurrogate(_Bowl(MIXED, [1.2, 0.0, 3.1]), 64, Context((0.0,), id="c"))
+    memory = TrajectoryMemory(MIXED, 64)
+    with pytest.raises(ValueError, match="every dim boolean or every dim continuous"):
+        leon.optimizer._surrogate_greedy(MIXED, metered, np.random.default_rng(0), memory)
+    assert metered.calls == len(memory) == 0
+
+
 def _single_dim_move(space, row, rng):
     """A copy of a value row with one random dim moved: a continuous dim
     jittered by 0.1 of its width and clamped, a boolean flipped."""
@@ -618,7 +625,7 @@ def _single_dim_move(space, row, rng):
 
 def _move_by_move_annealing(space, metered, rng, memory):
     """Simulated annealing with each move logged as soon as it is scored,
-    in its own append at its memory index."""
+    in its own append."""
     probes = leon.optimizer.random_design(space, rng, min(64, metered.remaining))
     vals = leon.optimizer._score(metered, memory, probes)
     t0 = float(np.std(vals)) or 1.0
@@ -658,8 +665,10 @@ def _same_run(got_memory, got_calls, want_memory, want_calls):
     got, want = got_memory.view(), want_memory.view()
     assert got.values.tobytes() == want.values.tobytes()
     assert got.raw.tobytes() == want.raw.tobytes()
-    # the 64 probes at step 0, then each move at its memory index
-    assert got.step.tolist() == want.step.tolist() == [0] * 64 + list(range(64, len(want)))
+    # the 64 probes are step 1 and the chain step 2; the reference logs each move as a step
+    moves = len(want) - 64
+    assert got.step.tolist() == [1] * 64 + [2] * moves
+    assert want.step.tolist() == [1] * 64 + list(range(2, moves + 2))
     assert select_final(got_memory) == select_final(want_memory)
     assert got_calls == want_calls == len(want)
 
@@ -747,9 +756,11 @@ def test_annealing_scores_a_move_onto_a_probe_alone():
     assert all(len(V) == 1 for V in calls[1:]) and metered.calls == 200
 
 
-def _restart_by_restart_greedy(space, metered, rng, memory, lr=0.05, fd_step=1e-3, restarts=4):
+def _restart_by_restart_greedy(space, metered, rng, memory):
     """Continuous surrogate-greedy with its restarts run one after another:
     each restart's whole ascent, one call of 2d probes per step."""
+    opt = leon.optimizer
+    restarts, lr, fd_step = opt.GREEDY_RESTARTS, opt.GREEDY_LR, opt.GREEDY_FD_STEP
     share = metered.budget // restarts
     d = len(space.dims)
     j = np.arange(d)
@@ -853,12 +864,7 @@ def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
     """Random search scores a batch at a time, annealing its 64 probes at
     once and then each move alone, greedy ascent each gradient step's two
     probes per dim for all four chains (or each flip sweep) at once; every
-    scored design is one memory row, and a batch's rows carry the step
-    numbered by the memory row of its first design."""
-
-    def batch_steps(sizes):
-        return np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-
+    scored design is one memory row."""
     hp = Hyperparams(budget=80, batch_size=32)
     expected = {"random-search": [32, 32, 16], "simulated-annealing": [64] + [1] * 16,
                 "surrogate-greedy": [8] * 10}
@@ -867,13 +873,33 @@ def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
         result = run_baseline(dose_task, variant, RunConfig(method=variant, hp=hp), seed=3)
         assert scored_batches == sizes
         assert len(result.memory) == result.surrogate_calls == 80
-        assert np.array_equal(result.memory.view().step, batch_steps(sizes))
     scored_batches.clear()
     result = run_baseline(regimen_task, "surrogate-greedy",
                           RunConfig(method="surrogate-greedy", hp=hp), seed=3)
     assert max(scored_batches) == 16  # one flip per dim
     assert sum(scored_batches) == len(result.memory) == 80
-    assert np.array_equal(result.memory.view().step, batch_steps(scored_batches))
+
+
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_every_method_steps_once_per_append(task_name, scored_batches, request):
+    """A row's step is the ordinal of the append that logged it: leon's
+    t-th batch, scored with `lambda_trace[t - 1]`; random search's t-th batch; annealing's probes (1) and chain (2);
+    greedy ascent's t-th scored batch (a gradient step or a flip sweep)."""
+
+    def ordinals(sizes):  # the steps of batches of `sizes` rows, one append each
+        return np.repeat(np.arange(1, len(sizes) + 1), sizes)
+
+    task = request.getfixturevalue(f"{task_name}_task")
+    hp = Hyperparams(budget=100, batch_size=32)
+    result = run_leon(task, RunConfig(hp=hp), seed=1)
+    assert np.array_equal(result.memory.view().step, ordinals([32, 32, 32, 4]))
+    assert len(result.lambda_trace) == 4
+    for variant in BASELINES:
+        scored_batches.clear()
+        result = run_baseline(task, variant, RunConfig(method=variant, hp=hp), seed=1)
+        logged = [64, 36] if variant == "simulated-annealing" else scored_batches
+        assert np.array_equal(result.memory.view().step, ordinals(logged))
+        assert len(result.memory) == result.surrogate_calls
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_prefix_scores_pick_as_select_final_does(dose_task):
     ctx = dose_task.sample_context(np.random.default_rng(0), "target", id="t")
     memory = TrajectoryMemory(dose_task.space, budget=4)
     doses, raws = [10.0, 50.0, 30.0, 70.0], [1.0, 3.0, 2.0, 3.0]
-    memory.append_batch(1, np.array(doses)[:, None], raws, raws, np.zeros(4, dtype=np.int64))
+    memory.append_batch(np.array(doses)[:, None], raws, raws, np.zeros(4, dtype=np.int64))
     got = prefix_scores(dose_task, SimpleNamespace(memory=memory), ctx, [1, 2, 3, 4])
     # the best raw row of each prefix, the earlier one on the tie at 3.0
     want = [oracle_eval(dose_task, Design((dose,)), ctx) for dose in (10.0, 50.0, 50.0, 50.0)]

@@ -15,7 +15,6 @@ from leon.core import (
     Design,
     DesignSpace,
     Hyperparams,
-    MemoryEntry,
     SchemaError,
     TrajectoryMemory,
     encode_batch,
@@ -56,19 +55,19 @@ NO_SERVER = "http://127.0.0.1:1"  # a local port that refuses connections
 
 
 def _state(entries=(), knowledge="", reflection="", space=SPACE):
-    """A prompt state whose memory view holds `entries`, in order."""
+    """A prompt state whose memory view holds `entries`, in order, one
+    `(values, raw, score)` entry per step."""
     memory = TrajectoryMemory(space, budget=max(len(entries), 1))
-    for e in entries:
-        memory.append_batch(e.step, np.array([e.design.values], dtype=float), [e.raw_value],
-                            [e.score], [e.class_id])
+    for values, raw, score in entries:
+        memory.append_batch(np.array([values], dtype=float), [raw], [score], [0])
     return PromptState(
         knowledge=knowledge, reflection=reflection, memory_view=memory.view(),
         context=CTX, task_description="maximize the response",
     )
 
 
-def _entry(step, dose, raw, score, boost=True, taper=False):
-    return MemoryEntry(step, Design((dose, boost, taper)), raw, score, 0)
+def _entry(dose, raw, score, boost=True, taper=False):
+    return (dose, boost, taper), raw, score
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +87,11 @@ def test_prompt_contains_context_rendering():
 
 def test_memory_table_row_count():
     assert len(memory_table(_state().memory_view).splitlines()) == 2  # header + separator
-    table = memory_table(_state([_entry(1, 20.0, 1.0, 1.0)]).memory_view)
+    table = memory_table(_state([_entry(20.0, 1.0, 1.0)]).memory_view)
     assert len(table.splitlines()) == 3
     assert "20.0000" in table
     # the chat prompt renders the memory view's value rows and scores
-    entries = [_entry(1, 20.0, 1.0, 1.0), _entry(2, 1 / 3, -0.5, -0.25, boost=False, taper=True)]
+    entries = [_entry(20.0, 1.0, 1.0), _entry(1 / 3, -0.5, -0.25, boost=False, taper=True)]
     rows = "| 0 | 20.0000, yes, no | 1.0000 |\n| 1 | 0.3333, no, yes | -0.2500 |"
     state = _state(entries)
     assert memory_table(state.memory_view).endswith(rows)
@@ -104,10 +103,10 @@ def _full_view_state(task):
     """A prompt state on `task` whose memory view holds 64 random rows."""
     rng = np.random.default_rng(5)
     memory = TrajectoryMemory(task.space, budget=64)
-    for step in (1, 2):
+    for _ in range(2):
         V = random_design(task.space, rng, 32)
         raw = rng.normal(size=32)
-        memory.append_batch(step, V, raw, 0.5 * raw, rng.integers(4, size=32))
+        memory.append_batch(V, raw, 0.5 * raw, rng.integers(4, size=32))
     ctx = task.sample_context(rng, "target", id="p000")
     return PromptState(knowledge="Doses above 60 help.", reflection="Explore higher doses.",
                        memory_view=memory.view(64), context=ctx,
@@ -274,7 +273,7 @@ def test_propose_rejects_a_short_batch():
 
 
 def test_boltzmann_temp_zero_collapses():
-    entries = [_entry(1, 50.0, 10.0, 10.0)] + [_entry(1, float(i), -5.0, -5.0) for i in range(5)]
+    entries = [_entry(50.0, 10.0, 10.0)] + [_entry(float(i), -5.0, -5.0) for i in range(5)]
     engine = BoltzmannMemoryEngine(seed=3, temp=0.0)
     designs = engine.propose(_state(entries), 6)
     assert len(np.unique(designs, axis=0)) == 1
@@ -282,7 +281,7 @@ def test_boltzmann_temp_zero_collapses():
 
 
 def test_boltzmann_high_temp_uniform_over_pool():
-    entries = [_entry(1, float(10 * i), float(i), float(i)) for i in range(6)]
+    entries = [_entry(float(10 * i), float(i), float(i)) for i in range(6)]
     probe = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
     pool, _ = probe._build_pool(_state(entries))
     # duplicate pool members (e.g. perturbations clamped onto their parent)
@@ -300,7 +299,7 @@ def test_boltzmann_high_temp_uniform_over_pool():
 
 
 def test_boltzmann_entropy_monotone_in_inverse_temp():
-    entries = [_entry(1, float(10 * i), float(i), float(i)) for i in range(6)]
+    entries = [_entry(float(10 * i), float(i), float(i)) for i in range(6)]
     hs = []
     for temp in (10.0, 1.0, 0.1):  # decreasing temp, increasing 1/temp
         engine = BoltzmannMemoryEngine(seed=5, temp=temp, pool_size=32)
@@ -377,7 +376,7 @@ def test_batch_draws_equal_the_scalar_draws(name):
 
     memory = TrajectoryMemory(space, budget=40)
     raw = np.random.default_rng(4).normal(size=40)
-    memory.append_batch(1, V, raw, 0.5 * raw, np.zeros(40, dtype=np.int64))
+    memory.append_batch(V, raw, 0.5 * raw, np.zeros(40, dtype=np.int64))
     state = _state(space=space)
     state.memory_view = memory.view()
     engine, reference = BoltzmannMemoryEngine(seed=9), BoltzmannMemoryEngine(seed=9)
@@ -436,7 +435,7 @@ def test_hill_climb_without_memory_is_random():
 
 
 def test_hill_climb_perturbs_best():
-    entries = [_entry(1, 40.0, 3.0, 3.0), _entry(1, 90.0, -1.0, -1.0)]
+    entries = [_entry(40.0, 3.0, 3.0), _entry(90.0, -1.0, -1.0)]
     engine = HillClimbEngine(seed=2, step=0.01)
     designs = engine.propose(_state(entries), 16)
     assert np.all(np.abs(designs[:, 0] - 40.0) < 10.0)
