@@ -27,7 +27,7 @@ from pathlib import Path
 
 import click
 
-from .core import Hyperparams, read_int, short_repr
+from .core import Hyperparams, read_float, read_int, short_repr
 from .optimizer import BASELINES, RunConfig, evaluate_cohort
 from .tasks import TASKS, make_task
 from .verify import run_all_checks
@@ -54,8 +54,8 @@ class ExperimentConfig:
     at least one method and no two with the same label (their results
     could not be told apart), integer `n_patients` and `jobs` of at least 1
     and `seed` and `task_seed` of at least 0, a string or path `output_dir`,
-    and `weights` None or a non-empty list, each weight one that RunConfig
-    takes as its `mixture_w`."""
+    and `weights` None or a non-empty list of numbers in [0, 1], each its
+    cohort's `mixture_w`."""
 
     task: str
     methods: list[RunConfig]
@@ -88,11 +88,8 @@ class ExperimentConfig:
             if not isinstance(self.weights, list) or not self.weights:
                 raise ValueError(f"weights must be a non-empty list of numbers, "
                                  f"got {short_repr(self.weights)}")
-            try:  # each weight is its cohort's `mixture_w`, which RunConfig reads
-                self.weights = [replace(self.methods[0], mixture_w=w).mixture_w
-                                for w in self.weights]
-            except ValueError as exc:
-                raise ValueError(f"weights: {exc}") from exc
+            self.weights = [read_float(w, f"weights[{i}]", 0.0, 1.0)
+                            for i, w in enumerate(self.weights)]
 
 
 def _object(value, where: str, allowed) -> dict:

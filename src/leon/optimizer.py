@@ -94,6 +94,7 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 BASELINES = ("random-search", "simulated-annealing", "surrogate-greedy")
+KNOWLEDGE_BUDGET = 5  # the most knowledge-source round trips before a leon run
 ENGINES = {"random": RandomEngine, "boltzmann-memory": BoltzmannMemoryEngine,
            "hill-climb": HillClimbEngine, "chat-api": ChatApiEngine}
 
@@ -117,7 +118,6 @@ class RunConfig:
     hp: Hyperparams = field(default_factory=Hyperparams)
     source_pool_size: int = 128
     memory_view: int = 64
-    knowledge_budget: int = 5
 
     def __post_init__(self):
         for name, known in (("method", ("leon", *BASELINES)), ("engine", tuple(ENGINES)),
@@ -134,7 +134,6 @@ class RunConfig:
              else read_float(self.mixture_w, "mixture_w", 0.0, 1.0)),
             ("source_pool_size", read_int(self.source_pool_size, "source_pool_size", 1)),
             ("memory_view", read_int(self.memory_view, "memory_view", 1)),
-            ("knowledge_budget", read_int(self.knowledge_budget, "knowledge_budget", 0)),
         ):
             object.__setattr__(self, name, value)
         if not isinstance(self.engine_params, dict):
@@ -279,7 +278,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     prompt_state = PromptState(knowledge="", reflection="", memory_view=memory.view(),
                                context=metered.ctx, task_description=task.description)
     prompt_state.knowledge = generate_knowledge(engine, list(sources), prompt_state,
-                                                cfg.knowledge_budget)
+                                                KNOWLEDGE_BUDGET)
 
     n_steps = int(np.ceil(hp.budget / hp.batch_size))
     lambda_trace, mu_trace, w1_trace, reflections = [], [], [], []
@@ -396,8 +395,10 @@ def _surrogate_greedy(space, metered, rng, memory):
     """Greedy surrogate ascent from random starts, each given an equal share
     of the budget: `GREEDY_RESTARTS` of them, or as many as the budget can
     pay one move of (2 probes per continuous dim, or 1 design on boolean
-    dims), and at least 1. Every dim must be boolean (single flips) or every
-    dim continuous (gradient steps); a mixed space raises before any charge."""
+    dims), and at least 1; the last flip restart takes what the others left,
+    so greedy spends its whole budget. Every dim must be boolean (single
+    flips) or every dim continuous (gradient steps); a mixed space raises
+    before any charge."""
     flips = space.is_bool.any()
     if flips and not space.is_bool.all():
         raise ValueError("surrogate-greedy needs every dim boolean or every dim continuous")
@@ -405,8 +406,9 @@ def _surrogate_greedy(space, metered, rng, memory):
     restarts = max(1, min(GREEDY_RESTARTS, metered.budget // cost))
     share = metered.budget // restarts
     if flips:
-        for _ in range(restarts):
-            _greedy_flip(space, metered, rng, memory, share)
+        for r in range(restarts):
+            _greedy_flip(space, metered, rng, memory,
+                         share if r < restarts - 1 else metered.remaining)
     else:
         _greedy_continuous(space, metered, rng, memory, restarts, share // cost)
 
@@ -416,13 +418,11 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps):
     1/sqrt(k) decayed step, via central finite differences on the surrogate,
     run side by side: step k scores every chain's probes in one call, chain
     by chain, and moves every chain with a nonzero gradient in one array
-    update. Each chain's arithmetic is that of a chain run alone. With no
-    step affordable, the one start is scored instead."""
+    update. Each chain's arithmetic is that of a chain run alone. The budget
+    left after the steps scores the chains' final positions, which no step
+    scored, as far as it goes, then uniform designs."""
     d = len(space.dims)
     u = rng.uniform(0.0, 1.0, size=(chains, d))  # the draws of one start after another
-    if steps == 0:
-        _score(metered, memory, decode_design(space, u))
-        return
     j = np.arange(d)
     j_up, j_down = 2 * j, 2 * j + 1  # a chain's rows 2j and 2j + 1 probe dim j up and down
     for k in range(1, steps + 1):
@@ -440,6 +440,10 @@ def _greedy_continuous(space, metered, rng, memory, chains, steps):
         live = norm > 0
         u[live] = np.clip(u[live] + (GREEDY_LR / np.sqrt(k)) * grad[live] / norm[live, None],
                           0.0, 1.0)
+    if metered.remaining > 0:
+        _score(metered, memory, decode_design(space, u[:metered.remaining]))
+    if metered.remaining > 0:
+        _score(metered, memory, random_design(space, rng, metered.remaining))
 
 
 def _greedy_flip(space, metered, rng, memory, allotment):

@@ -3,8 +3,11 @@
 An engine reads all it needs from one prompt state (knowledge, memory view
 and its space, reflection, context, task description) and turns it into a
 batch of candidate designs. Mock engines are seeded and fully offline; the
-chat engine talks to an HTTP chat-completions endpoint with a strict JSON
-output contract and falls back to random designs when parsing keeps failing.
+one parameter they take besides the seed is `BoltzmannMemoryEngine`'s
+`temp`, and their pool sizes and step are the `BOLTZMANN_*` and
+`HILL_CLIMB_STEP` constants. The chat engine talks to an HTTP
+chat-completions endpoint with a strict JSON output contract and falls back
+to random designs when parsing keeps failing.
 
 A batch is an `(n, d)` float array of design values, booleans as 0.0/1.0
 (see `core`); the mock engines draw each batch with one generator call per
@@ -229,6 +232,12 @@ class RandomEngine(_MockEngineBase):
         return random_design(state.space, self.rng, b)
 
 
+BOLTZMANN_POOL_SIZE = 64  # candidates per proposal, sampled by score
+BOLTZMANN_TOP_M = 8  # memory rows, ranked by raw value, that seed the pool
+BOLTZMANN_EXPLORE = 16  # uniform pool members: a quarter of the pool
+HILL_CLIMB_STEP = 0.05  # jitter, as a fraction of each dim's width, and flip probability
+
+
 @dataclass
 class BoltzmannMemoryEngine(_MockEngineBase):
     """Score-weighted sampling from a pool of random designs plus
@@ -241,32 +250,26 @@ class BoltzmannMemoryEngine(_MockEngineBase):
     """
 
     temp: float = 1.0
-    pool_size: int = 64
-    top_m: int = 8
-    explore_frac: float = 0.25
 
     def __post_init__(self):
         super().__post_init__()
         self.temp = read_float(self.temp, "temp", 0.0)
-        self.pool_size = read_int(self.pool_size, "pool_size", 1)
-        self.top_m = read_int(self.top_m, "top_m", 1)
-        self.explore_frac = read_float(self.explore_frac, "explore_frac", 0.0, 1.0)
 
     def _build_pool(self, state: PromptState):
         # Parents are ranked by raw value: the mu-scaled score can collapse
         # to all-zeros on a zero-certainty step, which would make the
         # ranking arbitrary. Sampling weights still use the stored scores.
         view, space = state.memory_view, state.space
-        top = np.argsort(-view.raw, kind="stable")[: self.top_m]
+        top = np.argsort(-view.raw, kind="stable")[:BOLTZMANN_TOP_M]
         parents = view.values[top].astype(float)
         parent_scores = view.score[top]
         if len(top) == 0:
-            return random_design(space, self.rng, self.pool_size), np.zeros(self.pool_size)
+            return (random_design(space, self.rng, BOLTZMANN_POOL_SIZE),
+                    np.zeros(BOLTZMANN_POOL_SIZE))
 
-        n_explore = max(1, int(self.pool_size * self.explore_frac))
-        explore = random_design(space, self.rng, n_explore)
+        explore = random_design(space, self.rng, BOLTZMANN_EXPLORE)
         sigma, flip = _adaptive_scale(space, parents)
-        i = np.arange(max(self.pool_size - n_explore - len(top), 0))
+        i = np.arange(BOLTZMANN_POOL_SIZE - BOLTZMANN_EXPLORE - len(top))
         # alternate coarse and fine jitter so proposals keep refining once
         # the memory has concentrated
         scale = np.where(i % 2 == 0, 1.0, 0.1)
@@ -275,7 +278,7 @@ class BoltzmannMemoryEngine(_MockEngineBase):
                                   np.maximum(flip * scale, 0.01))
         # explore rows at the parents' floor score, the incumbents, then their jitter
         pool = np.concatenate([explore, parents, jittered])
-        scores = np.concatenate([np.full(n_explore, parent_scores.min()), parent_scores,
+        scores = np.concatenate([np.full(BOLTZMANN_EXPLORE, parent_scores.min()), parent_scores,
                                  parent_scores[k]])
         return pool, scores
 
@@ -291,19 +294,13 @@ class BoltzmannMemoryEngine(_MockEngineBase):
 class HillClimbEngine(_MockEngineBase):
     """Batch of perturbations of the best design in memory."""
 
-    step: float = 0.05
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.step = read_float(self.step, "step", 0.0, lo_open=True)
-
     def propose(self, state: PromptState, b: int) -> np.ndarray:
         view = state.memory_view
         if not view:
             return random_design(state.space, self.rng, b)
         best = view.values[int(np.argmax(view.raw))]  # first of the top raw values
-        return perturb_design(state.space, np.tile(best, (b, 1)), self.rng, np.full(b, self.step),
-                              np.full(b, min(0.5, self.step)))
+        step = np.full(b, HILL_CLIMB_STEP)
+        return perturb_design(state.space, np.tile(best, (b, 1)), self.rng, step, step)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ whose means differ (covariate shift), and a source design policy that
 clusters near source-optimal designs. Surrogates either add an analytic
 off-source bias to the oracle or are small regression nets trained on
 source samples only, so the surrogate degrades exactly where the theory
-says it should.
+says it should. The oracle is no surrogate variant: it enters as the w = 1
+end of a `MixtureSurrogate`, the `weights: [1]` cohort of a config.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def make_learned_surrogate(task: Task, seed: int = 0, n_train: int = 768,
                             y_mean=y_mean, y_std=y_std)
 
 
-SURROGATES = ("analytic-shift", "learned", "oracle")
+SURROGATES = ("analytic-shift", "learned")
 
 
 def make_surrogate(task: Task, variant: str = "analytic-shift", seed: int = 0,
@@ -387,8 +388,6 @@ def make_surrogate(task: Task, variant: str = "analytic-shift", seed: int = 0,
         return AnalyticShiftSurrogate(task=task, beta=beta, radius=radius)
     if variant == "learned":
         return make_learned_surrogate(task, seed=seed)
-    if variant == "oracle":
-        return OracleSurrogate(task=task)
     raise ValueError(f"unknown surrogate variant {variant!r}; known: {SURROGATES}")
 
 

@@ -95,8 +95,8 @@ def test_parse_config_validates_fields():
         parse_config(_config(n_patients=0))
     with pytest.raises(ConfigError):
         parse_config(_config(methods=[{"name": "bayes-opt"}]))
-    with pytest.raises(ConfigError):
-        parse_config(_config(weights=[1.5]))
+    with pytest.raises(ConfigError, match=re.escape("weights[1] must be <= 1.0, got 1.5")):
+        parse_config(_config(weights=[0, 1.5]))
     with pytest.raises(ConfigError):
         parse_config(_config(hyperparams={"budget": 8, "batch_size": 32}))
 
@@ -170,6 +170,7 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(hyperparams=5),
                 _config(methods=[5]),
                 _config(surrogate={"variant": "bogus"}),
+                _config(surrogate={"variant": "oracle"}),  # the oracle arm is `weights: [1]`
                 # float fields take finite JSON numbers: no bool, string or NaN
                 _config(surrogate={"variant": "analytic-shift", "beta": True}),
                 _config(surrogate={"variant": "analytic-shift", "beta": float("nan")}),
@@ -185,11 +186,12 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(methods=[{"name": "leon", "engine_params": {"seed": 5}}]),
                 # ... and the engine checks the parameters' values
                 _config(methods=[{"name": "leon", "engine_params": {"temp": "hot"}}]),
-                _config(methods=[{"name": "leon", "engine_params": {"pool_size": -1}}]),
-                _config(methods=[{"name": "leon", "engine_params": {"top_m": 2.5}}]),
-                _config(methods=[{"name": "leon", "engine_params": {"explore_frac": 1.5}}]),
+                # the mock engines' pool sizes and step are constants, even at their values
+                _config(methods=[{"name": "leon", "engine_params": {"pool_size": 64}}]),
+                _config(methods=[{"name": "leon", "engine_params": {"top_m": 8}}]),
+                _config(methods=[{"name": "leon", "engine_params": {"explore_frac": 0.25}}]),
                 _config(methods=[{"name": "leon", "engine": "hill-climb",
-                                  "engine_params": {"step": 0}}]),
+                                  "engine_params": {"step": 0.05}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
                                   "engine_params": {"endpoint": NO_SERVER, "retry_wait": -1}}]),
                 _config(methods=[{"name": "leon", "engine": "chat-api",
@@ -218,7 +220,7 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                                   "memory_view": 5}]),
                 # only the analytic-shift surrogate reads beta and radius
                 _config(surrogate={"variant": "learned", "beta": 0.7}),
-                _config(surrogate={"variant": "oracle", "radius": 3.0}),
+                _config(surrogate={"variant": "learned", "radius": 3.0}),
                 # only leon reads lambda0, w0, eta_lambda and mu_max
                 _config(hyperparams={"budget": 64, "batch_size": 32, "w0": 0.1})):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])

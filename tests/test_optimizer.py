@@ -32,7 +32,7 @@ from leon.optimizer import (
     run_method,
     select_final,
 )
-from leon.proposal import ChatApiEngine, StaticFactsSource
+from leon.proposal import ChatApiEngine, StaticFactsSource, random_design
 from leon.tasks import AnalyticShiftSurrogate, make_dose_task, make_regimen_task, oracle_eval
 
 HP_SMALL = Hyperparams(budget=64, batch_size=32)
@@ -758,12 +758,14 @@ def test_annealing_scores_a_move_onto_a_probe_alone():
 
 def _restart_by_restart_greedy(space, metered, rng, memory):
     """Continuous surrogate-greedy with its restarts run one after another:
-    each restart's whole ascent, one call of 2d probes per step."""
+    each restart's whole ascent, one call of 2d probes per step; then the
+    chains' ends and uniform designs for the rest."""
     opt = leon.optimizer
     restarts, lr, fd_step = opt.GREEDY_RESTARTS, opt.GREEDY_LR, opt.GREEDY_FD_STEP
     share = metered.budget // restarts
     d = len(space.dims)
     j = np.arange(d)
+    ends = []
     for _ in range(restarts):
         allotment = min(share, metered.remaining)
         u = rng.uniform(0.0, 1.0, size=d)
@@ -781,6 +783,13 @@ def _restart_by_restart_greedy(space, metered, rng, memory):
             if norm > 0:
                 u = np.clip(u + (lr / np.sqrt(k)) * grad / norm, 0.0, 1.0)
             k += 1
+        ends.append(u)
+    # what no whole step could use: the chains' unscored ends, then uniform designs
+    if metered.remaining > 0:
+        ends = np.array(ends)[:metered.remaining]
+        leon.optimizer._score(metered, memory, decode_design(space, ends))
+    if metered.remaining > 0:
+        leon.optimizer._score(metered, memory, random_design(space, rng, metered.remaining))
 
 
 def _sorted_rows(memory):
@@ -842,22 +851,30 @@ def test_a_row_dot_is_the_one_dim_norm(d):
 
 @pytest.mark.parametrize("make_task", [make_dose_task, make_regimen_task])
 def test_baselines_run_on_every_small_budget(make_task):
+    """Every baseline spends its whole budget, whatever it is a multiple of."""
     task = make_task(0)
-    for budget in range(2, 10):
+    for budget in (*range(2, 10), 33, 65, 100, 127, 2047):
         hp = Hyperparams(budget=budget, batch_size=2)
         for variant in BASELINES:
             result = run_baseline(task, variant, RunConfig(method=variant, hp=hp), seed=0)
             assert np.isfinite(result.oracle_score)
-            assert 1 <= result.surrogate_calls <= budget
+            assert result.surrogate_calls == len(result.memory) == budget, (variant, budget)
 
 
 def test_greedy_scores_its_start_when_no_step_is_affordable():
+    """Below the 6 probes of one step on 3 dims, greedy scores its one start
+    and fills the rest of the budget with uniform designs."""
     space = DesignSpace(tuple(ContinuousDim(f"x{i}", 0.0, 1.0) for i in range(3)))
-    for budget, scored in ((2, 1), (5, 1), (6, 6), (12, 12)):
+    for budget, batches in ((2, [1, 1]), (5, [1, 4]), (6, [6]), (12, [12])):
         metered = MeteredSurrogate(_Flat(), budget, ctx=Context((0.0,), id="c"))
         memory = TrajectoryMemory(space, budget)
-        leon.optimizer._surrogate_greedy(space, metered, np.random.default_rng(0), memory)
-        assert metered.calls == len(memory) == scored
+        rng = np.random.default_rng(0)
+        leon.optimizer._surrogate_greedy(space, metered, rng, memory)
+        assert metered.calls == len(memory) == budget
+        assert np.bincount(memory.view().step).tolist()[1:] == batches
+        if budget < 6:
+            start = np.random.default_rng(0).uniform(0.0, 1.0, size=(1, 3))
+            assert np.array_equal(memory.view().values[0], decode_design(space, start)[0])
 
 
 def test_baselines_score_in_batches(dose_task, regimen_task, scored_batches):
@@ -1015,14 +1032,28 @@ def test_make_engine_rejects_unknown(dose_task):
     lambda: RunConfig(engine_params={"seed": 5}),  # the run derives the seed
     lambda: RunConfig(engine_params="x"),
     lambda: RunConfig(method="simulated-annealing", engine_params={"nope": 1}),  # no engine
+    # settings that are constants now, refused even at their old defaults
+    lambda: RunConfig(surrogate_variant="oracle"),  # the oracle arm is mixture_w=1
+    lambda: RunConfig(engine_params={"pool_size": 64}),
+    lambda: RunConfig(engine_params={"top_m": 8}),
+    lambda: RunConfig(engine_params={"explore_frac": 0.25}),
+    lambda: RunConfig(engine="hill-climb", engine_params={"step": 0.05}),
 ], ids=["memory_view=0", "memory_view=-1", "beta=True", "hp=dict",
         "w0=True", "eta_lambda=True", "mu_max='5'", "engine_params-unknown",
-        "engine_params-seed", "engine_params-str", "engine_params-baseline"])
+        "engine_params-seed", "engine_params-str", "engine_params-baseline",
+        "surrogate-oracle", "pool_size", "top_m", "explore_frac", "hill-climb-step"])
 def test_python_configs_follow_the_cli_rules(build):
     """A Python caller's config is checked by the rules `leon run` applies:
     each of these is a config error there and a ValueError here."""
     with pytest.raises(ValueError):
         build()
+
+
+def test_knowledge_budget_is_no_run_setting():
+    """A leon run takes at most `KNOWLEDGE_BUDGET` knowledge round trips;
+    a config cannot set another number."""
+    with pytest.raises(TypeError, match="knowledge_budget"):
+        RunConfig(knowledge_budget=5)
 
 
 def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
@@ -1078,7 +1109,7 @@ def _chat_run(task, hp=HP_SMALL):
     engine = ChatApiEngine(model="stub", endpoint=NO_SERVER, seed=0)
     engine._chat = chat
     cfg = RunConfig(method="leon", engine="chat-api", engine_params={"endpoint": NO_SERVER},
-                    hp=hp, knowledge_budget=2)
+                    hp=hp)
     sources = [StaticFactsSource("facts", "higher context sums need higher doses")]
     return run_leon(task, cfg, seed=6, sources=sources, engine=engine), chat
 

@@ -6,7 +6,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from leon.core import (
     BooleanDim,
@@ -23,6 +22,9 @@ from leon.core import (
 from leon.numerics import shannon_entropy, stable_softmax
 from leon.optimizer import RunConfig, run_leon
 from leon.proposal import (
+    BOLTZMANN_EXPLORE,
+    BOLTZMANN_POOL_SIZE,
+    BOLTZMANN_TOP_M,
     BoltzmannMemoryEngine,
     ChatApiEngine,
     DesignParseError,
@@ -281,28 +283,24 @@ def test_boltzmann_temp_zero_collapses():
 
 
 def test_boltzmann_high_temp_uniform_over_pool():
+    """Far above the score spread, the engine draws uniformly from its pool:
+    its draw is the one a uniform `choice` makes from the same generator
+    state (the probabilities differ from 1/64 by about 1e-9 of it, so no
+    draw lands between the two cumulative sums)."""
     entries = [_entry(float(10 * i), float(i), float(i)) for i in range(6)]
-    probe = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
-    pool, _ = probe._build_pool(_state(entries))
-    # duplicate pool members (e.g. perturbations clamped onto their parent)
-    # form a cluster whose expected mass is its multiplicity
-    multiplicity = {}
-    for d in map(tuple, pool):
-        multiplicity[d] = multiplicity.get(d, 0) + 1
-    clusters = list(multiplicity)
-
-    engine = BoltzmannMemoryEngine(seed=21, temp=1e9, pool_size=32)
-    draws = list(map(tuple, engine.propose(_state(entries), 512)))
-    observed = np.array([sum(1 for d in draws if d == c) for c in clusters])
-    expected = np.array([512 * multiplicity[c] / len(pool) for c in clusters])
-    assert chisquare(observed, f_exp=expected).pvalue > 0.01
+    reference = BoltzmannMemoryEngine(seed=21, temp=1e9)
+    pool, _ = reference._build_pool(_state(entries))
+    uniform = np.full(len(pool), 1.0 / len(pool))
+    want = pool[reference.rng.choice(len(pool), size=512, replace=True, p=uniform)]
+    engine = BoltzmannMemoryEngine(seed=21, temp=1e9)
+    assert np.array_equal(engine.propose(_state(entries), 512), want)
 
 
 def test_boltzmann_entropy_monotone_in_inverse_temp():
     entries = [_entry(float(10 * i), float(i), float(i)) for i in range(6)]
     hs = []
     for temp in (10.0, 1.0, 0.1):  # decreasing temp, increasing 1/temp
-        engine = BoltzmannMemoryEngine(seed=5, temp=temp, pool_size=32)
+        engine = BoltzmannMemoryEngine(seed=5, temp=temp)
         draws = engine.propose(_state(entries), 512)
         counts = {}
         for d in map(tuple, draws):
@@ -340,15 +338,14 @@ def _scalar_perturb(space, rows, rng, sigmas, flips):
 def _scalar_pool(engine, space, view):
     """The pool built one design at a time: explore draws, the top parents,
     then alternating coarse and fine perturbations of each parent in turn."""
-    top = np.argsort(-view.raw, kind="stable")[:engine.top_m]
+    top = np.argsort(-view.raw, kind="stable")[:BOLTZMANN_TOP_M]
     parents = view.values[top].astype(float)
     parent_scores = view.score[top].tolist()
-    n_explore = max(1, int(engine.pool_size * engine.explore_frac))
-    pool = list(_scalar_random(space, engine.rng, n_explore)) + list(parents)
-    scores = [min(parent_scores)] * n_explore + parent_scores
+    pool = list(_scalar_random(space, engine.rng, BOLTZMANN_EXPLORE)) + list(parents)
+    scores = [min(parent_scores)] * BOLTZMANN_EXPLORE + parent_scores
     sigma, flip = _adaptive_scale(space, parents)
     i = 0
-    while len(pool) < engine.pool_size:
+    while len(pool) < BOLTZMANN_POOL_SIZE:
         k, scale = i % len(parents), (1.0 if i % 2 == 0 else 0.1)
         pool += list(_scalar_perturb(space, parents[k:k + 1], engine.rng,
                                      [max(sigma * scale, 1e-4)], [max(flip * scale, 0.01)]))
@@ -413,19 +410,12 @@ def test_a_kind_of_dim_the_space_lacks_takes_no_draw(name):
 
 
 def test_engine_params_are_checked():
-    for kwargs in ({"temp": "hot"}, {"temp": -0.1}, {"temp": float("nan")},
-                   {"temp": float("inf")}, {"pool_size": -1}, {"pool_size": 0},
-                   {"pool_size": 2.0}, {"pool_size": True}, {"top_m": 0}, {"top_m": "8"},
-                   {"explore_frac": 1.5}, {"explore_frac": -0.1}, {"explore_frac": None}):
+    for temp in ("hot", -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            BoltzmannMemoryEngine(seed=0, **kwargs)
-    for step in (0, -0.05, float("nan"), "0.05"):
-        with pytest.raises(ValueError):
-            HillClimbEngine(seed=0, step=step)
-    # the ends of each range are accepted
-    BoltzmannMemoryEngine(seed=0, temp=0, pool_size=1, top_m=1, explore_frac=0.0)
-    BoltzmannMemoryEngine(seed=0, temp=np.float64(2.0), pool_size=np.int64(8), explore_frac=1)
-    HillClimbEngine(seed=0, step=1e-9)
+            BoltzmannMemoryEngine(seed=0, temp=temp)
+    # the end of the range is accepted, and numpy's numbers
+    BoltzmannMemoryEngine(seed=0, temp=0)
+    BoltzmannMemoryEngine(seed=0, temp=np.float64(2.0))
 
 
 def test_hill_climb_without_memory_is_random():
@@ -436,9 +426,9 @@ def test_hill_climb_without_memory_is_random():
 
 def test_hill_climb_perturbs_best():
     entries = [_entry(40.0, 3.0, 3.0), _entry(90.0, -1.0, -1.0)]
-    engine = HillClimbEngine(seed=2, step=0.01)
+    engine = HillClimbEngine(seed=2)
     designs = engine.propose(_state(entries), 16)
-    assert np.all(np.abs(designs[:, 0] - 40.0) < 10.0)
+    assert np.all(np.abs(designs[:, 0] - 40.0) < 20.0)  # 4 sigma of 0.05 of the width 100
 
 
 # ---------------------------------------------------------------------------

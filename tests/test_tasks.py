@@ -268,9 +268,9 @@ def test_training_divergence_raises():
 
 def test_make_surrogate_variants(dose_task):
     assert isinstance(make_surrogate(dose_task, "analytic-shift"), AnalyticShiftSurrogate)
-    assert isinstance(make_surrogate(dose_task, "oracle"), OracleSurrogate)
-    with pytest.raises(ValueError):
-        make_surrogate(dose_task, "tabular-gp")
+    for unknown in ("tabular-gp", "oracle"):  # the oracle arm is a mixture weight of 1
+        with pytest.raises(ValueError, match="unknown surrogate variant"):
+            make_surrogate(dose_task, unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +301,22 @@ def test_mixture_rejects_bad_weight():
         MixtureSurrogate(_Const(1.0), _Const(0.0), -0.1)
 
 
-def test_mixture_monotone_toward_oracle(dose_task, rng):
-    oracle = OracleSurrogate(dose_task)
-    biased = AnalyticShiftSurrogate(dose_task, beta=0.5)
-    ctx = _ctx(dose_task, rng)
-    probes = np.linspace(0, 100, 41)[:, None]
-    gaps = []
-    for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-        mixed = MixtureSurrogate(oracle, biased, w)
-        gaps.append(float(np.abs(mixed.value(probes, ctx) - oracle.value(probes, ctx)).max()))
-    assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] == 0.0
+def test_mixture_monotone_toward_oracle(dose_task, regimen_task, rng):
+    for task in (dose_task, regimen_task):
+        oracle = OracleSurrogate(task)
+        biased = AnalyticShiftSurrogate(task, beta=0.5)
+        ctx = _ctx(task, rng)
+        if task is dose_task:
+            probes = np.linspace(0, 100, 41)[:, None]
+        else:  # the bump's own pattern among random regimens
+            probes = np.vstack([task._pattern, rng.integers(2, size=(40, 16))]).astype(float)
+        gaps = []
+        for w in (0.0, 0.25, 0.5, 0.75, 1.0):
+            mixed = MixtureSurrogate(oracle, biased, w)
+            gaps.append(float(np.abs(mixed.value(probes, ctx) - oracle.value(probes, ctx)).max()))
+        assert gaps[0] > 0.0  # the target context is off-source, so the surrogate is biased
+        assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
