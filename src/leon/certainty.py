@@ -16,6 +16,7 @@ import numpy as np
 from .numerics import regression_slope, stable_softmax
 
 DEFAULT_MU = 1.0
+MU_MAX = 100.0  # estimate_mu's upper clamp
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ def boltzmann_weights(stats: ClassStats, mu: float) -> np.ndarray:
     return stable_softmax(mu * stats.best_values)
 
 
-def estimate_mu(stats: ClassStats, prev_mu: float, mu_max: float) -> float:
+def estimate_mu(stats: ClassStats, prev_mu: float) -> float:
     """Slope of log occupancy on best value across observed classes,
-    clamped to [0, mu_max].
+    clamped to [0, MU_MAX].
 
     Falls back to `prev_mu` when fewer than two classes were observed or
     the values have zero variance (slope undefined).
@@ -82,7 +83,7 @@ def estimate_mu(stats: ClassStats, prev_mu: float, mu_max: float) -> float:
     slope = regression_slope(stats.best_values, np.log(stats.q_hat))
     if slope is None:
         return prev_mu
-    return float(min(max(slope, 0.0), mu_max))
+    return float(min(max(slope, 0.0), MU_MAX))
 
 
 def dual_gradient(w0: float, src_mean_critic: float, best_critic, qbar) -> float:
@@ -119,6 +120,7 @@ def log_partition(values, mu: float) -> float:
 
 __all__ = [
     "DEFAULT_MU",
+    "MU_MAX",
     "ClassStats",
     "class_optima",
     "boltzmann_weights",

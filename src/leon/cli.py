@@ -12,8 +12,8 @@ run reads, an object or a list where one is expected) and maps it onto
 `Hyperparams`, `RunConfig` and `ExperimentConfig`, which check their own
 values; their errors become a `ConfigError` that names the config's
 place, `methods[1]: ...`. A baseline takes only `name`, only leon reads
-`lambda0`, `w0`, `eta_lambda` and `mu_max`, and only the `analytic-shift`
-surrogate reads `beta` and `radius`.
+`lambda0`, `w0` and `eta_lambda`, and only the `analytic-shift` surrogate
+reads `beta` and `radius`.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"task", "task_seed", "methods", "n_patients", "seed", "hyperparams",
              "surrogate", "output_dir", "weights", "jobs"}
-_LEON_HP_KEYS = {"lambda0", "w0", "eta_lambda", "mu_max"}  # the rest are shared
+_LEON_HP_KEYS = {"lambda0", "w0", "eta_lambda"}  # the rest are shared
 _HP_KEYS = _LEON_HP_KEYS | {"batch_size", "budget"}
 # JSON key -> RunConfig field
 _METHOD_FIELDS = {"name": "method", "engine": "engine", "engine_params": "engine_params",
-                  "partition": "partition", "source_pool_size": "source_pool_size",
-                  "memory_view": "memory_view"}
+                  "partition": "partition"}
 _SURROGATE_FIELDS = {"variant": "surrogate_variant", "beta": "beta", "radius": "radius"}
 
 

@@ -179,22 +179,20 @@ def read_int(value, name: str, lo: int) -> int:
 @dataclass(frozen=True)
 class Hyperparams:
     """The loop's knobs, read by `read_float` and `read_int` at
-    construction: the floats finite, `mu_max` above 0 and the rest at
-    least 0; `batch_size` an integer of at least 2 and `budget` one of at
-    least `batch_size` (memory preallocates `budget` rows). `w0` is a
-    fraction of the encoded cube's diameter (`critic`)."""
+    construction: the floats finite and at least 0; `batch_size` an
+    integer of at least 2 and `budget` one of at least `batch_size` (memory
+    preallocates `budget` rows). `w0` is a fraction of the encoded cube's
+    diameter (`critic`)."""
 
     lambda0: float = 0.0
     w0: float = 1.0
     eta_lambda: float = 0.1
     batch_size: int = 32
     budget: int = 2048
-    mu_max: float = 100.0
 
     def __post_init__(self):
-        for name in ("lambda0", "w0", "eta_lambda", "mu_max"):
-            object.__setattr__(self, name, read_float(
-                getattr(self, name), name, 0.0, lo_open=name == "mu_max"))
+        for name in ("lambda0", "w0", "eta_lambda"):
+            object.__setattr__(self, name, read_float(getattr(self, name), name, 0.0))
         object.__setattr__(self, "batch_size", read_int(self.batch_size, "batch_size", 2))
         object.__setattr__(self, "budget", read_int(self.budget, "budget", self.batch_size))
 

@@ -95,6 +95,8 @@ def derive_seed(*parts: int) -> int:
 
 BASELINES = ("random-search", "simulated-annealing", "surrogate-greedy")
 KNOWLEDGE_BUDGET = 5  # the most knowledge-source round trips before a leon run
+SOURCE_POOL_SIZE = 128  # source designs a leon run draws when given no pool
+MEMORY_VIEW = 64  # the memory's last rows each prompt shows
 ENGINES = {"random": RandomEngine, "boltzmann-memory": BoltzmannMemoryEngine,
            "hill-climb": HillClimbEngine, "chat-api": ChatApiEngine}
 
@@ -102,10 +104,9 @@ ENGINES = {"random": RandomEngine, "boltzmann-memory": BoltzmannMemoryEngine,
 @dataclass(frozen=True)
 class RunConfig:
     """One method's settings, checked at construction: each name one of its
-    known values, `hp` a `Hyperparams`, each number read by `read_float` or
-    `read_int` and stored as a float or an int, and a leon method's
-    `engine_params` by building its engine once; a baseline has no engine,
-    so it takes no `engine_params`."""
+    known values, `hp` a `Hyperparams`, each number read by `read_float`,
+    and a leon method's `engine_params` by building its engine once; a
+    baseline has no engine, so it takes no `engine_params`."""
 
     method: str = "leon"  # "leon" or one of BASELINES
     engine: str = "boltzmann-memory"  # one of ENGINES
@@ -116,8 +117,6 @@ class RunConfig:
     radius: float = 1.0
     mixture_w: float | None = None  # None = pure surrogate; w in [0,1] mixes in the oracle
     hp: Hyperparams = field(default_factory=Hyperparams)
-    source_pool_size: int = 128
-    memory_view: int = 64
 
     def __post_init__(self):
         for name, known in (("method", ("leon", *BASELINES)), ("engine", tuple(ENGINES)),
@@ -127,15 +126,10 @@ class RunConfig:
                                  f"got {short_repr(getattr(self, name))}")
         if not isinstance(self.hp, Hyperparams):
             raise ValueError(f"hp must be a Hyperparams, got {short_repr(self.hp)}")
-        for name, value in (
-            ("beta", read_float(self.beta, "beta")),
-            ("radius", read_float(self.radius, "radius")),
-            ("mixture_w", None if self.mixture_w is None
-             else read_float(self.mixture_w, "mixture_w", 0.0, 1.0)),
-            ("source_pool_size", read_int(self.source_pool_size, "source_pool_size", 1)),
-            ("memory_view", read_int(self.memory_view, "memory_view", 1)),
-        ):
-            object.__setattr__(self, name, value)
+        for name in ("beta", "radius"):
+            object.__setattr__(self, name, read_float(getattr(self, name), name))
+        if self.mixture_w is not None:
+            object.__setattr__(self, "mixture_w", read_float(self.mixture_w, "mixture_w", 0.0, 1.0))
         if not isinstance(self.engine_params, dict):
             raise ValueError(f"engine_params must be a dict, got {short_repr(self.engine_params)}")
         if "seed" in self.engine_params:
@@ -264,7 +258,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
     metered, memory = _start(task, cfg, seed, ctx, surrogate)
     if source_pool is None:
         rng_src = np.random.default_rng([seed, 2])
-        source_pool = SourcePool(task.space, task.source_designs(rng_src, cfg.source_pool_size))
+        source_pool = SourcePool(task.space, task.source_designs(rng_src, SOURCE_POOL_SIZE))
     if engine is None:
         engine = make_engine(cfg, derive_seed(seed, 3))
     critic = init_critic(source_pool.encoded, source_pool.space.is_bool)
@@ -285,7 +279,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
 
     for t in range(1, n_steps + 1):
         b = min(hp.batch_size, metered.remaining)
-        prompt_state.memory_view = memory.view(cfg.memory_view)
+        prompt_state.memory_view = memory.view(MEMORY_VIEW)
         values, batch_enc = propose(engine, prompt_state, b)
 
         f_vals = metered.value(values)
@@ -294,7 +288,7 @@ def run_leon(task: Task, cfg: RunConfig, seed: int, *, ctx: Context | None = Non
         assignments = partition.assign(batch_enc, raw)
 
         stats = class_optima(raw, assignments)
-        mu_hat = estimate_mu(stats, mu_hat, hp.mu_max)
+        mu_hat = estimate_mu(stats, mu_hat)
 
         # the dual gradient reads the refit critic at each class's best row
         qbar = boltzmann_weights(stats, mu_hat)

@@ -15,7 +15,7 @@ kind of dim, in the row-major order of per-design, per-dim scalar draws.
 
 Engine protocol (duck-typed):
     propose(state, b) -> (b, d) value array     # checked by `propose`
-    reflect(state, scores) -> str               # never raises
+    reflect(state, scores) -> str               # needs scores; `propose` refuses b < 1
     knowledge(sources, state, budget) -> str    # never raises
     warnings: list[str]                         # drained by the runner
 
@@ -355,6 +355,10 @@ class ChatApiEngine:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("model", self.model), ("endpoint", self.endpoint),
+                            ("api_key", self.api_key)):
+            if not isinstance(value, str) and (value is not None or name == "model"):
+                raise ValueError(f"{name} must be a string, got {short_repr(value)}")
         self.temperature = read_float(self.temperature, "temperature", 0.0)
         self.max_retries = read_int(self.max_retries, "max_retries", 1)
         self.retry_wait = read_float(self.retry_wait, "retry_wait", 0.0)

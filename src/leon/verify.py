@@ -202,7 +202,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
         s = np.arange(4) * scale
         q = stable_softmax(mu_true * s)
         stats = ClassStats(q_hat=q, best_rows=np.arange(4), best_values=s)
-        mu_exact = estimate_mu(stats, prev_mu=1.0, mu_max=100.0)
+        mu_exact = estimate_mu(stats, prev_mu=1.0)
         worst_exact = max(worst_exact, abs(mu_exact - mu_true))
 
         draws = rng.choice(4, size=n_samples, p=q)
@@ -210,7 +210,7 @@ def check_mu_recovery(seed: int = 0, n_samples: int = 10_000) -> CheckResult:
         keep = q_hat > 0
         noisy = ClassStats(q_hat=q_hat[keep], best_rows=np.flatnonzero(keep),
                            best_values=s[keep])
-        mu_noisy = estimate_mu(noisy, prev_mu=1.0, mu_max=100.0)
+        mu_noisy = estimate_mu(noisy, prev_mu=1.0)
         worst_noisy = max(worst_noisy, abs(mu_noisy - mu_true) / mu_true)
     passed = worst_exact <= 1e-9 and worst_noisy <= 0.10
     return CheckResult("mu-recovery", passed,

@@ -162,30 +162,30 @@ def test_mu_exact_boltzmann_recovery():
     for mu_true in (0.5, 2.0, 5.0):
         q = stable_softmax(mu_true * s)
         stats = _stats(s, q=q)
-        assert estimate_mu(stats, prev_mu=1.0, mu_max=100.0) == pytest.approx(mu_true, abs=1e-9)
+        assert estimate_mu(stats, prev_mu=1.0) == pytest.approx(mu_true, abs=1e-9)
 
 
 def test_mu_equal_occupancy_is_zero():
     stats = _stats([1.0, 2.0, 3.0], q=[1 / 3] * 3)
-    assert estimate_mu(stats, prev_mu=7.0, mu_max=100.0) == 0.0
+    assert estimate_mu(stats, prev_mu=7.0) == 0.0
 
 
 def test_mu_single_class_carries_forward():
     stats = _stats([4.0], q=[1.0])
-    assert estimate_mu(stats, prev_mu=3.5, mu_max=100.0) == 3.5
+    assert estimate_mu(stats, prev_mu=3.5) == 3.5
 
 
 def test_mu_zero_variance_carries_forward():
     stats = _stats([2.0, 2.0], q=[0.7, 0.3])
-    assert estimate_mu(stats, prev_mu=1.25, mu_max=100.0) == 1.25
+    assert estimate_mu(stats, prev_mu=1.25) == 1.25
 
 
 def test_mu_clamped():
     s = np.array([0.0, 1e-9])
     q = np.array([0.01, 0.99])  # enormous positive slope
-    assert estimate_mu(_stats(s, q=q), prev_mu=1.0, mu_max=100.0) == 100.0
+    assert estimate_mu(_stats(s, q=q), prev_mu=1.0) == 100.0
     q_neg = np.array([0.99, 0.01])  # negative slope clamps at zero
-    assert estimate_mu(_stats(s, q=q_neg), prev_mu=1.0, mu_max=100.0) == 0.0
+    assert estimate_mu(_stats(s, q=q_neg), prev_mu=1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

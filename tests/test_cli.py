@@ -102,12 +102,12 @@ def test_parse_config_validates_fields():
 
 
 def test_leon_only_hyperparams_need_a_leon_method():
-    """`lambda0`, `w0`, `eta_lambda` and `mu_max` drive leon's loop only: a
-    config with no leon method does not read them. `batch_size` and
+    """`lambda0`, `w0` and `eta_lambda` drive leon's loop only: a config
+    with no leon method does not read them. `batch_size` and
     `budget` are shared."""
-    leon_only = {"lambda0": 5, "w0": 0.1, "eta_lambda": 3, "mu_max": 2}
+    leon_only = {"lambda0": 5, "w0": 0.1, "eta_lambda": 3}
     with pytest.raises(ConfigError, match=re.escape(
-            "hyperparams: no leon method reads ['eta_lambda', 'lambda0', 'mu_max', 'w0']")):
+            "hyperparams: no leon method reads ['eta_lambda', 'lambda0', 'w0']")):
         parse_config(_config(hyperparams=leon_only))
     parse_config(_config(methods=[{"name": "random-search"}, {"name": "leon"}],
                          hyperparams=leon_only))
@@ -144,19 +144,13 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
     # values that fail coercion or lie outside their range are config errors
     # too, caught before any run starts
     for bad in (_config(jobs="abc"),
-                _config(methods=[{"name": "leon", "source_pool_size": "x"}]),
                 _config(methods=[{"name": "leon", "engine": "bogus"}]),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "rng_seed": 0}),
                 # the critic is a transport potential: it has no net or learning rate
                 _config(methods=[{"name": "leon", "critic_hidden": [64, 64]}]),
                 _config(hyperparams={"budget": 64, "batch_size": 32, "eta_critic": 0.001}),
-                _config(methods=[{"name": "leon", "memory_view": 0}]),
-                _config(methods=[{"name": "leon", "memory_view": -1}]),
-                _config(methods=[{"name": "leon", "source_pool_size": 0}]),
                 _config(methods=[{"name": "leon", "knowledge_budget": -1}]),
                 # integer fields take JSON integers in range: no bool, float or string
-                _config(methods=[{"name": "leon", "source_pool_size": 12.9}]),
-                _config(methods=[{"name": "leon", "memory_view": True}]),
                 _config(methods=[{"name": "leon", "knowledge_budget": 2.5}]),
                 _config(jobs=2.7),
                 _config(jobs=-3),
@@ -213,15 +207,25 @@ def test_config_error_exit_code(tmp_path, monkeypatch):
                 _config(methods=[{"name": "leon", "engine_params": {"knowledge_stop_after": 1}}]),
                 # no knowledge source reaches the CLI, so no knowledge budget either
                 _config(methods=[{"name": "leon", "knowledge_budget": 3}]),
+                # constants now, refused even at their old defaults
+                _config(methods=[{"name": "leon", "source_pool_size": 128}]),
+                _config(methods=[{"name": "leon", "memory_view": 64}]),
+                _config(hyperparams={"budget": 64, "batch_size": 32, "mu_max": 100.0}),
+                # the chat engine's strings: a number or a list is no URL, model or key
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"endpoint": 5}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"endpoint": NO_SERVER, "api_key": ["k"]}}]),
+                _config(methods=[{"name": "leon", "engine": "chat-api",
+                                  "engine_params": {"endpoint": NO_SERVER, "model": None}}]),
                 # a baseline has no engine, partition or memory: it takes only `name`
                 _config(methods=[{"name": "random-search", "engine_params": {"nope": 1}}]),
                 _config(methods=[{"name": "random-search", "engine": "chat-api"}]),
-                _config(methods=[{"name": "surrogate-greedy", "partition": "score",
-                                  "memory_view": 5}]),
+                _config(methods=[{"name": "surrogate-greedy", "partition": "score"}]),
                 # only the analytic-shift surrogate reads beta and radius
                 _config(surrogate={"variant": "learned", "beta": 0.7}),
                 _config(surrogate={"variant": "learned", "radius": 3.0}),
-                # only leon reads lambda0, w0, eta_lambda and mu_max
+                # only leon reads lambda0, w0 and eta_lambda
                 _config(hyperparams={"budget": 64, "batch_size": 32, "w0": 0.1})):
         result = runner.invoke(main, ["run", "-c", _write(tmp_path, bad)])
         assert result.exit_code == 2, (bad, result.output)

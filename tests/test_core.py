@@ -245,7 +245,7 @@ def test_render_context_in_render_text(mixed_space):
 def test_hyperparam_defaults():
     hp = Hyperparams()
     assert (hp.lambda0, hp.w0, hp.eta_lambda) == (0.0, 1.0, 0.1)
-    assert (hp.batch_size, hp.budget, hp.mu_max) == (32, 2048, 100.0)
+    assert (hp.batch_size, hp.budget) == (32, 2048)
     assert Hyperparams(budget=np.int64(64), batch_size=np.int64(32)).budget == 64
 
 
@@ -254,9 +254,9 @@ def test_hyperparam_defaults():
     {"eta_lambda": -1.0},
     {"batch_size": 1},
     {"budget": 16, "batch_size": 32},
-    {"mu_max": 0.0},
+    {"w0": -0.5},
     {"w0": float("nan")},
-    {"mu_max": float("nan")},
+    {"lambda0": float("inf")},
     {"eta_lambda": float("inf")},
     # memory preallocates `budget` rows: both sizes are integers, not bools
     {"budget": float("nan")},

@@ -20,6 +20,7 @@ from leon.core import (
     TrajectoryMemory,
     decode_design,
 )
+from leon.critic import SourcePool
 from leon.optimizer import (
     BASELINES,
     BudgetExceededError,
@@ -472,11 +473,25 @@ def test_score_partition_scores_source_pool_outside_budget(dose_task, scored_bat
     which it reads from the surrogate past the meter: a run scores budget plus
     pool-size designs in one call per step plus one, and only the budget is
     counted."""
-    cfg = RunConfig(method="leon", hp=HP_SMALL, partition="score", source_pool_size=40)
-    result = run_leon(dose_task, cfg, seed=1)
+    cfg = RunConfig(method="leon", hp=HP_SMALL, partition="score")
+    pool = SourcePool(dose_task.space, dose_task.source_designs(np.random.default_rng(0), 40))
+    result = run_leon(dose_task, cfg, seed=1, source_pool=pool)
     assert result.surrogate_calls == HP_SMALL.budget
-    assert sum(scored_batches) == HP_SMALL.budget + cfg.source_pool_size
+    assert sum(scored_batches) == HP_SMALL.budget + 40
     assert len(scored_batches) == HP_SMALL.budget // HP_SMALL.batch_size + 1
+
+
+@pytest.mark.parametrize("task_name, pool_size", [("dose", 1), ("regimen", 8)])
+def test_small_source_pool_runs_end_to_end(request, task_name, pool_size):
+    """A source pool smaller than k-means' kmax shrinks the elbow's range,
+    with a warning (to k = 1 on a 1-row pool), and the run still spends its
+    whole budget and scores a finite final design."""
+    task = request.getfixturevalue(f"{task_name}_task")
+    pool = SourcePool(task.space, task.source_designs(np.random.default_rng(0), pool_size))
+    with pytest.warns(UserWarning, match="shrinking kmax"):
+        result = run_leon(task, RunConfig(method="leon", hp=HP_SMALL), seed=1, source_pool=pool)
+    assert result.surrogate_calls == len(result.memory) == HP_SMALL.budget
+    assert np.isfinite(result.oracle_score)
 
 
 def test_all_engines_run(dose_task, oracle_ids):
@@ -1021,13 +1036,10 @@ def test_make_engine_rejects_unknown(dose_task):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: RunConfig(memory_view=0),  # an empty memory view at every step
-    lambda: RunConfig(memory_view=-1),
     lambda: RunConfig(beta=True),
     lambda: RunConfig(hp={"budget": 64}),  # the run died on `hp.budget`
     lambda: Hyperparams(w0=True),
     lambda: Hyperparams(eta_lambda=True),
-    lambda: Hyperparams(mu_max="5"),
     lambda: RunConfig(engine_params={"nope": 1}),  # these raised TypeError
     lambda: RunConfig(engine_params={"seed": 5}),  # the run derives the seed
     lambda: RunConfig(engine_params="x"),
@@ -1038,8 +1050,8 @@ def test_make_engine_rejects_unknown(dose_task):
     lambda: RunConfig(engine_params={"top_m": 8}),
     lambda: RunConfig(engine_params={"explore_frac": 0.25}),
     lambda: RunConfig(engine="hill-climb", engine_params={"step": 0.05}),
-], ids=["memory_view=0", "memory_view=-1", "beta=True", "hp=dict",
-        "w0=True", "eta_lambda=True", "mu_max='5'", "engine_params-unknown",
+], ids=["beta=True", "hp=dict",
+        "w0=True", "eta_lambda=True", "engine_params-unknown",
         "engine_params-seed", "engine_params-str", "engine_params-baseline",
         "surrogate-oracle", "pool_size", "top_m", "explore_frac", "hill-climb-step"])
 def test_python_configs_follow_the_cli_rules(build):
@@ -1056,6 +1068,19 @@ def test_knowledge_budget_is_no_run_setting():
         RunConfig(knowledge_budget=5)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: RunConfig(memory_view=64), "memory_view"),
+    (lambda: RunConfig(source_pool_size=128), "source_pool_size"),
+    (lambda: Hyperparams(mu_max=100.0), "mu_max"),
+], ids=["memory_view", "source_pool_size", "mu_max"])
+def test_removed_settings_are_refused(build, name):
+    """Each prompt shows the memory's last `MEMORY_VIEW` rows, a run draws
+    `SOURCE_POOL_SIZE` source designs unless handed a pool, and mu clamps
+    at `MU_MAX`: no config sets another value, not even the old default."""
+    with pytest.raises(TypeError, match=name):
+        build()
+
+
 def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
     """Every critic solve of a run has the whole 600-row source pool as its
     rows and the whole batch as its columns."""
@@ -1069,9 +1094,9 @@ def test_large_source_pool_trains_critic_on_every_row(dose_task, monkeypatch):
         return real(C, f, eps)
 
     monkeypatch.setattr(leon.critic, "_sinkhorn", solve)
-    cfg = RunConfig(method="leon", hp=HP_SMALL, source_pool_size=600,
-                    partition="random")
-    result = run_leon(dose_task, cfg, seed=1)
+    cfg = RunConfig(method="leon", hp=HP_SMALL, partition="random")
+    pool = SourcePool(dose_task.space, dose_task.source_designs(np.random.default_rng(0), 600))
+    result = run_leon(dose_task, cfg, seed=1, source_pool=pool)
     assert len(result.memory) == 64
     assert shapes == [(600, 32)] * 2
 

@@ -716,6 +716,24 @@ def test_chat_engine_needs_an_endpoint(monkeypatch):
         == "http://127.0.0.1:2"
 
 
+@pytest.mark.parametrize("name, params", [
+    ("endpoint", {"endpoint": 5}),
+    ("api_key", {"endpoint": NO_SERVER, "api_key": ["k"]}),
+    ("model", {"endpoint": NO_SERVER, "model": None}),
+    ("model", {"endpoint": NO_SERVER, "model": 3}),
+], ids=["endpoint=5", "api_key=list", "model=None", "model=3"])
+def test_chat_engine_strings_are_checked(name, params):
+    """`endpoint`, `model` and `api_key` are strings (`endpoint` and
+    `api_key` may be None, read from the environment): an endpoint of 5
+    would fail every request with "Invalid URL '5'" and fill every
+    proposal at random."""
+    with pytest.raises(ValueError, match=f"{name} must be a string"):
+        ChatApiEngine(**params)
+    with pytest.raises(ValueError, match=f"{name} must be a string"):
+        RunConfig(engine="chat-api", engine_params=params)
+    ChatApiEngine(endpoint=NO_SERVER, api_key=None)
+
+
 def test_chat_engine_parses_stub_batch(stub_server):
     _StubHandler.responses = [_payload(3)]
     engine = ChatApiEngine(model="stub", endpoint=stub_server, retry_wait=0.0, seed=0)
