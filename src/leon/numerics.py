@@ -49,8 +49,14 @@ def layer_views(net: "DenseNet", vec: np.ndarray) -> list:
     """Per-layer (weights, biases) views of a vector laid out like
     `net.params`, such as a gradient: each layer's (out, in) weights in row
     order, then its out biases, layer after layer."""
+    return _views(net.shapes, vec)
+
+
+def _views(shapes, vec: np.ndarray) -> list:
+    """`layer_views` for the layers of the given (out, in) shapes, so that
+    `net.shapes[:-1]` views a vector of the hidden parameters alone."""
     views, i = [], 0
-    for out, fan_in in net.shapes:
+    for out, fan_in in shapes:
         j = i + out * fan_in
         views.append((vec[i:j].reshape(out, fan_in), vec[j:j + out]))
         i = j + out
@@ -304,6 +310,68 @@ def net_gradient(net: DenseNet, batch_pos: np.ndarray, batch_neg: np.ndarray,
 
     grad = net_weighted_gradient(net, np.concatenate([pos, neg]), read_value, workspace)
     return grad, value
+
+
+_BOX_ROWS = 128  # rows per block of `last_hidden_dead_on_box`, to bound its buffers
+
+
+def _gamma(fan_in: int) -> float:
+    """(k + 1) u / (1 - (k + 1) u) at u = 2**-23, for fan-in k: the classic
+    bound on the relative error of a float32 dot product of k terms plus a
+    bias, in any summation order, taken at twice float32's unit roundoff."""
+    t = (fan_in + 1) * 2.0 ** -23
+    return t / (1.0 - t)
+
+
+def last_hidden_dead_on_box(net: DenseNet, X: np.ndarray, lo: np.ndarray,
+                            hi: np.ndarray) -> bool:
+    """True only if, for every net shaped like `net` whose hidden weights
+    and biases lie between the flat vectors `lo` and `hi` (the hidden part
+    of `params`, in `layer_views` order), a float32 forward pass over the
+    rows of X finds no unit of the last hidden layer positive on any row.
+    False when an upper bound on some unit's pre-activation is not < 0,
+    which may only mean the bounds are too loose.
+
+    An interval forward pass, in blocks of at most `_BOX_ROWS` rows. The first
+    layer runs in float64 on centre and radius of its box, X being exact.
+    A later layer's inputs are relus, so >= 0: its upper bound is
+    `a_hi @ max(W_hi, 0).T + a_lo @ min(W_hi, 0).T + b_hi`, and its lower
+    bound the same with W_lo and the inputs swapped. Those products run
+    in float32 on operands of one sign each, so each is exact to a relative
+    gamma (`_gamma`) and is inflated by it. Each layer's bounds then widen
+    by gamma times `|a| @ |W|.T + |b|`, the float32 forward pass's own
+    rounding of that layer. gamma is about twice the float32 bound, and
+    the slack, (k + 1) * 2**-24 of the same magnitudes, also covers the
+    float64 roundings of the bounds (of order k * 2**-53) and the float32
+    casts of the bounds on a layer's inputs (2**-24 per term)."""
+    box = list(zip(_views(net.shapes[:-1], lo), _views(net.shapes[:-1], hi)))
+    for start in range(0, len(X), _BOX_ROWS):
+        x = X[start:start + _BOX_ROWS].astype(float)
+        for li, ((w_lo, b_lo), (w_hi, b_hi)) in enumerate(box):
+            g = _gamma(w_lo.shape[1])
+            if li == 0:
+                w_c, b_c = (w_lo.astype(float) + w_hi) / 2, (b_lo.astype(float) + b_hi) / 2
+                w_r, b_r = (w_hi.astype(float) - w_lo) / 2, (b_hi.astype(float) - b_lo) / 2
+                centre = x @ w_c.T + b_c
+                spread = (np.abs(x) @ w_r.T + b_r
+                          + g * (np.abs(x) @ (np.abs(w_c) + w_r).T + np.abs(b_c) + b_r))
+                upper, lower = centre + spread, centre - spread
+            else:
+                a_lo32, a_hi32 = a_lo.astype(np.float32), a_hi.astype(np.float32)
+                mag = (a_hi32 @ np.maximum(np.abs(w_lo), np.abs(w_hi)).T).astype(float)
+                margin = g * (mag * (1.0 + g) + np.maximum(np.abs(b_lo), np.abs(b_hi)))
+                upper = ((a_hi32 @ np.maximum(w_hi, 0.0).T).astype(float) * (1.0 + g)
+                         + (a_lo32 @ np.minimum(w_hi, 0.0).T).astype(float) * (1.0 - g)
+                         + b_hi + margin)
+                if li == len(box) - 1:
+                    break
+                lower = ((a_lo32 @ np.maximum(w_lo, 0.0).T).astype(float) * (1.0 - g)
+                         + (a_hi32 @ np.minimum(w_lo, 0.0).T).astype(float) * (1.0 + g)
+                         + b_lo - margin)
+            a_lo, a_hi = np.maximum(lower, 0.0), np.maximum(upper, 0.0)
+        if not (upper < 0.0).all():  # also refuses a NaN bound
+            return False
+    return True
 
 
 def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, clip: float) -> None:

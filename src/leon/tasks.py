@@ -25,7 +25,14 @@ from .core import (
     encode_batch,
     read_float,
 )
-from .numerics import NetWorkspace, init_net, net_forward_batch, net_hidden, net_weighted_gradient
+from .numerics import (
+    NetWorkspace,
+    init_net,
+    last_hidden_dead_on_box,
+    net_forward_batch,
+    net_hidden,
+    net_weighted_gradient,
+)
 
 
 @dataclass
@@ -59,13 +66,20 @@ class Task:
         about. The memo is keyed on that object and holds it, so no later
         object can take its id; an equal copy is computed afresh."""
         if ctx is not self._term_ctx:
-            z = np.asarray(ctx.features, dtype=float)
-            if self.kind == "quadratic-dose":
-                term = self.params["g_bias"] + float(self._g_w @ z)
-            else:
-                term = self._W @ z + self._w0
-            self._term_ctx, self._term = ctx, term
+            self._term_ctx, self._term = ctx, self._term_of(np.asarray(ctx.features, dtype=float))
         return self._term
+
+    def _term_of(self, z: np.ndarray):
+        """The oracle's context term for the feature vector z."""
+        if self.kind == "quadratic-dose":
+            return self.params["g_bias"] + float(self._g_w @ z)
+        return self._W @ z + self._w0
+
+    def _values_at(self, V: np.ndarray, term) -> np.ndarray:
+        """Oracle values of `(n, d)` design value rows under a context term."""
+        if self.kind == "quadratic-dose":
+            return -np.square(V[:, 0] - term)
+        return V @ term + ((V @ self._Q) * V).sum(axis=1)
 
     def optimum_location(self, ctx: Context) -> float:
         """Closed-form argmax for the dose task (diagnostics only)."""
@@ -75,9 +89,7 @@ class Task:
 
     def oracle_values(self, V: np.ndarray, ctx: Context) -> np.ndarray:
         """Oracle values of `(n, d)` design value rows under one context."""
-        if self.kind == "quadratic-dose":
-            return -np.square(V[:, 0] - self._context_term(ctx))
-        return V @ self._context_term(ctx) + ((V @ self._Q) * V).sum(axis=1)
+        return self._values_at(V, self._context_term(ctx))
 
     def oracle(self, design: Design, ctx: Context) -> float:
         return float(self.oracle_values(np.array([design.values], dtype=float), ctx)[0])
@@ -89,20 +101,29 @@ class Task:
         z = rng.normal(mean, 1.0)
         return Context(features=tuple(z), id=id)
 
+    def source_contexts(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """`(n, ctx_dim)` feature rows of n source contexts: the draws of n
+        `sample_context(rng, "source")` calls, bit for bit, as one block."""
+        return rng.normal(self._m_src, 1.0, size=(n, self.ctx_dim))
+
     # -- source design policy ---------------------------------------------
 
     def source_designs(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """`(n, d)` value rows of near-source-optimal designs plus noise (the
-        projection of the source dataset onto the design space)."""
+        projection of the source dataset onto the design space). Each row
+        draws a source context, then noise: on dose one N(0, 3) dose offset,
+        drawn for all rows as one block of the same stream; on regimen a
+        uniform per bit, whose draws interleave with the contexts' normals."""
+        if self.kind == "quadratic-dose":
+            draws = rng.normal(np.append(self._m_src, 0.0), np.append(np.ones(self.ctx_dim), 3.0),
+                               size=(n, self.ctx_dim + 1))
+            # per row, as `Z @ g_w` can round the last bit differently
+            g = np.array([self._term_of(z) for z in draws[:, :-1]])
+            return np.clip(g + draws[:, -1], 0.0, 100.0)[:, None]
         out = np.empty((n, len(self.space.dims)))
         for i in range(n):
-            z = rng.normal(self._m_src, 1.0)
-            if self.kind == "quadratic-dose":
-                g = self.params["g_bias"] + float(self._g_w @ z)
-                out[i] = min(max(g + rng.normal(0.0, 3.0), 0.0), 100.0)
-            else:
-                bits = (self._W @ z + self._w0) > 0
-                out[i] = bits != (rng.random(len(bits)) < 0.1)
+            bits = self._term_of(rng.normal(self._m_src, 1.0)) > 0
+            out[i] = bits != (rng.random(len(bits)) < 0.1)
         return out
 
     def to_json(self) -> dict:
@@ -311,12 +332,33 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     1 and 0 <= lr (the largest step) < 1 + momentum: a negative momentum
     flips the velocity's sign every step, so a later update could round a
     weight the other way. A wholly dead layer below the last one is no
-    fixed point: the last hidden layer's biases still get a gradient."""
+    fixed point: the last hidden layer's biases still get a gradient.
+
+    Under the same conditions the descent can also leave at once, by a
+    certificate (`_coast_dead`), tried at the 1st, 2nd, 4th, 8th, ... pass
+    of each run of passes that found the last hidden layer dead. While the
+    layer stays dead every hidden gradient is 0, so the hidden parameters
+    move by momentum alone: each one monotonically, in its velocity v's
+    sign, by step * |v| * momentum / (1 - momentum) in total in exact
+    arithmetic (the steps' sizes do not grow). The box that reach spans,
+    widened by `_ROUNDING_SLACK` for the rounding of the float32 steps, is
+    passed to `numerics.last_hidden_dead_on_box`, an interval forward pass
+    over X32 whose bounds take in the float32 forward pass's own rounding.
+    If every last-layer pre-activation bound is < 0, the remaining steps are
+    replayed on the hidden parameters alone with the loop's float32 ops
+    (velocity scaled, plus a 0 gradient, flushed, then the step) until a
+    step moves no hidden bit, or to `iters`. Motion being monotone, every
+    point the replay passes lies between its start and its end, so when the
+    end lies in the box, so does every point: each skipped pass would have
+    found the layer dead, and the replay is the loop's own arithmetic on
+    the hidden layers, bit for bit. Its end is written to the hidden
+    layers; otherwise nothing changes and the descent goes on. The
+    fixed-point stop stays, for dead pre-activations too close to 0 for the
+    bounds to certify."""
     net = init_net((X.shape[1], *hidden, 1), seed=seed).astype(np.float32)
     n = X.shape[0]
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
     velocity = np.zeros_like(net.params)
-    tiny = np.finfo(np.float32).tiny
     subnormal = np.empty(velocity.shape, dtype=bool)
     workspace = NetWorkspace(net, n)
 
@@ -327,23 +369,25 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
             raise NumericError("surrogate training diverged")
         return -2.0 * resid / n  # ascent on -loss
 
-    hidden_bits = net.params[:net.params.size - net.layers[-1].weights.size - 1].view(np.uint32)
+    n_hidden = net.params.size - net.layers[-1].weights.size - 1
+    hidden_bits = net.params[:n_hidden].view(np.uint32)
     before = np.empty_like(hidden_bits)
     can_stop = 0.0 <= momentum < 1.0 and 0.0 <= lr < 1.0 + momentum
     stage = max(1, iters // 5)
+    dead_run = 0  # consecutive passes that found the last hidden layer dead
     for it in range(iters):
         step = lr * 0.5 ** (it // stage)
         grad = net_weighted_gradient(net, X32, loss_weights, workspace)
-        velocity *= momentum
-        velocity += grad
-        np.less(np.abs(velocity, out=grad), tiny, out=subnormal)  # grad is used up
-        np.copyto(velocity, 0.0, where=subnormal)
         dead = can_stop and workspace.last_hidden_dead
+        dead_run = dead_run + 1 if dead else 0
         if dead:
             np.copyto(before, hidden_bits)
-        net.params += np.multiply(velocity, step, out=grad)
-        if dead and np.array_equal(hidden_bits, before):
-            break  # the hidden layers are a fixed point
+        _heavy_ball_step(net.params, velocity, grad, step, momentum, grad, subnormal)
+        if dead and (np.array_equal(hidden_bits, before)  # the hidden layers are a fixed point
+                     or (dead_run & (dead_run - 1)) == 0 and _coast_dead(
+                         net, X32, velocity[:n_hidden], step, momentum,
+                         (lr * 0.5 ** (k // stage) for k in range(it + 1, iters)))):
+            break
     del workspace  # free the step buffers before the ridge solve allocates its own
     # the loss is checked before each step, so this catches the last one
     if not np.isfinite(net.params).all():
@@ -359,15 +403,60 @@ def train_regression_net(X: np.ndarray, y: np.ndarray, hidden=(128, 128), seed: 
     return net
 
 
+_TINY32 = np.finfo(np.float32).tiny
+# how far past the exact-arithmetic reach of momentum alone a coasting
+# parameter may round: the replays measured went up to 0.18% past it, and at
+# 0 each was refused, as its end left the certified box
+_ROUNDING_SLACK = 2.0 ** -5
+
+
+def _heavy_ball_step(params, velocity, grad, step, momentum, scratch, subnormal) -> None:
+    """One float32 heavy-ball ascent step in place: velocity = momentum *
+    velocity + grad, entries below float32's smallest normal flushed to 0,
+    then params += step * velocity. `scratch` (which may be `grad`, as it
+    is used up first) and the bool `subnormal` are buffers of params' shape."""
+    velocity *= momentum
+    velocity += grad
+    np.less(np.abs(velocity, out=scratch), _TINY32, out=subnormal)
+    np.copyto(velocity, 0.0, where=subnormal)
+    params += np.multiply(velocity, step, out=scratch)
+
+
+def _coast_dead(net, X32, velocity, step, momentum, later_steps) -> bool:
+    """After a step (of size `step`) whose pass found the last hidden layer
+    dead: when the hidden parameters (the first `velocity.size` of
+    `net.params`, with their velocity), moving by momentum alone over
+    `later_steps`, provably keep that layer dead on every row of X32, move
+    them to where those steps leave them and return True; otherwise change
+    nothing and return False. See `train_regression_net` for the argument."""
+    params = net.params[:velocity.size]
+    reach = np.abs(velocity) * (step * momentum / (1.0 - momentum) * (1.0 + _ROUNDING_SLACK))
+    lo = np.where(velocity < 0.0, params - reach, params)
+    hi = np.where(velocity > 0.0, params + reach, params)
+    if not last_hidden_dead_on_box(net, X32, lo, hi):
+        return False
+    coast, v = params.copy(), velocity.copy()
+    bits, before = coast.view(np.uint32), np.empty(coast.shape, dtype=np.uint32)
+    scratch, subnormal = np.empty_like(v), np.empty(v.shape, dtype=bool)
+    for later in later_steps:
+        np.copyto(before, bits)
+        _heavy_ball_step(coast, v, 0.0, later, momentum, scratch, subnormal)
+        if np.array_equal(bits, before):
+            break
+    if not ((lo <= coast) & (coast <= hi)).all():
+        return False
+    params[...] = coast
+    return True
+
+
 def make_learned_surrogate(task: Task, seed: int = 0, n_train: int = 768,
                            hidden=(128, 128), iters: int = 4000) -> LearnedSurrogate:
     rng = np.random.default_rng([seed, 21])
-    ctxs = [task.sample_context(rng, "source", id=f"s{i}") for i in range(n_train)]
+    Z = task.source_contexts(rng, n_train)
     V = task.source_designs(rng, n_train)
-    enc = encode_batch(task.space, V)
-    Z = np.stack([np.asarray(c.features, dtype=float) for c in ctxs])
-    X = np.concatenate([enc, Z], axis=1)
-    y = np.array([task.oracle_values(V[i:i + 1], c)[0] for i, c in enumerate(ctxs)])
+    X = np.concatenate([encode_batch(task.space, V), Z], axis=1)
+    # per row: a batched oracle rounds some last bits differently on both tasks
+    y = np.array([task._values_at(V[i:i + 1], task._term_of(z))[0] for i, z in enumerate(Z)])
 
     x_mean, x_std = X.mean(axis=0), X.std(axis=0)
     x_std = np.where(x_std > 1e-9, x_std, 1.0)

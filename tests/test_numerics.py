@@ -18,6 +18,7 @@ from leon.numerics import (
     init_net,
     kmeans_assign,
     kmeans_fit,
+    last_hidden_dead_on_box,
     layer_views,
     net_forward_batch,
     net_gradient,
@@ -493,9 +494,11 @@ def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly, m
     dead units in backprop and flushing subnormal velocity to 0 leave every
     hidden weight and bias as the dense, unflushed per-layer loop leaves
     them, bit for bit. Where the last hidden layer dies whole, training
-    stops after the first step that moves no hidden bit, well before the
-    flush could zero the hidden velocity (at pass 887); where some of its
-    units live, it takes every step."""
+    leaves the descent before the per-layer loop's hidden layers first
+    stand still (after pass 196; the flush would zero the hidden velocity
+    at pass 887): the momentum left is certified never to revive the layer,
+    and the remaining steps are replayed on the hidden layers alone. Where
+    some of its units live, it takes every step."""
     X, y = _training_data()
     kwargs = dict(hidden=(32, 32), seed=2, iters=1000, lr=lr)
     want, velocity = _reference_train(X, y, **kwargs)
@@ -508,10 +511,11 @@ def test_long_training_with_dead_units_matches_per_layer_reference(lr, wholly, m
     if not wholly:
         assert calls[0] == kwargs["iters"]
         return
-    assert calls[0] < 887
-    last, before, older = (_hidden_bits(_reference_train(X, y, steps=calls[0] - k, **kwargs)[0])
+    fixed = 196
+    last, before, older = (_hidden_bits(_reference_train(X, y, steps=fixed - k, **kwargs)[0])
                            for k in (0, 1, 2))
     assert np.array_equal(last, before) and not np.array_equal(before, older)
+    assert calls[0] < fixed
 
 
 def test_training_with_a_dead_first_layer_takes_every_step(monkeypatch):
@@ -565,6 +569,119 @@ def test_training_on_a_dead_last_layer_with_negative_momentum_takes_every_step(m
     calls = _count_gradient_passes(monkeypatch)
     _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
     assert calls[0] == kwargs["iters"]
+
+
+def test_a_certified_jump_replays_to_the_end_of_a_short_schedule(monkeypatch):
+    """On a 100-step schedule the last hidden layer dies early and the
+    certificate ends the descent at pass 38, while the per-layer loop's
+    hidden layers still move on its last step: the replay runs to `iters`,
+    through the step-size halvings at steps 40, 60 and 80, and ends on the
+    loop's hidden layers bit for bit."""
+    X, y = _training_data()
+    kwargs = dict(hidden=(32, 32), seed=2, iters=100, lr=0.3)
+    calls = _count_gradient_passes(monkeypatch)
+    got = train_regression_net(X, y, **kwargs)
+    want, last_but_one = (_reference_train(X, y, steps=k, **kwargs)[0] for k in (100, 99))
+    assert calls[0] == 38
+    assert not np.array_equal(_hidden_bits(want), _hidden_bits(last_but_one))
+    _assert_same_hidden_layers(got, want)
+
+
+def test_a_replay_that_leaves_its_certified_box_is_refused(monkeypatch):
+    """The box is certified before the replay, so a replay whose end lies
+    outside it proves nothing: with the box shrunk to half the exact reach
+    of momentum alone, no certificate is taken and training stops at the
+    fixed point, as without one, with the same hidden layers."""
+    monkeypatch.setattr(tasks, "_ROUNDING_SLACK", -0.5)
+    X, y = _training_data()
+    kwargs = dict(hidden=(32, 32), seed=2, iters=1000, lr=0.2)
+    calls = _count_gradient_passes(monkeypatch)
+    got = train_regression_net(X, y, **kwargs)
+    _assert_same_hidden_layers(got, _reference_train(X, y, **kwargs)[0])
+    assert calls[0] == 196  # the fixed point of the test above
+
+
+def test_training_through_a_one_pass_death_of_the_last_layer_takes_every_step(monkeypatch):
+    """A last hidden layer dead on one pass only (pass 7 here, found by a
+    seed search over small nets) revives under the momentum left, so the
+    certificate tried on that pass must refuse: training takes every step
+    and matches the per-layer loop bit for bit."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(32, 3))
+    y = np.sin(X).sum(axis=1)
+    kwargs = dict(hidden=(8, 2), seed=5, iters=100, lr=0.4)
+    X32 = X.astype(np.float32)
+    # pass k + 1 sees the net after k steps
+    assert [_hidden_dead_counts(_reference_train(X, y, steps=k, **kwargs)[0], X32)[1]
+            for k in (5, 6, 7)] == [1, 2, 1]
+    verdicts = []
+
+    def certify(*args):
+        verdicts.append(last_hidden_dead_on_box(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(tasks, "last_hidden_dead_on_box", certify)
+    calls = _count_gradient_passes(monkeypatch)
+    want, _ = _reference_train(X, y, **kwargs)
+    _assert_same_hidden_layers(train_regression_net(X, y, **kwargs), want)
+    assert calls[0] == kwargs["iters"] and verdicts == [False]
+
+
+def _last_hidden_dead_at(net, X32, hidden) -> bool:
+    """Whether a float32 gradient pass of `net`, its hidden parameters set to
+    `hidden`, finds its last hidden layer dead, as training reads it."""
+    net.params[:hidden.size] = hidden
+    workspace = NetWorkspace(net, len(X32))
+    net_weighted_gradient(net, X32, np.zeros_like, workspace)
+    return workspace.last_hidden_dead
+
+
+@pytest.mark.parametrize("hidden", [(4,), (24, 6), (6, 24, 5)])
+def test_dead_layer_certificate_is_sound(hidden):
+    """`last_hidden_dead_on_box` on small random nets and boxes, over more
+    rows than one block: whenever it certifies a box, float32 passes at 12
+    random corners, 12 random interior points and both ends find no live
+    unit in the last hidden layer; every box holding a live point found so
+    is refused. The last-layer biases put each unit's largest
+    pre-activation at the box's centre below 0 by 0.01 to 1 (two thirds of
+    the nets) or anywhere. In half of the first kind the box is one point
+    and one unit's largest pre-activation lies within a few float32 ulps of
+    0: there only the rounding margins tell a dead unit from a live one
+    (with gamma set to 0, the nets of two hidden layers certify a live
+    point)."""
+    rng = np.random.default_rng(len(hidden))
+    X32 = rng.normal(size=(200, 3)).astype(np.float32)
+    certified = live = 0
+    for case in range(90):
+        net = init_net((3, *hidden, 1), seed=case).astype(np.float32)
+        a = X32
+        for layer in net.layers[:-2]:
+            a = np.maximum(a @ layer.weights.T + layer.biases, 0.0)
+        # each unit's largest pre-activation, bias left out, in float64
+        top = (a.astype(float) @ net.layers[-2].weights.T.astype(float)).max(axis=0)
+        kind = case % 3
+        biases = net.layers[-2].biases
+        biases[:] = (-top - rng.uniform(0.01, 1.0, size=top.shape) if kind < 2
+                     else rng.uniform(-3.0, 0.5, size=top.shape))
+        if kind == 0:
+            j = rng.integers(len(biases))
+            biases[j] = -top[j]
+            for _ in range(rng.integers(4)):
+                biases[j] = np.nextafter(biases[j], np.float32(rng.choice([-1.0, 1.0]) * np.inf))
+        centre = net.params[:net.params.size - hidden[-1] - 1].copy()
+        width = (rng.uniform(0.0, 0.01) * rng.random(centre.size)).astype(np.float32)
+        width *= kind > 0
+        lo, hi = centre - width, centre + width
+        ok = last_hidden_dead_on_box(net, X32, lo, hi)
+        points = [lo, hi]
+        points += [np.where(rng.random(centre.size) < 0.5, lo, hi) for _ in range(12)]
+        points += [(lo + rng.random(centre.size) * (hi - lo)).astype(np.float32)
+                   for _ in range(12)]
+        all_dead = all(_last_hidden_dead_at(net, X32, np.clip(q, lo, hi)) for q in points)
+        assert all_dead or not ok
+        certified += ok
+        live += not all_dead
+    assert certified >= 10 and live >= 10  # neither side is vacuous
 
 
 # ---------------------------------------------------------------------------

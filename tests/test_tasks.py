@@ -10,6 +10,7 @@ from leon import tasks
 from leon.core import Context, Design, NumericError, encode_batch
 from leon.numerics import (DenseNet, Layer, NetWorkspace, init_net, layer_views, net_forward_batch,
                            net_weighted_gradient)
+from leon.optimizer import derive_seed
 from leon.tasks import (
     AnalyticShiftSurrogate,
     MixtureSurrogate,
@@ -251,6 +252,89 @@ def test_training_takes_one_pass_per_step(monkeypatch):
     monkeypatch.setattr(tasks, "net_forward_batch", forward)
     train_regression_net(X, y, hidden=(8,), iters=7)
     assert calls == {"gradient": 7, "forward": 0} and len(seen) == 1
+
+
+def test_dose_workload_surrogate_leaves_its_dead_layer_early(monkeypatch):
+    """The dose workload's patient 0 (task seed 2024, surrogate seed
+    `derive_seed(derive_seed(2024, 0), 4)`): its last hidden layer dies at
+    pass 51, and the certificate ends training within 64 gradient passes,
+    where the fixed-point stop alone takes 231, with the same net bit for
+    bit."""
+    task = make_task({"name": "dose", "seed": 2024})
+    seed = derive_seed(derive_seed(2024, 0), 4)
+    calls = [0]
+
+    def gradient(*args):
+        calls[0] += 1
+        return net_weighted_gradient(*args)
+
+    monkeypatch.setattr(tasks, "net_weighted_gradient", gradient)
+    got = make_learned_surrogate(task, seed=seed).net
+    assert calls[0] <= 64
+    calls[0] = 0
+    monkeypatch.setattr(tasks, "_coast_dead", lambda *args: False)
+    want = make_learned_surrogate(task, seed=seed).net
+    assert calls[0] == 231
+    assert np.array_equal(got.params.view(np.uint64), want.params.view(np.uint64))
+
+
+def _per_row_source_designs(task, rng, n):
+    """`Task.source_designs` as it drew every row, one context and its noise
+    at a time: the reference for the block draw."""
+    out = np.empty((n, len(task.space.dims)))
+    for i in range(n):
+        z = rng.normal(task._m_src, 1.0)
+        if task.kind == "quadratic-dose":
+            g = task.params["g_bias"] + float(task._g_w @ z)
+            out[i] = min(max(g + rng.normal(0.0, 3.0), 0.0), 100.0)
+        else:
+            bits = (task._W @ z + task._w0) > 0
+            out[i] = bits != (rng.random(len(bits)) < 0.1)
+    return out
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_block_draws_keep_the_per_row_bits(task_name, seed):
+    """`Task.source_contexts` and `Task.source_designs` give the per-row
+    draws' bits and leave the generator where those leave it."""
+    task = make_task({"name": task_name, "seed": seed})
+    got_rng, want_rng = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+    for n in (1, 7, 768):
+        got = task.source_contexts(got_rng, n)
+        want = np.array([task.sample_context(want_rng, "source").features for _ in range(n)])
+        assert _same_bits(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert _same_bits(task.source_designs(got_rng, n), _per_row_source_designs(task, want_rng, n))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("task_name", ["dose", "regimen"])
+def test_learned_training_set_keeps_the_per_row_bits(task_name, monkeypatch):
+    """`make_learned_surrogate` trains on the rows, bit for bit, that one
+    `Context` per row and a per-row oracle call give."""
+    seen = {}
+
+    def capture(X, y, **kwargs):
+        seen.update(X=X, y=y)
+        return init_net((X.shape[1], 1), seed=0)
+
+    monkeypatch.setattr(tasks, "train_regression_net", capture)
+    task = make_task({"name": task_name, "seed": 2024})
+    make_learned_surrogate(task, seed=3, n_train=96)
+    rng = np.random.default_rng([3, 21])
+    ctxs = [task.sample_context(rng, "source") for _ in range(96)]
+    V = _per_row_source_designs(task, rng, 96)
+    X = np.concatenate([encode_batch(task.space, V), np.array([c.features for c in ctxs])], axis=1)
+    y = np.array([task.oracle_values(V[i:i + 1], c)[0] for i, c in enumerate(ctxs)])
+    x_std = X.std(axis=0)
+    x_std = np.where(x_std > 1e-9, x_std, 1.0)
+    assert _same_bits(seen["X"], (X - X.mean(axis=0)) / x_std)
+    assert _same_bits(seen["y"], (y - y.mean()) / (y.std() or 1.0))
 
 
 def test_training_divergence_raises():
